@@ -16,14 +16,12 @@ analytic layer predicts:
   probe's output ignores the cut location and compact perturbations.
 
 All aggregation is deterministic: modes are processed in their enumerated
-order and counts are integers, so reports are identical for any worker
-count.
+order and counts are integers, so reports are identical from run to run.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -65,19 +63,24 @@ def _mode_operators(config: ProblemConfig, lambda_max: float):
     return [(m, red.mode_operator(config, m)) for m in modes]
 
 
+def _discretize_mode(config, op, domain, cells):
+    """Pencil of one mode operator: Liouville form for p <= 1, else weighted.
+
+    For p <= 1 the modes share a flat mesh and differ in the potential W_m;
+    for p > 1 the weighted forms share weights and differ in the potential.
+    """
+    p = config.geometry.pf
+    target = red.liouville_transform(op, p) if p <= 1.0 else op
+    return sturm.discretize(target, domain, cells)
+
+
 def _stack_for_combo(config, ops, grid, domain, base_domain):
     """Assemble every mode on the shared mesh of one (grid, domain) combo.
 
-    Returns (diags (M, N), off (N-1,), mass (N,)).  For p <= 1 the modes are
-    discretized in Liouville form (flat mesh, potentials W_m differ); for
-    p > 1 the weighted forms share weights and differ in the potential.
+    Returns (diags (M, N), off (N-1,), mass (N,)).
     """
-    p = config.geometry.pf
     cells = sturm.cells_for(grid, domain, base_domain)
-    pencils = []
-    for _, op in ops:
-        target = red.liouville_transform(op, p) if p <= 1.0 else op
-        pencils.append(sturm.discretize(target, domain, cells))
+    pencils = [_discretize_mode(config, op, domain, cells) for _, op in ops]
     diags = np.stack([pen.diag for pen in pencils])
     return diags, pencils[0].offdiag, pencils[0].mass
 
@@ -92,7 +95,7 @@ def _combo_totals(config, ops, lambdas, grid, domain, base_domain):
     return counts, (mult[:, None] * counts).sum(axis=0)
 
 
-def global_counting(config: ProblemConfig, lambdas=None, jobs: int = 1,
+def global_counting(config: ProblemConfig, lambdas=None,
                     with_eigenvalues: bool = False,
                     eigen_cap: int = 400, sectors=None) -> SpectrumReport:
     """Counting table N(lambda) over the configured (grid x domain) study.
@@ -111,16 +114,8 @@ def global_counting(config: ProblemConfig, lambdas=None, jobs: int = 1,
     grids = config.numerics.grids
     domains = config.numerics.domains
     combos = [(g, T) for g in grids for T in domains]
-
-    def run(combo):
-        g, T = combo
-        return _combo_totals(config, ops, lambdas, g, T, domains[0])
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, combos))
-    else:
-        results = [run(c) for c in combos]
+    results = [_combo_totals(config, ops, lambdas, g, T, domains[0])
+               for g, T in combos]
     per_mode = {c: r[0] for c, r in zip(combos, results)}
     totals = {c: r[1] for c, r in zip(combos, results)}
 
@@ -151,11 +146,9 @@ def global_counting(config: ProblemConfig, lambdas=None, jobs: int = 1,
             raise AssembleError(
                 f"{total_top} eigenvalues below {top:g} exceed the listing cap "
                 f"({eigen_cap}); lower lambda_max or raise eigen_cap")
-        p = config.geometry.pf
         cells = sturm.cells_for(gf, domains[-1], domains[0])
         for res, (m, op) in zip(mode_results, ops):
-            target = red.liouville_transform(op, p) if p <= 1.0 else op
-            pen = sturm.discretize(target, domains[-1], cells)
+            pen = _discretize_mode(config, op, domains[-1], cells)
             res.eigenvalues = sturm.eigenvalues_below(pen, top, config.numerics.tol)
 
     n_total = totals[(gf, domains[-1])]
@@ -174,7 +167,7 @@ def global_counting(config: ProblemConfig, lambdas=None, jobs: int = 1,
         totals_by_combo=totals, stable=stable, domain_monotone=monotone,
         truncation_dependent=truncation, prediction=prediction,
         meta={"grids": grids, "domains": domains,
-              "y0": config.geometry.y0, "jobs": jobs},
+              "y0": config.geometry.y0},
         notes=tuple(notes))
 
 
@@ -204,7 +197,7 @@ class ThresholdEstimate:
 
 
 def threshold_probe(config: ProblemConfig, lambdas=None, sectors=None,
-                    jobs: int = 1, predicted=None) -> ThresholdEstimate:
+                    predicted=None) -> ThresholdEstimate:
     """Estimate inf of the essential spectrum from count growth in length.
 
     The estimate is the first lambda on the grid where counts differ across
@@ -218,7 +211,7 @@ def threshold_probe(config: ProblemConfig, lambdas=None, sectors=None,
     if len(num.domains) < 3:
         raise AssembleError("threshold probe needs at least 3 domain lengths")
     lambdas = np.asarray(num.lambdas() if lambdas is None else lambdas, dtype=float)
-    report = global_counting(config, lambdas=lambdas, jobs=jobs, sectors=sectors)
+    report = global_counting(config, lambdas=lambdas, sectors=sectors)
     prediction = report.prediction
     if predicted is None:
         predicted = prediction.essential_bottom
@@ -345,7 +338,7 @@ class CheckReport:
 
 
 def cut_invariance_check(config: ProblemConfig, y0_list=None,
-                         lambdas=None, jobs: int = 1) -> CheckReport:
+                         lambdas=None) -> CheckReport:
     """Threshold estimates must agree for different cut radii Y0.
 
     Individual eigenvalues may move (only the essential spectrum is
@@ -357,7 +350,7 @@ def cut_invariance_check(config: ProblemConfig, y0_list=None,
         raise AssembleError("cut check needs at least 2 values of Y0")
     variants = {}
     for y0 in y0s:
-        variants[y0] = threshold_probe(config.with_y0(y0), lambdas=lambdas, jobs=jobs)
+        variants[y0] = threshold_probe(config.with_y0(y0), lambdas=lambdas)
     ests = list(variants.values())
     notes = []
     if all(e.no_growth for e in ests):
@@ -376,13 +369,13 @@ def cut_invariance_check(config: ProblemConfig, y0_list=None,
 
 
 def perturbation_stability_check(config: ProblemConfig, bump=None,
-                                 lambdas=None, jobs: int = 1) -> CheckReport:
+                                 lambdas=None) -> CheckReport:
     """Threshold estimates with and without a compact bump must agree."""
     bump = tuple(bump) if bump else config.check_bump
     if bump is None:
         raise AssembleError("perturbation check needs a bump (center,width,height)")
-    base = threshold_probe(config, lambdas=lambdas, jobs=jobs)
-    bumped = threshold_probe(config.with_bump(bump), lambdas=lambdas, jobs=jobs)
+    base = threshold_probe(config, lambdas=lambdas)
+    bumped = threshold_probe(config.with_bump(bump), lambdas=lambdas)
     notes = []
     if base.no_growth and bumped.no_growth:
         passed = True

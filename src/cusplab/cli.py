@@ -14,12 +14,14 @@ Subcommands:
 
 Exit codes: 0 success, 1 configuration/usage error, 2 numerical result
 inconsistent with the analytic prediction.  Reports are byte-identical for
-a fixed config and version, independent of --jobs.
+a fixed config and version.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from dataclasses import replace
@@ -57,7 +59,6 @@ def _build_parser():
             sp.add_argument("--config", required=True)
         sp.add_argument("--format", choices=["text", "csv", "json"], default="text")
         sp.add_argument("--out", default=None)
-        sp.add_argument("--jobs", type=int, default=1)
         sp.add_argument("--lambda-max", type=float, default=None)
         sp.add_argument("--domains", default=None)
         sp.add_argument("--grids", default=None)
@@ -134,37 +135,38 @@ def cmd_criteria(args):
     return EXIT_OK
 
 
+REDUCE_COLUMNS = ("mode", "nu", "multiplicity", "density_exp", "stiffness_exp",
+                  "potential_terms", "threshold")
+
+
 def cmd_reduce(args):
     config = _load_config(args)
-    lam_max = config.numerics.lambda_max
-    modes = red.enumerate_modes(config, lam_max)
     p = config.geometry.p
-    rows = ["mode,nu,multiplicity,density_exp,stiffness_exp,potential_terms,threshold"]
-    for m in modes:
+    records = []
+    for m in red.enumerate_modes(config, config.numerics.lambda_max):
         op = red.mode_operator(config, m)
         terms = "+".join(f"{a!r}*y^{b!r}" for a, b in op.potential_terms) or "0"
         if op.bump is not None:
             terms += f"+bump{op.bump!r}".replace(" ", "")
-        thr = red.mode_threshold(op, p)
-        rows.append(",".join([
-            m.name, repr(m.nu), str(m.multiplicity),
-            repr(op.density_exponent), repr(op.stiffness_exponent),
-            terms, "" if thr is None else repr(thr)]))
-    payload = "\n".join(rows) + "\n"
+        records.append(dict(zip(REDUCE_COLUMNS, (
+            m.name, m.nu, m.multiplicity, op.density_exponent,
+            op.stiffness_exponent, terms, red.mode_threshold(op, p)))))
     if args.format == "json":
-        recs = []
-        for line in rows[1:]:
-            vals = line.split(",")
-            recs.append(dict(zip(rows[0].split(","), vals)))
-        payload = _json(recs)
-    _emit(args, payload)
+        _emit(args, _json(records))
+        return EXIT_OK
+    # csv writes floats by repr, None as an empty field, and quotes fields
+    # that contain commas (bump terms, torus mode labels)
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=REDUCE_COLUMNS, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(records)
+    _emit(args, buf.getvalue())
     return EXIT_OK
 
 
 def _counting_report(args, with_eigenvalues: bool):
     config = _load_config(args)
-    return config, assemble.global_counting(config, jobs=args.jobs,
-                                            with_eigenvalues=with_eigenvalues)
+    return config, assemble.global_counting(config, with_eigenvalues=with_eigenvalues)
 
 
 def cmd_count(args):
@@ -203,7 +205,7 @@ def cmd_spectrum(args):
 
 def cmd_essspec(args):
     config = _load_config(args)
-    est = assemble.threshold_probe(config, jobs=args.jobs)
+    est = assemble.threshold_probe(config)
     payload = {
         "estimate": est.value, "error": est.error, "predicted": est.predicted,
         "inconclusive": est.inconclusive, "no_growth": est.no_growth,
@@ -231,7 +233,7 @@ def cmd_essspec(args):
 
 def cmd_weyl(args):
     config = _load_config(args)
-    report = assemble.global_counting(config, jobs=args.jobs)
+    report = assemble.global_counting(config)
     pred = report.prediction
     fit = assemble.weyl_fit(report, pred.weyl_regime, config.geometry.n,
                             config.geometry.pf)
@@ -305,7 +307,7 @@ def _check_payload(args, check, variants_to_dict):
 def cmd_cut_check(args):
     config = _load_config(args)
     y0s = config.check_y0 or (config.geometry.y0, 2.0 * config.geometry.y0)
-    check = assemble.cut_invariance_check(config, y0s, jobs=args.jobs)
+    check = assemble.cut_invariance_check(config, y0s)
     return _check_payload(args, check, lambda vs: {
         f"Y0={y0!r}": {"estimate": e.value, "error": e.error,
                        "no_growth": e.no_growth} for y0, e in vs.items()})
@@ -314,7 +316,7 @@ def cmd_cut_check(args):
 def cmd_perturb_check(args):
     config = _load_config(args)
     bump = config.check_bump or (config.geometry.y0 + 1.5, 1.0, 5.0)
-    check = assemble.perturbation_stability_check(config, bump, jobs=args.jobs)
+    check = assemble.perturbation_stability_check(config, bump)
     return _check_payload(args, check, lambda vs: {
         key: {"estimate": e.value, "error": e.error, "no_growth": e.no_growth}
         for key, e in vs.items()})

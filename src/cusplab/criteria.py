@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import zeta as zeta_mod
 from .model import (CIRCLE, TORUS, CrossSection, MagneticData,
@@ -287,8 +287,7 @@ class WeylConstants:
     notes: tuple
 
 
-def weyl_constants(config: ProblemConfig,
-                   zeta_provider: Callable = zeta_mod.form_zeta) -> WeylConstants:
+def weyl_constants(config: ProblemConfig) -> WeylConstants:
     """C1/C2/C3 for the counting law in the regime selected by p.
 
     C1 and C2 depend only on the metric (they ignore flux and potential).
@@ -325,8 +324,8 @@ def weyl_constants(config: ProblemConfig,
             else:
                 pref = (math.gamma((1.0 - pf) / (2.0 * pf))
                         / (2.0 * math.sqrt(math.pi) * math.gamma(1.0 / (2.0 * pf))))
-                zk = zeta_provider(cs, k, s_half, shift)
-                zk1 = zeta_provider(cs, k - 1, s_half, shift)
+                zk = zeta_mod.form_zeta(cs, k, s_half, shift)
+                zk1 = zeta_mod.form_zeta(cs, k - 1, s_half, shift)
                 c3 = pref * (zk.value + zk1.value)
                 c3_tail = pref * (zk.tail + zk1.tail)
                 if shift > 0:
@@ -341,8 +340,7 @@ def weyl_constants(config: ProblemConfig,
 # composite classification
 # ---------------------------------------------------------------------------
 
-def classify(config: ProblemConfig,
-             zeta_provider: Callable = zeta_mod.form_zeta) -> Prediction:
+def classify(config: ProblemConfig) -> Prediction:
     """Full analytic prediction for a validated config.
 
     Precedence: a boundary potential that is somewhere positive (and nowhere
@@ -381,7 +379,7 @@ def classify(config: ProblemConfig,
             notes.append("nonzero boundary potential shifts thresholds; values "
                          "shown are for the potential-free operator")
 
-    consts = weyl_constants(config, zeta_provider)
+    consts = weyl_constants(config)
     notes.extend(consts.notes)
     if not base.is_pure_point:
         notes.append("counting constants describe the full-manifold asymptotics "

@@ -7,9 +7,9 @@ an optional radial electric potential.  The cross-section M enters only
 through its spectral data: Betti numbers, volume, and the eigenvalues of
 its (flux-twisted) Laplacians.
 
-Everything here is plain data.  Configs are immutable after validation and
-safe to share between parallel workers.  The text format is line-oriented
-``key = value`` with dotted section names; see `parse_config`.
+Everything here is plain data, and configs are immutable after validation.
+The text format is line-oriented ``key = value`` with dotted section names;
+see `parse_config`.
 """
 
 from __future__ import annotations
@@ -249,8 +249,10 @@ class MagneticData:
     `flux` is the class of the tangential connection form in units where the
     integral lattice is exactly Z^b1; entries are exact rationals so the
     integrality predicate is arithmetic, not a float comparison.  `phi0` is
-    the constant radial coefficient; it is pure gauge and is removed by
-    `reduce.gauge_reduce` before any numerics.
+    the constant radial coefficient; it is pure gauge, so the numerics
+    ignore it.  A non-constant radial coefficient or a non-closed tangential
+    form is outside the numerically modelled class: `reduce.enumerate_modes`
+    refuses it, while the analytic criteria still classify it.
     """
 
     flux: tuple
@@ -308,19 +310,28 @@ class RadialPotential:
         return sum(a for a, b in self.poly if abs(b - two_p) <= 1e-12)
 
     def __call__(self, y):
-        import numpy as np
-
-        y = np.asarray(y, dtype=float)
-        out = np.zeros_like(y)
-        for a, b in self.poly:
-            out += a * y**b
-        if self.bump is not None:
-            out += bump_values(y, self.bump)
-        return out
+        return potential_values(y, self.poly, self.bump)
 
     @property
     def is_zero(self) -> bool:
         return not self.poly and self.bump is None
+
+
+def potential_values(y, terms, bump):
+    """sum_j a_j y^(b_j) + bump(y), added left to right onto zero.
+
+    Every radial potential is evaluated here, so one term order fixes the
+    rounding of every assembled pencil.
+    """
+    import numpy as np
+
+    y = np.asarray(y, dtype=float)
+    out = np.zeros_like(y)
+    for a, b in terms:
+        out += a * y**b
+    if bump is not None:
+        out += bump_values(y, bump)
+    return out
 
 
 def bump_values(y, bump):
@@ -485,6 +496,10 @@ _KNOWN_KEYS = {
     "checks.y0", "checks.bump",
 }
 
+# Table cross-sections also take one key per degree j = 0..dim; the
+# degrees are checked once the dimension is known.
+_TABLE_PREFIX = "cross_section.eigenvalues."
+
 
 def _parse_float(tok: str, line: int) -> float:
     try:
@@ -551,7 +566,7 @@ def parse_config(text: str) -> ProblemConfig:
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _KNOWN_KEYS and not key.startswith(_TABLE_PREFIX):
             raise ConfigError(f"unknown key {key!r}", ln)
         if key in raw:
             raise ConfigError(f"duplicate key {key!r}", ln)
@@ -596,7 +611,7 @@ def parse_config(text: str) -> ProblemConfig:
         betti = [_parse_int(b, ln) for b in need("cross_section.betti").split(",")]
         tables = []
         for j in range(len(betti)):
-            key = f"cross_section.eigenvalues.{j}"
+            key = f"{_TABLE_PREFIX}{j}"
             if key not in raw:
                 raise ConfigError(f"missing required key {key!r} for table cross-section")
             tables.append([(e, int(m)) for e, m in _parse_pairs(raw[key], lines[key])])
@@ -605,6 +620,14 @@ def parse_config(text: str) -> ProblemConfig:
             volume=_parse_float(need("cross_section.volume"), line("cross_section.volume")))
     else:
         raise ConfigError(f"unknown cross-section kind {kind!r}", line("cross_section.kind"))
+    table_keys = ({f"{_TABLE_PREFIX}{j}" for j in range(cs.dim + 1)}
+                  if cs.kind == TABLE else set())
+    for key in raw:
+        if key.startswith(_TABLE_PREFIX) and key not in table_keys:
+            where = (f"degrees 0..{cs.dim}" if cs.kind == TABLE
+                     else "table cross-sections only")
+            raise ConfigError(f"unknown key {key!r} (eigenvalue tables: {where})",
+                              lines[key])
 
     degree = _parse_int(raw.get("degree", "0"), line("degree"))
 
@@ -693,11 +716,6 @@ def parse_config(text: str) -> ProblemConfig:
         geometry=geometry, cross_section=cs, degree=degree, magnetic=magnetic,
         potential=potential, numerics=numerics, orientable=orientable, h1_x=h1_x,
         zeta_s=zeta_s, zeta_shift=zeta_shift, check_y0=check_y0, check_bump=check_bump)
-
-
-# Keys whose parsed form must round-trip; table cross-sections add their
-# per-degree eigenvalue keys dynamically, so they are validated separately.
-_KNOWN_KEYS.update(f"cross_section.eigenvalues.{j}" for j in range(0, 8))
 
 
 def render_config(config: ProblemConfig) -> str:

@@ -34,7 +34,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .model import (CIRCLE, TABLE, TORUS, CrossSection, EndGeometry,
-                    MagneticData, ProblemConfig, RadialPotential, bump_values)
+                    ProblemConfig, RadialPotential, potential_values)
 
 SECTOR_FUNCTION = "function"
 SECTOR_FORM_0 = "form_harmonic_0"
@@ -95,18 +95,7 @@ class RadialOperator:
         return np.asarray(y, dtype=float) ** self.stiffness_exponent
 
     def q(self, y):
-        y = np.asarray(y, dtype=float)
-        out = np.zeros_like(y)
-        for a, b in self.potential_terms:
-            out += a * y**b
-        if self.bump is not None:
-            out += bump_values(y, self.bump)
-        return out
-
-    def potential_floor(self, ymax: float, samples: int = 4096) -> float:
-        """min of q over [y0, ymax], sampled on a log grid with endpoints."""
-        y = np.geomspace(self.y0, max(ymax, self.y0 * (1 + 1e-12)), samples)
-        return float(np.min(self.q(y)))
+        return potential_values(y, self.potential_terms, self.bump)
 
 
 @dataclass(frozen=True)
@@ -129,12 +118,8 @@ class CanonicalOperator:
 
     def w(self, z):
         y = self.y_of_z(z)
-        out = self.conj_coeff * y ** (2.0 * self.p - 2.0)
-        for a, b in self.potential_terms:
-            out = out + a * y**b
-        if self.bump is not None:
-            out = out + bump_values(y, self.bump)
-        return out
+        conj = ((self.conj_coeff, 2.0 * self.p - 2.0),)
+        return potential_values(y, conj + self.potential_terms, self.bump)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +131,7 @@ def z_of_y(y, p: float, y0: float = 1.0):
 
     p = 1: log y.  p < 1: y^(1-p)/(1-p) (increasing, unbounded).
     p > 1: metric arc length from y0, (y0^(1-p) - y^(1-p))/(p-1), which is
-    bounded by z_infinity = y0^(1-p)/(p-1).
+    bounded by the total arc length y0^(1-p)/(p-1) of the end.
     """
     y = np.asarray(y, dtype=float)
     if p == 1.0:
@@ -164,13 +149,6 @@ def y_of_z(z, p: float, y0: float = 1.0):
         if p < 1.0:
             return ((1.0 - p) * z) ** (1.0 / (1.0 - p))
         return (y0 ** (1.0 - p) - (p - 1.0) * z) ** (1.0 / (1.0 - p))
-
-
-def z_infinity(p: float, y0: float) -> float:
-    """Total arc length of the end for p > 1 (finite), else +inf."""
-    if p > 1.0:
-        return y0 ** (1.0 - p) / (p - 1.0)
-    return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +275,19 @@ def enumerate_modes(config: ProblemConfig, lambda_max: float) -> List[ModeSpec]:
     are dropped; no mode below it is omitted.  For k >= 1 the two harmonic
     sectors are returned (the coexact tower has compact resolvent and only
     enters the counting constants analytically).
+
+    Every numeric command passes through here, so this is where magnetic
+    data outside the modelled class (only closed tangential forms with a
+    constant, pure-gauge radial coefficient are discretized) is refused.
     """
     if lambda_max < 0:
         raise ReduceError("lambda_max must be >= 0")
+    mag = config.magnetic
+    if mag is not None and not (mag.theta0_closed and mag.phi0_constant):
+        why = ("non-closed tangential form" if not mag.theta0_closed
+               else "non-constant radial coefficient")
+        raise ReduceError(f"{why} is outside the numerically modelled class; "
+                          "the analytic criteria classify it as pure point")
     geom = config.geometry
     k = config.degree
     if k == 0:
@@ -377,25 +365,6 @@ def harmonic_form_radial_operator(n: int, k: int, p, sector: int,
         stiffness_exponent=(2 * k + 2 - n) * pf,
         potential_terms=terms,
         y0=float(y0))
-
-
-def gauge_reduce(magnetic: MagneticData):
-    """Remove the constant radial connection coefficient by a gauge change.
-
-    Multiplying by a unimodular radial phase conjugates the operator
-    unitarily, so the spectrum is untouched; only constant coefficients can
-    be removed this way.
-    """
-    if not magnetic.phi0_constant:
-        raise ReduceError(
-            "non-constant radial coefficient is outside the implemented class; "
-            "the analytic criteria already classify it as pure point")
-    if magnetic.phi0 == 0.0:
-        return magnetic, "radial coefficient already zero"
-    from dataclasses import replace
-
-    note = f"removed constant radial coefficient {magnetic.phi0!r} by gauge"
-    return replace(magnetic, phi0=0.0), note
 
 
 def liouville_transform(op: RadialOperator, p) -> CanonicalOperator:

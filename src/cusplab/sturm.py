@@ -9,10 +9,9 @@ is exact; a consistent-mass variant is available because the variational
 one-sided convergence statements hold for it.
 
 Eigenvalue counts come from the LDL^T inertia of A - lambda B (a Sturm
-sequence), eigenvalues from bisection on the counts, and `converge` runs
-the (grid x domain) study with Richardson extrapolation.  Counts are
+sequence) and eigenvalues from bisection on the counts.  Counts are
 integers computed by exact sign tests, so reports are bit-stable across
-runs and thread counts.
+runs.
 
 Grid numbers mean mesh *cells*; a grid g on the base domain T0 fixes the
 mesh width h = T0/g, and larger domains keep h fixed by scaling the cell
@@ -32,6 +31,9 @@ from .reduce import CanonicalOperator, RadialOperator, y_of_z, z_of_y
 
 #: relative pivot-breakdown shift applied to lambda, as documented
 BREAKDOWN_SHIFT = 1e-14
+
+#: bisection sweeps allowed before `eigenvalues_below` gives up
+MAX_BISECTION_SWEEPS = 200
 
 
 class SturmError(ValueError):
@@ -204,7 +206,8 @@ def count_below(pencil: TridiagonalPencil, lam: float) -> int:
     Exact for the discrete pencil by Sylvester inertia.  An exact pivot hit
     (lambda on a Ritz value of a leading minor) is resolved by re-counting
     at lambda shifted down by 1e-14 * scale; the shift is recorded on the
-    pencil's breakdown counter.
+    pencil's breakdown counter.  A second hit at the shifted lambda raises
+    SturmError rather than return a count that may be wrong.
     """
     counts = count_below_many(pencil, np.array([lam]))
     return int(counts[0])
@@ -214,15 +217,16 @@ def count_below_many(pencil: TridiagonalPencil, lams) -> np.ndarray:
     lams = np.asarray(lams, dtype=float)
     counts, broke = _sturm_pass(pencil.diag, pencil.offdiag, pencil.mass,
                                 pencil.mass_offdiag, lams)
-    if broke.any():
-        idx = np.nonzero(broke)[0] if broke.ndim == 1 else np.nonzero(broke.any(axis=0))[0]
-        for j in np.atleast_1d(idx):
-            lam = float(lams[j])
-            shifted = lam - BREAKDOWN_SHIFT * _scale(pencil, lam)
-            c, b2 = _sturm_pass(pencil.diag, pencil.offdiag, pencil.mass,
-                                pencil.mass_offdiag, np.array([shifted]))
-            counts[..., j] = c[..., 0]
-            pencil.breakdowns += 1
+    for j in np.nonzero(broke)[0]:
+        lam = float(lams[j])
+        shifted = lam - BREAKDOWN_SHIFT * _scale(pencil, lam)
+        c, again = _sturm_pass(pencil.diag, pencil.offdiag, pencil.mass,
+                               pencil.mass_offdiag, np.array([shifted]))
+        pencil.breakdowns += 1
+        if again[0]:
+            raise SturmError(f"pivot breakdown at lambda = {lam!r} persists at the "
+                             f"shifted lambda = {shifted!r}")
+        counts[j] = c[0]
     return counts
 
 
@@ -261,16 +265,14 @@ def gershgorin_lower(pencil: TridiagonalPencil) -> float:
     return amin / bmax if amin >= 0 else amin / bmin
 
 
-def eigenvalues_below(pencil: TridiagonalPencil, lam: float, tol: float,
-                      max_iter: int = 200) -> List[float]:
+def eigenvalues_below(pencil: TridiagonalPencil, lam: float, tol: float) -> List[float]:
     """All generalized eigenvalues < lambda, each located within +-tol.
 
     Parallel bisection on the inertia count: every eigenvalue index keeps
     its own bracket [lo_j, hi_j] with count(lo_j) <= j < count(hi_j), and
     one vectorized Sturm pass refines all brackets per sweep.  Clusters
     narrower than tol come out as repeated values (multiplicity = count
-    difference).  The schedule is deterministic, so results do not depend
-    on scheduling or worker counts.
+    difference).  The schedule is deterministic.
     """
     if tol <= 0:
         raise SturmError("tolerance must be > 0")
@@ -283,7 +285,7 @@ def eigenvalues_below(pencil: TridiagonalPencil, lam: float, tol: float,
     it = 0
     while float(np.max(hi - lo)) > tol:
         it += 1
-        if it > max_iter:
+        if it > MAX_BISECTION_SWEEPS:
             j = int(np.argmax(hi - lo))
             raise SturmError(
                 f"bisection iteration cap hit for eigenvalue {j}: "
@@ -297,7 +299,7 @@ def eigenvalues_below(pencil: TridiagonalPencil, lam: float, tol: float,
 
 
 # ---------------------------------------------------------------------------
-# convergence study
+# extrapolation and mesh scaling
 # ---------------------------------------------------------------------------
 
 def richardson(values: Sequence[float], hs: Sequence[float]) -> float:
@@ -321,67 +323,7 @@ def observed_order(values: Sequence[float], hs: Sequence[float]) -> Optional[flo
     return float(math.log(num / den) / math.log(h2 / h3))
 
 
-@dataclass
-class ConvergenceReport:
-    lam: float
-    grids: tuple
-    domains: tuple
-    counts: dict
-    eigenvalues: dict
-    extrapolated: list
-    orders: list
-    stable: bool
-    domain_monotone: bool
-    notes: tuple = ()
-
-
 def cells_for(grid: int, domain: float, base_domain: float) -> int:
     """Cells for a domain at fixed mesh width h = base_domain/grid."""
     return max(4, int(round(grid * domain / base_domain)))
 
-
-def converge(op, lam: float, grids: Sequence[int], domains: Sequence[float],
-             tol: float = 1e-8, eigenvalues: bool = True) -> ConvergenceReport:
-    """Counts and eigenvalues below lambda over a (grid x domain) study.
-
-    Counts must be non-decreasing in the domain (Dirichlet bracketing on
-    nested meshes); a decrease is reported as a violation, since it can
-    only come from an assembly bug.  `stable` means the finest-grid counts
-    agree on the two largest domains, the numerical proxy for discreteness
-    at this energy.
-    """
-    if len(grids) < 2 or len(domains) < 2:
-        raise SturmError("need at least 2 grids and 2 domains")
-    grids = tuple(int(g) for g in grids)
-    domains = tuple(float(d) for d in domains)
-    counts = {}
-    eigs = {}
-    for g in grids:
-        for T in domains:
-            pencil = discretize(op, T, cells_for(g, T, domains[0]))
-            counts[(g, T)] = count_below(pencil, lam)
-            if eigenvalues:
-                eigs[(g, T)] = eigenvalues_below(pencil, lam, tol)
-    monotone = all(counts[(g, domains[i])] <= counts[(g, domains[i + 1])]
-                   for g in grids for i in range(len(domains) - 1))
-    gf = grids[-1]
-    stable = counts[(gf, domains[-1])] == counts[(gf, domains[-2])]
-    extrapolated = []
-    orders = []
-    if eigenvalues:
-        Tmax = domains[-1]
-        shared = min(len(eigs[(g, Tmax)]) for g in grids)
-        hs = [Tmax / cells_for(g, Tmax, domains[0]) for g in grids]
-        for j in range(shared):
-            vals = [eigs[(g, Tmax)][j] for g in grids]
-            extrapolated.append(richardson(vals, hs))
-            orders.append(observed_order(vals, hs))
-    notes = ()
-    if not monotone:
-        notes = ("internal error: counts decreased while the domain grew; "
-                 "this violates Dirichlet bracketing and indicates a bug",)
-    return ConvergenceReport(lam=lam, grids=grids, domains=domains,
-                             counts=counts, eigenvalues=eigs,
-                             extrapolated=extrapolated, orders=orders,
-                             stable=stable, domain_monotone=monotone,
-                             notes=notes)

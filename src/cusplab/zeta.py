@@ -41,16 +41,6 @@ class ZetaResult:
         return self.value + self.tail
 
 
-@dataclass(frozen=True)
-class ZetaQuery:
-    """One zeta evaluation request against a cross-section spectrum."""
-
-    cross_section: CrossSection
-    degree: int
-    s: float
-    shift: float = 0.0
-
-
 def _check_args(s, shift, abscissa, what):
     if shift < 0:
         raise ZetaError("shift must be >= 0")
@@ -185,7 +175,3 @@ def form_zeta(cross_section: CrossSection, degree: int, s: float,
         return ZetaResult(value=mult * base.value, tail=mult * base.tail,
                           terms=mult * base.terms)
     return table_zeta(cross_section.tables[degree], s, shift)
-
-
-def evaluate(query: ZetaQuery) -> ZetaResult:
-    return form_zeta(query.cross_section, query.degree, query.s, query.shift)

@@ -61,14 +61,6 @@ def test_integer_flux_shift_gives_identical_tables():
     assert sorted(r.mode.nu for r in a.modes) == sorted(r.mode.nu for r in b.modes)
 
 
-def test_jobs_do_not_change_the_report():
-    cfg = circle_cfg(flux="0.5", lam=(0.5, 30.0, 12))
-    a = report_to_dict(global_counting(cfg, jobs=1))
-    b = report_to_dict(global_counting(cfg, jobs=4))
-    a["meta"].pop("jobs"), b["meta"].pop("jobs")
-    assert a == b
-
-
 def test_eigenvalue_listing_and_cap():
     cfg = circle_cfg(flux="0.5", lam=(0.5, 8.0, 4), domains=(6.0, 8.0))
     rep = global_counting(cfg, with_eigenvalues=True)

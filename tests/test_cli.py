@@ -1,5 +1,7 @@
 """Command-line front end: subcommands, formats, exit codes, determinism."""
 
+import csv
+import io
 import json
 import math
 
@@ -64,6 +66,8 @@ def test_invalid_config_exits_one(cfg_path, capsys):
 def test_unknown_flag_exits_one(cfg_path, capsys):
     assert main(["criteria", "--config", cfg_path(AB_CFG), "--bogus"]) == 1
     assert "error[usage]" in capsys.readouterr().err
+    assert main(["count", "--config", cfg_path(AB_CFG), "--jobs", "2"]) == 1
+    assert "error[usage]" in capsys.readouterr().err
 
 
 def test_missing_file_exits_one(capsys):
@@ -80,16 +84,45 @@ def test_reduce_csv_header(cfg_path, capsys):
     assert "m0,0.25,1," in out
 
 
+def test_reduce_quotes_bump_terms_and_types_json(cfg_path, capsys):
+    path = cfg_path(ESS_CFG + "potential.bump = 2.5,1.0,5.0\n")
+    args = ["reduce", "--config", path, "--lambda-max", "10"]
+    assert main(args + ["--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert all(len(row) == 7 for row in rows)
+    assert rows[1][5].endswith("+bump(2.5,1.0,5.0)")
+    assert main(args + ["--format", "json"]) == 0
+    recs = {r["mode"]: r for r in json.loads(capsys.readouterr().out)}
+    assert recs["m0"]["threshold"] == 0.25
+    assert recs["m1"]["threshold"] is None and recs["m-1"]["threshold"] is None
+    assert recs["m1"]["nu"] == 1.0 and recs["m1"]["multiplicity"] == 1
+    assert recs["m0"]["density_exp"] == -2.0
+
+
 def test_count_csv_and_determinism(cfg_path, capsys):
     path = cfg_path(AB_CFG)
     args = ["count", "--config", path, "--format", "csv",
             "--lambda-max", "1.0"]
     assert main(args) == 0
     first = capsys.readouterr().out
-    assert main(args + ["--jobs", "4"]) == 0
+    assert main(args) == 0
     second = capsys.readouterr().out
     assert first == second
     assert first.splitlines()[0].startswith("lambda,N_total")
+
+
+@pytest.mark.parametrize("flag, reason", [
+    ("magnetic.theta0_closed", "non-closed tangential form"),
+    ("magnetic.phi0_constant", "non-constant radial coefficient"),
+])
+def test_magnetic_outside_the_numeric_class_is_refused(cfg_path, capsys, flag, reason):
+    path = cfg_path(ESS_CFG + f"{flag} = false\n")
+    assert main(["essspec", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert "error[invalid]" in err and reason in err
+    assert main(["criteria", "--config", path]) == 0
+    out = capsys.readouterr().out
+    assert "pure_point" in out and reason in out
 
 
 def test_essspec_consistent_threshold(cfg_path, capsys):

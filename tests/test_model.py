@@ -166,6 +166,33 @@ def test_round_trip_field_by_field():
     assert again == cfg
 
 
+def _table_text(n):
+    betti = [1] + [0] * (n - 2) + [1]
+    lines = ["geometry.n = %d" % n, "geometry.p = 1", "cross_section.kind = table",
+             "cross_section.volume = 1.0",
+             "cross_section.betti = " + ",".join(str(b) for b in betti)]
+    for j, b in enumerate(betti):
+        lines.append(f"cross_section.eigenvalues.{j} = "
+                     + ("(0.0,1);(1.0,2)" if b else "(1.0,1)"))
+    return "\n".join(lines) + "\n"
+
+
+def test_table_accepts_every_degree_up_to_dim():
+    cfg = parse_config(_table_text(9))
+    assert cfg.cross_section.dim == 8
+    assert len(cfg.cross_section.tables) == 9
+    assert parse_config(render_config(cfg)) == cfg
+
+
+def test_table_rejects_degrees_beyond_dim():
+    text = _table_text(2) + "cross_section.eigenvalues.5 = (1.0,1)\n"
+    with pytest.raises(ConfigError, match=r"line 8: unknown key "
+                       r"'cross_section\.eigenvalues\.5'.*0\.\.1"):
+        parse_config(text)
+    with pytest.raises(ConfigError, match=r"line 8: unknown key .*table cross-sections only"):
+        parse_config(VALID + "cross_section.eigenvalues.0 = (0.0,1)\n")
+
+
 def test_round_trip_table_and_extras():
     cfg = ProblemConfig(
         geometry=EndGeometry(2, "0.25", 1.5),

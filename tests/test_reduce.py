@@ -11,7 +11,7 @@ from cusplab.model import (EndGeometry, MagneticData, Numerics, ProblemConfig,
                            RadialPotential, builtin_cross_section)
 from cusplab.reduce import (ModeSpec, RadialOperator, ReduceError,
                             SECTOR_FORM_0, SECTOR_FORM_1, cross_eigenvalue,
-                            enumerate_modes, gauge_reduce,
+                            enumerate_modes,
                             harmonic_form_radial_operator, liouville_transform,
                             mode_threshold, scalar_radial_operator, y_of_z,
                             z_of_y)
@@ -242,18 +242,6 @@ def test_mode_threshold_cases():
     horn = scalar_radial_operator(
         ModeSpec(label=(0,), nu=0.0, multiplicity=1), EndGeometry(2, 2, 1.0))
     assert mode_threshold(horn, 2.0) is None
-
-
-def test_gauge_reduce():
-    mag = MagneticData(flux=("0.5",), phi0=3.7)
-    reduced, note = gauge_reduce(mag)
-    assert reduced.phi0 == 0.0
-    assert reduced.flux == mag.flux
-    assert "3.7" in note
-    same, note0 = gauge_reduce(MagneticData(flux=("0.5",)))
-    assert same.phi0 == 0.0 and "already" in note0
-    with pytest.raises(ReduceError, match="outside the implemented class"):
-        gauge_reduce(MagneticData(flux=("0.5",), phi0_constant=False))
 
 
 # ---------------------------------------------------------------------------

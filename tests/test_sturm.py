@@ -1,4 +1,4 @@
-"""Pencil assembly, inertia counts, bisection, and convergence studies."""
+"""Pencil assembly, inertia counts, bisection, and extrapolation."""
 
 import math
 
@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cusplab.model import EndGeometry
-from cusplab.reduce import (CanonicalOperator, ModeSpec, RadialOperator,
-                            scalar_radial_operator)
+from cusplab.reduce import CanonicalOperator, RadialOperator
 from cusplab.sturm import (SturmError, TridiagonalPencil, cells_for,
-                           converge, count_below, count_below_many,
+                           count_below, count_below_many,
                            count_below_stack, discretize, eigenvalues_below,
                            gershgorin_lower, observed_order, richardson)
 
@@ -120,6 +118,15 @@ def test_exact_pivot_hit_is_recorded_and_deterministic():
     assert pen.breakdowns >= 2  # every exact hit was shifted and recorded
 
 
+def test_breakdown_at_the_shifted_lambda_raises():
+    # the shift scale is 6, so lambda = 1 shifted down lands exactly on
+    # diag[1]; the true count below 1 is 1, and no count is returned
+    pen = TridiagonalPencil(diag=np.array([1.0, 1.0 - 6e-14, 5.0]),
+                            offdiag=np.zeros(2), mass=np.ones(3), h=1.0)
+    with pytest.raises(SturmError, match=r"breakdown at lambda = 1\.0 persists"):
+        count_below(pen, 1.0)
+
+
 def test_eigenvalues_below_multiplicity_from_clusters():
     # two decoupled identical 2x2 blocks: doubly degenerate eigenvalues
     diag = np.array([2.0, 2.0, 2.0, 2.0])
@@ -163,26 +170,6 @@ def test_grid_refinement_monotone_from_above_consistent_mass():
     # and the consistent-mass values stay above the continuum limit
     exact = np.array([0.25 + (k * math.pi / 8.0) ** 2 for k in range(1, len(prev) + 1)])
     assert np.all(prev >= exact - 1e-12)
-
-
-def test_converge_report_scalar_mode():
-    geom = EndGeometry(2, 1, 1.0)
-    op = scalar_radial_operator(ModeSpec(label=(0,), nu=0.25, multiplicity=1), geom)
-    rep = converge(op, 1.0, grids=(400, 800, 1600), domains=(6.0, 12.0))
-    assert rep.domain_monotone
-    assert rep.stable  # confining mode: counts settle
-    assert all(o is None or o >= 1.9 for o in rep.orders)
-    for (g, T), c in rep.counts.items():
-        assert c == len(rep.eigenvalues[(g, T)])
-
-
-def test_converge_needs_two_grids_and_domains():
-    geom = EndGeometry(2, 1, 1.0)
-    op = scalar_radial_operator(ModeSpec(label=(0,), nu=0.25, multiplicity=1), geom)
-    with pytest.raises(SturmError, match="at least 2"):
-        converge(op, 1.0, grids=(400,), domains=(6.0, 12.0))
-    with pytest.raises(SturmError, match="at least 2"):
-        converge(op, 1.0, grids=(400, 800), domains=(6.0,))
 
 
 def test_counts_grow_linearly_on_flat_channel():
