@@ -91,6 +91,12 @@ def _combo_totals(config, ops, lambdas, grid, domain, base_domain):
         return z, np.zeros(len(lambdas), dtype=np.int64)
     diags, off, mass = _stack_for_combo(config, ops, grid, domain, base_domain)
     counts = sturm.count_below_stack(diags, off, mass, np.asarray(lambdas))
+    # the threshold probe and the Weyl fit read these counts as monotone in lambda
+    dropped = (np.diff(counts, axis=1) < 0).any(axis=1)
+    if dropped.any():
+        mode = ops[int(np.argmax(dropped))][0]
+        raise AssembleError(f"internal error: counts decreased in lambda for mode "
+                            f"{mode.name} at grid={grid}, domain={domain!r}")
     mult = np.array([m.multiplicity for m, _ in ops], dtype=np.int64)
     return counts, (mult[:, None] * counts).sum(axis=0)
 
@@ -107,6 +113,8 @@ def global_counting(config: ProblemConfig, lambdas=None,
     """
     lambdas = np.asarray(config.numerics.lambdas() if lambdas is None else lambdas,
                          dtype=float)
+    if not np.all(np.diff(lambdas) > 0):
+        raise AssembleError("lambdas must be strictly increasing")
     prediction = classify(config)
     ops = _mode_operators(config, float(lambdas[-1]))
     if sectors is not None:

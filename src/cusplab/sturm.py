@@ -11,7 +11,8 @@ one-sided convergence statements hold for it.
 Eigenvalue counts come from the LDL^T inertia of A - lambda B (a Sturm
 sequence) and eigenvalues from bisection on the counts.  Counts are
 integers computed by exact sign tests, so reports are bit-stable across
-runs.
+runs.  One blocked, node-major kernel computes them all, bit-identical to
+the per-node LDL^T recurrence (see `_sturm_pass`).
 
 Grid numbers mean mesh *cells*; a grid g on the base domain T0 fixes the
 mesh width h = T0/g, and larger domains keep h fixed by scaling the cell
@@ -163,33 +164,61 @@ def discretize(op, length: float, cells: int, mass: str = "lumped",
 # inertia counts
 # ---------------------------------------------------------------------------
 
+#: bytes of one block array in `_sturm_pass` (sized for cache and peak RSS)
+_BLOCK_BYTES = 1 << 17
+
+
 def _sturm_pass(diag, off, mass, mass_off, lams):
     """Vectorized LDL^T sign count of A - lambda B for a batch of lambdas.
 
-    diag/mass: (..., N); off (and mass_off): (..., N-1); lams: (L,).
-    Returns (counts (..., L) int array, breakdown mask (..., L) bool).
+    diag/mass: (..., N); off (and mass_off): (..., N-1) per row or shared;
+    lams: (L,).  Returns (counts (..., L) int array, breakdown mask (..., L)).
+
+    Node-major and blocked: inputs are viewed as (N, rows, 1) against lams
+    (W = rows * L lanes; off padded so node i holds off[i-1]).  Per block,
+    a = diag - lambda mass and e*e are formed whole; per node only one
+    divide and one subtract on W lanes run, d_i = a_i - (e*e)_i / d_{i-1}:
+    the IEEE operations of the per-node recurrence in its order, so counts
+    are bit-identical to it.  Every caller discards the count of a lane
+    with a zero pivot, so no tiny replaces the zero; that lane's inf/nan
+    warnings are silenced.
     """
     diag = np.asarray(diag, dtype=float)
-    off = np.asarray(off, dtype=float)
-    mass = np.asarray(mass, dtype=float)
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    batch = diag.shape[:-1]
-    n = diag.shape[-1]
-    lam = lams.reshape((1,) * len(batch) + (-1,))
-    counts = np.zeros(batch + (lams.size,), dtype=np.int64)
-    broke = np.zeros(batch + (lams.size,), dtype=bool)
-    d = diag[..., 0:1] - lam * mass[..., 0:1]
-    counts += d < 0
-    broke |= d == 0
-    for i in range(1, n):
-        e = off[..., i - 1:i]
-        if mass_off is not None:
-            e = e - lam * mass_off[..., i - 1:i]
-        dsafe = np.where(d == 0, np.finfo(float).tiny, d)
-        d = diag[..., i:i + 1] - lam * mass[..., i:i + 1] - e * e / dsafe
-        counts += d < 0
-        broke |= d == 0
-    return counts, broke
+    batch, n = diag.shape[:-1], diag.shape[-1]
+    width = math.prod(batch) * lams.size
+    block = max(1, _BLOCK_BYTES // (8 * max(1, width)))
+
+    def node_major(x):
+        x = np.asarray(x, dtype=float)
+        return x.reshape(math.prod(x.shape[:-1]), x.shape[-1]).T[:, :, None]
+
+    diag, mass = node_major(diag), node_major(mass)
+    off = node_major(np.insert(off, 0, 0.0, axis=-1))
+    if mass_off is not None:
+        mass_off = node_major(np.insert(mass_off, 0, 0.0, axis=-1))
+    counts = np.zeros(width, dtype=np.int64)
+    broke = np.zeros(width, dtype=bool)
+    tmp = np.empty(width)
+    divide, subtract = np.divide, np.subtract
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for s in range(0, n, block):
+            a = diag[s:s + block] - lams * mass[s:s + block]
+            e = off[s:s + block]
+            if mass_off is not None:
+                e = e - lams * mass_off[s:s + block]
+            e2 = np.broadcast_to(e * e, a.shape).reshape(len(a), -1)
+            a = a.reshape(len(a), -1)
+            first = s == 0
+            if first:
+                prev = a[0]
+            for a_j, e2_j in zip(a[first:], e2[first:]):
+                divide(e2_j, prev, tmp)
+                subtract(a_j, tmp, a_j)
+                prev = a_j
+            counts += (a < 0).sum(0)
+            broke |= (a == 0).any(0)
+    return counts.reshape(batch + (-1,)), broke.reshape(batch + (-1,))
 
 
 def _scale(pencil: TridiagonalPencil, lam: float) -> float:
@@ -239,6 +268,8 @@ def count_below_stack(diags, offs, masses, lams) -> np.ndarray:
     """
     counts, broke = _sturm_pass(diags, offs, masses, None, lams)
     if broke.any():
+        offs = np.broadcast_to(offs, diags.shape[:-1] + np.shape(offs)[-1:])
+        masses = np.broadcast_to(masses, diags.shape)
         for i, j in zip(*np.nonzero(broke)):
             pencil = TridiagonalPencil(diag=diags[i], offdiag=offs[i],
                                        mass=masses[i], h=1.0)
@@ -292,6 +323,8 @@ def eigenvalues_below(pencil: TridiagonalPencil, lam: float, tol: float) -> List
                 f"bracket [{lo[j]}, {hi[j]}]")
         mid = 0.5 * (lo + hi)
         counts = count_below_many(pencil, mid)
+        if np.any(np.diff(counts[np.argsort(mid, kind="stable")]) < 0):
+            raise SturmError("internal error: counts decreased in lambda in a sweep")
         take_lo = counts <= idx
         lo = np.where(take_lo, mid, lo)
         hi = np.where(take_lo, hi, mid)

@@ -179,3 +179,17 @@ def test_log_regime_fit_runs():
     fit = weyl_fit(rep, LOG_LAW, 2, 0.5)
     assert fit.exponent_fixed and fit.exponent == 1.0
     assert fit.constant == pytest.approx(0.5, rel=0.3)
+
+
+def test_lambdas_must_increase_strictly():
+    cfg = circle_cfg(flux="0.5")
+    for lams in ([0.5, 0.5, 1.0], [1.0, 0.5], [0.5, float("nan")]):
+        with pytest.raises(AssembleError, match="strictly increasing"):
+            global_counting(cfg, lambdas=lams)
+
+
+def test_counts_decreasing_in_lambda_are_an_internal_error(counts_reversed_in_lambda):
+    cfg = circle_cfg(flux="0.5", lam=(0.5, 30.0, 12))
+    with pytest.raises(AssembleError, match=r"counts decreased in lambda for mode "
+                                            r"\S+ at grid=500, domain=8\.0"):
+        global_counting(cfg)

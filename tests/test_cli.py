@@ -196,3 +196,11 @@ def test_domains_and_grids_overrides(cfg_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["meta"]["domains"] == [8.0, 16.0]
     assert data["meta"]["grids"] == [400, 800]
+
+
+@pytest.mark.parametrize("command", ["count", "spectrum", "essspec"])
+def test_counts_decreasing_in_lambda_exit_one(cfg_path, capsys, command,
+                                              counts_reversed_in_lambda):
+    cfg = cfg_path(AB_CFG.replace("0.05,0.5,46", "0.5,6,12"))
+    assert main([command, "--config", cfg]) == 1
+    assert "decreased in lambda" in capsys.readouterr().err

@@ -1,11 +1,13 @@
 """Pencil assembly, inertia counts, bisection, and extrapolation."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cusplab import sturm
 from cusplab.reduce import CanonicalOperator, RadialOperator
 from cusplab.sturm import (SturmError, TridiagonalPencil, cells_for,
                            count_below, count_below_many,
@@ -180,3 +182,137 @@ def test_counts_grow_linearly_on_flat_channel():
         pen = discretize(op, T, cells_for(1000, T, 8.0))
         want = math.floor(T * math.sqrt(lam - 0.25) / math.pi)
         assert abs(count_below(pen, lam) - want) <= 1
+
+
+# ---------------------------------------------------------------------------
+# the blocked kernel against the per-node recurrence
+# ---------------------------------------------------------------------------
+
+def _reference_pass(diag, off, mass, mass_off, lams):
+    """The per-node LDL^T recurrence the blocked kernel must reproduce."""
+    diag = np.asarray(diag, dtype=float)
+    off = np.asarray(off, dtype=float)
+    mass = np.asarray(mass, dtype=float)
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    batch = diag.shape[:-1]
+    n = diag.shape[-1]
+    lam = lams.reshape((1,) * len(batch) + (-1,))
+    counts = np.zeros(batch + (lams.size,), dtype=np.int64)
+    broke = np.zeros(batch + (lams.size,), dtype=bool)
+    d = diag[..., 0:1] - lam * mass[..., 0:1]
+    counts += d < 0
+    broke |= d == 0
+    for i in range(1, n):
+        e = off[..., i - 1:i]
+        if mass_off is not None:
+            e = e - lam * mass_off[..., i - 1:i]
+        dsafe = np.where(d == 0, np.finfo(float).tiny, d)
+        d = diag[..., i:i + 1] - lam * mass[..., i:i + 1] - e * e / dsafe
+        counts += d < 0
+        broke |= d == 0
+    return counts, broke
+
+
+def assert_matches_reference(diag, off, mass, mass_off, lams):
+    # e*e/tiny overflows on broken lanes of the reference; those are discarded
+    with np.errstate(over="ignore"):
+        want, want_broke = _reference_pass(diag, off, mass, mass_off, lams)
+    got, broke = sturm._sturm_pass(diag, off, mass, mass_off, lams)
+    assert got.shape == want.shape and broke.shape == want_broke.shape
+    assert np.array_equal(broke, want_broke)
+    assert np.array_equal(got[~broke], want[~broke])
+    return broke
+
+
+@st.composite
+def pass_inputs(draw):
+    """Random or dyadic pencils; dyadic data gives exact pivot hits, zero
+    offdiag entries and 0/0 on broken lanes."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    rows = draw(st.sampled_from([None, 1, 3]))
+    batch = () if rows is None else (rows,)
+    dyadic = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+
+    def values(shape, lo, hi, choices):
+        if dyadic:
+            return rng.choice(choices, shape)
+        return rng.uniform(lo, hi, shape)
+
+    diag = values(batch + (n,), -2.0, 2.0, [-2.0, -1.0, 0.0, 1.0, 2.0])
+    off_batch = batch if draw(st.booleans()) else ()
+    off = values(off_batch + (n - 1,), -1.0, 1.0, [-1.0, -0.5, 0.0, 0.5, 1.0])
+    mass = values((n,), 0.5, 2.0, [0.5, 1.0, 2.0])
+    mass_off = None
+    if draw(st.booleans()):
+        mass_off = values((n - 1,), 0.0, 0.2, [0.0, 0.125, 0.25])
+    dyadic_lams = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0])
+    lams = np.sort(np.array(draw(st.lists(dyadic_lams, min_size=1, max_size=12))))
+    if not dyadic:
+        lams = lams + rng.uniform(-0.1, 0.1, lams.size)
+    return diag, off, mass, mass_off, lams
+
+
+@given(pass_inputs(), st.sampled_from([8, 256, sturm._BLOCK_BYTES]))
+@settings(max_examples=200, deadline=None)
+def test_blocked_kernel_matches_reference(inputs, block_bytes):
+    # 8 bytes makes every node its own block, so carries are exercised
+    with mock.patch.object(sturm, "_BLOCK_BYTES", block_bytes):
+        assert_matches_reference(*inputs)
+
+
+def test_blocked_kernel_three_nodes_and_pivot_hits():
+    diag = np.array([1.0, 2.0, 3.0])
+    mass = np.ones(3)
+    lams = np.array([0.5, 1.0, 2.0, 3.0, 4.0])
+    # decoupled rows: every diag entry is hit exactly, including 0/0 after it
+    broke = assert_matches_reference(diag, np.zeros(2), mass, None, lams)
+    assert broke.tolist() == [False, True, True, True, False]
+    broke = assert_matches_reference(diag, np.array([0.5, 0.0]), mass, None, lams)
+    assert broke[1]
+    # the pivot 1 - 49/49 is exactly 0; 1 - 49 * (1/49) would not be
+    broke = assert_matches_reference(np.array([49.0, 1.0, 2.0]), np.array([7.0, 1.0]),
+                                     mass, None, np.array([0.0]))
+    assert broke[0]
+
+
+def test_blocked_kernel_consistent_mass():
+    pen = discretize(FLAT, 1.0, 300, mass="consistent")
+    lams = np.linspace(-5.0, 400.0, 40)
+    assert_matches_reference(pen.diag, pen.offdiag, pen.mass, pen.mass_offdiag, lams)
+
+
+def test_blocked_kernel_carries_across_blocks():
+    rng = np.random.default_rng(11)
+    rows, n, lams = 5, 400, np.linspace(-3.0, 3.0, 64)
+    assert n > sturm._BLOCK_BYTES // (8 * rows * lams.size)
+    diags = rng.uniform(-2, 2, (rows, n))
+    diags[2, 150] = 1.5       # exact hit for lambda = 1.5 behind a zero offdiag
+    off = rng.uniform(-1, 1, (rows, n - 1))
+    off[2, 149] = 0.0
+    lams[50] = 1.5
+    broke = assert_matches_reference(diags, off, np.ones(n), None, lams)
+    assert broke[2, 50]
+    assert_matches_reference(diags, off[0], rng.uniform(0.5, 2.0, n), None, lams)
+
+
+def test_stack_breakdown_falls_back_to_per_row_counts():
+    n = 6
+    off = np.full(n - 1, -0.5)
+    mass = np.ones(n)
+    diags = np.full((3, n), 3.0)
+    diags[1, 0] = 1.0         # lambda = 1 hits the first pivot of row 1 only
+    lams = np.array([0.5, 1.0, 2.0])
+    for offs in (off, np.tile(off, (3, 1))):
+        stacked = count_below_stack(diags, offs, mass, lams)
+        for i in range(3):
+            pen = TridiagonalPencil(diag=diags[i], offdiag=off, mass=mass, h=1.0)
+            assert stacked[i].tolist() == [count_below(pen, lam) for lam in lams]
+            assert pen.breakdowns == (1 if i == 1 else 0)
+
+
+def test_bisection_rejects_counts_that_decrease_in_lambda(counts_reversed_in_lambda):
+    pen = TridiagonalPencil(diag=np.array([1.0, 3.0]), offdiag=np.zeros(1),
+                            mass=np.ones(2), h=1.0)
+    with pytest.raises(SturmError, match="decreased in lambda"):
+        eigenvalues_below(pen, 10.0, 1e-8)
