@@ -74,22 +74,23 @@ def _discretize_mode(config, op, domain, cells):
     return sturm.discretize(target, domain, cells)
 
 
-def _stack_for_combo(config, ops, grid, domain, base_domain):
-    """Assemble every mode on the shared mesh of one (grid, domain) combo.
+def _combo_totals(config, ops, lambdas, grid, domain, base_domain, keep_pencils):
+    """Per-mode counts and their weighted total for one (grid, domain) combo.
 
-    Returns (diags (M, N), off (N-1,), mass (N,)).
+    Every mode is assembled on the combo's shared mesh and counted in one
+    stacked pass.  Returns (counts (M, L), totals (L,), pencils); the mode
+    pencils come back only with keep_pencils, else they are dropped before
+    the pass, which needs only their stacked diagonals.
     """
+    if not ops:
+        z = np.zeros((0, len(lambdas)), dtype=np.int64)
+        return z, np.zeros(len(lambdas), dtype=np.int64), []
     cells = sturm.cells_for(grid, domain, base_domain)
     pencils = [_discretize_mode(config, op, domain, cells) for _, op in ops]
     diags = np.stack([pen.diag for pen in pencils])
-    return diags, pencils[0].offdiag, pencils[0].mass
-
-
-def _combo_totals(config, ops, lambdas, grid, domain, base_domain):
-    if not ops:
-        z = np.zeros((0, len(lambdas)), dtype=np.int64)
-        return z, np.zeros(len(lambdas), dtype=np.int64)
-    diags, off, mass = _stack_for_combo(config, ops, grid, domain, base_domain)
+    off, mass = pencils[0].offdiag, pencils[0].mass
+    if not keep_pencils:
+        pencils = None
     counts = sturm.count_below_stack(diags, off, mass, np.asarray(lambdas))
     # the threshold probe and the Weyl fit read these counts as monotone in lambda
     dropped = (np.diff(counts, axis=1) < 0).any(axis=1)
@@ -98,7 +99,7 @@ def _combo_totals(config, ops, lambdas, grid, domain, base_domain):
         raise AssembleError(f"internal error: counts decreased in lambda for mode "
                             f"{mode.name} at grid={grid}, domain={domain!r}")
     mult = np.array([m.multiplicity for m, _ in ops], dtype=np.int64)
-    return counts, (mult[:, None] * counts).sum(axis=0)
+    return counts, (mult[:, None] * counts).sum(axis=0), pencils
 
 
 def global_counting(config: ProblemConfig, lambdas=None,
@@ -121,15 +122,17 @@ def global_counting(config: ProblemConfig, lambdas=None,
         ops = [(m, op) for m, op in ops if m.sector in sectors]
     grids = config.numerics.grids
     domains = config.numerics.domains
-    combos = [(g, T) for g in grids for T in domains]
-    results = [_combo_totals(config, ops, lambdas, g, T, domains[0])
-               for g, T in combos]
-    per_mode = {c: r[0] for c, r in zip(combos, results)}
-    totals = {c: r[1] for c, r in zip(combos, results)}
+    gf = grids[-1]
+    per_mode, totals = {}, {}
+    for g in grids:
+        for T in domains:
+            # the finest combo's pencils serve the eigenvalue listing below
+            keep = with_eigenvalues and (g, T) == (gf, domains[-1])
+            per_mode[(g, T)], totals[(g, T)], pencils = _combo_totals(
+                config, ops, lambdas, g, T, domains[0], keep)
 
     # Domain monotonicity (Dirichlet bracketing) is exact only when the
     # meshes nest: p <= 1 and the mesh width unchanged by the cell scaling.
-    gf = grids[-1]
     monotone = True
     if config.geometry.pf <= 1.0:
         for g in grids:
@@ -154,9 +157,7 @@ def global_counting(config: ProblemConfig, lambdas=None,
             raise AssembleError(
                 f"{total_top} eigenvalues below {top:g} exceed the listing cap "
                 f"({eigen_cap}); lower lambda_max or raise eigen_cap")
-        cells = sturm.cells_for(gf, domains[-1], domains[0])
-        for res, (m, op) in zip(mode_results, ops):
-            pen = _discretize_mode(config, op, domains[-1], cells)
+        for res, pen in zip(mode_results, pencils):
             res.eigenvalues = sturm.eigenvalues_below(pen, top, config.numerics.tol)
 
     n_total = totals[(gf, domains[-1])]
@@ -345,20 +346,17 @@ class CheckReport:
     notes: tuple = ()
 
 
-def cut_invariance_check(config: ProblemConfig, y0_list=None,
-                         lambdas=None) -> CheckReport:
+def cut_invariance_check(config: ProblemConfig, y0_list) -> CheckReport:
     """Threshold estimates must agree for different cut radii Y0.
 
     Individual eigenvalues may move (only the essential spectrum is
     invariant under removing a compact piece), so pure-point problems pass
     by exhibiting stable counts for every Y0.
     """
-    y0s = tuple(y0_list) if y0_list else (config.check_y0 or ())
+    y0s = tuple(y0_list)
     if len(y0s) < 2:
         raise AssembleError("cut check needs at least 2 values of Y0")
-    variants = {}
-    for y0 in y0s:
-        variants[y0] = threshold_probe(config.with_y0(y0), lambdas=lambdas)
+    variants = {y0: threshold_probe(config.with_y0(y0)) for y0 in y0s}
     ests = list(variants.values())
     notes = []
     if all(e.no_growth for e in ests):
@@ -371,19 +369,13 @@ def cut_invariance_check(config: ProblemConfig, y0_list=None,
     else:
         passed = all(abs(a.value - b.value) <= a.error + b.error
                      for a in ests for b in ests)
-    return CheckReport(passed=passed,
-                       variants={y0: e for y0, e in variants.items()},
-                       notes=tuple(notes))
+    return CheckReport(passed=passed, variants=variants, notes=tuple(notes))
 
 
-def perturbation_stability_check(config: ProblemConfig, bump=None,
-                                 lambdas=None) -> CheckReport:
+def perturbation_stability_check(config: ProblemConfig, bump) -> CheckReport:
     """Threshold estimates with and without a compact bump must agree."""
-    bump = tuple(bump) if bump else config.check_bump
-    if bump is None:
-        raise AssembleError("perturbation check needs a bump (center,width,height)")
-    base = threshold_probe(config, lambdas=lambdas)
-    bumped = threshold_probe(config.with_bump(bump), lambdas=lambdas)
+    base = threshold_probe(config)
+    bumped = threshold_probe(config.with_bump(bump))
     notes = []
     if base.no_growth and bumped.no_growth:
         passed = True
@@ -400,16 +392,6 @@ def perturbation_stability_check(config: ProblemConfig, bump=None,
 # ---------------------------------------------------------------------------
 # emission
 # ---------------------------------------------------------------------------
-
-def report_to_csv(report: SpectrumReport) -> str:
-    header = ["lambda", "N_total"] + [f"N_mode_{r.mode.name}" for r in report.modes]
-    lines = [",".join(header)]
-    for i, lam in enumerate(report.lambda_grid):
-        row = [repr(float(lam)), str(int(report.n_total[i]))]
-        row += [str(int(r.counts[i])) for r in report.modes]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
-
 
 def report_to_dict(report: SpectrumReport) -> dict:
     from .criteria import prediction_to_dict

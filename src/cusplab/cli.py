@@ -1,16 +1,22 @@
 """Command-line front end.
 
-Subcommands:
-  criteria      analytic prediction for a config
-  reduce        per-mode radial operators as CSV
-  count         counting table N(lambda) over the configured study
-  spectrum      counting table plus located eigenvalues per mode
-  essspec       threshold probe vs. the analytic prediction
-  weyl          counting-law fit vs. the analytic constants
-  zeta          spectral zeta value with certified tail bound
-  cut-check     threshold invariance under moving the cut radius Y0
-  perturb-check threshold invariance under a compact potential bump
+Subcommands and the formats each writes (the first is the default):
+
+  criteria      analytic prediction for a config                text|csv|json
+  reduce        per-mode radial operators                       csv|json
+  count         counting table N(lambda) over the study         text|csv|json
+  spectrum      counting table plus located eigenvalues         text|csv|json
+  essspec       threshold probe vs. the analytic prediction     text|csv|json
+  weyl          counting-law fit vs. the analytic constants     text|csv|json
+  zeta          spectral zeta value with certified tail bound   text|csv|json
+  cut-check     threshold invariance under moving the cut Y0    text|json
+  perturb-check threshold invariance under a compact bump       text|json
   selftest      run the acceptance battery
+
+Every command but selftest takes --config PATH (required), --format and
+--out PATH; selftest takes no flags.  reduce also takes --lambda-max X and
+--domains z1,z2,...; count, spectrum, essspec, weyl, cut-check and
+perturb-check take --domains z1,z2,... and --grids n1,n2,...
 
 Exit codes: 0 success, 1 configuration/usage error, 2 numerical result
 inconsistent with the analytic prediction.  Reports are byte-identical for
@@ -47,21 +53,30 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def float_list(text):
+    return tuple(float(t) for t in text.split(","))
+
+
+def int_list(text):
+    return tuple(int(t) for t in text.split(","))
+
+
+#: numerics field the command line may override -> converter of its value
+_OVERRIDE_TYPES = {"lambda_max": float, "domains": float_list, "grids": int_list}
+
+
 def _build_parser():
     p = _Parser(prog="cusplab", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
-    commands = ["criteria", "reduce", "count", "spectrum", "essspec", "weyl",
-                "zeta", "cut-check", "perturb-check", "selftest"]
-    for name in commands:
+    for name, (_, formats, overrides) in _SUBCOMMANDS.items():
         sp = sub.add_parser(name)
-        if name != "selftest":
+        if formats:
             sp.add_argument("--config", required=True)
-        sp.add_argument("--format", choices=["text", "csv", "json"], default="text")
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--lambda-max", type=float, default=None)
-        sp.add_argument("--domains", default=None)
-        sp.add_argument("--grids", default=None)
+            sp.add_argument("--format", choices=formats, default=formats[0])
+            sp.add_argument("--out", default=None)
+        for field in overrides:
+            sp.add_argument("--" + field.replace("_", "-"), type=_OVERRIDE_TYPES[field])
     return p
 
 
@@ -72,29 +87,36 @@ def _load_config(args) -> ProblemConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {args.config!r}: {exc}")
     config = parse_config(text)
-    num = config.numerics
-    overrides = {}
-    if args.lambda_max is not None:
-        overrides["lambda_max"] = args.lambda_max
-    if args.domains is not None:
-        overrides["domains"] = tuple(float(t) for t in args.domains.split(","))
-    if args.grids is not None:
-        overrides["grids"] = tuple(int(t) for t in args.grids.split(","))
+    overrides = {field: getattr(args, field) for field in _SUBCOMMANDS[args.command][2]
+                 if getattr(args, field) is not None}
     if overrides:
-        config = replace(config, numerics=replace(num, **overrides))
+        config = replace(config, numerics=replace(config.numerics, **overrides))
     return config
 
 
-def _emit(args, payload: str):
+def _emit(args, record, text, columns=(), rows=()):
+    """Write the report in the chosen format to --out or stdout.
+
+    json dumps `record`; csv writes `rows` (dicts, read by `columns`) with
+    the csv module: floats by repr, None as an empty field, fields with
+    commas quoted; text writes `text`.
+    """
+    if args.format == "json":
+        payload = json.dumps(record, indent=2, sort_keys=True) + "\n"
+    elif args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=columns, extrasaction="ignore",
+                                lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        payload = buf.getvalue()
+    else:
+        payload = text
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
-
-
-def _json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _prediction_text(pred) -> str:
@@ -116,22 +138,11 @@ def _prediction_text(pred) -> str:
 
 
 def cmd_criteria(args):
-    config = _load_config(args)
-    pred = criteria.classify(config)
-    if args.format == "json":
-        _emit(args, _json(criteria.prediction_to_dict(pred)))
-    elif args.format == "csv":
-        head = "classification,essential_bottom,weyl_regime,C1,C2,C3"
-        row = ",".join([
-            pred.classification,
-            "" if pred.essential_bottom is None else repr(pred.essential_bottom),
-            pred.weyl_regime,
-            "" if pred.c1 is None else repr(pred.c1),
-            "" if pred.c2 is None else repr(pred.c2),
-            "" if pred.c3 is None else repr(pred.c3)])
-        _emit(args, head + "\n" + row + "\n")
-    else:
-        _emit(args, _prediction_text(pred))
+    pred = criteria.classify(_load_config(args))
+    row = {"classification": pred.classification,
+           "essential_bottom": pred.essential_bottom,
+           "weyl_regime": pred.weyl_regime, "C1": pred.c1, "C2": pred.c2, "C3": pred.c3}
+    _emit(args, criteria.prediction_to_dict(pred), _prediction_text(pred), list(row), [row])
     return EXIT_OK
 
 
@@ -151,83 +162,51 @@ def cmd_reduce(args):
         records.append(dict(zip(REDUCE_COLUMNS, (
             m.name, m.nu, m.multiplicity, op.density_exponent,
             op.stiffness_exponent, terms, red.mode_threshold(op, p)))))
-    if args.format == "json":
-        _emit(args, _json(records))
-        return EXIT_OK
-    # csv writes floats by repr, None as an empty field, and quotes fields
-    # that contain commas (bump terms, torus mode labels)
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=REDUCE_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(records)
-    _emit(args, buf.getvalue())
+    _emit(args, records, None, REDUCE_COLUMNS, records)
     return EXIT_OK
 
 
-def _counting_report(args, with_eigenvalues: bool):
-    config = _load_config(args)
-    return config, assemble.global_counting(config, with_eigenvalues=with_eigenvalues)
-
-
 def cmd_count(args):
-    _, report = _counting_report(args, with_eigenvalues=False)
-    if args.format == "json":
-        _emit(args, _json(assemble.report_to_dict(report)))
-    elif args.format == "csv":
-        _emit(args, assemble.report_to_csv(report))
-    else:
-        head = _prediction_text(report.prediction)
-        body = assemble.report_two_column(report)
-        stab = f"stable across domains: {report.stable}\n"
-        _emit(args, head + stab + "# lambda  N\n" + body)
+    report = assemble.global_counting(_load_config(args))
+    columns = ["lambda", "N_total"] + [f"N_mode_{r.mode.name}" for r in report.modes]
+    rows = [dict(zip(columns, [float(lam), int(report.n_total[i])]
+                     + [int(r.counts[i]) for r in report.modes]))
+            for i, lam in enumerate(report.lambda_grid)]
+    text = (_prediction_text(report.prediction)
+            + f"stable across domains: {report.stable}\n"
+            + "# lambda  N\n" + assemble.report_two_column(report))
+    _emit(args, assemble.report_to_dict(report), text, columns, rows)
     return EXIT_OK
 
 
 def cmd_spectrum(args):
-    _, report = _counting_report(args, with_eigenvalues=True)
-    if args.format == "json":
-        _emit(args, _json(assemble.report_to_dict(report)))
-    elif args.format == "csv":
-        rows = ["mode,multiplicity,eigenvalue"]
-        for r in report.modes:
-            for ev in (r.eigenvalues or []):
-                rows.append(f"{r.mode.name},{r.mode.multiplicity},{ev!r}")
-        _emit(args, "\n".join(rows) + "\n")
-    else:
-        lines = [_prediction_text(report.prediction)]
-        for r in report.modes:
-            evs = ", ".join(f"{ev:.8g}" for ev in (r.eigenvalues or []))
-            lines.append(f"mode {r.mode.name} (nu={r.mode.nu:.6g}, "
-                         f"mult={r.mode.multiplicity}): {evs or '(none below window)'}")
-        _emit(args, "\n".join(lines) + "\n")
+    report = assemble.global_counting(_load_config(args), with_eigenvalues=True)
+    rows = [{"mode": r.mode.name, "multiplicity": r.mode.multiplicity, "eigenvalue": ev}
+            for r in report.modes for ev in (r.eigenvalues or [])]
+    lines = [_prediction_text(report.prediction)]
+    for r in report.modes:
+        evs = ", ".join(f"{ev:.8g}" for ev in (r.eigenvalues or []))
+        lines.append(f"mode {r.mode.name} (nu={r.mode.nu:.6g}, "
+                     f"mult={r.mode.multiplicity}): {evs or '(none below window)'}")
+    _emit(args, assemble.report_to_dict(report), "\n".join(lines) + "\n",
+          ("mode", "multiplicity", "eigenvalue"), rows)
     return EXIT_OK
 
 
 def cmd_essspec(args):
-    config = _load_config(args)
-    est = assemble.threshold_probe(config)
+    est = assemble.threshold_probe(_load_config(args))
     payload = {
         "estimate": est.value, "error": est.error, "predicted": est.predicted,
         "inconclusive": est.inconclusive, "no_growth": est.no_growth,
         "consistent": est.consistent, "notes": list(est.notes),
     }
-    if args.format == "json":
-        _emit(args, _json(payload))
-    elif args.format == "csv":
-        _emit(args, "estimate,error,predicted,consistent\n"
-              + ",".join(["" if est.value is None else repr(est.value),
-                          repr(est.error),
-                          "" if est.predicted is None else repr(est.predicted),
-                          str(est.consistent)]) + "\n")
+    if est.no_growth:
+        txt = "no essential spectrum detected in the window (counts stable)\n"
     else:
-        if est.no_growth:
-            txt = "no essential spectrum detected in the window (counts stable)\n"
-        else:
-            txt = f"threshold estimate: {est.value!r} +- {est.error!r}\n"
-        txt += f"predicted: {est.predicted!r}\nconsistent: {est.consistent}\n"
-        for n in est.notes:
-            txt += f"note: {n}\n"
-        _emit(args, txt)
+        txt = f"threshold estimate: {est.value!r} +- {est.error!r}\n"
+    txt += f"predicted: {est.predicted!r}\nconsistent: {est.consistent}\n"
+    txt += "".join(f"note: {n}\n" for n in est.notes)
+    _emit(args, payload, txt, ("estimate", "error", "predicted", "consistent"), [payload])
     return EXIT_OK if est.consistent else EXIT_DISCREPANCY
 
 
@@ -256,16 +235,9 @@ def cmd_weyl(args):
         "truncation_dependent": report.truncation_dependent,
         "consistent": ok,
     }
-    if args.format == "json":
-        _emit(args, _json(payload))
-    elif args.format == "csv":
-        keys = ["regime", "exponent", "expected_exponent", "constant",
-                "predicted_constant", "quality", "consistent"]
-        _emit(args, ",".join(keys) + "\n"
-              + ",".join(str(payload[k]) for k in keys) + "\n")
-    else:
-        lines = [f"{k}: {v}" for k, v in payload.items()]
-        _emit(args, "\n".join(lines) + "\n")
+    text = "".join(f"{k}: {v}\n" for k, v in payload.items())
+    _emit(args, payload, text, ("regime", "exponent", "expected_exponent", "constant",
+                                "predicted_constant", "quality", "consistent"), [payload])
     return EXIT_OK if ok else EXIT_DISCREPANCY
 
 
@@ -278,48 +250,40 @@ def cmd_zeta(args):
     payload = {"s": config.zeta_s, "shift": config.zeta_shift,
                "degree": config.degree, "value": res.value,
                "tail_bound": res.tail, "terms": res.terms}
-    if args.format == "json":
-        _emit(args, _json(payload))
-    elif args.format == "csv":
-        _emit(args, "s,shift,degree,value,tail_bound,terms\n"
-              + f"{config.zeta_s!r},{config.zeta_shift!r},{config.degree},"
-              + f"{res.value!r},{res.tail!r},{res.terms}\n")
-    else:
-        _emit(args, f"zeta value: {res.value!r}\ncertified tail bound: "
-              f"{res.tail!r}\nterms summed: {res.terms}\n")
+    text = (f"zeta value: {res.value!r}\ncertified tail bound: "
+            f"{res.tail!r}\nterms summed: {res.terms}\n")
+    _emit(args, payload, text, ("s", "shift", "degree", "value", "tail_bound", "terms"),
+          [payload])
     return EXIT_OK
 
 
-def _check_payload(args, check, variants_to_dict):
-    payload = {"passed": check.passed, "notes": list(check.notes),
-               "variants": variants_to_dict(check.variants)}
-    if args.format == "json":
-        _emit(args, _json(payload))
-    else:
-        lines = [f"passed: {check.passed}"]
-        for key, val in payload["variants"].items():
-            lines.append(f"{key}: {val}")
-        lines += [f"note: {n}" for n in check.notes]
-        _emit(args, "\n".join(lines) + "\n")
+def _check_report(args, check, variants):
+    payload = {"passed": check.passed, "notes": list(check.notes), "variants": variants}
+    lines = [f"passed: {check.passed}"]
+    lines += [f"{key}: {val}" for key, val in variants.items()]
+    lines += [f"note: {n}" for n in check.notes]
+    _emit(args, payload, "\n".join(lines) + "\n")
     return EXIT_OK if check.passed else EXIT_DISCREPANCY
+
+
+def _probe_fields(est):
+    return {"estimate": est.value, "error": est.error, "no_growth": est.no_growth}
 
 
 def cmd_cut_check(args):
     config = _load_config(args)
     y0s = config.check_y0 or (config.geometry.y0, 2.0 * config.geometry.y0)
     check = assemble.cut_invariance_check(config, y0s)
-    return _check_payload(args, check, lambda vs: {
-        f"Y0={y0!r}": {"estimate": e.value, "error": e.error,
-                       "no_growth": e.no_growth} for y0, e in vs.items()})
+    return _check_report(args, check, {
+        f"Y0={y0!r}": _probe_fields(e) for y0, e in check.variants.items()})
 
 
 def cmd_perturb_check(args):
     config = _load_config(args)
     bump = config.check_bump or (config.geometry.y0 + 1.5, 1.0, 5.0)
     check = assemble.perturbation_stability_check(config, bump)
-    return _check_payload(args, check, lambda vs: {
-        key: {"estimate": e.value, "error": e.error, "no_growth": e.no_growth}
-        for key, e in vs.items()})
+    return _check_report(args, check, {
+        key: _probe_fields(e) for key, e in check.variants.items()})
 
 
 def cmd_selftest(args):
@@ -327,17 +291,22 @@ def cmd_selftest(args):
     return EXIT_OK if ok else EXIT_DISCREPANCY
 
 
-_COMMANDS = {
-    "criteria": cmd_criteria,
-    "reduce": cmd_reduce,
-    "count": cmd_count,
-    "spectrum": cmd_spectrum,
-    "essspec": cmd_essspec,
-    "weyl": cmd_weyl,
-    "zeta": cmd_zeta,
-    "cut-check": cmd_cut_check,
-    "perturb-check": cmd_perturb_check,
-    "selftest": cmd_selftest,
+_TEXT_CSV_JSON = ("text", "csv", "json")
+_STUDY = ("domains", "grids")
+
+#: subcommand -> (handler, formats it writes with the default first, numerics
+#: the command line may override); --help of each subcommand lists exactly these
+_SUBCOMMANDS = {
+    "criteria": (cmd_criteria, _TEXT_CSV_JSON, ()),
+    "reduce": (cmd_reduce, ("csv", "json"), ("lambda_max", "domains")),
+    "count": (cmd_count, _TEXT_CSV_JSON, _STUDY),
+    "spectrum": (cmd_spectrum, _TEXT_CSV_JSON, _STUDY),
+    "essspec": (cmd_essspec, _TEXT_CSV_JSON, _STUDY),
+    "weyl": (cmd_weyl, _TEXT_CSV_JSON, _STUDY),
+    "zeta": (cmd_zeta, _TEXT_CSV_JSON, ()),
+    "cut-check": (cmd_cut_check, ("text", "json"), _STUDY),
+    "perturb-check": (cmd_perturb_check, ("text", "json"), _STUDY),
+    "selftest": (cmd_selftest, (), ()),
 }
 
 
@@ -345,7 +314,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return _SUBCOMMANDS[args.command][0](args)
     except UsageError as exc:
         print(f"error[usage]: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -380,12 +380,14 @@ class Numerics:
         object.__setattr__(self, "lambda_grid", (float(lo), float(hi), int(cnt)))
         if any(g < 4 for g in self.grids):
             raise ConfigError("invariant violated: each grid needs at least 4 cells")
-        if any(d <= 0 for d in self.domains):
-            raise ConfigError("invariant violated: domain lengths must be > 0")
+        if not all(math.isfinite(d) and d > 0 for d in self.domains):
+            raise ConfigError("invariant violated: domain lengths must be finite and > 0")
         if list(self.domains) != sorted(self.domains):
             raise ConfigError("invariant violated: domain lengths must be increasing")
         if self.tol <= 0:
             raise ConfigError("invariant violated: tolerance must be > 0")
+        if not math.isfinite(self.lambda_max):
+            raise ConfigError("invariant violated: lambda_max must be finite")
         if self.lambda_scale not in ("lin", "log"):
             raise ConfigError("numerics.lambda_scale must be 'lin' or 'log'")
         if not (lo < hi) or cnt < 2:

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from cusplab import assemble, reduce as red, sturm
 from cusplab.assemble import (AssembleError, cut_invariance_check,
                               global_counting, perturbation_stability_check,
-                              report_to_csv, report_to_dict, report_two_column,
+                              report_to_dict, report_two_column,
                               threshold_probe, weyl_fit)
 from cusplab.criteria import LOG_LAW, POWER_N2
 from cusplab.model import (EndGeometry, MagneticData, Numerics, ProblemConfig,
@@ -68,6 +69,26 @@ def test_eigenvalue_listing_and_cap():
     assert total == rep.n_total[-1]
     with pytest.raises(AssembleError, match="cap"):
         global_counting(cfg, with_eigenvalues=True, eigen_cap=0)
+
+
+def test_eigenvalue_listing_reuses_the_finest_pencils(monkeypatch):
+    cfg = circle_cfg(flux="0.5", lam=(0.5, 8.0, 4), domains=(6.0, 8.0))
+    calls = []
+    real = sturm.discretize
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sturm, "discretize", counted)
+    rep = global_counting(cfg, with_eigenvalues=True)
+    monkeypatch.undo()
+    # one assembly per mode and (grid, domain) combo, none again for the listing
+    assert len(calls) == 2 * 2 * len(rep.modes)
+    cells = sturm.cells_for(1000, 8.0, 6.0)
+    for r in rep.modes:
+        pen = assemble._discretize_mode(cfg, red.mode_operator(cfg, r.mode), 8.0, cells)
+        assert r.eigenvalues == sturm.eigenvalues_below(pen, 8.0, cfg.numerics.tol)
 
 
 def test_probe_finds_quarter_threshold():
@@ -161,10 +182,6 @@ def test_perturbation_negative_bump_on_pure_point():
 def test_report_csv_and_dump_shapes():
     cfg = circle_cfg(flux="0.5", lam=(0.5, 30.0, 12))
     rep = global_counting(cfg)
-    csv = report_to_csv(rep)
-    lines = csv.strip().split("\n")
-    assert lines[0].startswith("lambda,N_total,N_mode_")
-    assert len(lines) == 1 + 12
     dump = report_two_column(rep)
     assert len(dump.strip().split("\n")) == 12
     d = report_to_dict(rep)

@@ -5,13 +5,14 @@ import inspect
 import pathlib
 import sys
 
-from cusplab import assemble, sturm
+from cusplab import assemble, cli, sturm
 
-TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses resolve annotations there
     spec.loader.exec_module(module)
@@ -19,7 +20,7 @@ def _tracer():
 
 
 def test_every_traced_target_exists_and_is_callable():
-    for module, attr, name, _, _ in _tracer().TARGETS:
+    for module, attr, name, _, _ in _load("tracer").TARGETS:
         assert callable(getattr(module, attr, None)), f"{name}: {module.__name__}.{attr}"
 
 
@@ -30,3 +31,16 @@ def test_traced_signatures_keep_their_positional_arguments():
     assert leading(sturm.count_below_stack, 4) == ["diags", "offs", "masses", "lams"]
     assert leading(sturm.count_below_many, 2) == ["pencil", "lams"]
     assert leading(assemble.global_counting, 1) == ["config"]
+
+
+def test_cli_accepts_the_benchmark_argv():
+    workloads = _load("workloads")
+    commands = {cmd for w in workloads.WORKLOADS
+                for study in workloads.studies(w, 0) for cmd in study.commands}
+    assert commands == {"weyl", "spectrum", "cut-check", "perturb-check"}
+    config, out = "study.cfg", "out.json"
+    for cmd in sorted(commands):
+        args = cli._build_parser().parse_args(
+            [cmd, "--config", config, "--format", "json", "--out", out])
+        assert (args.command, args.config, args.format, args.out) == (
+            cmd, config, "json", out)

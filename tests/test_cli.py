@@ -1,5 +1,6 @@
 """Command-line front end: subcommands, formats, exit codes, determinism."""
 
+import argparse
 import csv
 import io
 import json
@@ -7,7 +8,7 @@ import math
 
 import pytest
 
-from cusplab.cli import main
+from cusplab.cli import _build_parser, _emit, main
 
 AB_CFG = """\
 geometry.n = 2
@@ -24,6 +25,19 @@ zeta.s = 3.0
 """
 
 ESS_CFG = AB_CFG.replace("magnetic.flux = 0.5", "magnetic.flux = 0")
+
+TORUS_CFG = """\
+geometry.n = 3
+geometry.p = 1
+geometry.y0 = 1.0
+cross_section.kind = square_torus
+cross_section.side = 6.283185307179586
+degree = 0
+magnetic.flux = 0.5,0.25
+numerics.grid = 100,200
+numerics.domain_z = 4,8
+numerics.lambda_grid = 0.5,6,4
+"""
 
 BAD_CFG = """\
 geometry.n = 2
@@ -101,14 +115,113 @@ def test_reduce_quotes_bump_terms_and_types_json(cfg_path, capsys):
 
 def test_count_csv_and_determinism(cfg_path, capsys):
     path = cfg_path(AB_CFG)
-    args = ["count", "--config", path, "--format", "csv",
-            "--lambda-max", "1.0"]
+    args = ["count", "--config", path, "--format", "csv"]
     assert main(args) == 0
     first = capsys.readouterr().out
     assert main(args) == 0
     second = capsys.readouterr().out
     assert first == second
     assert first.splitlines()[0].startswith("lambda,N_total")
+
+
+def test_count_csv_one_row_per_lambda(cfg_path, capsys):
+    path = cfg_path(AB_CFG.replace("0.05,0.5,46", "0.5,30.0,12"))
+    assert main(["count", "--config", path, "--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0][:2] == ["lambda", "N_total"]
+    assert rows[0][2].startswith("N_mode_")
+    assert len(rows) == 1 + 12
+    assert all(len(row) == len(rows[0]) for row in rows)
+    assert float(rows[-1][0]) == 30.0
+
+
+def test_csv_writer_contract(capsys):
+    args = argparse.Namespace(format="csv", out=None)
+    _emit(args, None, None, ("a", "b", "c"),
+          [{"a": None, "b": 0.1 + 0.2, "c": "m(0,1)", "unlisted": 1}])
+    assert capsys.readouterr().out == 'a,b,c\n,0.30000000000000004,"m(0,1)"\n'
+
+
+@pytest.mark.parametrize("command", ["count", "spectrum"])
+def test_torus_mode_labels_are_quoted_in_csv(cfg_path, capsys, command):
+    assert main([command, "--config", cfg_path(TORUS_CFG), "--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) > 1
+    assert all(len(row) == len(rows[0]) for row in rows)
+    labels = rows[0][2:] if command == "count" else [row[0] for row in rows[1:]]
+    assert any("," in label for label in labels)
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--domains", "abc"],
+    ["count", "--grids", "100,2.5"],
+    ["spectrum", "--domains", ""],
+    ["reduce", "--lambda-max", "ten"],
+])
+def test_malformed_override_values_exit_one(cfg_path, capsys, argv):
+    assert main(argv[:1] + ["--config", cfg_path(AB_CFG)] + argv[1:]) == 1
+    err = capsys.readouterr().err
+    assert "error[usage]" in err and argv[1] in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--domains", "nan,16"],
+    ["weyl", "--domains", "8,inf"],
+    ["reduce", "--lambda-max", "inf"],
+])
+def test_non_finite_override_values_exit_one(cfg_path, capsys, argv):
+    assert main(argv[:1] + ["--config", cfg_path(AB_CFG)] + argv[1:]) == 1
+    assert "must be finite" in capsys.readouterr().err
+
+
+FLAGS = {
+    "criteria": {"--config", "--format", "--out"},
+    "zeta": {"--config", "--format", "--out"},
+    "reduce": {"--config", "--format", "--out", "--lambda-max", "--domains"},
+    "selftest": set(),
+    **{cmd: {"--config", "--format", "--out", "--domains", "--grids"}
+       for cmd in ("count", "spectrum", "essspec", "weyl", "cut-check", "perturb-check")},
+}
+FORMATS = {
+    "reduce": ("csv", "json"), "cut-check": ("text", "json"),
+    "perturb-check": ("text", "json"), "selftest": None,
+    **{cmd: ("text", "csv", "json")
+       for cmd in ("criteria", "zeta", "count", "spectrum", "essspec", "weyl")},
+}
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    sub = next(a for a in _build_parser()._actions if a.dest == "command")
+    assert set(sub.choices) == set(FLAGS)
+    for name, parser in sub.choices.items():
+        actions = {o: a for a in parser._actions for o in a.option_strings
+                   if o not in ("-h", "--help")}
+        assert set(actions) == FLAGS[name], name
+        fmt = actions.get("--format")
+        assert (tuple(fmt.choices) if fmt else None) == FORMATS[name], name
+        assert fmt is None or fmt.default == FORMATS[name][0]
+    assert sum(len(flags) for flags in FLAGS.values()) == 41
+
+
+@pytest.mark.parametrize("argv", [
+    ["criteria", "--grids", "2"],
+    ["zeta", "--domains", "8,16"],
+    ["count", "--lambda-max", "99"],
+    ["reduce", "--grids", "400,800"],
+    ["reduce", "--format", "text"],
+    ["cut-check", "--format", "csv"],
+    ["perturb-check", "--lambda-max", "1"],
+])
+def test_removed_flags_and_formats_exit_one(cfg_path, capsys, argv):
+    assert main(argv[:1] + ["--config", cfg_path(AB_CFG)] + argv[1:]) == 1
+    assert "error[usage]" in capsys.readouterr().err
+
+
+def test_selftest_takes_no_flags(tmp_path, capsys):
+    out_file = tmp_path / "st.json"
+    assert main(["selftest", "--format", "json", "--out", str(out_file)]) == 1
+    assert "error[usage]" in capsys.readouterr().err
+    assert not out_file.exists()
 
 
 @pytest.mark.parametrize("flag, reason", [

@@ -160,6 +160,16 @@ def test_numerics_invariants():
         Numerics(lambda_grid=(1.0, 0.5, 10))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_numerics_rejects_non_finite_domains_and_lambda_max(bad):
+    with pytest.raises(ConfigError, match="domain lengths must be finite"):
+        Numerics(domains=(bad, 8.0))
+    with pytest.raises(ConfigError, match="domain lengths must be finite"):
+        Numerics(domains=(4.0, bad))
+    with pytest.raises(ConfigError, match="lambda_max must be finite"):
+        Numerics(lambda_max=bad)
+
+
 def test_round_trip_field_by_field():
     cfg = parse_config(VALID)
     again = parse_config(render_config(cfg))
