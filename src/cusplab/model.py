@@ -384,12 +384,14 @@ class Numerics:
             raise ConfigError("invariant violated: domain lengths must be finite and > 0")
         if list(self.domains) != sorted(self.domains):
             raise ConfigError("invariant violated: domain lengths must be increasing")
-        if self.tol <= 0:
-            raise ConfigError("invariant violated: tolerance must be > 0")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ConfigError("invariant violated: tolerance must be finite and > 0")
         if not math.isfinite(self.lambda_max):
             raise ConfigError("invariant violated: lambda_max must be finite")
         if self.lambda_scale not in ("lin", "log"):
             raise ConfigError("numerics.lambda_scale must be 'lin' or 'log'")
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ConfigError("invariant violated: lambda grid bounds must be finite")
         if not (lo < hi) or cnt < 2:
             raise ConfigError("invariant violated: lambda grid needs lo < hi and count >= 2")
         if self.lambda_scale == "log" and lo <= 0:

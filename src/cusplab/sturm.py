@@ -12,7 +12,11 @@ Eigenvalue counts come from the LDL^T inertia of A - lambda B (a Sturm
 sequence) and eigenvalues from bisection on the counts.  Counts are
 integers computed by exact sign tests, so reports are bit-stable across
 runs.  One blocked, node-major kernel computes them all, bit-identical to
-the per-node LDL^T recurrence (see `_sturm_pass`).
+the per-node LDL^T recurrence (see `_sturm_pass`).  A wider pass costs
+little more than a narrow one, so bisection runs as a multisection: each
+pass counts at several levels of every bracket's bisection tree at once,
+and the listing stays bit-identical to one-level-per-pass bisection (see
+`eigenvalues_below`).
 
 Grid numbers mean mesh *cells*; a grid g on the base domain T0 fixes the
 mesh width h = T0/g, and larger domains keep h fixed by scaling the cell
@@ -33,7 +37,7 @@ from .reduce import CanonicalOperator, RadialOperator, y_of_z, z_of_y
 #: relative pivot-breakdown shift applied to lambda, as documented
 BREAKDOWN_SHIFT = 1e-14
 
-#: bisection sweeps allowed before `eigenvalues_below` gives up
+#: bisection levels allowed before `eigenvalues_below` gives up
 MAX_BISECTION_SWEEPS = 200
 
 
@@ -296,23 +300,68 @@ def gershgorin_lower(pencil: TridiagonalPencil) -> float:
     return amin / bmax if amin >= 0 else amin / bmin
 
 
+#: lanes one multisection pass aims at: on an 8k-node pencil a pass of 64
+#: lanes takes about as long as a pass of one
+_PASS_LANES = 64
+
+
+def _tree_pass(pencil: TridiagonalPencil, lo, hi, extra=()):
+    """Counts at the first levels of each bracket's bisection tree, in one pass.
+
+    lo, hi: (u,) brackets.  Node n of a tree has children 2n+1 (lower half)
+    and 2n+2 (upper half), and its point is 0.5*(a+b) of its bracket
+    (a, b), the midpoint bisection computes there.  The depth is the
+    largest d with u*(2**d - 1) <= _PASS_LANES, at least 1.  Returns the
+    points and counts, both (u, 2**d - 1), and the counts at `extra`.
+    """
+    depth = max(1, (_PASS_LANES // len(lo) + 1).bit_length() - 1)
+    points = np.empty((len(lo), 2**depth - 1))
+    ends = np.stack([lo, hi], axis=1)   # a level's brackets, end to end
+    for level in range(depth):
+        mid = 0.5 * (ends[:, :-1] + ends[:, 1:])
+        points[:, 2**level - 1:2**(level + 1) - 1] = mid
+        finer = np.empty((len(lo), 2 * ends.shape[1] - 1))
+        finer[:, ::2], finer[:, 1::2] = ends, mid
+        ends = finer
+    lams = np.concatenate([points.ravel(), extra])
+    counts = count_below_many(pencil, lams)
+    if np.any(np.diff(counts[np.argsort(lams, kind="stable")]) < 0):
+        raise SturmError("internal error: counts decreased in lambda in a pass")
+    return points, counts[:points.size].reshape(points.shape), counts[points.size:]
+
+
 def eigenvalues_below(pencil: TridiagonalPencil, lam: float, tol: float) -> List[float]:
     """All generalized eigenvalues < lambda, each located within +-tol.
 
-    Parallel bisection on the inertia count: every eigenvalue index keeps
-    its own bracket [lo_j, hi_j] with count(lo_j) <= j < count(hi_j), and
-    one vectorized Sturm pass refines all brackets per sweep.  Clusters
+    Bisection on the inertia count: every eigenvalue index j keeps its own
+    bracket [lo_j, hi_j] with count(lo_j) <= j < count(hi_j), and each
+    level halves every bracket at 0.5*(lo_j + hi_j) while the widest is
+    wider than tol.  Levels run as a multisection: one Sturm pass counts
+    at the first levels of the bisection tree of every distinct bracket
+    (`_tree_pass`), about _PASS_LANES points, and the indices then walk
+    down those levels.  The points are the midpoints plain bisection
+    would compute, so the result is bit-identical to it; with one bracket
+    a pass resolves six levels, and from 22 distinct brackets on it
+    resolves one.  The first pass also counts at lambda itself.  Clusters
     narrower than tol come out as repeated values (multiplicity = count
     difference).  The schedule is deterministic.
+
+    Breakdown shifts apply per evaluated point: an exact pivot hit at a
+    tree point no index walks through still counts toward
+    `TridiagonalPencil.breakdowns`, and a midpoint that several indices
+    share is counted, and shifted, once.  The cap MAX_BISECTION_SWEEPS
+    counts levels, not passes.
     """
-    if tol <= 0:
-        raise SturmError("tolerance must be > 0")
-    k = count_below(pencil, lam)
+    if not (math.isfinite(tol) and tol > 0):
+        raise SturmError("tolerance must be finite and > 0")
+    lo, hi = np.array([gershgorin_lower(pencil)]), np.array([float(lam)])
+    # the first pass also counts at lambda itself, which gives k
+    points, counts, (k,) = _tree_pass(pencil, lo, hi, hi)
     if k == 0:
         return []
     idx = np.arange(k)
-    lo = np.full(k, gershgorin_lower(pencil))
-    hi = np.full(k, float(lam))
+    lo, hi = np.repeat(lo, k), np.repeat(hi, k)
+    which, node = np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64)
     it = 0
     while float(np.max(hi - lo)) > tol:
         it += 1
@@ -321,13 +370,17 @@ def eigenvalues_below(pencil: TridiagonalPencil, lam: float, tol: float) -> List
             raise SturmError(
                 f"bisection iteration cap hit for eigenvalue {j}: "
                 f"bracket [{lo[j]}, {hi[j]}]")
-        mid = 0.5 * (lo + hi)
-        counts = count_below_many(pencil, mid)
-        if np.any(np.diff(counts[np.argsort(mid, kind="stable")]) < 0):
-            raise SturmError("internal error: counts decreased in lambda in a sweep")
-        take_lo = counts <= idx
+        if node[0] >= points.shape[1]:   # the walk has left the trees
+            # with counts monotone the walk keeps brackets sorted in j, so
+            # equal ones are neighbours (missed ones only cost lanes)
+            new = np.concatenate([[True], (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])])
+            points, counts, _ = _tree_pass(pencil, lo[new], hi[new])
+            which, node = np.cumsum(new) - 1, np.zeros(k, dtype=np.int64)
+        mid = points[which, node]
+        take_lo = counts[which, node] <= idx
         lo = np.where(take_lo, mid, lo)
         hi = np.where(take_lo, hi, mid)
+        node = 2 * node + 1 + take_lo
     return [float(v) for v in 0.5 * (lo + hi)]
 
 

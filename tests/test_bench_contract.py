@@ -5,6 +5,8 @@ import inspect
 import pathlib
 import sys
 
+import numpy as np
+
 from cusplab import assemble, cli, sturm
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -31,6 +33,33 @@ def test_traced_signatures_keep_their_positional_arguments():
     assert leading(sturm.count_below_stack, 4) == ["diags", "offs", "masses", "lams"]
     assert leading(sturm.count_below_many, 2) == ["pencil", "lams"]
     assert leading(assemble.global_counting, 1) == ["config"]
+
+
+def test_eigenvalue_listing_passes_go_through_the_traced_count(monkeypatch):
+    """The tracer counts `bisect_sweeps`, `node_steps` and `node_lambdas` at
+    `sturm.count_below_many`; a Sturm pass made around it would go uncounted."""
+    depth, passes = [0], []
+    count_below_many, sturm_pass = sturm.count_below_many, sturm._sturm_pass
+
+    def traced(pencil, lams):
+        depth[0] += 1
+        try:
+            return count_below_many(pencil, lams)
+        finally:
+            depth[0] -= 1
+
+    def kernel(*args):
+        passes.append(depth[0] > 0)
+        return sturm_pass(*args)
+
+    monkeypatch.setattr(sturm, "count_below_many", traced)
+    monkeypatch.setattr(sturm, "_sturm_pass", kernel)
+    # tree points land on the diagonal, so breakdown re-counts happen too
+    pen = sturm.TridiagonalPencil(diag=np.array([0.0, 1.0, 2.0, 3.0]),
+                                  offdiag=np.zeros(3), mass=np.ones(4), h=1.0)
+    assert len(sturm.eigenvalues_below(pen, 4.0, 1e-8)) == 4
+    assert pen.breakdowns > 0
+    assert len(passes) > pen.breakdowns and all(passes)
 
 
 def test_cli_accepts_the_benchmark_argv():

@@ -174,6 +174,24 @@ def test_non_finite_override_values_exit_one(cfg_path, capsys, argv):
     assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", [
+    "numerics.tol = nan",
+    "numerics.tol = inf",
+    "numerics.lambda_grid = 0.5,inf,4",
+])
+def test_non_finite_numerics_in_the_config_exit_one(cfg_path, capsys, line):
+    # a nan tol used to stop bisection before its first sweep and list
+    # wrong eigenvalues with exit 0; an inf grid bound printed warnings
+    key = line.split(" = ")[0]
+    text = "".join(row for row in AB_CFG.splitlines(True)
+                   if not row.startswith(key)) + line + "\n"
+    assert main(["spectrum", "--config", cfg_path(text)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error[config]") and err.count("\n") == 1
+    assert "must be finite" in err
+
+
 FLAGS = {
     "criteria": {"--config", "--format", "--out"},
     "zeta": {"--config", "--format", "--out"},

@@ -170,6 +170,16 @@ def test_numerics_rejects_non_finite_domains_and_lambda_max(bad):
         Numerics(lambda_max=bad)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_numerics_rejects_non_finite_tol_and_lambda_grid(bad):
+    with pytest.raises(ConfigError, match="tolerance must be finite and > 0"):
+        Numerics(tol=bad)
+    with pytest.raises(ConfigError, match="lambda grid bounds must be finite"):
+        Numerics(lambda_grid=(0.5, bad, 4))
+    with pytest.raises(ConfigError, match="lambda grid bounds must be finite"):
+        Numerics(lambda_grid=(bad, 0.5, 4))
+
+
 def test_round_trip_field_by_field():
     cfg = parse_config(VALID)
     again = parse_config(render_config(cfg))

@@ -316,3 +316,149 @@ def test_bisection_rejects_counts_that_decrease_in_lambda(counts_reversed_in_lam
                             mass=np.ones(2), h=1.0)
     with pytest.raises(SturmError, match="decreased in lambda"):
         eigenvalues_below(pen, 10.0, 1e-8)
+
+
+# ---------------------------------------------------------------------------
+# the multisection listing against sequential bisection
+# ---------------------------------------------------------------------------
+
+def _reference_bisection(pencil, lam, tol):
+    """Sequential bisection, one Sturm pass per sweep: the listing must equal it."""
+    if tol <= 0:
+        raise SturmError("tolerance must be > 0")
+    k = sturm.count_below(pencil, lam)
+    if k == 0:
+        return []
+    idx = np.arange(k)
+    lo = np.full(k, gershgorin_lower(pencil))
+    hi = np.full(k, float(lam))
+    it = 0
+    while float(np.max(hi - lo)) > tol:
+        it += 1
+        if it > sturm.MAX_BISECTION_SWEEPS:
+            j = int(np.argmax(hi - lo))
+            raise SturmError(
+                f"bisection iteration cap hit for eigenvalue {j}: "
+                f"bracket [{lo[j]}, {hi[j]}]")
+        mid = 0.5 * (lo + hi)
+        counts = sturm.count_below_many(pencil, mid)
+        if np.any(np.diff(counts[np.argsort(mid, kind="stable")]) < 0):
+            raise SturmError("internal error: counts decreased in lambda in a sweep")
+        take_lo = counts <= idx
+        lo = np.where(take_lo, mid, lo)
+        hi = np.where(take_lo, hi, mid)
+    return [float(v) for v in 0.5 * (lo + hi)]
+
+
+@st.composite
+def listing_inputs(draw):
+    """Random or dyadic pencils, N = 3..60.  Dyadic data puts tree points
+    exactly on pivots (breakdown shifts); zero offdiag with repeated
+    diagonals gives clusters and multiplicities; lambda may lie below the
+    Gershgorin bound."""
+    n = draw(st.integers(min_value=3, max_value=60))
+    kind = draw(st.sampled_from(["random", "dyadic", "clustered"]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if kind == "random":
+        diag = rng.uniform(-2.0, 2.0, n)
+        off = rng.uniform(-1.0, 1.0, n - 1)
+        mass = rng.uniform(0.5, 2.0, n)
+    elif kind == "dyadic":
+        diag = rng.choice([-2.0, -1.0, 0.0, 1.0, 2.0, 3.0], n)
+        off = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], n - 1)
+        mass = rng.choice([0.5, 1.0, 2.0], n)
+    else:
+        diag = rng.choice([-1.0, 0.5, 2.0], n)
+        off = np.zeros(n - 1)
+        mass = np.ones(n)
+    mass_off = None
+    if kind == "random" and draw(st.booleans()):
+        mass_off = rng.uniform(0.0, 0.2, n - 1)
+    pen = TridiagonalPencil(diag=diag, offdiag=off, mass=mass, h=1.0,
+                            mass_offdiag=mass_off)
+    # a negative offset puts lambda below the Gershgorin bound: k = 0
+    lam = gershgorin_lower(pen) + draw(st.sampled_from([-0.25, 1.0, 4.0, 8.0, 12.0, 16.0]))
+    if kind == "random":
+        lam += rng.uniform(0.0, 0.1)
+    tol = 10.0 ** -draw(st.sampled_from([3, 5, 8, 10, 12]))
+    return pen, lam, tol
+
+
+@given(listing_inputs(), st.sampled_from([sturm._PASS_LANES, 16, 3]))
+@settings(max_examples=200, deadline=None)
+def test_multisection_listing_equals_bisection(inputs, lanes):
+    # with 3 lanes one bracket gets two levels and two or more get one, so
+    # most listings exceed the lane budget and fall back to plain bisection
+    pen, lam, tol = inputs
+    want = _reference_bisection(pen, lam, tol)
+    with mock.patch.object(sturm, "_PASS_LANES", lanes):
+        assert eigenvalues_below(pen, lam, tol) == want
+
+
+def test_listing_above_the_lane_budget_equals_bisection():
+    rng = np.random.default_rng(5)
+    n = 150
+    pen = TridiagonalPencil(diag=rng.uniform(-2, 2, n), offdiag=rng.uniform(-1, 1, n - 1),
+                            mass=rng.uniform(0.5, 2.0, n), h=1.0)
+    got = eigenvalues_below(pen, 1.0, 1e-11)
+    assert len(got) > sturm._PASS_LANES
+    assert got == _reference_bisection(pen, 1.0, 1e-11)
+
+
+@pytest.fixture
+def count_passes(monkeypatch):
+    """Count calls of `sturm.count_below_many`, the traced pass entry."""
+    calls = []
+    real = sturm.count_below_many
+
+    def counted(pencil, lams):
+        calls.append(np.size(lams))
+        return real(pencil, lams)
+
+    monkeypatch.setattr(sturm, "count_below_many", counted)
+    return calls
+
+
+def test_one_pass_resolves_six_levels_of_one_bracket(count_passes):
+    pen = discretize(FLAT, 1.0, 400)
+    assert count_below(pen, 20.0) == 1
+    count_passes.clear()
+    want = _reference_bisection(pen, 20.0, 1e-8)
+    sweeps = len(count_passes) - 1          # the opening count is not a sweep
+    count_passes.clear()
+    assert eigenvalues_below(pen, 20.0, 1e-8) == want
+    assert len(count_passes) <= math.ceil(sweeps / 6)
+    assert count_passes[0] == sturm._PASS_LANES   # 63 tree points and lambda
+
+
+def test_the_cap_counts_levels_and_names_the_widest_bracket(monkeypatch, count_passes):
+    pen = discretize(FLAT, 1.0, 400)
+    want = _reference_bisection(pen, 20.0, 1e-8)
+    sweeps = len(count_passes) - 1
+    monkeypatch.setattr(sturm, "MAX_BISECTION_SWEEPS", sweeps)
+    assert eigenvalues_below(pen, 20.0, 1e-8) == want
+    for cap in (sweeps - 1, 8, 6, 1):
+        monkeypatch.setattr(sturm, "MAX_BISECTION_SWEEPS", cap)
+        with pytest.raises(SturmError, match="iteration cap") as ref:
+            _reference_bisection(pen, 20.0, 1e-8)
+        with pytest.raises(SturmError, match="iteration cap") as got:
+            eigenvalues_below(pen, 20.0, 1e-8)
+        assert str(got.value) == str(ref.value)
+
+
+def test_breakdown_shifts_apply_per_evaluated_point():
+    # zero offdiag and dyadic diagonals: the tree of (0, 4) lands on 2, then
+    # 1 and 3.  Bisection evaluates 2 for all four indices and 1 and 3 for
+    # two each; the multisection evaluates each point once.
+    pen, ref = (TridiagonalPencil(diag=np.array([0.0, 1.0, 2.0, 3.0]),
+                                  offdiag=np.zeros(3), mass=np.ones(4), h=1.0)
+                for _ in range(2))
+    assert eigenvalues_below(pen, 4.0, 1e-8) == _reference_bisection(ref, 4.0, 1e-8)
+    assert (pen.breakdowns, ref.breakdowns) == (3, 8)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-8])
+def test_bisection_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+    pen = discretize(FLAT, 1.0, 200)
+    with pytest.raises(SturmError, match="tolerance must be finite and > 0"):
+        eigenvalues_below(pen, 50.0, tol)
