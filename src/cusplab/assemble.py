@@ -13,7 +13,8 @@ analytic layer predicts:
   boundary effects.
 * `weyl_fit` fits the counting table against the regime's asymptotic law.
 * `cut_invariance_check` / `perturbation_stability_check` verify that the
-  probe's output ignores the cut location and compact perturbations.
+  probe's output ignores the cut location and compact perturbations; an
+  inconclusive probe leaves the check undecided (passed None), never failed.
 
 All aggregation is deterministic: modes are processed in their enumerated
 order and counts are integers, so reports are identical from run to run.
@@ -341,9 +342,29 @@ def weyl_fit(report: SpectrumReport, regime: str, n: int, p) -> WeylFit:
 
 @dataclass
 class CheckReport:
-    passed: bool
+    passed: Optional[bool]
     variants: dict
     notes: tuple = ()
+
+
+def _agreement(probes: dict, stable_note: str, mixed_note: str):
+    """(passed, notes) of threshold probes that must agree, keyed by name.
+
+    passed is False only for a conclusive disagreement: stable counts
+    against sustained growth, or estimates outside each other's error bars.
+    Otherwise an inconclusive probe makes it None, with a note naming it.
+    """
+    sure = [e for e in probes.values() if not e.inconclusive]
+    growing = [e for e in sure if not e.no_growth]
+    if growing and len(growing) < len(sure):
+        return False, (mixed_note,)
+    if any(abs(a.value - b.value) > a.error + b.error for a in growing for b in growing):
+        return False, ()
+    unsure = tuple(f"{name}: {note}" for name, e in probes.items() if e.inconclusive
+                   for note in e.notes)
+    if unsure:
+        return None, unsure
+    return True, () if growing else (stable_note,)
 
 
 def cut_invariance_check(config: ProblemConfig, y0_list) -> CheckReport:
@@ -357,36 +378,21 @@ def cut_invariance_check(config: ProblemConfig, y0_list) -> CheckReport:
     if len(y0s) < 2:
         raise AssembleError("cut check needs at least 2 values of Y0")
     variants = {y0: threshold_probe(config.with_y0(y0)) for y0 in y0s}
-    ests = list(variants.values())
-    notes = []
-    if all(e.no_growth for e in ests):
-        passed = True
-        notes.append("discrete spectrum at every cut: counts stable "
-                     "(individual eigenvalues may differ)")
-    elif any(e.no_growth or e.inconclusive for e in ests):
-        passed = False
-        notes.append("mixed stability across cuts")
-    else:
-        passed = all(abs(a.value - b.value) <= a.error + b.error
-                     for a in ests for b in ests)
-    return CheckReport(passed=passed, variants=variants, notes=tuple(notes))
+    passed, notes = _agreement(
+        {f"Y0={y0!r}": e for y0, e in variants.items()},
+        "discrete spectrum at every cut: counts stable (individual eigenvalues may differ)",
+        "mixed stability across cuts")
+    return CheckReport(passed=passed, variants=variants, notes=notes)
 
 
 def perturbation_stability_check(config: ProblemConfig, bump) -> CheckReport:
     """Threshold estimates with and without a compact bump must agree."""
-    base = threshold_probe(config)
-    bumped = threshold_probe(config.with_bump(bump))
-    notes = []
-    if base.no_growth and bumped.no_growth:
-        passed = True
-        notes.append("discrete spectrum with and without the bump: counts stable")
-    elif base.no_growth != bumped.no_growth or base.inconclusive or bumped.inconclusive:
-        passed = False
-        notes.append("stability changed under the bump")
-    else:
-        passed = abs(base.value - bumped.value) <= base.error + bumped.error
-    return CheckReport(passed=passed, variants={"base": base, "bumped": bumped},
-                       notes=tuple(notes))
+    variants = {"base": threshold_probe(config),
+                "bumped": threshold_probe(config.with_bump(bump))}
+    passed, notes = _agreement(
+        variants, "discrete spectrum with and without the bump: counts stable",
+        "stability changed under the bump")
+    return CheckReport(passed=passed, variants=variants, notes=notes)
 
 
 # ---------------------------------------------------------------------------

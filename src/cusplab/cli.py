@@ -18,9 +18,10 @@ Every command but selftest takes --config PATH (required), --format and
 --domains z1,z2,...; count, spectrum, essspec, weyl, cut-check and
 perturb-check take --domains z1,z2,... and --grids n1,n2,...
 
-Exit codes: 0 success, 1 configuration/usage error, 2 numerical result
-inconsistent with the analytic prediction.  Reports are byte-identical for
-a fixed config and version.
+Exit codes: 0 success, 1 configuration/usage error or an inconclusive
+comparison (the report is written, then one error[inconclusive] line), 2 a
+numerical result that conclusively disagrees with the analytic prediction.
+Reports are byte-identical for a fixed config and version.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import sys
 from dataclasses import replace
 
 from . import assemble, criteria, reduce as red, selftest, sturm, zeta
-from .model import ConfigError, ProblemConfig, parse_config
+from .model import ConfigError, ProblemConfig, numerics_reader, parse_config
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -53,16 +54,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def float_list(text):
-    return tuple(float(t) for t in text.split(","))
+def _override_type(field):
+    """argparse type of a numerics override: the reader of its config key."""
+    read = numerics_reader(field)
 
-
-def int_list(text):
-    return tuple(int(t) for t in text.split(","))
-
-
-#: numerics field the command line may override -> converter of its value
-_OVERRIDE_TYPES = {"lambda_max": float, "domains": float_list, "grids": int_list}
+    def convert(text):
+        try:
+            return read(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+    return convert
 
 
 def _build_parser():
@@ -76,7 +77,7 @@ def _build_parser():
             sp.add_argument("--format", choices=formats, default=formats[0])
             sp.add_argument("--out", default=None)
         for field in overrides:
-            sp.add_argument("--" + field.replace("_", "-"), type=_OVERRIDE_TYPES[field])
+            sp.add_argument("--" + field.replace("_", "-"), type=_override_type(field))
     return p
 
 
@@ -117,6 +118,18 @@ def _emit(args, record, text, columns=(), rows=()):
             fh.write(payload)
     else:
         sys.stdout.write(payload)
+
+
+def _verdict(agrees, notes) -> int:
+    """Exit code of a comparison: 2 only for a conclusive mismatch.
+
+    An inconclusive one (None) gets one error[inconclusive] line naming the
+    reason and exits 1; its report has been written already.
+    """
+    if agrees is None:
+        print("error[inconclusive]: " + "; ".join(notes), file=sys.stderr)
+        return EXIT_CONFIG
+    return EXIT_OK if agrees else EXIT_DISCREPANCY
 
 
 def _prediction_text(pred) -> str:
@@ -207,7 +220,7 @@ def cmd_essspec(args):
     txt += f"predicted: {est.predicted!r}\nconsistent: {est.consistent}\n"
     txt += "".join(f"note: {n}\n" for n in est.notes)
     _emit(args, payload, txt, ("estimate", "error", "predicted", "consistent"), [payload])
-    return EXIT_OK if est.consistent else EXIT_DISCREPANCY
+    return _verdict(est.consistent, est.notes)
 
 
 def cmd_weyl(args):
@@ -263,7 +276,7 @@ def _check_report(args, check, variants):
     lines += [f"{key}: {val}" for key, val in variants.items()]
     lines += [f"note: {n}" for n in check.notes]
     _emit(args, payload, "\n".join(lines) + "\n")
-    return EXIT_OK if check.passed else EXIT_DISCREPANCY
+    return _verdict(check.passed, check.notes)
 
 
 def _probe_fields(est):

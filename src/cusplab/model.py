@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 
 class ConfigError(ValueError):
@@ -80,12 +80,7 @@ class EndGeometry:
 
     def __post_init__(self):
         object.__setattr__(self, "p", _as_fraction(self.p))
-        if self.n < 2:
-            raise ConfigError("invariant violated: dimension n must be >= 2")
-        if self.p <= 0:
-            raise ConfigError("invariant violated: exponent p must be > 0")
-        if self.y0 < 1.0:
-            raise ConfigError("invariant violated: inner radius Y0 must be >= 1")
+        _check_domains(self)
 
     @property
     def pf(self) -> float:
@@ -291,10 +286,8 @@ class RadialPotential:
         object.__setattr__(self, "poly",
                            tuple((float(a), float(b)) for a, b in self.poly))
         if self.bump is not None:
-            c, w, h = self.bump
-            if w <= 0:
-                raise ConfigError("invariant violated: bump width must be > 0")
-            object.__setattr__(self, "bump", (float(c), float(w), float(h)))
+            object.__setattr__(self, "bump", tuple(float(v) for v in self.bump))
+        _check_domains(self)
 
     def validate_for(self, p: Fraction):
         two_p = 2 * float(p)
@@ -378,20 +371,9 @@ class Numerics:
         object.__setattr__(self, "domains", tuple(float(d) for d in self.domains))
         lo, hi, cnt = self.lambda_grid
         object.__setattr__(self, "lambda_grid", (float(lo), float(hi), int(cnt)))
-        if any(g < 4 for g in self.grids):
-            raise ConfigError("invariant violated: each grid needs at least 4 cells")
-        if not all(math.isfinite(d) and d > 0 for d in self.domains):
-            raise ConfigError("invariant violated: domain lengths must be finite and > 0")
+        _check_domains(self)
         if list(self.domains) != sorted(self.domains):
             raise ConfigError("invariant violated: domain lengths must be increasing")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ConfigError("invariant violated: tolerance must be finite and > 0")
-        if not math.isfinite(self.lambda_max):
-            raise ConfigError("invariant violated: lambda_max must be finite")
-        if self.lambda_scale not in ("lin", "log"):
-            raise ConfigError("numerics.lambda_scale must be 'lin' or 'log'")
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ConfigError("invariant violated: lambda grid bounds must be finite")
         if not (lo < hi) or cnt < 2:
             raise ConfigError("invariant violated: lambda grid needs lo < hi and count >= 2")
         if self.lambda_scale == "log" and lo <= 0:
@@ -428,6 +410,11 @@ class ProblemConfig:
     check_bump: Optional[tuple] = None
 
     def __post_init__(self):
+        if self.check_y0 is not None:
+            object.__setattr__(self, "check_y0", tuple(float(v) for v in self.check_y0))
+        if self.check_bump is not None:
+            object.__setattr__(self, "check_bump", tuple(float(v) for v in self.check_bump))
+        _check_domains(self)
         n = self.geometry.n
         cs = self.cross_section
         if cs.dim != n - 1:
@@ -455,13 +442,6 @@ class ProblemConfig:
                 "H1(X) = 0 forces h1(M) = 0, but the cross-section has "
                 f"h1 = {cs.betti_at(1)}; these assumptions cannot be "
                 "simultaneously fulfilled")
-        if self.check_y0 is not None:
-            object.__setattr__(self, "check_y0", tuple(float(v) for v in self.check_y0))
-            if any(v < 1.0 for v in self.check_y0):
-                raise ConfigError("invariant violated: checks.y0 values must be >= 1")
-        if self.check_bump is not None:
-            c, w, h = self.check_bump
-            object.__setattr__(self, "check_bump", (float(c), float(w), float(h)))
 
     def with_y0(self, y0: float) -> "ProblemConfig":
         return replace(self, geometry=replace(self.geometry, y0=float(y0)))
@@ -479,65 +459,66 @@ class ProblemConfig:
 # ---------------------------------------------------------------------------
 # parsing / rendering
 # ---------------------------------------------------------------------------
+#
+# Token readers turn one value string into a value or raise ValueError with
+# the reason; the parser adds the line number, the CLI the flag name.
 
-_BOOL = {"true": True, "false": False}
-
-# Every key the parser accepts; anything else is an error.
-_KNOWN_KEYS = {
-    "geometry.n", "geometry.p", "geometry.y0",
-    "cross_section.kind", "cross_section.length", "cross_section.side",
-    "cross_section.dim", "cross_section.dual_basis", "cross_section.volume",
-    "cross_section.betti",
-    "degree",
-    "magnetic.flux", "magnetic.phi0", "magnetic.phi0_constant",
-    "magnetic.theta0_closed",
-    "potential.poly", "potential.bump",
-    "topology.orientable", "topology.h1_x",
-    "numerics.grid", "numerics.domain_z", "numerics.tol",
-    "numerics.lambda_grid", "numerics.lambda_scale", "numerics.lambda_max",
-    "numerics.mode_cap", "numerics.rho_min_factor",
-    "zeta.s", "zeta.shift",
-    "checks.y0", "checks.bump",
-}
-
-# Table cross-sections also take one key per degree j = 0..dim; the
-# degrees are checked once the dimension is known.
-_TABLE_PREFIX = "cross_section.eigenvalues."
-
-
-def _parse_float(tok: str, line: int) -> float:
+def _real(tok: str) -> float:
+    """A plain decimal; nan and inf are refused."""
     try:
-        return float(tok)
+        value = float(tok)
     except ValueError:
-        raise ConfigError(f"expected a decimal number, got {tok!r}", line)
+        raise ValueError(f"expected a decimal number, got {tok!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"reals must be finite, got {tok!r}")
+    return value
 
 
-def _parse_int(tok: str, line: int) -> int:
+def _integer(tok: str) -> int:
     try:
         return int(tok)
     except ValueError:
-        raise ConfigError(f"expected an integer, got {tok!r}", line)
+        raise ValueError(f"expected an integer, got {tok!r}") from None
 
 
-def _parse_exact(tok: str, line: int) -> Fraction:
+def _exact(tok: str) -> Fraction:
     """Exact rational from a decimal token (no slash-rationals, per format)."""
     tok = tok.strip()
-    if "/" in tok:
-        raise ConfigError(f"expected a decimal number, got {tok!r}", line)
-    try:
-        return Fraction(tok)
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"expected a decimal number, got {tok!r}", line)
+    if "/" not in tok:
+        try:
+            return Fraction(tok)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"expected a decimal number, got {tok!r}")
 
 
-def _parse_bool(tok: str, line: int) -> bool:
+def _flag(tok: str) -> bool:
     try:
-        return _BOOL[tok.strip().lower()]
+        return {"true": True, "false": False}[tok.strip().lower()]
     except KeyError:
-        raise ConfigError(f"expected true/false, got {tok!r}", line)
+        raise ValueError(f"expected true/false, got {tok!r}") from None
 
 
-def _parse_pairs(tok: str, line: int):
+def _flag_str(value: bool) -> str:
+    return str(value).lower()
+
+
+def _list(read):
+    """Reader of a comma list, each token through `read`."""
+    return lambda tok: tuple(read(t) for t in tok.split(","))
+
+
+def _fixed(names: str, *reads):
+    """Reader of exactly len(reads) comma-separated tokens, named `names`."""
+    def read(tok):
+        parts = tok.split(",")
+        if len(parts) != len(reads):
+            raise ValueError(f"expected {names}, got {tok!r}")
+        return tuple(r(t) for r, t in zip(reads, parts))
+    return read
+
+
+def _pairs(tok: str) -> tuple:
     """Parse '(a,b);(c,d);...' pair lists."""
     out = []
     for piece in tok.split(";"):
@@ -545,12 +526,128 @@ def _parse_pairs(tok: str, line: int):
         if not piece:
             continue
         if not (piece.startswith("(") and piece.endswith(")")):
-            raise ConfigError(f"expected '(a,b)' pairs separated by ';', got {piece!r}", line)
+            raise ValueError(f"expected '(a,b)' pairs separated by ';', got {piece!r}")
         inner = piece[1:-1].split(",")
         if len(inner) != 2:
-            raise ConfigError(f"pair {piece!r} must have exactly two entries", line)
-        out.append((_parse_float(inner[0], line), _parse_float(inner[1], line)))
-    return out
+            raise ValueError(f"pair {piece!r} must have exactly two entries")
+        out.append((_real(inner[0]), _real(inner[1])))
+    return tuple(out)
+
+
+def _join(values) -> str:
+    return ",".join(repr(v) for v in values)
+
+
+def _positive(x) -> bool:
+    return math.isfinite(x) and x > 0
+
+
+_BUMP = _fixed("center,width,height", _real, _real, _real)
+
+
+class _Field(NamedTuple):
+    """One config key that holds a single value.
+
+    `attr` is the field it sets: on the dataclass of its section (see
+    `_SECTIONS`), else on ProblemConfig itself.  `read` parses the value,
+    `write` renders it, and `ok` is its domain, enforced by the owning
+    dataclass with the message "invariant violated: <rule>".  A `required`
+    key must be present whenever its section is built (geometry always is).
+    """
+
+    key: str
+    attr: str
+    read: Callable[[str], Any]
+    write: Callable[[Any], str] = repr
+    ok: Optional[Callable[[Any], bool]] = None
+    rule: str = ""
+    required: bool = False
+
+    @property
+    def section(self) -> str:
+        return self.key.partition(".")[0]
+
+
+_FIELDS = (
+    _Field("geometry.n", "n", _integer, ok=lambda n: n >= 2,
+           rule="dimension n must be >= 2", required=True),
+    _Field("geometry.p", "p", _exact, _fraction_str, lambda p: p > 0,
+           "exponent p must be > 0", required=True),
+    _Field("geometry.y0", "y0", _real, ok=lambda y: y >= 1,
+           rule="inner radius Y0 must be >= 1"),
+    _Field("degree", "degree", _integer),
+    _Field("magnetic.flux", "flux", _list(_exact),
+           lambda flux: ",".join(_fraction_str(f) for f in flux), required=True),
+    _Field("magnetic.phi0", "phi0", _real),
+    _Field("magnetic.phi0_constant", "phi0_constant", _flag, _flag_str),
+    _Field("magnetic.theta0_closed", "theta0_closed", _flag, _flag_str),
+    _Field("potential.poly", "poly", _pairs,
+           lambda poly: ";".join(f"({a!r},{b!r})" for a, b in poly)),
+    _Field("potential.bump", "bump", _BUMP, _join, lambda b: b[1] > 0,
+           "bump width must be > 0"),
+    _Field("numerics.grid", "grids", _list(_integer), _join,
+           lambda grids: all(g >= 4 for g in grids), "each grid needs at least 4 cells"),
+    _Field("numerics.domain_z", "domains", _list(_real), _join,
+           lambda domains: all(_positive(d) for d in domains),
+           "domain lengths must be finite and > 0"),
+    _Field("numerics.tol", "tol", _real, ok=_positive,
+           rule="tolerance must be finite and > 0"),
+    _Field("numerics.lambda_grid", "lambda_grid", _fixed("lo,hi,count", _real, _real, _integer),
+           _join, lambda g: math.isfinite(g[0]) and math.isfinite(g[1]),
+           "lambda grid bounds must be finite"),
+    _Field("numerics.lambda_scale", "lambda_scale", str, str, lambda s: s in ("lin", "log"),
+           "numerics.lambda_scale must be 'lin' or 'log'"),
+    _Field("numerics.lambda_max", "lambda_max", _real, ok=math.isfinite,
+           rule="lambda_max must be finite"),
+    _Field("numerics.mode_cap", "mode_cap", _integer, ok=lambda cap: cap >= 1,
+           rule="mode_cap must be >= 1"),
+    _Field("numerics.rho_min_factor", "rho_min_factor", _real, ok=_positive,
+           rule="rho_min_factor must be finite and > 0"),
+    _Field("topology.orientable", "orientable", _flag, _flag_str),
+    _Field("topology.h1_x", "h1_x", _integer, ok=lambda h: h >= 0,
+           rule="topology.h1_x must be >= 0"),
+    _Field("zeta.s", "zeta_s", _real),
+    _Field("zeta.shift", "zeta_shift", _real),
+    _Field("checks.y0", "check_y0", _list(_real), _join,
+           lambda ys: len(ys) >= 2 and all(y >= 1 for y in ys),
+           "checks.y0 needs at least 2 values, each >= 1"),
+    _Field("checks.bump", "check_bump", _BUMP, _join, lambda b: b[1] > 0,
+           "checks.bump width must be > 0"),
+)
+
+#: sections whose keys fill one ProblemConfig component of this type
+_SECTIONS = {"geometry": EndGeometry, "magnetic": MagneticData,
+             "potential": RadialPotential, "numerics": Numerics}
+
+# cross_section.* is parsed by hand: which keys apply depends on the kind.
+# Table cross-sections also take one key per degree j = 0..dim; the degrees
+# are checked once the dimension is known.
+_TABLE_PREFIX = "cross_section.eigenvalues."
+_KNOWN_KEYS = {f.key for f in _FIELDS} | {
+    "cross_section.kind", "cross_section.length", "cross_section.side",
+    "cross_section.dim", "cross_section.dual_basis", "cross_section.volume",
+    "cross_section.betti"}
+
+
+def _check_domains(obj) -> None:
+    """Refuse a field of `obj` that lies outside its declared domain."""
+    for f in _FIELDS:
+        if f.ok is not None and _SECTIONS.get(f.section, ProblemConfig) is type(obj):
+            value = getattr(obj, f.attr)
+            if value is not None and not f.ok(value):
+                raise ConfigError(f"invariant violated: {f.rule}")
+
+
+def numerics_reader(attr: str) -> Callable[[str], Any]:
+    """The token reader of the numerics.* key that sets Numerics.<attr>."""
+    return next(f.read for f in _FIELDS if f.section == "numerics" and f.attr == attr)
+
+
+def _read(read, tok: str, line: Optional[int]):
+    try:
+        return read(tok)
+    except ValueError as exc:
+        raise ConfigError(str(exc), line) from None
 
 
 def parse_config(text: str) -> ProblemConfig:
@@ -577,53 +674,65 @@ def parse_config(text: str) -> ProblemConfig:
         raw[key] = value
         lines[key] = ln
 
+    # section -> {attr: value} for the keys present
+    given = {}
+    for f in _FIELDS:
+        if f.key in raw:
+            given.setdefault(f.section, {})[f.attr] = _read(f.read, raw[f.key], lines[f.key])
+
+    def build(section):
+        kwargs = given.get(section, {})
+        for f in _FIELDS:
+            if f.section == section and f.required and f.attr not in kwargs:
+                raise ConfigError(f"missing required key {f.key!r}")
+        return _SECTIONS[section](**kwargs)
+
+    geometry = build("geometry")
+    cs = _parse_cross_section(raw, lines, geometry.n)
+    top = {attr: v for section, kwargs in given.items() if section not in _SECTIONS
+           for attr, v in kwargs.items()}
+    return ProblemConfig(
+        geometry=geometry, cross_section=cs, numerics=build("numerics"),
+        magnetic=build("magnetic") if "magnetic" in given else None,
+        potential=build("potential") if "potential" in given else None, **top)
+
+
+def _parse_cross_section(raw, lines, n) -> CrossSection:
     def need(key):
         if key not in raw:
             raise ConfigError(f"missing required key {key!r}")
         return raw[key]
 
-    def line(key):
-        return lines.get(key)
-
-    n = _parse_int(need("geometry.n"), line("geometry.n"))
-    p = _parse_exact(need("geometry.p"), line("geometry.p"))
-    y0 = _parse_float(raw.get("geometry.y0", "1.0"), line("geometry.y0"))
-    geometry = EndGeometry(n=n, p=p, y0=y0)
+    def value(read, key, default=None):
+        tok = need(key) if default is None else raw.get(key, default)
+        return _read(read, tok, lines.get(key))
 
     kind = need("cross_section.kind")
     if kind == "circle":
-        cs = builtin_cross_section(
-            "circle", length=_parse_float(need("cross_section.length"),
-                                          line("cross_section.length")))
+        cs = builtin_cross_section("circle", length=value(_real, "cross_section.length"))
     elif kind == "square_torus":
         cs = builtin_cross_section(
-            "square_torus",
-            side=_parse_float(need("cross_section.side"), line("cross_section.side")),
-            dim=_parse_int(raw.get("cross_section.dim", str(n - 1)),
-                           line("cross_section.dim")))
+            "square_torus", side=value(_real, "cross_section.side"),
+            dim=value(_integer, "cross_section.dim", str(n - 1)))
     elif kind == "lattice_torus":
-        rows = []
-        ln = line("cross_section.dual_basis")
-        for row in need("cross_section.dual_basis").split(";"):
-            rows.append([_parse_float(x, ln) for x in row.split(",")])
+        rows = value(lambda tok: [_list(_real)(row) for row in tok.split(";")],
+                     "cross_section.dual_basis")
         vol = None
         if "cross_section.volume" in raw:
-            vol = _parse_float(raw["cross_section.volume"], line("cross_section.volume"))
+            vol = value(_real, "cross_section.volume")
         cs = builtin_cross_section("lattice_torus", dual_basis=rows, volume=vol)
     elif kind == "table":
-        ln = line("cross_section.betti")
-        betti = [_parse_int(b, ln) for b in need("cross_section.betti").split(",")]
+        betti = value(_list(_integer), "cross_section.betti")
         tables = []
         for j in range(len(betti)):
             key = f"{_TABLE_PREFIX}{j}"
             if key not in raw:
                 raise ConfigError(f"missing required key {key!r} for table cross-section")
-            tables.append([(e, int(m)) for e, m in _parse_pairs(raw[key], lines[key])])
-        cs = builtin_cross_section(
-            "table", betti=betti, tables=tables,
-            volume=_parse_float(need("cross_section.volume"), line("cross_section.volume")))
+            tables.append([(e, int(m)) for e, m in value(_pairs, key)])
+        cs = builtin_cross_section("table", betti=betti, tables=tables,
+                                   volume=value(_real, "cross_section.volume"))
     else:
-        raise ConfigError(f"unknown cross-section kind {kind!r}", line("cross_section.kind"))
+        raise ConfigError(f"unknown cross-section kind {kind!r}", lines["cross_section.kind"])
     table_keys = ({f"{_TABLE_PREFIX}{j}" for j in range(cs.dim + 1)}
                   if cs.kind == TABLE else set())
     for key in raw:
@@ -632,162 +741,35 @@ def parse_config(text: str) -> ProblemConfig:
                      else "table cross-sections only")
             raise ConfigError(f"unknown key {key!r} (eigenvalue tables: {where})",
                               lines[key])
-
-    degree = _parse_int(raw.get("degree", "0"), line("degree"))
-
-    magnetic = None
-    if any(k.startswith("magnetic.") for k in raw):
-        ln = line("magnetic.flux")
-        flux_tok = need("magnetic.flux")
-        flux = tuple(_parse_exact(t, ln) for t in flux_tok.split(","))
-        magnetic = MagneticData(
-            flux=flux,
-            phi0=_parse_float(raw.get("magnetic.phi0", "0.0"), line("magnetic.phi0")),
-            phi0_constant=_parse_bool(raw.get("magnetic.phi0_constant", "true"),
-                                      line("magnetic.phi0_constant")),
-            theta0_closed=_parse_bool(raw.get("magnetic.theta0_closed", "true"),
-                                      line("magnetic.theta0_closed")))
-
-    potential = None
-    if any(k.startswith("potential.") for k in raw):
-        poly = ()
-        bump = None
-        if "potential.poly" in raw:
-            poly = tuple(_parse_pairs(raw["potential.poly"], lines["potential.poly"]))
-        if "potential.bump" in raw:
-            ln = lines["potential.bump"]
-            vals = [_parse_float(t, ln) for t in raw["potential.bump"].split(",")]
-            if len(vals) != 3:
-                raise ConfigError("potential.bump needs center,width,height", ln)
-            bump = tuple(vals)
-        potential = RadialPotential(poly=poly, bump=bump)
-
-    num_kwargs = {}
-    if "numerics.grid" in raw:
-        ln = lines["numerics.grid"]
-        num_kwargs["grids"] = tuple(_parse_int(t, ln) for t in raw["numerics.grid"].split(","))
-    if "numerics.domain_z" in raw:
-        ln = lines["numerics.domain_z"]
-        num_kwargs["domains"] = tuple(_parse_float(t, ln)
-                                      for t in raw["numerics.domain_z"].split(","))
-    if "numerics.tol" in raw:
-        num_kwargs["tol"] = _parse_float(raw["numerics.tol"], lines["numerics.tol"])
-    if "numerics.lambda_grid" in raw:
-        ln = lines["numerics.lambda_grid"]
-        vals = raw["numerics.lambda_grid"].split(",")
-        if len(vals) != 3:
-            raise ConfigError("numerics.lambda_grid needs lo,hi,count", ln)
-        num_kwargs["lambda_grid"] = (_parse_float(vals[0], ln), _parse_float(vals[1], ln),
-                                     _parse_int(vals[2], ln))
-    if "numerics.lambda_scale" in raw:
-        num_kwargs["lambda_scale"] = raw["numerics.lambda_scale"]
-    if "numerics.lambda_max" in raw:
-        num_kwargs["lambda_max"] = _parse_float(raw["numerics.lambda_max"],
-                                                lines["numerics.lambda_max"])
-    if "numerics.mode_cap" in raw:
-        num_kwargs["mode_cap"] = _parse_int(raw["numerics.mode_cap"],
-                                            lines["numerics.mode_cap"])
-    if "numerics.rho_min_factor" in raw:
-        num_kwargs["rho_min_factor"] = _parse_float(raw["numerics.rho_min_factor"],
-                                                    lines["numerics.rho_min_factor"])
-    numerics = Numerics(**num_kwargs)
-
-    orientable = None
-    if "topology.orientable" in raw:
-        orientable = _parse_bool(raw["topology.orientable"], lines["topology.orientable"])
-    h1_x = None
-    if "topology.h1_x" in raw:
-        h1_x = _parse_int(raw["topology.h1_x"], lines["topology.h1_x"])
-
-    zeta_s = None
-    if "zeta.s" in raw:
-        zeta_s = _parse_float(raw["zeta.s"], lines["zeta.s"])
-    zeta_shift = _parse_float(raw.get("zeta.shift", "0.0"), line("zeta.shift"))
-
-    check_y0 = None
-    if "checks.y0" in raw:
-        ln = lines["checks.y0"]
-        check_y0 = tuple(_parse_float(t, ln) for t in raw["checks.y0"].split(","))
-    check_bump = None
-    if "checks.bump" in raw:
-        ln = lines["checks.bump"]
-        vals = [_parse_float(t, ln) for t in raw["checks.bump"].split(",")]
-        if len(vals) != 3:
-            raise ConfigError("checks.bump needs center,width,height", ln)
-        check_bump = tuple(vals)
-
-    return ProblemConfig(
-        geometry=geometry, cross_section=cs, degree=degree, magnetic=magnetic,
-        potential=potential, numerics=numerics, orientable=orientable, h1_x=h1_x,
-        zeta_s=zeta_s, zeta_shift=zeta_shift, check_y0=check_y0, check_bump=check_bump)
+    return cs
 
 
 def render_config(config: ProblemConfig) -> str:
     """Serialize a config so that parse_config(render_config(c)) == c.
 
-    All defaulted fields are written out explicitly, so the rendered text is
-    also the record of the defaults in force.
+    Every field that is set is written out, defaults included, so the
+    rendered text is also the record of the defaults in force.
     """
-    g = config.geometry
+    out = []
+    for f in _FIELDS:
+        holder = getattr(config, f.section) if f.section in _SECTIONS else config
+        value = None if holder is None else getattr(holder, f.attr)
+        if value is not None:
+            out.append(f"{f.key} = {f.write(value)}")
     cs = config.cross_section
-    out = [
-        f"geometry.n = {g.n}",
-        f"geometry.p = {_fraction_str(g.p)}",
-        f"geometry.y0 = {g.y0!r}",
-    ]
     if cs.kind == CIRCLE:
         out += ["cross_section.kind = circle",
                 f"cross_section.length = {cs.length!r}"]
     elif cs.kind == TORUS:
-        rows = ";".join(",".join(repr(x) for x in row) for row in cs.dual_basis)
+        rows = ";".join(_join(row) for row in cs.dual_basis)
         out += ["cross_section.kind = lattice_torus",
                 f"cross_section.dual_basis = {rows}",
                 f"cross_section.volume = {cs.volume!r}"]
     else:
         out += ["cross_section.kind = table",
                 f"cross_section.volume = {cs.volume!r}",
-                "cross_section.betti = " + ",".join(str(b) for b in cs.betti)]
+                "cross_section.betti = " + _join(cs.betti)]
         for j, tab in enumerate(cs.tables):
             pairs = ";".join(f"({e!r},{m})" for e, m in tab)
-            out.append(f"cross_section.eigenvalues.{j} = {pairs}")
-    out.append(f"degree = {config.degree}")
-    if config.magnetic is not None:
-        m = config.magnetic
-        out += ["magnetic.flux = " + ",".join(_fraction_str(f) for f in m.flux),
-                f"magnetic.phi0 = {m.phi0!r}",
-                f"magnetic.phi0_constant = {str(m.phi0_constant).lower()}",
-                f"magnetic.theta0_closed = {str(m.theta0_closed).lower()}"]
-    if config.potential is not None:
-        pot = config.potential
-        if pot.poly:
-            out.append("potential.poly = "
-                       + ";".join(f"({a!r},{b!r})" for a, b in pot.poly))
-        if pot.bump is not None:
-            out.append("potential.bump = " + ",".join(repr(v) for v in pot.bump))
-        if not pot.poly and pot.bump is None:
-            out.append("potential.poly = ")
-    num = config.numerics
-    out += [
-        "numerics.grid = " + ",".join(str(gr) for gr in num.grids),
-        "numerics.domain_z = " + ",".join(repr(d) for d in num.domains),
-        f"numerics.tol = {num.tol!r}",
-        "numerics.lambda_grid = " + ",".join(
-            [repr(num.lambda_grid[0]), repr(num.lambda_grid[1]), str(num.lambda_grid[2])]),
-        f"numerics.lambda_scale = {num.lambda_scale}",
-        f"numerics.lambda_max = {num.lambda_max!r}",
-        f"numerics.mode_cap = {num.mode_cap}",
-        f"numerics.rho_min_factor = {num.rho_min_factor!r}",
-    ]
-    if config.orientable is not None:
-        out.append(f"topology.orientable = {str(config.orientable).lower()}")
-    if config.h1_x is not None:
-        out.append(f"topology.h1_x = {config.h1_x}")
-    if config.zeta_s is not None:
-        out.append(f"zeta.s = {config.zeta_s!r}")
-    if config.zeta_shift != 0.0:
-        out.append(f"zeta.shift = {config.zeta_shift!r}")
-    if config.check_y0 is not None:
-        out.append("checks.y0 = " + ",".join(repr(v) for v in config.check_y0))
-    if config.check_bump is not None:
-        out.append("checks.bump = " + ",".join(repr(v) for v in config.check_bump))
+            out.append(f"{_TABLE_PREFIX}{j} = {pairs}")
     return "\n".join(out) + "\n"

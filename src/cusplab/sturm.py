@@ -3,10 +3,8 @@
 A RadialOperator or CanonicalOperator is assembled into a symmetric
 tridiagonal pencil (A, B) by P1 finite elements on a mesh that is uniform
 in the stretched variable z (for p <= 1 the Liouville variable, for p > 1
-the finite arc-length variable).  The mass matrix is lumped by default so
-that the standard-form reduction stays tridiagonal and Sylvester inertia
-is exact; a consistent-mass variant is available because the variational
-one-sided convergence statements hold for it.
+the finite arc-length variable).  The mass matrix is lumped, so the
+standard-form reduction stays tridiagonal and Sylvester inertia is exact.
 
 Eigenvalue counts come from the LDL^T inertia of A - lambda B (a Sturm
 sequence) and eigenvalues from bisection on the counts.  Counts are
@@ -47,19 +45,17 @@ class SturmError(ValueError):
 
 @dataclass
 class TridiagonalPencil:
-    """Symmetric tridiagonal pencil (A, B) with positive (lumped) mass.
+    """Symmetric tridiagonal pencil (A, B) with positive lumped mass.
 
     diag/offdiag hold A (stiffness plus lumped potential), mass holds the
-    diagonal of B; mass_offdiag is only set for the consistent-mass
-    variant.  n is the interior point count and h the mesh width in the
-    meshed variable.
+    diagonal of B, which is diagonal.  n is the interior point count and h
+    the mesh width in the meshed variable.
     """
 
     diag: np.ndarray
     offdiag: np.ndarray
     mass: np.ndarray
     h: float
-    mass_offdiag: Optional[np.ndarray] = None
     breakdowns: int = 0
 
     def __post_init__(self):
@@ -112,23 +108,18 @@ def mesh_for(op, length: float, cells: int, mesh: str = "auto"):
     return t, y
 
 
-def discretize(op, length: float, cells: int, mass: str = "lumped",
-               mesh: str = "auto") -> TridiagonalPencil:
+def discretize(op, length: float, cells: int, mesh: str = "auto") -> TridiagonalPencil:
     """P1 assembly of the operator's quadratic form, Dirichlet both ends.
 
     Stiffness weights are evaluated at cell midpoints, the potential and
-    the (lumped) mass at the nodes.  mass="consistent" assembles the exact
-    P1 mass matrix instead (tridiagonal B).
+    the lumped mass at the nodes.
     """
-    if mass not in ("lumped", "consistent"):
-        raise SturmError("mass must be 'lumped' or 'consistent'")
     t, y = mesh_for(op, length, cells, mesh)
     h = np.diff(t)
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(op, CanonicalOperator):
             w1_mid = np.ones(len(t) - 1)
             w0_node = np.ones(len(t))
-            w0_mid = w1_mid
             q_node = op.w(t)
             _check_finite("the normal-form potential", q_node)
         else:
@@ -137,7 +128,6 @@ def discretize(op, length: float, cells: int, mass: str = "lumped",
             hx = np.diff(x)
             w1_mid = op.w1(xmid)
             w0_node = op.w0(x)
-            w0_mid = op.w0(xmid)
             q_node = op.q(x)
             _check_finite("the stiffness weight", w1_mid)
             _check_finite("the density weight", w0_node)
@@ -150,15 +140,8 @@ def discretize(op, length: float, cells: int, mass: str = "lumped",
     diag = k[:-1] + k[1:] + q_node[1:-1] * w0_node[1:-1] * lump
     off = -k[1:-1]
     _check_finite("the assembled stiffness", diag)
-    if mass == "lumped":
-        b = w0_node[1:-1] * lump
-        pencil = TridiagonalPencil(diag=diag, offdiag=off, mass=b,
-                                   h=float(h[0]))
-    else:
-        b = w0_mid[:-1] * h[:-1] / 3.0 + w0_mid[1:] * h[1:] / 3.0
-        boff = w0_mid[1:-1] * h[1:-1] / 6.0
-        pencil = TridiagonalPencil(diag=diag, offdiag=off, mass=b,
-                                   h=float(h[0]), mass_offdiag=boff)
+    pencil = TridiagonalPencil(diag=diag, offdiag=off, mass=w0_node[1:-1] * lump,
+                               h=float(h[0]))
     if pencil.n < 3:
         raise SturmError("need at least 3 interior points")
     return pencil
@@ -172,11 +155,11 @@ def discretize(op, length: float, cells: int, mass: str = "lumped",
 _BLOCK_BYTES = 1 << 17
 
 
-def _sturm_pass(diag, off, mass, mass_off, lams):
+def _sturm_pass(diag, off, mass, lams):
     """Vectorized LDL^T sign count of A - lambda B for a batch of lambdas.
 
-    diag/mass: (..., N); off (and mass_off): (..., N-1) per row or shared;
-    lams: (L,).  Returns (counts (..., L) int array, breakdown mask (..., L)).
+    diag/mass: (..., N); off: (..., N-1) per row or shared; lams: (L,).
+    Returns (counts (..., L) int array, breakdown mask (..., L)).
 
     Node-major and blocked: inputs are viewed as (N, rows, 1) against lams
     (W = rows * L lanes; off padded so node i holds off[i-1]).  Per block,
@@ -199,8 +182,6 @@ def _sturm_pass(diag, off, mass, mass_off, lams):
 
     diag, mass = node_major(diag), node_major(mass)
     off = node_major(np.insert(off, 0, 0.0, axis=-1))
-    if mass_off is not None:
-        mass_off = node_major(np.insert(mass_off, 0, 0.0, axis=-1))
     counts = np.zeros(width, dtype=np.int64)
     broke = np.zeros(width, dtype=bool)
     tmp = np.empty(width)
@@ -209,8 +190,6 @@ def _sturm_pass(diag, off, mass, mass_off, lams):
         for s in range(0, n, block):
             a = diag[s:s + block] - lams * mass[s:s + block]
             e = off[s:s + block]
-            if mass_off is not None:
-                e = e - lams * mass_off[s:s + block]
             e2 = np.broadcast_to(e * e, a.shape).reshape(len(a), -1)
             a = a.reshape(len(a), -1)
             first = s == 0
@@ -248,13 +227,12 @@ def count_below(pencil: TridiagonalPencil, lam: float) -> int:
 
 def count_below_many(pencil: TridiagonalPencil, lams) -> np.ndarray:
     lams = np.asarray(lams, dtype=float)
-    counts, broke = _sturm_pass(pencil.diag, pencil.offdiag, pencil.mass,
-                                pencil.mass_offdiag, lams)
+    counts, broke = _sturm_pass(pencil.diag, pencil.offdiag, pencil.mass, lams)
     for j in np.nonzero(broke)[0]:
         lam = float(lams[j])
         shifted = lam - BREAKDOWN_SHIFT * _scale(pencil, lam)
         c, again = _sturm_pass(pencil.diag, pencil.offdiag, pencil.mass,
-                               pencil.mass_offdiag, np.array([shifted]))
+                               np.array([shifted]))
         pencil.breakdowns += 1
         if again[0]:
             raise SturmError(f"pivot breakdown at lambda = {lam!r} persists at the "
@@ -270,7 +248,7 @@ def count_below_stack(diags, offs, masses, lams) -> np.ndarray:
     the same mesh, so the Sturm recurrence runs once over an (M, L) block.
     Exact pivot hits fall back to the per-pencil path.
     """
-    counts, broke = _sturm_pass(diags, offs, masses, None, lams)
+    counts, broke = _sturm_pass(diags, offs, masses, lams)
     if broke.any():
         offs = np.broadcast_to(offs, diags.shape[:-1] + np.shape(offs)[-1:])
         masses = np.broadcast_to(masses, diags.shape)
@@ -288,14 +266,8 @@ def gershgorin_lower(pencil: TridiagonalPencil) -> float:
     if n > 1:
         radius[:-1] += np.abs(pencil.offdiag)
         radius[1:] += np.abs(pencil.offdiag)
-    if pencil.mass_offdiag is not None:
-        bmin = np.min(pencil.mass) - 2.0 * np.max(np.abs(pencil.mass_offdiag))
-        if bmin <= 0:
-            bmin = np.min(pencil.mass) * 0.1
-        bmax = np.max(pencil.mass) + 2.0 * np.max(np.abs(pencil.mass_offdiag))
-    else:
-        bmin = np.min(pencil.mass)
-        bmax = np.max(pencil.mass)
+    bmin = np.min(pencil.mass)
+    bmax = np.max(pencil.mass)
     amin = float(np.min(pencil.diag - radius))
     return amin / bmax if amin >= 0 else amin / bmin
 

@@ -10,8 +10,8 @@ def counts_reversed_in_lambda(monkeypatch):
     """Make every Sturm pass return its lanes in reversed lambda order."""
     real = sturm._sturm_pass
 
-    def reversed_pass(diag, off, mass, mass_off, lams):
-        counts, broke = real(diag, off, mass, mass_off, lams)
+    def reversed_pass(diag, off, mass, lams):
+        counts, broke = real(diag, off, mass, lams)
         return counts[..., ::-1], broke[..., ::-1]
 
     monkeypatch.setattr(sturm, "_sturm_pass", reversed_pass)

@@ -1,14 +1,21 @@
 """Command-line front end: subcommands, formats, exit codes, determinism."""
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cusplab import assemble
+from cusplab.assemble import ThresholdEstimate
 from cusplab.cli import _build_parser, _emit, main
+from cusplab.model import _FIELDS
 
 AB_CFG = """\
 geometry.n = 2
@@ -47,6 +54,18 @@ cross_section.length = 6.283185307179586
 degree = 1
 magnetic.flux = 0.5
 """
+
+
+# the p = 1 circle with flux 0: essential spectrum from 1/4, a small study
+PROBE_CFG = (ESS_CFG.replace("500,1000", "200,400").replace("0.05,0.5,46", "0.5,6,12")
+             .replace("zeta.s = 3.0\n", ""))
+
+
+def with_line(text, line):
+    """`text` with `line` in place of any line that sets the same key."""
+    key = line.split(" = ")[0]
+    return "".join(row for row in text.splitlines(True)
+                   if row.split(" = ")[0] != key) + line + "\n"
 
 
 @pytest.fixture
@@ -335,3 +354,151 @@ def test_counts_decreasing_in_lambda_exit_one(cfg_path, capsys, command,
     cfg = cfg_path(AB_CFG.replace("0.05,0.5,46", "0.5,6,12"))
     assert main([command, "--config", cfg]) == 1
     assert "decreased in lambda" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, line", [
+    # each of these used to run: exit 2 with a verdict drawn from a nan or
+    # inf, exit 0 with a nan result or an ignored input, or a late error
+    ("essspec", "geometry.y0 = nan"),
+    ("cut-check", "checks.y0 = 1,nan"),
+    ("essspec", "numerics.rho_min_factor = nan"),
+    ("essspec", "numerics.rho_min_factor = inf"),
+    ("zeta", "zeta.s = nan"),
+    ("essspec", "potential.bump = 2.5,nan,5"),
+    ("perturb-check", "checks.bump = 2.5,nan,5"),
+    ("count", "numerics.mode_cap = 0"),
+])
+def test_out_of_domain_config_values_exit_one(cfg_path, capsys, command, line):
+    assert main([command, "--config", cfg_path(with_line(PROBE_CFG, line))]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error[config]") and err.count("\n") == 1
+
+
+NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity"])
+NOT_A_NUMBER = st.sampled_from(["", "abc", "1/2", "0x10"])
+
+
+def reals(**bounds):
+    return st.floats(allow_nan=False, **bounds).map(repr)
+
+
+#: tokens outside each numerics.* and checks.* key's domain, listed here
+#: rather than read from the table they test
+OUT_OF_DOMAIN = {
+    "numerics.grid": st.one_of(st.integers(max_value=3).map(str), NOT_A_NUMBER,
+                               st.sampled_from(["400,3", "2.5", "400,", "nan"])),
+    "numerics.domain_z": st.one_of(reals(max_value=0), NON_FINITE, NOT_A_NUMBER,
+                                   st.sampled_from(["16,8", "8,nan", "8,-1", "8,inf"])),
+    "numerics.tol": st.one_of(reals(max_value=0), NON_FINITE, NOT_A_NUMBER),
+    "numerics.lambda_grid": st.one_of(
+        st.tuples(reals(min_value=-10, max_value=10), reals(min_value=-10, max_value=10))
+        .filter(lambda g: float(g[0]) >= float(g[1])).map(lambda g: f"{g[0]},{g[1]},12"),
+        st.integers(max_value=1).map(lambda n: f"0.5,6,{n}"),
+        NON_FINITE.map(lambda x: f"0.5,{x},12"), NON_FINITE.map(lambda x: f"{x},6,12"),
+        st.sampled_from(["0.5,6", "0.5,6,12,1", "0.5,6,2.5", "0.5,abc,12"])),
+    "numerics.lambda_scale": st.text("abcdefghijklmnopqrstuvwxyz", max_size=6)
+    .filter(lambda s: s not in ("lin", "log")),
+    "numerics.lambda_max": st.one_of(NON_FINITE, NOT_A_NUMBER),
+    "numerics.mode_cap": st.one_of(st.integers(max_value=0).map(str), NOT_A_NUMBER,
+                                   st.sampled_from(["2.5", "nan"])),
+    "numerics.rho_min_factor": st.one_of(reals(max_value=0), NON_FINITE, NOT_A_NUMBER),
+    "checks.y0": st.one_of(reals(max_value=1, exclude_max=True).map(lambda y: f"1,{y}"),
+                           NON_FINITE.map(lambda x: f"1,{x}"),
+                           st.sampled_from(["1", "2", "1,,2", "1,abc"])),
+    "checks.bump": st.one_of(reals(max_value=0).map(lambda w: f"2.5,{w},5"),
+                             NON_FINITE.map(lambda x: f"2.5,1,{x}"),
+                             NON_FINITE.map(lambda x: f"{x},1,5"),
+                             NON_FINITE.map(lambda x: f"2.5,{x},5"),
+                             st.sampled_from(["2.5,1", "2.5,1,5,6", "2.5,abc,5"])),
+}
+
+
+def test_out_of_domain_strategies_cover_every_numerics_and_checks_key():
+    assert set(OUT_OF_DOMAIN) == {f.key for f in _FIELDS
+                                  if f.section in ("numerics", "checks")}
+
+
+@given(st.sampled_from(sorted(OUT_OF_DOMAIN)).flatmap(
+           lambda key: st.tuples(st.just(key), OUT_OF_DOMAIN[key])),
+       st.sampled_from(["count", "spectrum", "essspec", "weyl", "reduce",
+                        "cut-check", "perturb-check"]))
+@settings(max_examples=150, deadline=None)
+def test_any_out_of_domain_numerics_or_checks_value_is_a_config_error(item, command):
+    key, token = item
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(with_line(PROBE_CFG, f"{key} = {token}"))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--config", path])
+    assert code == 1, (key, token, err.getvalue())
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error[config]") and err.getvalue().count("\n") == 1
+
+
+INCONCLUSIVE = "instability without sustained growth: inconclusive"
+
+
+@pytest.mark.parametrize("command, fmt", [
+    ("essspec", "text"), ("essspec", "json"), ("cut-check", "text"),
+    ("cut-check", "json"), ("perturb-check", "text"), ("perturb-check", "json")])
+def test_an_inconclusive_probe_exits_one_after_its_report(cfg_path, capsys, command, fmt):
+    # a growth line far above any measured rate: every probe is inconclusive
+    path = cfg_path(with_line(PROBE_CFG, "numerics.rho_min_factor = 1e9"))
+    assert main([command, "--config", path, "--format", fmt]) == 1
+    out, err = capsys.readouterr()
+    verdict = "consistent" if command == "essspec" else "passed"
+    if fmt == "json":
+        data = json.loads(out)
+        assert data[verdict] is None
+        assert all(INCONCLUSIVE in note for note in data["notes"])
+    else:
+        assert f"{verdict}: None" in out
+    assert err.startswith("error[inconclusive]: ") and err.count("\n") == 1
+    assert INCONCLUSIVE in err
+    if command == "cut-check":
+        assert "Y0=1.0: " in err and "Y0=2.0: " in err
+    if command == "perturb-check":
+        assert "base: " in err and "bumped: " in err
+
+
+GROWTH = ThresholdEstimate(0.25, 0.1, 0.25, False, False, {})
+SHIFTED = ThresholdEstimate(1.0, 0.1, 0.25, False, False, {})
+STABLE = ThresholdEstimate(None, 0.1, 0.25, False, True, {}, ("counts stable",))
+UNSURE = ThresholdEstimate(0.25, 0.1, 0.25, True, False, {}, (INCONCLUSIVE,))
+
+
+@pytest.mark.parametrize("command, probes, code", [
+    ("essspec", [GROWTH], 0),
+    ("essspec", [SHIFTED], 2),
+    ("essspec", [UNSURE], 1),
+    ("cut-check", [GROWTH, GROWTH], 0),
+    ("cut-check", [STABLE, STABLE], 0),
+    ("cut-check", [GROWTH, STABLE], 2),
+    ("cut-check", [GROWTH, SHIFTED], 2),
+    ("cut-check", [GROWTH, STABLE, UNSURE], 2),
+    ("cut-check", [UNSURE, GROWTH, GROWTH], 1),
+    ("cut-check", [STABLE, UNSURE], 1),
+    ("perturb-check", [GROWTH, GROWTH], 0),
+    ("perturb-check", [STABLE, STABLE], 0),
+    ("perturb-check", [STABLE, GROWTH], 2),
+    ("perturb-check", [GROWTH, SHIFTED], 2),
+    ("perturb-check", [GROWTH, UNSURE], 1),
+])
+def test_exit_two_only_for_a_conclusive_mismatch(cfg_path, capsys, monkeypatch,
+                                                 command, probes, code):
+    calls = iter(probes)   # cut radii in order; base, then bumped
+    monkeypatch.setattr(assemble, "threshold_probe", lambda config: next(calls))
+    y0s = ",".join(str(i + 1) for i in range(max(2, len(probes))))
+    path = cfg_path(with_line(ESS_CFG, f"checks.y0 = {y0s}"))
+    assert main([command, "--config", path, "--format", "json"]) == code
+    out, err = capsys.readouterr()
+    verdict = json.loads(out)["consistent" if command == "essspec" else "passed"]
+    assert verdict == {0: True, 1: None, 2: False}[code]
+    if code == 1:
+        assert err.startswith("error[inconclusive]: ") and err.count("\n") == 1
+        assert INCONCLUSIVE in err
+    else:
+        assert err == ""

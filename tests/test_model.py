@@ -1,13 +1,15 @@
 """Config parsing, validation, and round-trip properties."""
 
 import math
+import pathlib
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cusplab.model import (ConfigError, EndGeometry, MagneticData, Numerics,
-                           ProblemConfig, RadialPotential,
+from cusplab.model import (_KNOWN_KEYS, _TABLE_PREFIX, ConfigError, EndGeometry,
+                           MagneticData, Numerics, ProblemConfig, RadialPotential,
                            builtin_cross_section, parse_config, render_config)
 
 TWO_PI = 2 * math.pi
@@ -279,3 +281,13 @@ def test_integer_flux_shift_gives_same_eigenvalue_multiset():
 def test_comments_and_blank_lines_ignored():
     cfg = parse_config("# header\n\n" + VALID)
     assert cfg.geometry.n == 2
+
+
+def test_readme_config_block_lists_exactly_the_accepted_keys():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("## Config format")[1].split("```")[1]
+    documented = {re.sub(r"\.\d+$", ".j", key) for key in
+                  re.findall(r"\b(?:degree\b|[a-z_]+(?:\.[a-z0-9_]+)+)", block)}
+    assert documented == _KNOWN_KEYS | {_TABLE_PREFIX + "j"}
+    # every numerics key states its domain
+    assert all("#" in row for row in block.splitlines() if row.startswith("numerics."))

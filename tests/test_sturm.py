@@ -158,22 +158,6 @@ def test_richardson_and_order_on_unit_interval():
     assert observed_order(vals, hs) >= 1.9
 
 
-def test_grid_refinement_monotone_from_above_consistent_mass():
-    """Nested P1 spaces with consistent mass: eigenvalues only come down."""
-    op = CanonicalOperator(p=1.0, y0=1.0, z0=0.0, conj_coeff=0.25)
-    prev = None
-    for cells in (200, 400, 800):
-        pen = discretize(op, 8.0, cells, mass="consistent")
-        evs = np.array(eigenvalues_below(pen, 1.2, 1e-11))
-        if prev is not None:
-            m = min(len(prev), len(evs))
-            assert np.all(evs[:m] <= prev[:m] * (1 + 1e-12) + 1e-12)
-        prev = evs
-    # and the consistent-mass values stay above the continuum limit
-    exact = np.array([0.25 + (k * math.pi / 8.0) ** 2 for k in range(1, len(prev) + 1)])
-    assert np.all(prev >= exact - 1e-12)
-
-
 def test_counts_grow_linearly_on_flat_channel():
     """Analytic law: N_T(lambda) = floor(T sqrt(lambda - 1/4) / pi)."""
     op = CanonicalOperator(p=1.0, y0=1.0, z0=0.0, conj_coeff=0.25)
@@ -188,7 +172,7 @@ def test_counts_grow_linearly_on_flat_channel():
 # the blocked kernel against the per-node recurrence
 # ---------------------------------------------------------------------------
 
-def _reference_pass(diag, off, mass, mass_off, lams):
+def _reference_pass(diag, off, mass, lams):
     """The per-node LDL^T recurrence the blocked kernel must reproduce."""
     diag = np.asarray(diag, dtype=float)
     off = np.asarray(off, dtype=float)
@@ -204,8 +188,6 @@ def _reference_pass(diag, off, mass, mass_off, lams):
     broke |= d == 0
     for i in range(1, n):
         e = off[..., i - 1:i]
-        if mass_off is not None:
-            e = e - lam * mass_off[..., i - 1:i]
         dsafe = np.where(d == 0, np.finfo(float).tiny, d)
         d = diag[..., i:i + 1] - lam * mass[..., i:i + 1] - e * e / dsafe
         counts += d < 0
@@ -213,11 +195,11 @@ def _reference_pass(diag, off, mass, mass_off, lams):
     return counts, broke
 
 
-def assert_matches_reference(diag, off, mass, mass_off, lams):
+def assert_matches_reference(diag, off, mass, lams):
     # e*e/tiny overflows on broken lanes of the reference; those are discarded
     with np.errstate(over="ignore"):
-        want, want_broke = _reference_pass(diag, off, mass, mass_off, lams)
-    got, broke = sturm._sturm_pass(diag, off, mass, mass_off, lams)
+        want, want_broke = _reference_pass(diag, off, mass, lams)
+    got, broke = sturm._sturm_pass(diag, off, mass, lams)
     assert got.shape == want.shape and broke.shape == want_broke.shape
     assert np.array_equal(broke, want_broke)
     assert np.array_equal(got[~broke], want[~broke])
@@ -243,14 +225,11 @@ def pass_inputs(draw):
     off_batch = batch if draw(st.booleans()) else ()
     off = values(off_batch + (n - 1,), -1.0, 1.0, [-1.0, -0.5, 0.0, 0.5, 1.0])
     mass = values((n,), 0.5, 2.0, [0.5, 1.0, 2.0])
-    mass_off = None
-    if draw(st.booleans()):
-        mass_off = values((n - 1,), 0.0, 0.2, [0.0, 0.125, 0.25])
     dyadic_lams = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0])
     lams = np.sort(np.array(draw(st.lists(dyadic_lams, min_size=1, max_size=12))))
     if not dyadic:
         lams = lams + rng.uniform(-0.1, 0.1, lams.size)
-    return diag, off, mass, mass_off, lams
+    return diag, off, mass, lams
 
 
 @given(pass_inputs(), st.sampled_from([8, 256, sturm._BLOCK_BYTES]))
@@ -266,20 +245,14 @@ def test_blocked_kernel_three_nodes_and_pivot_hits():
     mass = np.ones(3)
     lams = np.array([0.5, 1.0, 2.0, 3.0, 4.0])
     # decoupled rows: every diag entry is hit exactly, including 0/0 after it
-    broke = assert_matches_reference(diag, np.zeros(2), mass, None, lams)
+    broke = assert_matches_reference(diag, np.zeros(2), mass, lams)
     assert broke.tolist() == [False, True, True, True, False]
-    broke = assert_matches_reference(diag, np.array([0.5, 0.0]), mass, None, lams)
+    broke = assert_matches_reference(diag, np.array([0.5, 0.0]), mass, lams)
     assert broke[1]
     # the pivot 1 - 49/49 is exactly 0; 1 - 49 * (1/49) would not be
     broke = assert_matches_reference(np.array([49.0, 1.0, 2.0]), np.array([7.0, 1.0]),
-                                     mass, None, np.array([0.0]))
+                                     mass, np.array([0.0]))
     assert broke[0]
-
-
-def test_blocked_kernel_consistent_mass():
-    pen = discretize(FLAT, 1.0, 300, mass="consistent")
-    lams = np.linspace(-5.0, 400.0, 40)
-    assert_matches_reference(pen.diag, pen.offdiag, pen.mass, pen.mass_offdiag, lams)
 
 
 def test_blocked_kernel_carries_across_blocks():
@@ -291,9 +264,9 @@ def test_blocked_kernel_carries_across_blocks():
     off = rng.uniform(-1, 1, (rows, n - 1))
     off[2, 149] = 0.0
     lams[50] = 1.5
-    broke = assert_matches_reference(diags, off, np.ones(n), None, lams)
+    broke = assert_matches_reference(diags, off, np.ones(n), lams)
     assert broke[2, 50]
-    assert_matches_reference(diags, off[0], rng.uniform(0.5, 2.0, n), None, lams)
+    assert_matches_reference(diags, off[0], rng.uniform(0.5, 2.0, n), lams)
 
 
 def test_stack_breakdown_falls_back_to_per_row_counts():
@@ -371,11 +344,7 @@ def listing_inputs(draw):
         diag = rng.choice([-1.0, 0.5, 2.0], n)
         off = np.zeros(n - 1)
         mass = np.ones(n)
-    mass_off = None
-    if kind == "random" and draw(st.booleans()):
-        mass_off = rng.uniform(0.0, 0.2, n - 1)
-    pen = TridiagonalPencil(diag=diag, offdiag=off, mass=mass, h=1.0,
-                            mass_offdiag=mass_off)
+    pen = TridiagonalPencil(diag=diag, offdiag=off, mass=mass, h=1.0)
     # a negative offset puts lambda below the Gershgorin bound: k = 0
     lam = gershgorin_lower(pen) + draw(st.sampled_from([-0.25, 1.0, 4.0, 8.0, 12.0, 16.0]))
     if kind == "random":
