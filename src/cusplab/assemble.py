@@ -5,7 +5,9 @@ analytic layer predicts:
 
 * `global_counting` sums mode counting functions into N(lambda) tables with
   convergence metadata (superposition is exact: the global table is the
-  multiplicity-weighted sum of per-mode counts at every lambda).
+  multiplicity-weighted sum of per-mode counts at every lambda).  A
+  planner groups each grid's domains whose meshes nest, and one Sturm
+  pass over a group's longest pencils counts all of them.
 * `threshold_probe` estimates the bottom of the essential spectrum as the
   smallest lambda at which counts keep growing linearly with the domain
   length; Dirichlet counts for a flat channel grow like T sqrt(lambda-c)/pi
@@ -75,32 +77,56 @@ def _discretize_mode(config, op, domain, cells):
     return sturm.discretize(target, domain, cells)
 
 
-def _combo_totals(config, ops, lambdas, grid, domain, base_domain, keep_pencils):
-    """Per-mode counts and their weighted total for one (grid, domain) combo.
+def _nested_groups(config, grid):
+    """The planner: the domains of one grid, grouped so that their meshes nest.
 
-    Every mode is assembled on the combo's shared mesh and counted in one
-    stacked pass.  Returns (counts (M, L), totals (L,), pencils); the mode
-    pencils come back only with keep_pencils, else they are dropped before
-    the pass, which needs only their stacked diagonals.
+    A domain T gets cells_for(grid, T, T0) cells.  For p <= 1 its mesh is
+    z0 + (T/cells)*k (`sturm.mesh_for`), so two domains nest exactly when
+    their widths T/cells are the same double.  For p > 1 the mesh of T
+    spans [0, zmax(e^T)], so every domain is its own group.  Returns lists
+    of (domain, cells), each ascending, ordered by their longest domain.
+    """
+    domains = config.numerics.domains
+    groups = {}
+    for T in dict.fromkeys(domains):
+        cells = sturm.cells_for(grid, T, domains[0])
+        groups.setdefault(T / cells if config.geometry.pf <= 1.0 else T, []).append(
+            (T, cells))
+    return sorted(groups.values(), key=lambda group: group[-1][0])
+
+
+def _group_totals(config, ops, lambdas, grid, group, keep_pencils):
+    """The executor: per-mode counts and weighted totals of one nested group.
+
+    Every mode is assembled once, on the group's longest domain, and one
+    stacked pass counts every domain of the group at its interior node
+    count.  Returns (counts (S, M, L), totals (S, L), pencils); the longest
+    domain's mode pencils come back only with keep_pencils, else each is
+    dropped once its diagonal is in the stack.
     """
     if not ops:
-        z = np.zeros((0, len(lambdas)), dtype=np.int64)
-        return z, np.zeros(len(lambdas), dtype=np.int64), []
-    cells = sturm.cells_for(grid, domain, base_domain)
-    pencils = [_discretize_mode(config, op, domain, cells) for _, op in ops]
-    diags = np.stack([pen.diag for pen in pencils])
-    off, mass = pencils[0].offdiag, pencils[0].mass
-    if not keep_pencils:
-        pencils = None
-    counts = sturm.count_below_stack(diags, off, mass, np.asarray(lambdas))
+        z = np.zeros((len(group), 0, len(lambdas)), dtype=np.int64)
+        return z, z.sum(axis=1), []
+    domain, cells = group[-1]
+    diags, pencils = None, []
+    for i, (_, op) in enumerate(ops):
+        pen = _discretize_mode(config, op, domain, cells)
+        if diags is None:
+            diags, off, mass = np.empty((len(ops), pen.n)), pen.offdiag, pen.mass
+        diags[i] = pen.diag
+        if keep_pencils:
+            pencils.append(pen)
+    counts = sturm.count_below_stack(diags, off, mass, np.asarray(lambdas),
+                                     sizes=[cells - 1 for _, cells in group])
     # the threshold probe and the Weyl fit read these counts as monotone in lambda
-    dropped = (np.diff(counts, axis=1) < 0).any(axis=1)
-    if dropped.any():
-        mode = ops[int(np.argmax(dropped))][0]
-        raise AssembleError(f"internal error: counts decreased in lambda for mode "
-                            f"{mode.name} at grid={grid}, domain={domain!r}")
+    for (domain, _), c in zip(group, counts):
+        dropped = (np.diff(c, axis=1) < 0).any(axis=1)
+        if dropped.any():
+            mode = ops[int(np.argmax(dropped))][0]
+            raise AssembleError(f"internal error: counts decreased in lambda for mode "
+                                f"{mode.name} at grid={grid}, domain={domain!r}")
     mult = np.array([m.multiplicity for m, _ in ops], dtype=np.int64)
-    return counts, (mult[:, None] * counts).sum(axis=0), pencils
+    return counts, (mult[:, None] * counts).sum(axis=1), pencils
 
 
 def global_counting(config: ProblemConfig, lambdas=None,
@@ -109,9 +135,11 @@ def global_counting(config: ProblemConfig, lambdas=None,
     """Counting table N(lambda) over the configured (grid x domain) study.
 
     The table reported is the finest combination; `totals_by_combo` keeps
-    all of them for stability assessment.  If the analytic layer predicts
-    essential spectrum the table is labeled truncation-dependent: counts
-    then grow with the domain and carry no spectral meaning of their own.
+    all of them for stability assessment.  Per grid, each group of nested
+    domains (`_nested_groups`) is assembled once, on its longest domain,
+    and counted in one pass.  If the analytic layer predicts essential
+    spectrum the table is labeled truncation-dependent: counts then grow
+    with the domain and carry no spectral meaning of their own.
     """
     lambdas = np.asarray(config.numerics.lambdas() if lambdas is None else lambdas,
                          dtype=float)
@@ -124,33 +152,27 @@ def global_counting(config: ProblemConfig, lambdas=None,
     grids = config.numerics.grids
     domains = config.numerics.domains
     gf = grids[-1]
-    per_mode, totals = {}, {}
+    totals, monotone = {}, True
     for g in grids:
-        for T in domains:
+        for group in _nested_groups(config, g):
             # the finest combo's pencils serve the eigenvalue listing below
-            keep = with_eigenvalues and (g, T) == (gf, domains[-1])
-            per_mode[(g, T)], totals[(g, T)], pencils = _combo_totals(
-                config, ops, lambdas, g, T, domains[0], keep)
-
-    # Domain monotonicity (Dirichlet bracketing) is exact only when the
-    # meshes nest: p <= 1 and the mesh width unchanged by the cell scaling.
-    monotone = True
-    if config.geometry.pf <= 1.0:
-        for g in grids:
-            hs = [T / sturm.cells_for(g, T, domains[0]) for T in domains]
-            nested = all(abs(h - hs[0]) <= 1e-12 * hs[0] for h in hs)
-            if not nested:
-                continue
-            for i in range(len(domains) - 1):
-                if np.any(totals[(g, domains[i])] > totals[(g, domains[i + 1])]):
-                    monotone = False
+            keep = with_eigenvalues and (g, group[-1][0]) == (gf, domains[-1])
+            counts, group_totals, kept = _group_totals(config, ops, lambdas, g, group,
+                                                       keep)
+            if keep:
+                pencils = kept
+            for (T, _), c, t in zip(group, counts, group_totals):
+                totals[(g, T)] = t
+                if (g, T) == (gf, domains[-1]):
+                    finest = c
+            # Domain monotonicity (Dirichlet bracketing) is exact for nested meshes
+            if np.any(np.diff(group_totals, axis=0) < 0):
+                monotone = False
+    totals = {(g, T): totals[(g, T)] for g in grids for T in domains}   # combo order
     stable = len(domains) >= 2 and bool(
         np.array_equal(totals[(gf, domains[-1])], totals[(gf, domains[-2])]))
 
-    mode_results = []
-    finest = per_mode[(gf, domains[-1])]
-    for i, (m, op) in enumerate(ops):
-        mode_results.append(ModeResult(mode=m, counts=finest[i]))
+    mode_results = [ModeResult(mode=m, counts=finest[i]) for i, (m, _) in enumerate(ops)]
     if with_eigenvalues:
         top = float(lambdas[-1])
         total_top = int(totals[(gf, domains[-1])][-1])

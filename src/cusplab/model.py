@@ -350,8 +350,10 @@ class Numerics:
     """Discretization controls.
 
     grids       mesh cells on the first (shortest) domain; cells scale with
-                the domain so the mesh width is fixed per grid level and
-                successive domains nest node-for-node.
+                the domain so the mesh width is fixed per grid level.  For
+                p <= 1, domains whose widths T/cells are the same double
+                nest node for node and are counted in one Sturm pass; for
+                p > 1 (zmax depends on e^T) no two domains nest.
     domains     transformed-variable lengths: z-interval lengths for p <= 1;
                 for p > 1 a domain T truncates at Ymax = Y0 * e^T.
     lambda_grid (lo, hi, count) spectral-parameter grid, linear by default.
@@ -534,6 +536,20 @@ def _pairs(tok: str) -> tuple:
     return tuple(out)
 
 
+def _table(tok: str) -> tuple:
+    """An eigenvalue table '(e,m);...' whose multiplicities are integers >= 0."""
+    pairs = _pairs(tok)
+    for _, m in pairs:
+        if m < 0 or m != int(m):
+            raise ValueError(f"multiplicity must be a non-negative integer, got {m!r}")
+    return tuple((e, int(m)) for e, m in pairs)
+
+
+def _flux(tok: str) -> tuple:
+    """The flux vector; empty for a cross-section with b1 = 0."""
+    return _list(_exact)(tok) if tok else ()
+
+
 def _join(values) -> str:
     return ",".join(repr(v) for v in values)
 
@@ -576,7 +592,7 @@ _FIELDS = (
     _Field("geometry.y0", "y0", _real, ok=lambda y: y >= 1,
            rule="inner radius Y0 must be >= 1"),
     _Field("degree", "degree", _integer),
-    _Field("magnetic.flux", "flux", _list(_exact),
+    _Field("magnetic.flux", "flux", _flux,
            lambda flux: ",".join(_fraction_str(f) for f in flux), required=True),
     _Field("magnetic.phi0", "phi0", _real),
     _Field("magnetic.phi0_constant", "phi0_constant", _flag, _flag_str),
@@ -728,7 +744,7 @@ def _parse_cross_section(raw, lines, n) -> CrossSection:
             key = f"{_TABLE_PREFIX}{j}"
             if key not in raw:
                 raise ConfigError(f"missing required key {key!r} for table cross-section")
-            tables.append([(e, int(m)) for e, m in value(_pairs, key)])
+            tables.append(list(value(_table, key)))
         cs = builtin_cross_section("table", betti=betti, tables=tables,
                                    volume=value(_real, "cross_section.volume"))
     else:

@@ -18,8 +18,14 @@ and the listing stays bit-identical to one-level-per-pass bisection (see
 
 Grid numbers mean mesh *cells*; a grid g on the base domain T0 fixes the
 mesh width h = T0/g, and larger domains keep h fixed by scaling the cell
-count.  Refining g -> 2g and growing the domain then both produce nested
-meshes, which is what makes the monotonicity checks exact.
+count.  For p <= 1 the nodes are z0 + h*k (`mesh_for`), so two domains
+whose widths T/cells are the same double nest by construction: the
+shorter pencil is, bit for bit, the leading block of the longer one.  The
+negative pivots among the first n LDL^T pivots count the eigenvalues of
+that n x n block (the Sturm sequence property), so one pass over the
+longest pencil gives every nested domain's counts at checkpoints
+(`count_below_stack(sizes=...)`).  For p > 1 the mesh spans [0, zmax]
+with zmax depending on e^T, so no two domains nest.
 """
 
 from __future__ import annotations
@@ -74,6 +80,17 @@ def _check_finite(name, arr):
                          "shrink the domain or exponents")
 
 
+def _nested_nodes(z0: float, length: float, cells: int) -> np.ndarray:
+    """z0 + h*k for k = 0..cells with h = length/cells, rounded once.
+
+    Every node depends on z0, h and k only, so a mesh with the same z0 and
+    the same double h is a prefix of this one.  np.linspace(z0, z0 + length)
+    would step by ((z0 + length) - z0)/cells, which differs from h in the
+    last ulp whenever z0 != 0, and then the meshes no longer nest.
+    """
+    return z0 + (length / cells) * np.arange(cells + 1)
+
+
 def mesh_for(op, length: float, cells: int, mesh: str = "auto"):
     """Mesh nodes for one operator and domain length.
 
@@ -87,19 +104,20 @@ def mesh_for(op, length: float, cells: int, mesh: str = "auto"):
     if cells < 4:
         raise SturmError("need at least 4 mesh cells (3 interior points)")
     if isinstance(op, CanonicalOperator):
-        t = np.linspace(op.z0, op.z0 + length, cells + 1)
-        return t, None
+        return _nested_nodes(op.z0, length, cells), None
     if not isinstance(op, RadialOperator):
         raise SturmError(f"cannot mesh {type(op).__name__}")
     if mesh == "uniform-y":
+        # the cross-check mesh is never sliced, so it keeps linspace
         y = np.linspace(op.y0, op.y0 + length, cells + 1)
         return y, y
     p = 0.5 * (op.stiffness_exponent - op.density_exponent)
     if p <= 1.0:
-        z0 = float(z_of_y(op.y0, p, op.y0))
-        t = np.linspace(z0, z0 + length, cells + 1)
+        t = _nested_nodes(float(z_of_y(op.y0, p, op.y0)), length, cells)
         y = y_of_z(t, p, op.y0)
     else:
+        # zmax depends on e^length, so meshes of different lengths never
+        # nest; the end points are pinned exactly instead
         ymax = op.y0 * math.exp(length)
         zmax = float(z_of_y(ymax, p, op.y0))
         t = np.linspace(0.0, zmax, cells + 1)
@@ -155,26 +173,39 @@ def discretize(op, length: float, cells: int, mesh: str = "auto") -> Tridiagonal
 _BLOCK_BYTES = 1 << 17
 
 
-def _sturm_pass(diag, off, mass, lams):
+def _sturm_pass(diag, off, mass, lams, sizes=None):
     """Vectorized LDL^T sign count of A - lambda B for a batch of lambdas.
 
     diag/mass: (..., N); off: (..., N-1) per row or shared; lams: (L,).
     Returns (counts (..., L) int array, breakdown mask (..., L)).
+
+    With `sizes`, increasing checkpoints in 1..N, both come back with a
+    leading (S,) axis: entry s holds the counts and breakdown mask of the
+    leading sizes[s] x sizes[s] block.  The pivots of a leading block are
+    the first pivots of the whole pencil, so its negative-pivot count is
+    the running count at that node (the Sturm sequence property); the pass
+    ends at the last checkpoint.
 
     Node-major and blocked: inputs are viewed as (N, rows, 1) against lams
     (W = rows * L lanes; off padded so node i holds off[i-1]).  Per block,
     a = diag - lambda mass and e*e are formed whole; per node only one
     divide and one subtract on W lanes run, d_i = a_i - (e*e)_i / d_{i-1}:
     the IEEE operations of the per-node recurrence in its order, so counts
-    are bit-identical to it.  Every caller discards the count of a lane
-    with a zero pivot, so no tiny replaces the zero; that lane's inf/nan
-    warnings are silenced.
+    are bit-identical to it.  Blocks are split at every checkpoint, where
+    the running counts and mask are copied out.  Every caller discards the
+    count of a lane with a zero pivot, so no tiny replaces the zero; that
+    lane's inf/nan warnings are silenced.
     """
     diag = np.asarray(diag, dtype=float)
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     batch, n = diag.shape[:-1], diag.shape[-1]
+    stops = (n,) if sizes is None else tuple(int(k) for k in sizes)
+    if not stops or stops[0] < 1 or stops[-1] > n or any(
+            a >= b for a, b in zip(stops, stops[1:])):
+        raise SturmError(f"checkpoints must increase within 1..{n}, got {stops}")
     width = math.prod(batch) * lams.size
     block = max(1, _BLOCK_BYTES // (8 * max(1, width)))
+    starts = sorted(set(range(0, stops[-1], block)).union(stops[:-1]))
 
     def node_major(x):
         x = np.asarray(x, dtype=float)
@@ -186,10 +217,11 @@ def _sturm_pass(diag, off, mass, lams):
     broke = np.zeros(width, dtype=bool)
     tmp = np.empty(width)
     divide, subtract = np.divide, np.subtract
+    snapshots = []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for s in range(0, n, block):
-            a = diag[s:s + block] - lams * mass[s:s + block]
-            e = off[s:s + block]
+        for s, end in zip(starts, starts[1:] + [stops[-1]]):
+            a = diag[s:end] - lams * mass[s:end]
+            e = off[s:end]
             e2 = np.broadcast_to(e * e, a.shape).reshape(len(a), -1)
             a = a.reshape(len(a), -1)
             first = s == 0
@@ -201,7 +233,10 @@ def _sturm_pass(diag, off, mass, lams):
                 prev = a_j
             counts += (a < 0).sum(0)
             broke |= (a == 0).any(0)
-    return counts.reshape(batch + (-1,)), broke.reshape(batch + (-1,))
+            if end in stops:
+                snapshots.append((counts.copy(), broke.copy()))
+    shape = batch + (-1,) if sizes is None else (len(stops),) + batch + (-1,)
+    return tuple(np.stack(arrs).reshape(shape) for arrs in zip(*snapshots))
 
 
 def _scale(pencil: TridiagonalPencil, lam: float) -> float:
@@ -241,22 +276,29 @@ def count_below_many(pencil: TridiagonalPencil, lams) -> np.ndarray:
     return counts
 
 
-def count_below_stack(diags, offs, masses, lams) -> np.ndarray:
+def count_below_stack(diags, offs, masses, lams, sizes=None) -> np.ndarray:
     """Counts for a stack of pencils sharing one mesh: (M, L) integers.
 
     Used by the mode loop: all modes of one (grid, domain) combination have
     the same mesh, so the Sturm recurrence runs once over an (M, L) block.
-    Exact pivot hits fall back to the per-pencil path.
+    With `sizes` (increasing leading-block sizes, see `_sturm_pass`) the
+    result is (S, M, L): the counts of every nested domain from one pass.
+    Exact pivot hits fall back to the per-pencil path on the leading block
+    of the checkpoint they break.
     """
-    counts, broke = _sturm_pass(diags, offs, masses, lams)
-    if broke.any():
-        offs = np.broadcast_to(offs, diags.shape[:-1] + np.shape(offs)[-1:])
-        masses = np.broadcast_to(masses, diags.shape)
-        for i, j in zip(*np.nonzero(broke)):
-            pencil = TridiagonalPencil(diag=diags[i], offdiag=offs[i],
-                                       mass=masses[i], h=1.0)
-            counts[i, j] = count_below(pencil, float(lams[j]))
-    return counts
+    counts, broke = _sturm_pass(diags, offs, masses, lams, sizes)
+    if not broke.any():
+        return counts
+    offs = np.broadcast_to(offs, diags.shape[:-1] + np.shape(offs)[-1:])
+    masses = np.broadcast_to(masses, diags.shape)
+    stops = (diags.shape[-1],) if sizes is None else tuple(sizes)
+    by_stop = counts.reshape((len(stops),) + broke.shape[-2:])
+    for k, i, j in zip(*np.nonzero(broke.reshape(by_stop.shape))):
+        n = stops[k]
+        pencil = TridiagonalPencil(diag=diags[i, :n], offdiag=offs[i, :n - 1],
+                                   mass=masses[i, :n], h=1.0)
+        by_stop[k, i, j] = count_below(pencil, float(lams[j]))
+    return by_stop.reshape(counts.shape)
 
 
 def gershgorin_lower(pencil: TridiagonalPencil) -> float:

@@ -10,8 +10,8 @@ def counts_reversed_in_lambda(monkeypatch):
     """Make every Sturm pass return its lanes in reversed lambda order."""
     real = sturm._sturm_pass
 
-    def reversed_pass(diag, off, mass, lams):
-        counts, broke = real(diag, off, mass, lams)
+    def reversed_pass(diag, off, mass, lams, sizes=None):
+        counts, broke = real(diag, off, mass, lams, sizes)
         return counts[..., ::-1], broke[..., ::-1]
 
     monkeypatch.setattr(sturm, "_sturm_pass", reversed_pass)

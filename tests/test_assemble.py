@@ -12,7 +12,7 @@ from cusplab.assemble import (AssembleError, cut_invariance_check,
                               threshold_probe, weyl_fit)
 from cusplab.criteria import LOG_LAW, POWER_N2
 from cusplab.model import (EndGeometry, MagneticData, Numerics, ProblemConfig,
-                           builtin_cross_section)
+                           RadialPotential, builtin_cross_section)
 
 TWO_PI = 2 * math.pi
 
@@ -210,3 +210,91 @@ def test_counts_decreasing_in_lambda_are_an_internal_error(counts_reversed_in_la
     with pytest.raises(AssembleError, match=r"counts decreased in lambda for mode "
                                             r"\S+ at grid=500, domain=8\.0"):
         global_counting(cfg)
+
+
+# ---------------------------------------------------------------------------
+# nested domains: one assembly and one pass per grid for p <= 1
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("extras", [False, True], ids=["plain", "potential-flux"])
+@pytest.mark.parametrize("y0", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("p", ["0.25", "0.5", "1"])
+def test_shorter_domains_are_leading_blocks_and_one_pass_equals_per_combo_passes(
+        p, y0, extras):
+    potential = RadialPotential(poly=((0.5, 0.5),), bump=(2.5, 1.0, 5.0)) if extras else None
+    cfg = circle_cfg(p=p, y0=y0, flux="0.25" if extras else None, potential=potential,
+                     grids=(250, 500), domains=(8.0, 12.0, 16.0), lam=(0.5, 6.0, 9))
+    rep = global_counting(cfg)
+    lambdas = cfg.numerics.lambdas()
+    ops = assemble._mode_operators(cfg, float(lambdas[-1]))
+    assert ops
+    mult = np.array([m.multiplicity for m, _ in ops])
+    for g in cfg.numerics.grids:
+        cells = {T: sturm.cells_for(g, T, 8.0) for T in cfg.numerics.domains}
+        assert len({T / c for T, c in cells.items()}) == 1     # one mesh width
+        longest = [assemble._discretize_mode(cfg, op, 16.0, cells[16.0]) for _, op in ops]
+        for T in (8.0, 12.0, 16.0):
+            pens = [assemble._discretize_mode(cfg, op, T, cells[T]) for _, op in ops]
+            for pen, full in zip(pens, longest):
+                n = pen.n
+                assert n == cells[T] - 1
+                assert np.array_equal(pen.diag, full.diag[:n])
+                assert np.array_equal(pen.offdiag, full.offdiag[:n - 1])
+                assert np.array_equal(pen.mass, full.mass[:n])
+            counts = sturm.count_below_stack(np.stack([pen.diag for pen in pens]),
+                                             pens[0].offdiag, pens[0].mass, lambdas)
+            assert np.array_equal(rep.totals_by_combo[(g, T)],
+                                  (mult[:, None] * counts).sum(axis=0))
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Count `sturm.count_below_stack` passes and `sturm.discretize` calls."""
+    calls = {"passes": [], "discretize": 0}
+    stack, discretize = sturm.count_below_stack, sturm.discretize
+
+    def counted_stack(diags, offs, masses, lams, sizes=None):
+        calls["passes"].append((diags.shape[-1], sizes))
+        return stack(diags, offs, masses, lams, sizes)
+
+    def counted_discretize(*args, **kwargs):
+        calls["discretize"] += 1
+        return discretize(*args, **kwargs)
+
+    monkeypatch.setattr(sturm, "count_below_stack", counted_stack)
+    monkeypatch.setattr(sturm, "discretize", counted_discretize)
+    return calls
+
+
+def test_nested_domains_take_one_assembly_and_one_pass_per_grid(work):
+    cfg = circle_cfg(flux="0.5", y0=1.5, lam=(0.5, 30.0, 12))
+    rep = global_counting(cfg)
+    assert len(rep.modes) > 1
+    # domains 8, 16, 32 at 500 and 1000 cells on the first: one width per grid
+    assert work["passes"] == [(1999, [499, 999, 1999]), (3999, [999, 1999, 3999])]
+    assert work["discretize"] == 2 * len(rep.modes)
+
+
+@pytest.mark.parametrize("cfg", [
+    circle_cfg(p="2", flux="0", grids=(200, 400), domains=(2.0, 3.0, 4.0),
+               lam=(0.5, 6.0, 12)),
+    circle_cfg(flux="0.5", domains=(6.0, 8.0), lam=(0.5, 8.0, 4)),
+], ids=["p>1", "widths-differ"])
+def test_domains_that_do_not_nest_take_one_pass_per_combo(work, cfg):
+    rep = global_counting(cfg)
+    num = cfg.numerics
+    combos = len(num.grids) * len(num.domains)
+    assert [sizes for _, sizes in work["passes"]] == [[n] for n, _ in work["passes"]]
+    assert len(work["passes"]) == combos
+    assert work["discretize"] == combos * len(rep.modes)
+
+
+def test_partly_nested_domains_share_a_pass_and_stay_bracketed(work):
+    # at 500 cells on 8, domain 11 has 688 cells (another width) while 8 and
+    # 16 nest; at 1000 cells on 8 all three nest
+    cfg = circle_cfg(flux="0", y0=1.5, domains=(8.0, 11.0, 16.0), lam=(0.05, 1.0, 12))
+    rep = global_counting(cfg)
+    assert work["passes"] == [(687, [687]), (999, [499, 999]), (1999, [999, 1374, 1999])]
+    assert work["discretize"] == 3 * len(rep.modes)
+    assert rep.domain_monotone
+    assert list(rep.totals_by_combo) == [(g, T) for g in (500, 1000) for T in (8.0, 11.0, 16.0)]

@@ -2,12 +2,15 @@
 
 import importlib.util
 import inspect
+import math
 import pathlib
 import sys
 
 import numpy as np
 
 from cusplab import assemble, cli, sturm
+from cusplab.model import (EndGeometry, MagneticData, Numerics, ProblemConfig,
+                           builtin_cross_section)
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -60,6 +63,38 @@ def test_eigenvalue_listing_passes_go_through_the_traced_count(monkeypatch):
     assert len(sturm.eigenvalues_below(pen, 4.0, 1e-8)) == 4
     assert pen.breakdowns > 0
     assert len(passes) > pen.breakdowns and all(passes)
+
+
+def test_counting_passes_go_through_the_traced_stack_count(monkeypatch):
+    """The tracer counts `passes`, `node_steps` and `node_lambdas` of the
+    counting tables at `sturm.count_below_stack`, from its arguments; a pass
+    made around it by `global_counting` would go uncounted."""
+    depth, passes = [0], []
+    count_below_stack, sturm_pass = sturm.count_below_stack, sturm._sturm_pass
+
+    def traced(diags, offs, masses, lams, *args, **kwargs):
+        depth[0] += 1
+        try:
+            return count_below_stack(diags, offs, masses, lams, *args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def kernel(*args):
+        passes.append(depth[0] > 0)
+        return sturm_pass(*args)
+
+    monkeypatch.setattr(sturm, "count_below_stack", traced)
+    monkeypatch.setattr(sturm, "_sturm_pass", kernel)
+    circle = builtin_cross_section("circle", length=2 * math.pi)
+    for p, y0, domains in (("1", 1.5, (8.0, 16.0, 32.0)), ("1", 1.0, (6.0, 8.0)),
+                           ("2", 1.0, (2.0, 3.0))):
+        config = ProblemConfig(
+            geometry=EndGeometry(2, p, y0), cross_section=circle,
+            magnetic=MagneticData(flux=("0.5",)),
+            numerics=Numerics(grids=(200, 400), domains=domains,
+                              lambda_grid=(0.5, 6.0, 12)))
+        assemble.global_counting(config)
+    assert passes and all(passes)
 
 
 def test_cli_accepts_the_benchmark_argv():

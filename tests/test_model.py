@@ -206,6 +206,28 @@ def test_table_accepts_every_degree_up_to_dim():
     assert parse_config(render_config(cfg)) == cfg
 
 
+@pytest.mark.parametrize("pairs, shown", [
+    ("(0.0,1);(1.0,2.5)", "2.5"), ("(0.0,1);(1.0,-1)", "-1.0"),
+    ("(0.0,1);(1.0,-0.5)", "-0.5"), ("(0.0,1);(1.0,1e-9)", "1e-09")])
+def test_table_multiplicities_must_be_non_negative_integers(tmp_path, capsys, pairs, shown):
+    from cusplab import cli
+
+    text = _table_text(2).replace("eigenvalues.0 = (0.0,1);(1.0,2)",
+                                  f"eigenvalues.0 = {pairs}")
+    message = f"line 6: multiplicity must be a non-negative integer, got {shown}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(text)
+    path = tmp_path / "table.cfg"
+    path.write_text(text)
+    assert cli.main(["criteria", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error[config]: {message}\n"
+
+
+def test_integral_table_multiplicities_may_be_written_as_reals():
+    text = _table_text(2).replace("(0.0,1);(1.0,2)", "(0.0,1.0);(1.0,2.0)")
+    assert parse_config(text) == parse_config(_table_text(2))
+
+
 def test_table_rejects_degrees_beyond_dim():
     text = _table_text(2) + "cross_section.eigenvalues.5 = (1.0,1)\n"
     with pytest.raises(ConfigError, match=r"line 8: unknown key "
@@ -231,6 +253,28 @@ def test_round_trip_table_and_extras():
     assert again == cfg
 
 
+#: a cross-section with b1 = 0, where magnetic data has the empty flux ()
+NO_B1 = builtin_cross_section("table", betti=(1, 0), volume=1.0,
+                              tables=[[(0.0, 1), (1.0, 2)], [(1.0, 1)]])
+
+
+def test_round_trip_empty_flux():
+    cfg = ProblemConfig(geometry=EndGeometry(2, "1"), cross_section=NO_B1).with_flux(())
+    text = render_config(cfg)
+    assert "\nmagnetic.flux = \n" in text
+    assert parse_config(text) == cfg
+    # with b1 > 0 the flux-length invariant refuses the empty flux
+    with pytest.raises(ConfigError, match="flux vector length 0"):
+        parse_config(VALID.replace("magnetic.flux = 0.5", "magnetic.flux ="))
+
+
+@pytest.mark.parametrize("key", ["numerics.grid", "numerics.domain_z", "checks.y0",
+                                 "potential.bump", "numerics.lambda_grid"])
+def test_every_other_list_key_refuses_an_empty_value(key):
+    with pytest.raises(ConfigError, match="line 8: expected"):
+        parse_config(VALID + f"{key} =\n")
+
+
 @st.composite
 def configs(draw):
     n = draw(st.sampled_from([2, 3]))
@@ -238,7 +282,9 @@ def configs(draw):
     y0 = draw(st.sampled_from([1.0, 1.5, 2.0]))
     geometry = EndGeometry(n, p, y0)
     if n == 2:
-        cs = builtin_cross_section("circle", length=draw(st.sampled_from([1.0, TWO_PI])))
+        cs = draw(st.sampled_from([builtin_cross_section("circle", length=1.0),
+                                   builtin_cross_section("circle", length=TWO_PI),
+                                   NO_B1]))
     else:
         cs = builtin_cross_section("square_torus", side=TWO_PI, dim=2)
     degree = draw(st.integers(min_value=0, max_value=n))

@@ -431,3 +431,87 @@ def test_bisection_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
     pen = discretize(FLAT, 1.0, 200)
     with pytest.raises(SturmError, match="tolerance must be finite and > 0"):
         eigenvalues_below(pen, 50.0, tol)
+
+
+# ---------------------------------------------------------------------------
+# checkpoint counts: one pass, every leading block
+# ---------------------------------------------------------------------------
+
+def assert_checkpoints_match_reference(diag, off, mass, lams, sizes):
+    got, broke = sturm._sturm_pass(diag, off, mass, lams, sizes)
+    assert got.shape == broke.shape == (len(sizes),) + np.shape(diag)[:-1] + (len(lams),)
+    for k, n in enumerate(sizes):
+        with np.errstate(over="ignore"):
+            want, want_broke = _reference_pass(diag[..., :n], off[..., :n - 1],
+                                               mass[..., :n], lams)
+        assert np.array_equal(broke[k], want_broke)
+        assert np.array_equal(got[k][~broke[k]], want[~want_broke])
+    return got, broke
+
+
+@st.composite
+def checkpoint_inputs(draw):
+    """`pass_inputs` and an increasing checkpoint set; with probability 1/2
+    it holds the last node, and with 8-byte blocks every node is a block."""
+    diag, off, mass, lams = draw(pass_inputs())
+    n = diag.shape[-1]
+    sizes = draw(st.sets(st.integers(min_value=1, max_value=n), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        sizes.add(n)
+    return diag, off, mass, lams, sorted(sizes)
+
+
+@given(checkpoint_inputs(), st.sampled_from([8, 24, 256, sturm._BLOCK_BYTES]))
+@settings(max_examples=200, deadline=None)
+def test_checkpoint_counts_match_the_reference_on_each_leading_block(inputs, block_bytes):
+    with mock.patch.object(sturm, "_BLOCK_BYTES", block_bytes):
+        assert_checkpoints_match_reference(*inputs)
+
+
+def test_checkpoints_on_block_boundaries_and_the_last_node():
+    rng = np.random.default_rng(13)
+    n, lams = 23, np.linspace(-2.0, 2.0, 4)
+    diags, off = rng.uniform(-2, 2, (2, n)), rng.uniform(-1, 1, n - 1)
+    # 256 bytes over 2 x 4 lanes is a block of 4 nodes: starts 0, 4, 8, ...
+    with mock.patch.object(sturm, "_BLOCK_BYTES", 256):
+        for sizes in ([4, 8, 9, n], [1, 2, 3], [n], [3, 5, 20, 21, 22, 23]):
+            assert_checkpoints_match_reference(diags, off, np.ones(n), lams, sizes)
+            assert_checkpoints_match_reference(diags, np.tile(off, (2, 1)),
+                                               np.ones(n), lams, sizes)
+    full, _ = sturm._sturm_pass(diags, off, np.ones(n), lams)
+    assert np.array_equal(sturm._sturm_pass(diags, off, np.ones(n), lams, [n])[0][0], full)
+
+
+def test_pivot_hit_before_at_and_after_a_checkpoint():
+    # decoupled rows: lambda = 2 makes the pivot of node 1 exactly zero
+    diag, off, mass = np.array([1.0, 2.0, 3.0, 4.0]), np.zeros(3), np.ones(4)
+    lams = np.array([2.0, 2.5])
+    got, broke = assert_checkpoints_match_reference(diag, off, mass, lams, [1, 2, 3, 4])
+    assert broke[:, 0].tolist() == [False, True, True, True]
+    assert not broke[:, 1].any()
+    assert got[0, 0] == 1 and got[:, 1].tolist() == [1, 2, 2, 2]
+
+
+def test_stack_checkpoints_fall_back_per_leading_block():
+    n = 8
+    off, mass = np.full(n - 1, -0.5), np.ones(n)
+    off[3] = 0.0
+    diags = np.full((3, n), 3.0)
+    diags[1, 4] = 1.0         # lambda = 1 hits a pivot of row 1 at node 4 only
+    lams = np.array([0.5, 1.0, 2.0])
+    for offs in (off, np.tile(off, (3, 1))):
+        with mock.patch.object(sturm, "count_below", wraps=sturm.count_below) as slow:
+            stacked = count_below_stack(diags, offs, mass, lams, sizes=[3, 5, n])
+        # the hit lies behind checkpoint 3 and before 5 and n: two re-counts
+        assert slow.call_count == 2
+        for k, size in enumerate([3, 5, n]):
+            for i in range(3):
+                pen = TridiagonalPencil(diag=diags[i, :size], offdiag=off[:size - 1],
+                                        mass=mass[:size], h=1.0)
+                assert stacked[k, i].tolist() == [count_below(pen, lam) for lam in lams]
+
+
+@pytest.mark.parametrize("sizes", [[], [0, 3], [3, 3], [4, 2], [2, 7]])
+def test_checkpoints_must_increase_within_the_pencil(sizes):
+    with pytest.raises(SturmError, match="checkpoints must increase within 1..6"):
+        sturm._sturm_pass(np.ones(6), np.zeros(5), np.ones(6), [0.5], sizes)
