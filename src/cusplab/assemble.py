@@ -6,8 +6,9 @@ analytic layer predicts:
 * `global_counting` sums mode counting functions into N(lambda) tables with
   convergence metadata (superposition is exact: the global table is the
   multiplicity-weighted sum of per-mode counts at every lambda).  A
-  planner groups each grid's domains whose meshes nest, and one Sturm
-  pass over a group's longest pencils counts all of them.
+  planner groups each grid's domains whose meshes nest; one stack on the
+  group's longest domain (one mesh, one potential row per mode) and one
+  Sturm pass over it count all of them.
 * `threshold_probe` estimates the bottom of the essential spectrum as the
   smallest lambda at which counts keep growing linearly with the domain
   length; Dirichlet counts for a flat channel grow like T sqrt(lambda-c)/pi
@@ -62,19 +63,13 @@ class SpectrumReport:
 
 
 def _mode_operators(config: ProblemConfig, lambda_max: float):
-    modes = red.enumerate_modes(config, lambda_max)
-    return [(m, red.mode_operator(config, m)) for m in modes]
-
-
-def _discretize_mode(config, op, domain, cells):
-    """Pencil of one mode operator: Liouville form for p <= 1, else weighted.
-
-    For p <= 1 the modes share a flat mesh and differ in the potential W_m;
-    for p > 1 the weighted forms share weights and differ in the potential.
+    """Each mode with its discretization target: the Liouville form for
+    p <= 1, else the weighted operator.  The targets differ only in their
+    potential terms, so `sturm.discretize_stack` assembles them together.
     """
     p = config.geometry.pf
-    target = red.liouville_transform(op, p) if p <= 1.0 else op
-    return sturm.discretize(target, domain, cells)
+    ops = [(m, red.mode_operator(config, m)) for m in red.enumerate_modes(config, lambda_max)]
+    return [(m, red.liouville_transform(op, p) if p <= 1.0 else op) for m, op in ops]
 
 
 def _nested_groups(config, grid):
@@ -88,35 +83,26 @@ def _nested_groups(config, grid):
     """
     domains = config.numerics.domains
     groups = {}
-    for T in dict.fromkeys(domains):
+    for T in domains:
         cells = sturm.cells_for(grid, T, domains[0])
         groups.setdefault(T / cells if config.geometry.pf <= 1.0 else T, []).append(
             (T, cells))
     return sorted(groups.values(), key=lambda group: group[-1][0])
 
 
-def _group_totals(config, ops, lambdas, grid, group, keep_pencils):
+def _group_totals(ops, lambdas, grid, group):
     """The executor: per-mode counts and weighted totals of one nested group.
 
-    Every mode is assembled once, on the group's longest domain, and one
-    stacked pass counts every domain of the group at its interior node
-    count.  Returns (counts (S, M, L), totals (S, L), pencils); the longest
-    domain's mode pencils come back only with keep_pencils, else each is
-    dropped once its diagonal is in the stack.
+    One `sturm.discretize_stack` call assembles every mode on the group's
+    longest domain, and one pass counts every domain of the group at its
+    interior node count.  Returns (counts (S, M, L), totals (S, L), stack).
     """
     if not ops:
         z = np.zeros((len(group), 0, len(lambdas)), dtype=np.int64)
-        return z, z.sum(axis=1), []
+        return z, z.sum(axis=1), ([], None, None)
     domain, cells = group[-1]
-    diags, pencils = None, []
-    for i, (_, op) in enumerate(ops):
-        pen = _discretize_mode(config, op, domain, cells)
-        if diags is None:
-            diags, off, mass = np.empty((len(ops), pen.n)), pen.offdiag, pen.mass
-        diags[i] = pen.diag
-        if keep_pencils:
-            pencils.append(pen)
-    counts = sturm.count_below_stack(diags, off, mass, np.asarray(lambdas),
+    stack = sturm.discretize_stack([op for _, op in ops], domain, cells)
+    counts = sturm.count_below_stack(*stack, np.asarray(lambdas),
                                      sizes=[cells - 1 for _, cells in group])
     # the threshold probe and the Weyl fit read these counts as monotone in lambda
     for (domain, _), c in zip(group, counts):
@@ -126,7 +112,7 @@ def _group_totals(config, ops, lambdas, grid, group, keep_pencils):
             raise AssembleError(f"internal error: counts decreased in lambda for mode "
                                 f"{mode.name} at grid={grid}, domain={domain!r}")
     mult = np.array([m.multiplicity for m, _ in ops], dtype=np.int64)
-    return counts, (mult[:, None] * counts).sum(axis=1), pencils
+    return counts, (mult[:, None] * counts).sum(axis=1), stack
 
 
 def global_counting(config: ProblemConfig, lambdas=None,
@@ -136,10 +122,11 @@ def global_counting(config: ProblemConfig, lambdas=None,
 
     The table reported is the finest combination; `totals_by_combo` keeps
     all of them for stability assessment.  Per grid, each group of nested
-    domains (`_nested_groups`) is assembled once, on its longest domain,
-    and counted in one pass.  If the analytic layer predicts essential
-    spectrum the table is labeled truncation-dependent: counts then grow
-    with the domain and carry no spectral meaning of their own.
+    domains (`_nested_groups`) is assembled as one stack on its longest
+    domain and counted in one pass; the eigenvalue listing takes its
+    pencils from the finest stack's rows.  If the analytic layer predicts
+    essential spectrum the table is labeled truncation-dependent: counts
+    then grow with the domain and carry no spectral meaning of their own.
     """
     lambdas = np.asarray(config.numerics.lambdas() if lambdas is None else lambdas,
                          dtype=float)
@@ -155,19 +142,16 @@ def global_counting(config: ProblemConfig, lambdas=None,
     totals, monotone = {}, True
     for g in grids:
         for group in _nested_groups(config, g):
-            # the finest combo's pencils serve the eigenvalue listing below
-            keep = with_eigenvalues and (g, group[-1][0]) == (gf, domains[-1])
-            counts, group_totals, kept = _group_totals(config, ops, lambdas, g, group,
-                                                       keep)
-            if keep:
-                pencils = kept
-            for (T, _), c, t in zip(group, counts, group_totals):
+            stack = None   # free the previous group's stack before assembling this one
+            counts, group_totals, stack = _group_totals(ops, lambdas, g, group)
+            for (T, _), t in zip(group, group_totals):
                 totals[(g, T)] = t
-                if (g, T) == (gf, domains[-1]):
-                    finest = c
             # Domain monotonicity (Dirichlet bracketing) is exact for nested meshes
             if np.any(np.diff(group_totals, axis=0) < 0):
                 monotone = False
+    # the finest combo (gf, domains[-1]) closes the last group, so the loop
+    # leaves its counts and its stack (the eigenvalue listing's pencils)
+    finest = counts[-1]
     totals = {(g, T): totals[(g, T)] for g in grids for T in domains}   # combo order
     stable = len(domains) >= 2 and bool(
         np.array_equal(totals[(gf, domains[-1])], totals[(gf, domains[-2])]))
@@ -180,7 +164,9 @@ def global_counting(config: ProblemConfig, lambdas=None,
             raise AssembleError(
                 f"{total_top} eigenvalues below {top:g} exceed the listing cap "
                 f"({eigen_cap}); lower lambda_max or raise eigen_cap")
-        for res, pen in zip(mode_results, pencils):
+        diags, off, mass = stack
+        for res, diag in zip(mode_results, diags):
+            pen = sturm.TridiagonalPencil(diag=diag, offdiag=off, mass=mass)
             res.eigenvalues = sturm.eigenvalues_below(pen, top, config.numerics.tol)
 
     n_total = totals[(gf, domains[-1])]
@@ -397,8 +383,8 @@ def cut_invariance_check(config: ProblemConfig, y0_list) -> CheckReport:
     by exhibiting stable counts for every Y0.
     """
     y0s = tuple(y0_list)
-    if len(y0s) < 2:
-        raise AssembleError("cut check needs at least 2 values of Y0")
+    if len(set(y0s)) < 2:
+        raise AssembleError("cut check needs at least 2 distinct values of Y0")
     variants = {y0: threshold_probe(config.with_y0(y0)) for y0 in y0s}
     passed, notes = _agreement(
         {f"Y0={y0!r}": e for y0, e in variants.items()},

@@ -354,8 +354,8 @@ class Numerics:
                 p <= 1, domains whose widths T/cells are the same double
                 nest node for node and are counted in one Sturm pass; for
                 p > 1 (zmax depends on e^T) no two domains nest.
-    domains     transformed-variable lengths: z-interval lengths for p <= 1;
-                for p > 1 a domain T truncates at Ymax = Y0 * e^T.
+    domains     strictly increasing transformed-variable lengths: z-lengths
+                for p <= 1; for p > 1 a domain T truncates at Ymax = Y0 * e^T.
     lambda_grid (lo, hi, count) spectral-parameter grid, linear by default.
     """
 
@@ -374,8 +374,8 @@ class Numerics:
         lo, hi, cnt = self.lambda_grid
         object.__setattr__(self, "lambda_grid", (float(lo), float(hi), int(cnt)))
         _check_domains(self)
-        if list(self.domains) != sorted(self.domains):
-            raise ConfigError("invariant violated: domain lengths must be increasing")
+        if any(a >= b for a, b in zip(self.domains, self.domains[1:])):
+            raise ConfigError("invariant violated: domain lengths must be strictly increasing")
         if not (lo < hi) or cnt < 2:
             raise ConfigError("invariant violated: lambda grid needs lo < hi and count >= 2")
         if self.lambda_scale == "log" and lo <= 0:
@@ -625,8 +625,8 @@ _FIELDS = (
     _Field("zeta.s", "zeta_s", _real),
     _Field("zeta.shift", "zeta_shift", _real),
     _Field("checks.y0", "check_y0", _list(_real), _join,
-           lambda ys: len(ys) >= 2 and all(y >= 1 for y in ys),
-           "checks.y0 needs at least 2 values, each >= 1"),
+           lambda ys: len(set(ys)) >= 2 and all(y >= 1 for y in ys),
+           "checks.y0 needs at least 2 distinct values, each >= 1"),
     _Field("checks.bump", "check_bump", _BUMP, _join, lambda b: b[1] > 0,
            "checks.bump width must be > 0"),
 )

@@ -116,10 +116,13 @@ class CanonicalOperator:
     def y_of_z(self, z):
         return y_of_z(np.asarray(z, dtype=float), self.p, self.y0)
 
-    def w(self, z):
-        y = self.y_of_z(z)
+    def q(self, y):
+        """The normal-form potential W at radial nodes y."""
         conj = ((self.conj_coeff, 2.0 * self.p - 2.0),)
         return potential_values(y, conj + self.potential_terms, self.bump)
+
+    def w(self, z):
+        return self.q(self.y_of_z(z))
 
 
 # ---------------------------------------------------------------------------

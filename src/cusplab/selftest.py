@@ -60,8 +60,7 @@ def criterion_2():
         diag = rng.uniform(-2.0, 2.0, n)
         off = rng.uniform(-1.0, 1.0, n - 1)
         mass = rng.uniform(0.5, 2.0, n)
-        pen = sturm.TridiagonalPencil(diag=diag.copy(), offdiag=off.copy(),
-                                      mass=mass.copy(), h=1.0)
+        pen = sturm.TridiagonalPencil(diag=diag, offdiag=off, mass=mass)
         s = 1.0 / np.sqrt(mass)
         dense = np.diag(diag * s * s)
         ij = np.arange(n - 1)

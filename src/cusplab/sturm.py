@@ -5,6 +5,9 @@ tridiagonal pencil (A, B) by P1 finite elements on a mesh that is uniform
 in the stretched variable z (for p <= 1 the Liouville variable, for p > 1
 the finite arc-length variable).  The mass matrix is lumped, so the
 standard-form reduction stays tridiagonal and Sylvester inertia is exact.
+The modes of one config differ only in their potential terms, so
+`discretize_stack` builds the mesh, weights and lumped mass once and adds
+one diagonal row per mode; `discretize` is its one-operator case.
 
 Eigenvalue counts come from the LDL^T inertia of A - lambda B (a Sturm
 sequence) and eigenvalues from bisection on the counts.  Counts are
@@ -31,7 +34,7 @@ with zmax depending on e^T, so no two domains nest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -54,14 +57,12 @@ class TridiagonalPencil:
     """Symmetric tridiagonal pencil (A, B) with positive lumped mass.
 
     diag/offdiag hold A (stiffness plus lumped potential), mass holds the
-    diagonal of B, which is diagonal.  n is the interior point count and h
-    the mesh width in the meshed variable.
+    diagonal of B, which is diagonal.  n is the interior point count.
     """
 
     diag: np.ndarray
     offdiag: np.ndarray
     mass: np.ndarray
-    h: float
     breakdowns: int = 0
 
     def __post_init__(self):
@@ -96,15 +97,17 @@ def mesh_for(op, length: float, cells: int, mesh: str = "auto"):
 
     Returns (t_nodes, y_nodes): t is the meshed variable (z for canonical
     and p <= 1 weighted operators, arc length for p > 1), y the radial
-    coordinate (None for canonical operators).  `length` is the z-length
-    for p <= 1; for p > 1 it truncates at Ymax = y0 * e^length.  With
-    mesh="uniform-y" a weighted operator is meshed directly in y on
-    [y0, y0 + length] (the cross-check mesh).
+    coordinate at the same nodes.  `length` is the z-length for p <= 1;
+    for p > 1 it truncates at Ymax = y0 * e^length.  With mesh="uniform-y"
+    a weighted operator is meshed directly in y on [y0, y0 + length] (the
+    cross-check mesh).
     """
     if cells < 4:
         raise SturmError("need at least 4 mesh cells (3 interior points)")
     if isinstance(op, CanonicalOperator):
-        return _nested_nodes(op.z0, length, cells), None
+        t = _nested_nodes(op.z0, length, cells)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return t, op.y_of_z(t)
     if not isinstance(op, RadialOperator):
         raise SturmError(f"cannot mesh {type(op).__name__}")
     if mesh == "uniform-y":
@@ -126,43 +129,50 @@ def mesh_for(op, length: float, cells: int, mesh: str = "auto"):
     return t, y
 
 
-def discretize(op, length: float, cells: int, mesh: str = "auto") -> TridiagonalPencil:
-    """P1 assembly of the operator's quadratic form, Dirichlet both ends.
+def discretize_stack(ops, length: float, cells: int, mesh: str = "auto"):
+    """P1 assembly of operators that differ only in their potential terms.
 
-    Stiffness weights are evaluated at cell midpoints, the potential and
-    the lumped mass at the nodes.
+    Returns (diags (M, n), offdiag, mass): row m is the diagonal of ops[m]'s
+    pencil; the mesh, stiffness and lumped mass are built once and shared.
+    Dirichlet both ends; stiffness weights are evaluated at cell midpoints,
+    the potential and the mass at the nodes.  A canonical operator has unit
+    weights and is assembled in z, a weighted one in y.  Operators that
+    differ in anything but `potential_terms` are refused.
     """
+    op = ops[0]
     t, y = mesh_for(op, length, cells, mesh)
-    h = np.diff(t)
+    if any(type(o) is not type(op) or replace(o, potential_terms=op.potential_terms) != op
+           for o in ops[1:]):
+        raise SturmError("stacked operators may differ only in their potential terms")
+    canonical = isinstance(op, CanonicalOperator)
+    x = t if canonical else y
     with np.errstate(over="ignore", invalid="ignore"):
-        if isinstance(op, CanonicalOperator):
-            w1_mid = np.ones(len(t) - 1)
-            w0_node = np.ones(len(t))
-            q_node = op.w(t)
-            _check_finite("the normal-form potential", q_node)
+        h = np.diff(x)
+        if canonical:
+            w1_mid, w0 = np.ones(len(x) - 1), np.ones(len(x))
         else:
-            x = y
-            xmid = 0.5 * (x[:-1] + x[1:])
-            hx = np.diff(x)
-            w1_mid = op.w1(xmid)
-            w0_node = op.w0(x)
-            q_node = op.q(x)
+            w1_mid, w0 = op.w1(0.5 * (x[:-1] + x[1:])), op.w0(x)
             _check_finite("the stiffness weight", w1_mid)
-            _check_finite("the density weight", w0_node)
-            _check_finite("the potential", q_node)
-            # assembly happens in the radial coordinate
-            t = x
-            h = hx
+            _check_finite("the density weight", w0)
     lump = 0.5 * (h[:-1] + h[1:])
     k = w1_mid / h
-    diag = k[:-1] + k[1:] + q_node[1:-1] * w0_node[1:-1] * lump
-    off = -k[1:-1]
-    _check_finite("the assembled stiffness", diag)
-    pencil = TridiagonalPencil(diag=diag, offdiag=off, mass=w0_node[1:-1] * lump,
-                               h=float(h[0]))
-    if pencil.n < 3:
-        raise SturmError("need at least 3 interior points")
-    return pencil
+    mass = w0[1:-1] * lump
+    if np.any(mass <= 0):
+        raise SturmError("mass matrix must be strictly positive")
+    diags = np.empty((len(ops), len(x) - 2))
+    for row, o in zip(diags, ops):
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = o.q(y)
+        _check_finite("the normal-form potential" if canonical else "the potential", q)
+        row[:] = k[:-1] + k[1:] + q[1:-1] * w0[1:-1] * lump
+        _check_finite("the assembled stiffness", row)
+    return diags, -k[1:-1], mass
+
+
+def discretize(op, length: float, cells: int, mesh: str = "auto") -> TridiagonalPencil:
+    """The pencil of one operator: a one-row `discretize_stack`."""
+    (diag,), off, mass = discretize_stack([op], length, cells, mesh)
+    return TridiagonalPencil(diag=diag, offdiag=off, mass=mass)
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +305,7 @@ def count_below_stack(diags, offs, masses, lams, sizes=None) -> np.ndarray:
     by_stop = counts.reshape((len(stops),) + broke.shape[-2:])
     for k, i, j in zip(*np.nonzero(broke.reshape(by_stop.shape))):
         n = stops[k]
-        pencil = TridiagonalPencil(diag=diags[i, :n], offdiag=offs[i, :n - 1],
-                                   mass=masses[i, :n], h=1.0)
+        pencil = TridiagonalPencil(diags[i, :n], offs[i, :n - 1], masses[i, :n])
         by_stop[k, i, j] = count_below(pencil, float(lams[j]))
     return by_stop.reshape(counts.shape)
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cusplab import assemble, reduce as red, sturm
+from cusplab import assemble, sturm
 from cusplab.assemble import (AssembleError, cut_invariance_check,
                               global_counting, perturbation_stability_check,
                               report_to_dict, report_two_column,
@@ -13,6 +13,7 @@ from cusplab.assemble import (AssembleError, cut_invariance_check,
 from cusplab.criteria import LOG_LAW, POWER_N2
 from cusplab.model import (EndGeometry, MagneticData, Numerics, ProblemConfig,
                            RadialPotential, builtin_cross_section)
+from cusplab.reduce import CanonicalOperator
 
 TWO_PI = 2 * math.pi
 
@@ -71,23 +72,14 @@ def test_eigenvalue_listing_and_cap():
         global_counting(cfg, with_eigenvalues=True, eigen_cap=0)
 
 
-def test_eigenvalue_listing_reuses_the_finest_pencils(monkeypatch):
+def test_eigenvalue_listing_reuses_the_finest_pencils(work):
     cfg = circle_cfg(flux="0.5", lam=(0.5, 8.0, 4), domains=(6.0, 8.0))
-    calls = []
-    real = sturm.discretize
-
-    def counted(*args, **kwargs):
-        calls.append(args[1:3])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(sturm, "discretize", counted)
     rep = global_counting(cfg, with_eigenvalues=True)
-    monkeypatch.undo()
-    # one assembly per mode and (grid, domain) combo, none again for the listing
-    assert len(calls) == 2 * 2 * len(rep.modes)
+    # one stack per (grid, domain) combo, none again for the listing
+    assert work["stacks"] == [len(rep.modes)] * 4
     cells = sturm.cells_for(1000, 8.0, 6.0)
-    for r in rep.modes:
-        pen = assemble._discretize_mode(cfg, red.mode_operator(cfg, r.mode), 8.0, cells)
+    for r, (_, op) in zip(rep.modes, assemble._mode_operators(cfg, 8.0)):
+        pen = sturm.discretize(op, 8.0, cells)
         assert r.eigenvalues == sturm.eigenvalues_below(pen, 8.0, cfg.numerics.tol)
 
 
@@ -154,8 +146,9 @@ def test_cut_invariance_pure_point_stable_counts():
 
 
 def test_cut_invariance_needs_two_y0():
-    with pytest.raises(AssembleError, match="2 values"):
-        cut_invariance_check(circle_cfg(flux="0"), (1.0,))
+    for y0s in ((1.0,), (1.0, 1.0)):
+        with pytest.raises(AssembleError, match="2 distinct values"):
+            cut_invariance_check(circle_cfg(flux="0"), y0s)
 
 
 def test_perturbation_check_with_bump():
@@ -232,37 +225,92 @@ def test_shorter_domains_are_leading_blocks_and_one_pass_equals_per_combo_passes
     for g in cfg.numerics.grids:
         cells = {T: sturm.cells_for(g, T, 8.0) for T in cfg.numerics.domains}
         assert len({T / c for T, c in cells.items()}) == 1     # one mesh width
-        longest = [assemble._discretize_mode(cfg, op, 16.0, cells[16.0]) for _, op in ops]
+        diags, off, mass = sturm.discretize_stack([op for _, op in ops], 16.0, cells[16.0])
         for T in (8.0, 12.0, 16.0):
-            pens = [assemble._discretize_mode(cfg, op, T, cells[T]) for _, op in ops]
-            for pen, full in zip(pens, longest):
+            pens = [sturm.discretize(op, T, cells[T]) for _, op in ops]
+            for pen, full in zip(pens, diags):
                 n = pen.n
                 assert n == cells[T] - 1
-                assert np.array_equal(pen.diag, full.diag[:n])
-                assert np.array_equal(pen.offdiag, full.offdiag[:n - 1])
-                assert np.array_equal(pen.mass, full.mass[:n])
+                assert np.array_equal(pen.diag, full[:n])
+                assert np.array_equal(pen.offdiag, off[:n - 1])
+                assert np.array_equal(pen.mass, mass[:n])
             counts = sturm.count_below_stack(np.stack([pen.diag for pen in pens]),
                                              pens[0].offdiag, pens[0].mass, lambdas)
             assert np.array_equal(rep.totals_by_combo[(g, T)],
                                   (mult[:, None] * counts).sum(axis=0))
 
 
+# ---------------------------------------------------------------------------
+# one stack per nested group: shared mesh and weights, one potential row per mode
+# ---------------------------------------------------------------------------
+
+def _reference_pencil(op, length, cells):
+    """P1 assembly of one operator written out: k = w1(midpoints)/h,
+    diag = k[:-1] + k[1:] + q w0 lump; the normal form in z with W = op.w."""
+    t, y = sturm.mesh_for(op, length, cells)
+    if isinstance(op, CanonicalOperator):
+        h, w1, w0, q = np.diff(t), np.ones(cells), np.ones(cells + 1), op.w(t)
+    else:
+        h, w1, w0, q = np.diff(y), op.w1(0.5 * (y[:-1] + y[1:])), op.w0(y), op.q(y)
+    lump = 0.5 * (h[:-1] + h[1:])
+    k = w1 / h
+    return k[:-1] + k[1:] + q[1:-1] * w0[1:-1] * lump, -k[1:-1], w0[1:-1] * lump
+
+
+def _assert_stack_rows_are_the_single_pencils(cfg, domain, cells):
+    ops = [op for _, op in assemble._mode_operators(cfg, float(cfg.numerics.lambdas()[-1]))]
+    assert len(ops) > 1
+    diags, off, mass = sturm.discretize_stack(ops, domain, cells)
+    assert diags.shape == (len(ops), cells - 1)
+    for op, diag in zip(ops, diags):
+        pen = sturm.discretize(op, domain, cells)
+        assert np.array_equal(diag, pen.diag)
+        assert np.array_equal(off, pen.offdiag)
+        assert np.array_equal(mass, pen.mass)
+        ref_diag, ref_off, ref_mass = _reference_pencil(op, domain, cells)
+        assert np.array_equal(diag, ref_diag)
+        assert np.array_equal(off, ref_off)
+        assert np.array_equal(mass, ref_mass)
+
+
+@pytest.mark.parametrize("extras", [False, True], ids=["plain", "poly-bump-flux"])
+@pytest.mark.parametrize("y0", [1.0, 1.5])
+@pytest.mark.parametrize("p", ["1/4", "1/2", "1", "2"])
+def test_stack_rows_are_bit_identical_to_single_operator_pencils(p, y0, extras):
+    potential = RadialPotential(poly=((0.5, 0.5),), bump=(2.5, 1.0, 5.0)) if extras else None
+    cfg = circle_cfg(p=p, y0=y0, flux="0.25" if extras else "0", potential=potential,
+                     grids=(200,), domains=(2.0, 3.0), lam=(0.5, 6.0, 4))
+    _assert_stack_rows_are_the_single_pencils(cfg, 3.0, 300)
+
+
+@pytest.mark.parametrize("p", ["1/4", "1", "2"])
+def test_form_sector_stack_rows_are_bit_identical_to_single_operator_pencils(p):
+    cfg = ProblemConfig(
+        geometry=EndGeometry(3, p, 1.5),
+        cross_section=builtin_cross_section("square_torus", side=TWO_PI, dim=2),
+        degree=1, numerics=Numerics(grids=(200,), domains=(2.0, 3.0),
+                                    lambda_grid=(0.5, 6.0, 4)))
+    terms = [op.potential_terms for _, op in assemble._mode_operators(cfg, 6.0)]
+    assert terms[0] == () and terms[1] != ()   # sector 1 carries the extra potential
+    _assert_stack_rows_are_the_single_pencils(cfg, 3.0, 300)
+
+
 @pytest.fixture
 def work(monkeypatch):
-    """Count `sturm.count_below_stack` passes and `sturm.discretize` calls."""
-    calls = {"passes": [], "discretize": 0}
-    stack, discretize = sturm.count_below_stack, sturm.discretize
+    """Record `sturm.count_below_stack` passes and `sturm.discretize_stack` rows."""
+    calls = {"passes": [], "stacks": []}
+    count, assembly = sturm.count_below_stack, sturm.discretize_stack
 
-    def counted_stack(diags, offs, masses, lams, sizes=None):
+    def counted_count(diags, offs, masses, lams, sizes=None):
         calls["passes"].append((diags.shape[-1], sizes))
-        return stack(diags, offs, masses, lams, sizes)
+        return count(diags, offs, masses, lams, sizes)
 
-    def counted_discretize(*args, **kwargs):
-        calls["discretize"] += 1
-        return discretize(*args, **kwargs)
+    def counted_assembly(ops, *args, **kwargs):
+        calls["stacks"].append(len(ops))
+        return assembly(ops, *args, **kwargs)
 
-    monkeypatch.setattr(sturm, "count_below_stack", counted_stack)
-    monkeypatch.setattr(sturm, "discretize", counted_discretize)
+    monkeypatch.setattr(sturm, "count_below_stack", counted_count)
+    monkeypatch.setattr(sturm, "discretize_stack", counted_assembly)
     return calls
 
 
@@ -272,7 +320,7 @@ def test_nested_domains_take_one_assembly_and_one_pass_per_grid(work):
     assert len(rep.modes) > 1
     # domains 8, 16, 32 at 500 and 1000 cells on the first: one width per grid
     assert work["passes"] == [(1999, [499, 999, 1999]), (3999, [999, 1999, 3999])]
-    assert work["discretize"] == 2 * len(rep.modes)
+    assert work["stacks"] == [len(rep.modes)] * 2
 
 
 @pytest.mark.parametrize("cfg", [
@@ -286,7 +334,7 @@ def test_domains_that_do_not_nest_take_one_pass_per_combo(work, cfg):
     combos = len(num.grids) * len(num.domains)
     assert [sizes for _, sizes in work["passes"]] == [[n] for n, _ in work["passes"]]
     assert len(work["passes"]) == combos
-    assert work["discretize"] == combos * len(rep.modes)
+    assert work["stacks"] == [len(rep.modes)] * combos
 
 
 def test_partly_nested_domains_share_a_pass_and_stay_bracketed(work):
@@ -295,6 +343,6 @@ def test_partly_nested_domains_share_a_pass_and_stay_bracketed(work):
     cfg = circle_cfg(flux="0", y0=1.5, domains=(8.0, 11.0, 16.0), lam=(0.05, 1.0, 12))
     rep = global_counting(cfg)
     assert work["passes"] == [(687, [687]), (999, [499, 999]), (1999, [999, 1374, 1999])]
-    assert work["discretize"] == 3 * len(rep.modes)
+    assert work["stacks"] == [len(rep.modes)] * 3
     assert rep.domain_monotone
     assert list(rep.totals_by_combo) == [(g, T) for g in (500, 1000) for T in (8.0, 11.0, 16.0)]

@@ -59,7 +59,7 @@ def test_eigenvalue_listing_passes_go_through_the_traced_count(monkeypatch):
     monkeypatch.setattr(sturm, "_sturm_pass", kernel)
     # tree points land on the diagonal, so breakdown re-counts happen too
     pen = sturm.TridiagonalPencil(diag=np.array([0.0, 1.0, 2.0, 3.0]),
-                                  offdiag=np.zeros(3), mass=np.ones(4), h=1.0)
+                                  offdiag=np.zeros(3), mass=np.ones(4))
     assert len(sturm.eigenvalues_below(pen, 4.0, 1e-8)) == 4
     assert pen.breakdowns > 0
     assert len(passes) > pen.breakdowns and all(passes)

@@ -375,6 +375,22 @@ def test_out_of_domain_config_values_exit_one(cfg_path, capsys, command, line):
     assert err.startswith("error[config]") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, line, argv", [
+    # each used to run and compare a domain or a cut with itself: essspec
+    # exited 2 with "counts stable" and cut-check passed vacuously
+    ("essspec", "numerics.domain_z = 8,16,16", []),
+    ("essspec", None, ["--domains", "8,16,16"]),
+    ("cut-check", "checks.y0 = 1.0,1.0", []),
+], ids=["domain_z", "--domains", "checks.y0"])
+def test_repeated_domains_or_cuts_are_config_errors(cfg_path, capsys, command, line, argv):
+    text = PROBE_CFG if line is None else with_line(PROBE_CFG, line)
+    assert main([command, "--config", cfg_path(text)] + argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error[config]: invariant violated: ") and err.count("\n") == 1
+    assert ("strictly increasing" if command == "essspec" else "2 distinct values") in err
+
+
 NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity"])
 NOT_A_NUMBER = st.sampled_from(["", "abc", "1/2", "0x10"])
 
@@ -389,7 +405,7 @@ OUT_OF_DOMAIN = {
     "numerics.grid": st.one_of(st.integers(max_value=3).map(str), NOT_A_NUMBER,
                                st.sampled_from(["400,3", "2.5", "400,", "nan"])),
     "numerics.domain_z": st.one_of(reals(max_value=0), NON_FINITE, NOT_A_NUMBER,
-                                   st.sampled_from(["16,8", "8,nan", "8,-1", "8,inf"])),
+                                   st.sampled_from(["16,8", "8,8", "8,nan", "8,-1", "8,inf"])),
     "numerics.tol": st.one_of(reals(max_value=0), NON_FINITE, NOT_A_NUMBER),
     "numerics.lambda_grid": st.one_of(
         st.tuples(reals(min_value=-10, max_value=10), reals(min_value=-10, max_value=10))
@@ -405,7 +421,7 @@ OUT_OF_DOMAIN = {
     "numerics.rho_min_factor": st.one_of(reals(max_value=0), NON_FINITE, NOT_A_NUMBER),
     "checks.y0": st.one_of(reals(max_value=1, exclude_max=True).map(lambda y: f"1,{y}"),
                            NON_FINITE.map(lambda x: f"1,{x}"),
-                           st.sampled_from(["1", "2", "1,,2", "1,abc"])),
+                           st.sampled_from(["1", "2", "1,1", "1,,2", "1,abc"])),
     "checks.bump": st.one_of(reals(max_value=0).map(lambda w: f"2.5,{w},5"),
                              NON_FINITE.map(lambda x: f"2.5,1,{x}"),
                              NON_FINITE.map(lambda x: f"{x},1,5"),

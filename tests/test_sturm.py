@@ -1,6 +1,7 @@
 """Pencil assembly, inertia counts, bisection, and extrapolation."""
 
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -9,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from cusplab import sturm
 from cusplab.reduce import CanonicalOperator, RadialOperator
-from cusplab.sturm import (SturmError, TridiagonalPencil, cells_for,
-                           count_below, count_below_many,
-                           count_below_stack, discretize, eigenvalues_below,
-                           gershgorin_lower, observed_order, richardson)
+from cusplab.sturm import (SturmError, TridiagonalPencil, cells_for, count_below,
+                           count_below_many, count_below_stack, discretize,
+                           discretize_stack, eigenvalues_below, gershgorin_lower,
+                           observed_order, richardson)
 
 PI2 = math.pi * math.pi
 FLAT = CanonicalOperator(p=1.0, y0=1.0, z0=0.0, conj_coeff=0.0)
@@ -59,11 +60,28 @@ def test_weighted_pencil_matches_flat_channel():
 
 
 def test_small_grid_rejected():
-    with pytest.raises(SturmError, match="cells"):
+    with pytest.raises(SturmError, match=r"4 mesh cells \(3 interior points\)"):
         discretize(FLAT, 1.0, 3)
-    with pytest.raises(SturmError, match="interior"):
-        TridiagonalPencil(diag=np.ones(2), offdiag=-np.ones(1),
-                          mass=np.ones(2), h=0.1) and discretize(FLAT, 1.0, 3)
+
+
+WEIGHTED = RadialOperator(density_exponent=-2.0, stiffness_exponent=0.0,
+                          potential_terms=((1.0, 2.0),), y0=1.0)
+
+
+@pytest.mark.parametrize("first, other", [
+    (WEIGHTED, replace(WEIGHTED, density_exponent=-1.0)),
+    (WEIGHTED, replace(WEIGHTED, stiffness_exponent=1.0)),
+    (WEIGHTED, replace(WEIGHTED, y0=1.5)),
+    (WEIGHTED, replace(WEIGHTED, bump=(2.5, 1.0, 5.0))),
+    (FLAT, replace(FLAT, y0=1.5)),
+    (FLAT, replace(FLAT, conj_coeff=0.25)),
+    (FLAT, replace(FLAT, bump=(2.5, 1.0, 5.0))),
+    (FLAT, WEIGHTED),
+], ids=["density", "stiffness", "y0", "bump", "canonical-y0", "canonical-conj",
+        "canonical-bump", "mixed"])
+def test_stack_refuses_operators_that_differ_beyond_the_potential(first, other):
+    with pytest.raises(SturmError, match="differ only in their potential terms"):
+        discretize_stack([first, first, other], 4.0, 40)
 
 
 def test_overflow_names_the_term():
@@ -78,7 +96,7 @@ def test_count_matches_dense_oracle_fixed_seed():
         n = int(rng.integers(3, 120))
         pen = TridiagonalPencil(diag=rng.uniform(-2, 2, n),
                                 offdiag=rng.uniform(-1, 1, n - 1),
-                                mass=rng.uniform(0.5, 2.0, n), h=1.0)
+                                mass=rng.uniform(0.5, 2.0, n))
         spec = dense_spectrum(pen)
         for lam in rng.uniform(spec[0] - 0.5, spec[-1] + 0.5, 8):
             assert count_below(pen, float(lam)) == int(np.sum(spec < lam))
@@ -90,7 +108,7 @@ def test_count_nondecreasing_in_lambda(n, seed):
     rng = np.random.default_rng(seed)
     pen = TridiagonalPencil(diag=rng.uniform(-2, 2, n),
                             offdiag=rng.uniform(-1, 1, n - 1),
-                            mass=rng.uniform(0.5, 2.0, n), h=1.0)
+                            mass=rng.uniform(0.5, 2.0, n))
     lams = np.sort(rng.uniform(-6.0, 6.0, 12))
     counts = count_below_many(pen, lams)
     assert np.all(np.diff(counts) >= 0)
@@ -107,13 +125,13 @@ def test_count_stack_matches_scalar_counts():
     stacked = count_below_stack(diags, off, mass, lams)
     for i in range(4):
         pen = TridiagonalPencil(diag=diags[i].copy(), offdiag=off.copy(),
-                                mass=mass.copy(), h=1.0)
+                                mass=mass.copy())
         assert np.array_equal(stacked[i], count_below_many(pen, lams))
 
 
 def test_exact_pivot_hit_is_recorded_and_deterministic():
     pen = TridiagonalPencil(diag=np.ones(5), offdiag=np.zeros(4),
-                            mass=np.ones(5), h=1.0)
+                            mass=np.ones(5))
     a = count_below(pen, 1.0)
     b = count_below(pen, 1.0)
     assert a == b == 0          # eigenvalues lie exactly at 1, not below
@@ -124,7 +142,7 @@ def test_breakdown_at_the_shifted_lambda_raises():
     # the shift scale is 6, so lambda = 1 shifted down lands exactly on
     # diag[1]; the true count below 1 is 1, and no count is returned
     pen = TridiagonalPencil(diag=np.array([1.0, 1.0 - 6e-14, 5.0]),
-                            offdiag=np.zeros(2), mass=np.ones(3), h=1.0)
+                            offdiag=np.zeros(2), mass=np.ones(3))
     with pytest.raises(SturmError, match=r"breakdown at lambda = 1\.0 persists"):
         count_below(pen, 1.0)
 
@@ -133,7 +151,7 @@ def test_eigenvalues_below_multiplicity_from_clusters():
     # two decoupled identical 2x2 blocks: doubly degenerate eigenvalues
     diag = np.array([2.0, 2.0, 2.0, 2.0])
     off = np.array([-1.0, 0.0, -1.0])
-    pen = TridiagonalPencil(diag=diag, offdiag=off, mass=np.ones(4), h=1.0)
+    pen = TridiagonalPencil(diag=diag, offdiag=off, mass=np.ones(4))
     got = eigenvalues_below(pen, 10.0, 1e-12)
     assert np.allclose(got, [1.0, 1.0, 3.0, 3.0], atol=1e-10)
 
@@ -279,14 +297,14 @@ def test_stack_breakdown_falls_back_to_per_row_counts():
     for offs in (off, np.tile(off, (3, 1))):
         stacked = count_below_stack(diags, offs, mass, lams)
         for i in range(3):
-            pen = TridiagonalPencil(diag=diags[i], offdiag=off, mass=mass, h=1.0)
+            pen = TridiagonalPencil(diag=diags[i], offdiag=off, mass=mass)
             assert stacked[i].tolist() == [count_below(pen, lam) for lam in lams]
             assert pen.breakdowns == (1 if i == 1 else 0)
 
 
 def test_bisection_rejects_counts_that_decrease_in_lambda(counts_reversed_in_lambda):
     pen = TridiagonalPencil(diag=np.array([1.0, 3.0]), offdiag=np.zeros(1),
-                            mass=np.ones(2), h=1.0)
+                            mass=np.ones(2))
     with pytest.raises(SturmError, match="decreased in lambda"):
         eigenvalues_below(pen, 10.0, 1e-8)
 
@@ -344,7 +362,7 @@ def listing_inputs(draw):
         diag = rng.choice([-1.0, 0.5, 2.0], n)
         off = np.zeros(n - 1)
         mass = np.ones(n)
-    pen = TridiagonalPencil(diag=diag, offdiag=off, mass=mass, h=1.0)
+    pen = TridiagonalPencil(diag=diag, offdiag=off, mass=mass)
     # a negative offset puts lambda below the Gershgorin bound: k = 0
     lam = gershgorin_lower(pen) + draw(st.sampled_from([-0.25, 1.0, 4.0, 8.0, 12.0, 16.0]))
     if kind == "random":
@@ -368,7 +386,7 @@ def test_listing_above_the_lane_budget_equals_bisection():
     rng = np.random.default_rng(5)
     n = 150
     pen = TridiagonalPencil(diag=rng.uniform(-2, 2, n), offdiag=rng.uniform(-1, 1, n - 1),
-                            mass=rng.uniform(0.5, 2.0, n), h=1.0)
+                            mass=rng.uniform(0.5, 2.0, n))
     got = eigenvalues_below(pen, 1.0, 1e-11)
     assert len(got) > sturm._PASS_LANES
     assert got == _reference_bisection(pen, 1.0, 1e-11)
@@ -420,7 +438,7 @@ def test_breakdown_shifts_apply_per_evaluated_point():
     # 1 and 3.  Bisection evaluates 2 for all four indices and 1 and 3 for
     # two each; the multisection evaluates each point once.
     pen, ref = (TridiagonalPencil(diag=np.array([0.0, 1.0, 2.0, 3.0]),
-                                  offdiag=np.zeros(3), mass=np.ones(4), h=1.0)
+                                  offdiag=np.zeros(3), mass=np.ones(4))
                 for _ in range(2))
     assert eigenvalues_below(pen, 4.0, 1e-8) == _reference_bisection(ref, 4.0, 1e-8)
     assert (pen.breakdowns, ref.breakdowns) == (3, 8)
@@ -507,7 +525,7 @@ def test_stack_checkpoints_fall_back_per_leading_block():
         for k, size in enumerate([3, 5, n]):
             for i in range(3):
                 pen = TridiagonalPencil(diag=diags[i, :size], offdiag=off[:size - 1],
-                                        mass=mass[:size], h=1.0)
+                                        mass=mass[:size])
                 assert stacked[k, i].tolist() == [count_below(pen, lam) for lam in lams]
 
 
