@@ -45,10 +45,9 @@ def run_one(name: str) -> None:
     cfg = EXPERIMENTS[name]
     t0 = time.time()
     rep = global_counting(cfg)
-    fit = weyl_fit(rep, rep.prediction.weyl_regime, cfg.geometry.n, cfg.geometry.pf)
+    fit = weyl_fit(rep)
     pred = rep.prediction
-    const = {"power_n2": pred.c1, "log_law": pred.c2,
-             "power_half_p": pred.c3}[pred.weyl_regime]
+    const = pred.weyl_constant
     print(f"--- {name}: p = {cfg.geometry.p}, regime {pred.weyl_regime}")
     print(f"    model {fit.model}")
     print(f"    fitted exponent  {fit.exponent:.4f}")

@@ -14,7 +14,7 @@ analytic layer predicts:
   length; Dirichlet counts for a flat channel grow like T sqrt(lambda-c)/pi
   per unit length, so half that predicted rate separates real growth from
   boundary effects.
-* `weyl_fit` fits the counting table against the regime's asymptotic law.
+* `weyl_fit` fits the counting table against the predicted law and judges it.
 * `cut_invariance_check` / `perturbation_stability_check` verify that the
   probe's output ignores the cut location and compact perturbations; an
   inconclusive probe leaves the check undecided (passed None), never failed.
@@ -35,6 +35,11 @@ from . import criteria, reduce as red, sturm
 from .criteria import Prediction, classify
 from .model import ProblemConfig
 from .reduce import ModeSpec
+
+
+WEYL_EXPONENT_TOL = 0.1     # Weyl verdict: |fitted - predicted exponent|
+WEYL_CONSTANT_RTOL = 0.2    # Weyl verdict: |fitted / predicted constant - 1|
+EIGEN_CAP = 400             # most eigenvalues `global_counting` lists
 
 
 class AssembleError(ValueError):
@@ -116,8 +121,7 @@ def _group_totals(ops, lambdas, grid, group):
 
 
 def global_counting(config: ProblemConfig, lambdas=None,
-                    with_eigenvalues: bool = False,
-                    eigen_cap: int = 400, sectors=None) -> SpectrumReport:
+                    with_eigenvalues: bool = False, sectors=None) -> SpectrumReport:
     """Counting table N(lambda) over the configured (grid x domain) study.
 
     The table reported is the finest combination; `totals_by_combo` keeps
@@ -160,10 +164,10 @@ def global_counting(config: ProblemConfig, lambdas=None,
     if with_eigenvalues:
         top = float(lambdas[-1])
         total_top = int(totals[(gf, domains[-1])][-1])
-        if total_top > eigen_cap:
+        if total_top > EIGEN_CAP:
             raise AssembleError(
                 f"{total_top} eigenvalues below {top:g} exceed the listing cap "
-                f"({eigen_cap}); lower lambda_max or raise eigen_cap")
+                f"({EIGEN_CAP}); lower lambda_max or raise eigen_cap")
         diags, off, mass = stack
         for res, diag in zip(mode_results, diags):
             pen = sturm.TridiagonalPencil(diag=diag, offdiag=off, mass=mass)
@@ -200,7 +204,6 @@ class ThresholdEstimate:
     predicted: Optional[float]
     inconclusive: bool
     no_growth: bool
-    rates: dict
     notes: tuple = ()
 
     @property
@@ -243,23 +246,18 @@ def threshold_probe(config: ProblemConfig, lambdas=None, sectors=None,
     unstable = totals[domains[-1]] != totals[domains[-2]]
     step = float(np.max(np.diff(lambdas)))
     detection = (math.pi / tmax) ** 2
-    rates = {}
-    ts = np.array(domains)
-    stacked = np.stack([totals[T] for T in domains]).astype(float)
-    slopes = np.polyfit(ts, stacked, 1)[0]
-    for i, lam in enumerate(lambdas):
-        rates[float(lam)] = float(slopes[i])
-
     if not unstable.any():
         return ThresholdEstimate(
             value=None, error=detection + step, predicted=predicted,
-            inconclusive=False, no_growth=True, rates=rates,
+            inconclusive=False, no_growth=True,
             notes=("counts stable under domain growth across the window: "
                    "no essential spectrum detected",))
 
     first = int(np.argmax(unstable))
     c_hat = float(lambdas[first]) - 0.5 * step
     above = np.arange(len(lambdas)) >= first
+    stacked = np.stack([totals[T] for T in domains]).astype(float)
+    slopes = np.polyfit(np.array(domains), stacked, 1)[0]
     rho_min = num.rho_min_factor * np.sqrt(np.maximum(
         lambdas - c_hat, 0.0)) / math.pi
     growing = bool(np.any(slopes[above] >= rho_min[above]) and slopes[above].max() > 0)
@@ -267,11 +265,10 @@ def threshold_probe(config: ProblemConfig, lambdas=None, sectors=None,
     if not growing:
         return ThresholdEstimate(
             value=c_hat, error=error, predicted=predicted, inconclusive=True,
-            no_growth=False, rates=rates,
-            notes=("instability without sustained growth: inconclusive",))
+            no_growth=False, notes=("instability without sustained growth: inconclusive",))
     return ThresholdEstimate(
         value=c_hat, error=error, predicted=predicted, inconclusive=False,
-        no_growth=False, rates=rates)
+        no_growth=False)
 
 
 # ---------------------------------------------------------------------------
@@ -287,18 +284,30 @@ class WeylFit:
     lambda_range: tuple
     n_range: tuple
     model: str
+    expected_exponent: float
+    predicted_constant: Optional[float]
+    consistent: Optional[bool]
+    notes: tuple = ()
 
 
-def weyl_fit(report: SpectrumReport, regime: str, n: int, p) -> WeylFit:
-    """Least-squares fit of the counting table against the regime's law.
+def weyl_fit(report: SpectrumReport) -> WeylFit:
+    """Least-squares fit of the counting table against the predicted law.
 
-    Power regimes fit log N = a log lambda + b on the top 80 percent of the
-    log-lambda window (the law is asymptotic) and then re-extract the
-    constant at the theoretical exponent.  The log regime keeps the
-    exponent fixed at n/2 and fits N/lambda^(n/2) = C2 log lambda + b; the
-    intercept absorbs the subleading lambda^(n/2) term, which is far from
-    negligible at desk scale, and C2 is the reported slope.
+    The regime, its exponent q and its constant come from
+    `report.prediction`.  Power regimes fit log N = a log lambda + b on the
+    top 80 percent of the log-lambda window (the law is asymptotic) and then
+    re-extract the constant at q.  The log regime keeps the exponent fixed
+    at q = n/2 and fits N/lambda^q = C2 log lambda + b; the intercept
+    absorbs the subleading lambda^q term, which is far from negligible at
+    desk scale, and C2 is the reported slope.
+
+    `consistent` applies the WEYL_* gates to the exponent and, if predicted,
+    the constant.  It is True for essential spectrum (the counts are
+    truncation-dependent; the fit is informational) and None, with a note,
+    for a pure-point table that is not domain-stable.
     """
+    pred = report.prediction
+    q = pred.weyl_exponent
     lam = np.asarray(report.lambda_grid, dtype=float)
     ntot = np.asarray(report.n_total, dtype=float)
     pos = ntot > 0
@@ -316,32 +325,37 @@ def weyl_fit(report: SpectrumReport, regime: str, n: int, p) -> WeylFit:
             f"insufficient data: need N >= 30 at the top, achieved {int(ntot.max())}")
     keep = loglam >= loglam[0] + 0.2 * span
     lam, ntot, loglam = lam[keep], ntot[keep], loglam[keep]
-    pf = float(p)
-    if regime == criteria.LOG_LAW:
-        q = n / 2.0
+    fixed = pred.weyl_regime == criteria.LOG_LAW
+    if fixed:
         u = ntot / lam**q
         coef = np.polyfit(loglam, u, 1)
-        c2, b = float(coef[0]), float(coef[1])
-        resid = u - (c2 * loglam + b)
+        constant = float(coef[0])
+        resid = u - (constant * loglam + float(coef[1]))
         quality = float(np.sqrt(np.mean(resid**2)) / max(np.mean(u), 1e-300))
-        return WeylFit(exponent=q, constant=c2, exponent_fixed=True,
-                       quality=quality,
-                       lambda_range=(float(lam[0]), float(lam[-1])),
-                       n_range=(int(ntot[0]), int(ntot[-1])),
-                       model="N = (C log l + b) l^(n/2)")
-    q = n / 2.0 if regime == criteria.POWER_N2 else 1.0 / (2.0 * pf)
-    logn = np.log(ntot)
-    coef = np.polyfit(loglam, logn, 1)
-    a = float(coef[0])
-    resid = logn - np.polyval(coef, loglam)
-    quality = float(np.sqrt(np.mean(resid**2)))
-    xq = lam**q
-    constant = float(np.dot(ntot, xq) / np.dot(xq, xq))
-    return WeylFit(exponent=a, constant=constant, exponent_fixed=False,
-                   quality=quality,
-                   lambda_range=(float(lam[0]), float(lam[-1])),
-                   n_range=(int(ntot[0]), int(ntot[-1])),
-                   model="N = C l^a; C re-fit at the regime exponent")
+        exponent, model = q, "N = (C log l + b) l^(n/2)"
+    else:
+        logn = np.log(ntot)
+        coef = np.polyfit(loglam, logn, 1)
+        exponent = float(coef[0])
+        resid = logn - np.polyval(coef, loglam)
+        quality = float(np.sqrt(np.mean(resid**2)))
+        xq = lam**q
+        constant = float(np.dot(ntot, xq) / np.dot(xq, xq))
+        model = "N = C l^a; C re-fit at the regime exponent"
+    const, notes = pred.weyl_constant, ()
+    if not pred.is_pure_point:
+        consistent = True
+    elif not report.stable:
+        consistent, notes = None, ("counting table is not domain-stable: the two longest "
+                                   "domains count differently",)
+    else:
+        consistent = (abs(exponent - q) <= WEYL_EXPONENT_TOL
+                      and (const is None or abs(constant / const - 1.0) <= WEYL_CONSTANT_RTOL))
+    return WeylFit(exponent=exponent, constant=constant, exponent_fixed=fixed,
+                   quality=quality, lambda_range=(float(lam[0]), float(lam[-1])),
+                   n_range=(int(ntot[0]), int(ntot[-1])), model=model,
+                   expected_exponent=q, predicted_constant=const,
+                   consistent=consistent, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +422,6 @@ def perturbation_stability_check(config: ProblemConfig, bump) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 def report_to_dict(report: SpectrumReport) -> dict:
-    from .criteria import prediction_to_dict
-
     return {
         "lambda": [float(x) for x in report.lambda_grid],
         "N_total": [int(x) for x in report.n_total],
@@ -427,7 +439,7 @@ def report_to_dict(report: SpectrumReport) -> dict:
         "stable": report.stable,
         "domain_monotone": report.domain_monotone,
         "truncation_dependent": report.truncation_dependent,
-        "prediction": prediction_to_dict(report.prediction),
+        "prediction": criteria.prediction_to_dict(report.prediction),
         "meta": {k: list(v) if isinstance(v, tuple) else v
                  for k, v in report.meta.items()},
         "notes": list(report.notes),

@@ -67,6 +67,8 @@ class Prediction:
     `thresholds` lists the bottoms of all essential branches.  c1/c2/c3 are
     the counting constants defined in this regime (None when a constant is
     not defined or not certified); c3_tail certifies the zeta truncation.
+    `classify` states the regime's law N ~ C lambda^q (times log lambda in
+    the log regime): weyl_exponent q and weyl_constant C (its c1/c2/c3).
     """
 
     classification: str
@@ -78,6 +80,8 @@ class Prediction:
     c3: Optional[float] = None
     c3_tail: Optional[float] = None
     notes: tuple = ()
+    weyl_exponent: Optional[float] = None
+    weyl_constant: Optional[float] = None
 
     def __post_init__(self):
         if self.classification == PURE_POINT:
@@ -113,6 +117,11 @@ def form_constants(n: int, k: int, p) -> tuple:
     return c0, c1
 
 
+def _betti(betti: Sequence[int], j: int) -> int:
+    """h^j of the cross-section; degrees outside the list count as 0."""
+    return betti[j] if 0 <= j < len(betti) else 0
+
+
 def full_ellipticity_forms(n: int, k: int, betti: Sequence[int]) -> bool:
     """True iff degrees k and k-1 of the cross-section carry no cohomology.
 
@@ -121,11 +130,7 @@ def full_ellipticity_forms(n: int, k: int, betti: Sequence[int]) -> bool:
     """
     if not (0 <= k <= n):
         raise CriteriaError(f"degree k = {k} out of range 0..{n}")
-
-    def h(j):
-        return betti[j] if 0 <= j < len(betti) else 0
-
-    return h(k) == 0 and h(k - 1) == 0
+    return _betti(betti, k) == 0 and _betti(betti, k - 1) == 0
 
 
 def thresholds_forms(n: int, k: int, p, betti: Sequence[int]) -> Prediction:
@@ -133,10 +138,6 @@ def thresholds_forms(n: int, k: int, p, betti: Sequence[int]) -> Prediction:
     p = Fraction(p)
     if p <= 0:
         raise CriteriaError("p must be > 0")
-
-    def h(j):
-        return betti[j] if 0 <= j < len(betti) else 0
-
     regime = weyl_regime(n, p)
     if p > 1:
         return Prediction(PURE_POINT, None, (), regime,
@@ -151,9 +152,9 @@ def thresholds_forms(n: int, k: int, p, betti: Sequence[int]) -> Prediction:
                           notes=("p < 1: every active harmonic branch starts at 0",))
     c0, c1 = form_constants(n, k, p)
     thresholds = set()
-    if h(k) != 0:
+    if _betti(betti, k) != 0:
         thresholds.add(c0 * c0)
-    if h(k - 1) != 0:
+    if _betti(betti, k - 1) != 0:
         thresholds.add(c1 * c1)
     ts = tuple(sorted(thresholds))
     return Prediction(ESSENTIAL, ts[0], ts, regime,
@@ -161,8 +162,7 @@ def thresholds_forms(n: int, k: int, p, betti: Sequence[int]) -> Prediction:
                              "constants of the active degrees",))
 
 
-def magnetic_pure_point(magnetic: MagneticData, betti: Sequence[int],
-                        n: int, p) -> Prediction:
+def magnetic_pure_point(magnetic: MagneticData, n: int, p) -> Prediction:
     """Classification of the magnetic function Laplacian.
 
     The spectrum is pure point unless the radial coefficient is constant,
@@ -208,8 +208,9 @@ def schrodinger_pure_point(v0_components: Sequence[tuple]) -> bool:
 def _min_lattice_norm_sq(basis_rows, flux) -> float:
     """min over integer vectors m of |2 pi B* (m + mu)|^2, exact search.
 
-    Rounds -mu to the nearest lattice point and widens the search box until
-    the lower bound sigma_min^2 (r - |mu - round|)^2 exceeds the best value.
+    Rounds -mu to the nearest lattice point and visits the sup-norm shells
+    around it until the lower bound sigma_min^2 (r - |mu - round|)^2
+    exceeds the best value.
     """
     import numpy as np
 
@@ -221,11 +222,8 @@ def _min_lattice_norm_sq(basis_rows, flux) -> float:
     best = math.inf
     r = 0
     while True:
-        rng = range(-r, r + 1)
-        import itertools
-        for off in itertools.product(rng, repeat=d):
-            m = center + np.array(off)
-            v = basis @ (m + mu)
+        for off in zeta_mod._shell(r, d):
+            v = basis @ (center + off + mu)
             best = min(best, float(v @ v))
         r += 1
         # every unexplored m has |m + mu|_2 >= r - 1/2 - |frac| >= r - 1
@@ -285,6 +283,8 @@ class WeylConstants:
     c3: Optional[float]
     c3_tail: Optional[float]
     notes: tuple
+    exponent: float              # the regime's law: N ~ constant * lambda^exponent
+    constant: Optional[float]    # its C1, C2 or C3
 
 
 def weyl_constants(config: ProblemConfig) -> WeylConstants:
@@ -302,16 +302,19 @@ def weyl_constants(config: ProblemConfig) -> WeylConstants:
     cs = config.cross_section
     regime = weyl_regime(n, p)
     notes = []
-    c1 = c2 = c3 = c3_tail = None
+    c1 = c2 = c3 = c3_tail = constant = None
     binom = math.comb(n, k)
 
     if regime == POWER_N2:
-        c1 = (binom * vol_end(n, p, config.geometry.y0, cs.volume) * vol_sphere(n)
-              / (n * (2.0 * math.pi) ** n))
+        exponent = n / 2.0
+        c1 = constant = (binom * vol_end(n, p, config.geometry.y0, cs.volume)
+                         * vol_sphere(n) / (n * (2.0 * math.pi) ** n))
     elif regime == LOG_LAW:
-        c2 = binom * cs.volume * vol_sphere(n) / (2.0 * (2.0 * math.pi) ** n)
+        exponent = n / 2.0
+        c2 = constant = binom * cs.volume * vol_sphere(n) / (2.0 * (2.0 * math.pi) ** n)
     else:
         pf = float(p)
+        exponent = 1.0 / (2.0 * pf)
         s_half = float((Fraction(1, 1) / p - 1) / 2)
         if not s_half > (n - 1) / 2.0:
             raise CriteriaError("zeta argument at or below the convergence abscissa")
@@ -326,14 +329,15 @@ def weyl_constants(config: ProblemConfig) -> WeylConstants:
                         / (2.0 * math.sqrt(math.pi) * math.gamma(1.0 / (2.0 * pf))))
                 zk = zeta_mod.form_zeta(cs, k, s_half, shift)
                 zk1 = zeta_mod.form_zeta(cs, k - 1, s_half, shift)
-                c3 = pref * (zk.value + zk1.value)
+                c3 = constant = pref * (zk.value + zk1.value)
                 c3_tail = pref * (zk.tail + zk1.tail)
                 if shift > 0:
                     notes.append("C3 uses the boundary-potential-shifted cross "
                                  "spectrum (derived interpretation)")
                 if config.magnetic is not None:
                     notes.append("integral flux removed by gauge before C3")
-    return WeylConstants(c1=c1, c2=c2, c3=c3, c3_tail=c3_tail, notes=tuple(notes))
+    return WeylConstants(c1=c1, c2=c2, c3=c3, c3_tail=c3_tail, notes=tuple(notes),
+                         exponent=exponent, constant=constant)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +366,7 @@ def classify(config: ProblemConfig) -> Prediction:
                           notes=("pure point: boundary potential is nonnegative "
                                  "and somewhere positive",))
     elif k == 0 and config.magnetic is not None:
-        base = magnetic_pure_point(config.magnetic, cs.betti, n, p)
+        base = magnetic_pure_point(config.magnetic, n, p)
         if base.is_pure_point and config.potential is not None:
             c = min_cross_eigenvalue(cs, config.magnetic.flux)
             if abs(v0) < c:
@@ -390,7 +394,8 @@ def classify(config: ProblemConfig) -> Prediction:
         thresholds=base.thresholds,
         weyl_regime=base.weyl_regime,
         c1=consts.c1, c2=consts.c2, c3=consts.c3, c3_tail=consts.c3_tail,
-        notes=base.notes + tuple(notes))
+        notes=base.notes + tuple(notes),
+        weyl_exponent=consts.exponent, weyl_constant=consts.constant)
 
 
 def prediction_to_dict(pred: Prediction) -> dict:

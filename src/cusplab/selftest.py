@@ -114,15 +114,18 @@ def criterion_4():
                 f"mu=1: threshold {est.value}")
 
 
+def _weyl_run(**config):
+    """Counting table, Weyl fit and predicted constant of a circle config."""
+    rep = assemble.global_counting(_circle_config(**config))
+    return rep, assemble.weyl_fit(rep), rep.prediction.weyl_constant
+
+
 def criterion_5():
     """Weyl law at p=1: exponent 1 +- 0.05, constant within 10% of C1=1/2."""
-    cfg = _circle_config(
+    rep, fit, c1 = _weyl_run(
         p="1", flux="0.5",
         numerics=Numerics(grids=(2500, 5000), domains=(6.5, 8.5),
                           lambda_grid=(120.0, 1200.0, 16), lambda_scale="log"))
-    rep = assemble.global_counting(cfg)
-    fit = assemble.weyl_fit(rep, rep.prediction.weyl_regime, 2, 1.0)
-    c1 = rep.prediction.c1
     ok = (rep.stable and abs(fit.exponent - 1.0) <= 0.05
           and abs(fit.constant / c1 - 1.0) <= 0.10)
     return ok, (f"exponent {fit.exponent:.4f}, constant {fit.constant:.4f} "
@@ -131,13 +134,10 @@ def criterion_5():
 
 def criterion_6():
     """Log regime p = 1/n: slope of N/lambda against log lambda is C2=1/2."""
-    cfg = _circle_config(
+    rep, fit, c2 = _weyl_run(
         p="0.5", flux="0.5",
         numerics=Numerics(grids=(8000, 16000), domains=(80.0, 96.0),
                           lambda_grid=(30.0, 300.0, 16), lambda_scale="log"))
-    rep = assemble.global_counting(cfg)
-    fit = assemble.weyl_fit(rep, rep.prediction.weyl_regime, 2, 0.5)
-    c2 = rep.prediction.c2
     ok = rep.stable and abs(fit.constant / c2 - 1.0) <= 0.15
     return ok, (f"C2 fit {fit.constant:.4f} vs {c2:.4f} "
                 f"({100 * (fit.constant / c2 - 1):+.1f}%)")
@@ -145,13 +145,11 @@ def criterion_6():
 
 def criterion_7():
     """Power regime p < 1/n with a boundary potential: C3 from zeta values."""
-    cfg = _circle_config(
+    rep, fit, c3 = _weyl_run(
         p="0.25", potential=RadialPotential(poly=((1.0, 0.5),)),
         numerics=Numerics(grids=(70000, 140000), domains=(1400.0, 1680.0),
                           lambda_grid=(10.0, 100.0, 16), lambda_scale="log"))
-    rep = assemble.global_counting(cfg)
-    fit = assemble.weyl_fit(rep, rep.prediction.weyl_regime, 2, 0.25)
-    c3, tail = rep.prediction.c3, rep.prediction.c3_tail
+    tail = rep.prediction.c3_tail
     ok = (rep.stable and abs(fit.exponent - 2.0) <= 0.1
           and abs(fit.constant / c3 - 1.0) <= 0.15
           and tail is not None and tail < 1e-9 * c3)
@@ -210,9 +208,9 @@ def criterion_11():
     checks.append(("S1 k=0 not", criteria.full_ellipticity_forms(2, 0, (1, 1)) is False))
     checks.append(("S1 k=1 not", criteria.full_ellipticity_forms(2, 1, (1, 1)) is False))
     checks.append(("T2 k=1 not", criteria.full_ellipticity_forms(3, 1, (1, 2, 1)) is False))
-    mag = criteria.magnetic_pure_point(MagneticData(flux=("0.5",)), (1, 1), 2, 1)
+    mag = criteria.magnetic_pure_point(MagneticData(flux=("0.5",)), 2, 1)
     checks.append(("non-integral flux pure point", mag.is_pure_point))
-    mag2 = criteria.magnetic_pure_point(MagneticData(flux=("3",)), (1, 1), 2, 1)
+    mag2 = criteria.magnetic_pure_point(MagneticData(flux=("3",)), 2, 1)
     checks.append(("integral flux essential from 1/4",
                    not mag2.is_pure_point and mag2.essential_bottom == 0.25))
     checks.append(("V0 > 0 pure point",

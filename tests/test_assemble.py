@@ -1,5 +1,6 @@
 """Aggregation: counting tables, probes, fits, invariance checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from cusplab.assemble import (AssembleError, cut_invariance_check,
                               global_counting, perturbation_stability_check,
                               report_to_dict, report_two_column,
                               threshold_probe, weyl_fit)
-from cusplab.criteria import LOG_LAW, POWER_N2
+from cusplab.criteria import LOG_LAW, POWER_HALF_P, POWER_N2
 from cusplab.model import (EndGeometry, MagneticData, Numerics, ProblemConfig,
                            RadialPotential, builtin_cross_section)
 from cusplab.reduce import CanonicalOperator
@@ -69,7 +70,9 @@ def test_eigenvalue_listing_and_cap():
     total = sum(r.mode.multiplicity * len(r.eigenvalues) for r in rep.modes)
     assert total == rep.n_total[-1]
     with pytest.raises(AssembleError, match="cap"):
-        global_counting(cfg, with_eigenvalues=True, eigen_cap=0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(assemble, "EIGEN_CAP", 0)
+            global_counting(cfg, with_eigenvalues=True)
 
 
 def test_eigenvalue_listing_reuses_the_finest_pencils(work):
@@ -115,7 +118,7 @@ def test_weyl_fit_power_regime():
     cfg = circle_cfg(flux="0.5", grids=(1500, 3000), domains=(6.0, 8.0),
                      lam=(20.0, 200.0, 14), scale="log")
     rep = global_counting(cfg)
-    fit = weyl_fit(rep, POWER_N2, 2, 1.0)
+    fit = weyl_fit(rep)
     assert 0.95 <= fit.exponent <= 1.15
     assert fit.constant == pytest.approx(0.5, rel=0.15)
 
@@ -124,12 +127,55 @@ def test_weyl_fit_requires_growth_and_span():
     cfg = circle_cfg(flux="0.5", lam=(0.05, 0.2, 5))
     rep = global_counting(cfg)
     with pytest.raises(AssembleError, match="no growth"):
-        weyl_fit(rep, POWER_N2, 2, 1.0)
+        weyl_fit(rep)
     cfg2 = circle_cfg(flux="0.5", grids=(1000, 2000), domains=(6.0, 8.0),
                       lam=(40.0, 80.0, 6), scale="log")
     rep2 = global_counting(cfg2)
     with pytest.raises(AssembleError, match="decade"):
-        weyl_fit(rep2, POWER_N2, 2, 1.0)
+        weyl_fit(rep2)
+
+
+@pytest.mark.parametrize("p, regime, grids, domains, lam", [
+    ("1", POWER_N2, (1500, 3000), (6.0, 8.0), (20.0, 200.0, 14)),
+    ("0.5", LOG_LAW, (3000, 6000), (40.0, 50.0), (10.0, 110.0, 12)),
+    ("0.25", POWER_HALF_P, (4000, 8000), (150.0, 180.0), (3.0, 30.0, 12)),
+])
+def test_weyl_fit_reads_the_law_from_the_prediction(p, regime, grids, domains, lam):
+    # flux 1/2 makes p = 1 and 1/2 pure point; at p = 1/4 a positive boundary
+    # potential does, and keeps C3 certified
+    confine = ({"potential": RadialPotential(poly=((1.0, 0.5),))} if regime == POWER_HALF_P
+               else {"flux": "0.5"})
+    cfg = circle_cfg(p=p, grids=grids, domains=domains, lam=lam, scale="log", **confine)
+    rep = global_counting(cfg)
+    pred = rep.prediction
+    assert pred.weyl_regime == regime
+    fit = weyl_fit(rep)
+    assert fit.expected_exponent == pred.weyl_exponent == {"1": 1.0, "0.5": 1.0,
+                                                          "0.25": 2.0}[p]
+    assert fit.predicted_constant == pred.weyl_constant is not None
+    assert fit.exponent_fixed == (regime == LOG_LAW)
+    # the re-fit constant is the least-squares C of N = C lambda^q at the
+    # prediction's q; a wrong q would move it far from the predicted one
+    assert fit.constant == pytest.approx(pred.weyl_constant, rel=0.3)
+    if not fit.exponent_fixed:
+        assert abs(fit.exponent - pred.weyl_exponent) <= 0.2
+
+
+def test_weyl_verdict_is_undecided_on_a_domain_unstable_pure_point_table():
+    cfg = circle_cfg(flux="0.5", grids=(500, 1000), domains=(1.0, 1.5),
+                     lam=(120.0, 1200.0, 16), scale="log")
+    rep = global_counting(cfg)
+    assert rep.prediction.is_pure_point and not rep.stable
+    fit = weyl_fit(rep)
+    assert fit.consistent is None
+    assert fit.notes and "not domain-stable" in fit.notes[0]
+    # the same fit on a table marked stable is judged, and fails on the constant
+    judged = weyl_fit(dataclasses.replace(rep, stable=True))
+    assert judged.consistent is False and judged.notes == ()
+    # with essential spectrum the fit is informational whatever the table
+    ess = dataclasses.replace(rep.prediction, classification="essential_from",
+                              essential_bottom=0.25, thresholds=(0.25,))
+    assert weyl_fit(dataclasses.replace(rep, prediction=ess)).consistent is True
 
 
 def test_cut_invariance_passes_for_essential_case():
@@ -186,7 +232,7 @@ def test_log_regime_fit_runs():
     cfg = circle_cfg(p="0.5", flux="0.5", grids=(3000, 6000), domains=(40.0, 50.0),
                      lam=(10.0, 110.0, 12), scale="log")
     rep = global_counting(cfg)
-    fit = weyl_fit(rep, LOG_LAW, 2, 0.5)
+    fit = weyl_fit(rep)
     assert fit.exponent_fixed and fit.exponent == 1.0
     assert fit.constant == pytest.approx(0.5, rel=0.3)
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cusplab import assemble
-from cusplab.assemble import ThresholdEstimate
+from cusplab.assemble import ThresholdEstimate, WeylFit
 from cusplab.cli import _build_parser, _emit, main
 from cusplab.model import _FIELDS
 
@@ -308,6 +308,37 @@ def test_weyl_consistent(cfg_path, capsys):
     assert data["exponent"] == pytest.approx(1.0, abs=0.05)
 
 
+# the p = 1 Weyl window on domains far too short for the counts to settle
+UNSETTLED_WEYL_CFG = (AB_CFG.replace("0.05,0.5,46", "120,1200,16")
+                      + "numerics.lambda_scale = log\n")
+
+
+@pytest.mark.parametrize("domains", ["1,1.5", "4,5"])
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_weyl_on_an_unsettled_pure_point_table_exits_one(cfg_path, capsys, domains, fmt):
+    path = cfg_path(with_line(UNSETTLED_WEYL_CFG, f"numerics.domain_z = {domains}"))
+    assert main(["weyl", "--config", path, "--format", fmt]) == 1
+    out, err = capsys.readouterr()
+    if fmt == "json":
+        data = json.loads(out)
+        assert data["stable"] is False and data["consistent"] is None
+    elif fmt == "csv":
+        assert next(csv.DictReader(io.StringIO(out)))["consistent"] == ""
+    else:
+        assert "stable: False\n" in out and out.endswith("consistent: None\n")
+    assert err.startswith("error[inconclusive]: ") and err.count("\n") == 1
+    assert "not domain-stable" in err
+
+
+def test_weyl_on_an_essential_spectrum_table_stays_informational(cfg_path, capsys):
+    text = with_line(UNSETTLED_WEYL_CFG.replace("magnetic.flux = 0.5", "magnetic.flux = 0"),
+                     "numerics.domain_z = 1,1.5")
+    assert main(["weyl", "--config", cfg_path(text), "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["stable"] is False and data["truncation_dependent"] is True
+    assert data["consistent"] is True
+
+
 def test_zeta_value_and_tail(cfg_path, capsys):
     assert main(["zeta", "--config", cfg_path(AB_CFG), "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -480,10 +511,15 @@ def test_an_inconclusive_probe_exits_one_after_its_report(cfg_path, capsys, comm
         assert "base: " in err and "bumped: " in err
 
 
-GROWTH = ThresholdEstimate(0.25, 0.1, 0.25, False, False, {})
-SHIFTED = ThresholdEstimate(1.0, 0.1, 0.25, False, False, {})
-STABLE = ThresholdEstimate(None, 0.1, 0.25, False, True, {}, ("counts stable",))
-UNSURE = ThresholdEstimate(0.25, 0.1, 0.25, True, False, {}, (INCONCLUSIVE,))
+GROWTH = ThresholdEstimate(0.25, 0.1, 0.25, False, False)
+SHIFTED = ThresholdEstimate(1.0, 0.1, 0.25, False, False)
+STABLE = ThresholdEstimate(None, 0.1, 0.25, False, True, ("counts stable",))
+UNSURE = ThresholdEstimate(0.25, 0.1, 0.25, True, False, (INCONCLUSIVE,))
+
+
+def _weyl_fit(consistent, notes=()):
+    return WeylFit(1.0, 0.5, False, 0.01, (10.0, 100.0), (5, 50), "N = C l^a", 1.0, 0.5,
+                   consistent, notes)
 
 
 @pytest.mark.parametrize("command, probes, code", [
@@ -502,16 +538,20 @@ UNSURE = ThresholdEstimate(0.25, 0.1, 0.25, True, False, {}, (INCONCLUSIVE,))
     ("perturb-check", [STABLE, GROWTH], 2),
     ("perturb-check", [GROWTH, SHIFTED], 2),
     ("perturb-check", [GROWTH, UNSURE], 1),
+    ("weyl", [_weyl_fit(True)], 0),
+    ("weyl", [_weyl_fit(False)], 2),
+    ("weyl", [_weyl_fit(None, (INCONCLUSIVE,))], 1),
 ])
 def test_exit_two_only_for_a_conclusive_mismatch(cfg_path, capsys, monkeypatch,
                                                  command, probes, code):
     calls = iter(probes)   # cut radii in order; base, then bumped
     monkeypatch.setattr(assemble, "threshold_probe", lambda config: next(calls))
+    monkeypatch.setattr(assemble, "weyl_fit", lambda report: next(calls))
     y0s = ",".join(str(i + 1) for i in range(max(2, len(probes))))
     path = cfg_path(with_line(ESS_CFG, f"checks.y0 = {y0s}"))
     assert main([command, "--config", path, "--format", "json"]) == code
     out, err = capsys.readouterr()
-    verdict = json.loads(out)["consistent" if command == "essspec" else "passed"]
+    verdict = json.loads(out)["passed" if command.endswith("-check") else "consistent"]
     assert verdict == {0: True, 1: None, 2: False}[code]
     if code == 1:
         assert err.startswith("error[inconclusive]: ") and err.count("\n") == 1

@@ -1,5 +1,6 @@
 """Analytic layer: predicates, thresholds, and counting constants."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from cusplab.criteria import (CriteriaError, classify, form_constants,
                               full_ellipticity_forms, magnetic_pure_point,
                               magnetic_schrodinger_bound, min_cross_eigenvalue,
-                              schrodinger_pure_point, thresholds_forms,
+                              prediction_to_dict, schrodinger_pure_point, thresholds_forms,
                               vol_end, vol_sphere, weyl_constants, weyl_regime,
                               POWER_N2, LOG_LAW, POWER_HALF_P)
 from cusplab.model import (EndGeometry, MagneticData, ProblemConfig,
@@ -92,29 +93,29 @@ def test_full_ellipticity_implies_pure_point_for_p_at_most_one(n, data):
 
 
 def test_magnetic_cases():
-    pp = magnetic_pure_point(MagneticData(flux=("0.5",)), (1, 1), 2, 1)
+    pp = magnetic_pure_point(MagneticData(flux=("0.5",)), 2, 1)
     assert pp.is_pure_point
-    ess = magnetic_pure_point(MagneticData(flux=("3",)), (1, 1), 2, 1)
+    ess = magnetic_pure_point(MagneticData(flux=("3",)), 2, 1)
     assert ess.essential_bottom == 0.25
-    low = magnetic_pure_point(MagneticData(flux=("0",)), (1, 1), 2, Fraction(1, 2))
+    low = magnetic_pure_point(MagneticData(flux=("0",)), 2, Fraction(1, 2))
     assert low.essential_bottom == 0.0
-    incomplete = magnetic_pure_point(MagneticData(flux=("2",)), (1, 1), 2, 2)
+    incomplete = magnetic_pure_point(MagneticData(flux=("2",)), 2, 2)
     assert incomplete.is_pure_point
 
 
 def test_magnetic_nonclosed_or_nonconstant_is_pure_point():
     assert magnetic_pure_point(
-        MagneticData(flux=("0",), theta0_closed=False), (1, 1), 2, 1).is_pure_point
+        MagneticData(flux=("0",), theta0_closed=False), 2, 1).is_pure_point
     assert magnetic_pure_point(
-        MagneticData(flux=("0",), phi0_constant=False), (1, 1), 2, 1).is_pure_point
+        MagneticData(flux=("0",), phi0_constant=False), 2, 1).is_pure_point
 
 
 @given(st.sampled_from(["0", "0.5", "0.25", "-1.75"]),
        st.integers(min_value=-3, max_value=3))
 @settings(max_examples=30, deadline=None)
 def test_magnetic_classification_invariant_under_integer_shift(flux, e):
-    base = magnetic_pure_point(MagneticData(flux=(flux,)), (1, 1), 2, 1)
-    moved = magnetic_pure_point(MagneticData(flux=(flux,)).shifted([e]), (1, 1), 2, 1)
+    base = magnetic_pure_point(MagneticData(flux=(flux,)), 2, 1)
+    moved = magnetic_pure_point(MagneticData(flux=(flux,)).shifted([e]), 2, 1)
     assert base.classification == moved.classification
     assert base.thresholds == moved.thresholds
 
@@ -152,6 +153,18 @@ def test_min_cross_eigenvalue_lattice_oracle():
             (TWO_PI * (0.21 * (m1 + 1 / 3) + 0.04 * (m2 - 2 / 5)),
              TWO_PI * (0.01 * (m1 + 1 / 3) + 0.17 * (m2 - 2 / 5))))
         for m1 in range(-8, 9) for m2 in range(-8, 9))
+    assert min_cross_eigenvalue(cs, flux) == pytest.approx(brute, rel=1e-12)
+
+
+def test_min_cross_eigenvalue_3d_lattice_oracle():
+    basis = [[0.19, 0.03, -0.02], [0.01, 0.23, 0.05], [-0.04, 0.02, 0.15]]
+    cs = builtin_cross_section("lattice_torus", dual_basis=basis)
+    flux = (Fraction(2, 7), Fraction(-1, 3), Fraction(5, 11))
+    mu = [float(f) for f in flux]
+    brute = min(
+        sum((TWO_PI * sum(row[j] * (m[j] + mu[j]) for j in range(3))) ** 2
+            for row in basis)
+        for m in itertools.product(range(-6, 7), repeat=3))
     assert min_cross_eigenvalue(cs, flux) == pytest.approx(brute, rel=1e-12)
 
 
@@ -252,6 +265,35 @@ def test_classify_scalar_essential():
     pred = classify(circle_cfg(1, flux="0"))
     assert pred.essential_bottom == 0.25
     assert pred.weyl_regime == POWER_N2
+
+
+@pytest.mark.parametrize("p, regime, exponent, name", [
+    (1, POWER_N2, 1.0, "c1"),
+    (Fraction(1, 2), LOG_LAW, 1.0, "c2"),
+    (Fraction(1, 4), POWER_HALF_P, 2.0, "c3"),
+])
+def test_prediction_states_the_regime_law(p, regime, exponent, name):
+    pred = classify(circle_cfg(p, potential=RadialPotential(poly=((1.0, 0.5),))))
+    assert pred.weyl_regime == regime
+    assert pred.weyl_exponent == exponent
+    assert pred.weyl_constant is not None
+    assert pred.weyl_constant == getattr(pred, name)
+    assert sum(c is not None for c in (pred.c1, pred.c2, pred.c3)) == 1
+
+
+def test_prediction_law_has_no_constant_where_c3_is_fit_only():
+    for cfg in (circle_cfg(Fraction(1, 4), flux="0.5"),
+                circle_cfg(Fraction(1, 4), potential=RadialPotential(poly=((-1.0, 0.5),)))):
+        pred = classify(cfg)
+        assert weyl_constants(cfg).c3 is None
+        assert pred.weyl_exponent == 2.0 and pred.weyl_constant is None
+
+
+def test_law_stays_out_of_the_prediction_report():
+    pred = classify(circle_cfg(1, flux="0.5"))
+    assert set(prediction_to_dict(pred)) == {
+        "classification", "essential_bottom", "thresholds", "weyl_regime",
+        "constants", "notes"}
 
 
 def test_classify_forms_path():
