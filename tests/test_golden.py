@@ -1,0 +1,94 @@
+"""Golden reports: each case's report file must match its recorded bytes.
+
+The recorded files live in tests/golden/, one per case, named
+<case>.<format>.  After a deliberate change of a report, rewrite them with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and review the diff.
+"""
+
+import os
+import sys
+
+import pytest
+
+from cusplab.cli import main
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+CIRCLE = """\
+geometry.n = 2
+geometry.y0 = 1.0
+cross_section.kind = circle
+cross_section.length = 6.283185307179586
+degree = 0
+"""
+
+C1 = CIRCLE + "geometry.p = 1\nmagnetic.flux = 0.5\n"
+ESSENTIAL = CIRCLE + "geometry.p = 1\nmagnetic.flux = 0\n"
+C2 = CIRCLE + "geometry.p = 0.5\nmagnetic.flux = 0.5\n"
+C3_TAIL = CIRCLE + "geometry.p = 0.25\npotential.poly = (1.0,0.5)\n"
+C3_FIT_ONLY = CIRCLE + "geometry.p = 0.25\nmagnetic.flux = 0.5\n"
+TORUS_FORMS = """\
+geometry.n = 3
+geometry.p = 1
+geometry.y0 = 1.0
+cross_section.kind = square_torus
+cross_section.side = 6.283185307179586
+degree = 1
+"""
+
+PROBE = ("numerics.grid = 200,400\nnumerics.domain_z = 8,16,32\n"
+         "numerics.lambda_grid = 0.5,6,12\n")
+WEYL = ("numerics.grid = 300,600\nnumerics.domain_z = 5,6\n"
+        "numerics.lambda_grid = 100,1000,8\nnumerics.lambda_scale = log\n")
+
+#: case -> (command, config text, formats, exit code)
+CASES = {
+    "criteria-c1": ("criteria", C1, ("text", "csv", "json"), 0),
+    "criteria-essential": ("criteria", ESSENTIAL, ("text", "csv", "json"), 0),
+    "criteria-c2": ("criteria", C2, ("text", "csv", "json"), 0),
+    "criteria-c3-tail": ("criteria", C3_TAIL, ("text", "csv", "json"), 0),
+    "criteria-c3-fit-only": ("criteria", C3_FIT_ONLY, ("text", "csv", "json"), 0),
+    "criteria-torus-forms": ("criteria", TORUS_FORMS, ("text", "csv", "json"), 0),
+    "weyl-c1": ("weyl", C1 + WEYL, ("json",), 0),
+    "essspec-essential": ("essspec", ESSENTIAL + PROBE, ("json",), 0),
+    "essspec-pure-point": ("essspec", C1 + PROBE, ("json",), 0),
+    "cut-check-default-y0": ("cut-check", ESSENTIAL + PROBE, ("json",), 0),
+    "perturb-check-default-bump": ("perturb-check", ESSENTIAL + PROBE, ("json",), 0),
+}
+
+RUNS = [(case, fmt) for case, (_, _, formats, _) in CASES.items() for fmt in formats]
+
+
+def _report(tmp_dir, case, fmt):
+    """(exit code, report bytes) of one case in one format."""
+    command, text, _, _ = CASES[case]
+    config = os.path.join(tmp_dir, case + ".cfg")
+    out = os.path.join(tmp_dir, f"{case}.{fmt}")
+    with open(config, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    code = main([command, "--config", config, "--format", fmt, "--out", out])
+    with open(out, "rb") as fh:
+        return code, fh.read()
+
+
+@pytest.mark.parametrize("case, fmt", RUNS, ids=[f"{c}.{f}" for c, f in RUNS])
+def test_report_matches_its_golden_file(tmp_path, case, fmt):
+    code, got = _report(str(tmp_path), case, fmt)
+    assert code == CASES[case][3]
+    with open(os.path.join(GOLDEN, f"{case}.{fmt}"), "rb") as fh:
+        assert got == fh.read()
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    os.makedirs(GOLDEN, exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for case, fmt in RUNS:
+            code, got = _report(tmp, case, fmt)
+            with open(os.path.join(GOLDEN, f"{case}.{fmt}"), "wb") as fh:
+                fh.write(got)
+            print(f"{case}.{fmt}: exit {code}", file=sys.stderr)
