@@ -8,7 +8,8 @@ analytic layer predicts:
   multiplicity-weighted sum of per-mode counts at every lambda).  A
   planner groups each grid's domains whose meshes nest; one stack on the
   group's longest domain (one mesh, one potential row per mode) and one
-  Sturm pass over it count all of them.
+  Sturm pass over it count all of them.  The lambda window and the study's
+  grids and domains all come from `config.numerics`.
 * `threshold_probe` estimates the bottom of the essential spectrum as the
   smallest lambda at which counts keep growing linearly with the domain
   length; Dirichlet counts for a flat channel grow like T sqrt(lambda-c)/pi
@@ -16,8 +17,9 @@ analytic layer predicts:
   boundary effects.
 * `weyl_fit` fits the counting table against the predicted law and judges it.
 * `cut_invariance_check` / `perturbation_stability_check` verify that the
-  probe's output ignores the cut location and compact perturbations; an
-  inconclusive probe leaves the check undecided (passed None), never failed.
+  probe's output ignores the cut radii `config.check_y0` and the compact
+  bump `config.check_bump`; an inconclusive probe leaves the check
+  undecided (passed None), never failed.
 
 All aggregation is deterministic: modes are processed in their enumerated
 order and counts are integers, so reports are identical from run to run.
@@ -107,7 +109,7 @@ def _group_totals(ops, lambdas, grid, group):
         return z, z.sum(axis=1), ([], None, None)
     domain, cells = group[-1]
     stack = sturm.discretize_stack([op for _, op in ops], domain, cells)
-    counts = sturm.count_below_stack(*stack, np.asarray(lambdas),
+    counts = sturm.count_below_stack(*stack, lambdas,
                                      sizes=[cells - 1 for _, cells in group])
     # the threshold probe and the Weyl fit read these counts as monotone in lambda
     for (domain, _), c in zip(group, counts):
@@ -120,20 +122,20 @@ def _group_totals(ops, lambdas, grid, group):
     return counts, (mult[:, None] * counts).sum(axis=1), stack
 
 
-def global_counting(config: ProblemConfig, lambdas=None,
-                    with_eigenvalues: bool = False, sectors=None) -> SpectrumReport:
+def global_counting(config: ProblemConfig, with_eigenvalues: bool = False,
+                    sectors=None) -> SpectrumReport:
     """Counting table N(lambda) over the configured (grid x domain) study.
 
-    The table reported is the finest combination; `totals_by_combo` keeps
-    all of them for stability assessment.  Per grid, each group of nested
-    domains (`_nested_groups`) is assembled as one stack on its longest
-    domain and counted in one pass; the eigenvalue listing takes its
-    pencils from the finest stack's rows.  If the analytic layer predicts
+    The lambda window is `config.numerics.lambdas()`.  The table reported
+    is the finest combination; `totals_by_combo` keeps all of them for
+    stability assessment.  Per grid, each group of nested domains
+    (`_nested_groups`) is assembled as one stack on its longest domain and
+    counted in one pass; the eigenvalue listing takes its pencils from the
+    finest stack's rows.  If the analytic layer predicts
     essential spectrum the table is labeled truncation-dependent: counts
     then grow with the domain and carry no spectral meaning of their own.
     """
-    lambdas = np.asarray(config.numerics.lambdas() if lambdas is None else lambdas,
-                         dtype=float)
+    lambdas = config.numerics.lambdas()
     if not np.all(np.diff(lambdas) > 0):
         raise AssembleError("lambdas must be strictly increasing")
     prediction = classify(config)
@@ -150,7 +152,10 @@ def global_counting(config: ProblemConfig, lambdas=None,
             counts, group_totals, stack = _group_totals(ops, lambdas, g, group)
             for (T, _), t in zip(group, group_totals):
                 totals[(g, T)] = t
-            # Domain monotonicity (Dirichlet bracketing) is exact for nested meshes
+            # Dirichlet bracketing: counts may not fall as the domain grows.  Within
+            # a group the counts are running sums over one pass, so only a lane
+            # re-counted after a pivot breakdown can trip this; domains in
+            # different groups (p > 1, or unequal widths) are not compared.
             if np.any(np.diff(group_totals, axis=0) < 0):
                 monotone = False
     # the finest combo (gf, domains[-1]) closes the last group, so the loop
@@ -167,7 +172,7 @@ def global_counting(config: ProblemConfig, lambdas=None,
         if total_top > EIGEN_CAP:
             raise AssembleError(
                 f"{total_top} eigenvalues below {top:g} exceed the listing cap "
-                f"({EIGEN_CAP}); lower lambda_max or raise eigen_cap")
+                f"({EIGEN_CAP}); lower lambda_max")
         diags, off, mass = stack
         for res, diag in zip(mode_results, diags):
             pen = sturm.TridiagonalPencil(diag=diag, offdiag=off, mass=mass)
@@ -199,57 +204,55 @@ def global_counting(config: ProblemConfig, lambdas=None,
 
 @dataclass
 class ThresholdEstimate:
-    value: Optional[float]
+    value: Optional[float]       # None: counts stable across the window
     error: float
     predicted: Optional[float]
     inconclusive: bool
-    no_growth: bool
     notes: tuple = ()
+
+    @property
+    def no_growth(self) -> bool:
+        return self.value is None
 
     @property
     def consistent(self) -> Optional[bool]:
         if self.no_growth:
             return self.predicted is None
-        if self.value is None or self.inconclusive:
+        if self.inconclusive:
             return None
         if self.predicted is None:
             return False
         return abs(self.value - self.predicted) <= self.error
 
 
-def threshold_probe(config: ProblemConfig, lambdas=None, sectors=None,
-                    predicted=None) -> ThresholdEstimate:
+def threshold_probe(config: ProblemConfig, sectors=None) -> ThresholdEstimate:
     """Estimate inf of the essential spectrum from count growth in length.
 
-    The estimate is the first lambda on the grid where counts differ across
-    the two largest domains, backed off by half a grid step; the error bar
-    combines the grid resolution with the (pi/T_max)^2 detection floor of a
-    Dirichlet channel of length T_max.  Growth must be sustained: above the
+    The probe scans the configured lambda window.  The estimate is the
+    first lambda on the grid where counts differ across the two largest
+    domains, backed off by half a grid step; the error bar combines the
+    grid resolution with the (pi/T_max)^2 detection floor of a Dirichlet
+    channel of length T_max.  Growth must be sustained: above the
     candidate, least-squares count growth per unit length has to exceed
     rho_min_factor * sqrt(lambda - c)/pi, else the probe is inconclusive.
     """
     num = config.numerics
     if len(num.domains) < 3:
         raise AssembleError("threshold probe needs at least 3 domain lengths")
-    lambdas = np.asarray(num.lambdas() if lambdas is None else lambdas, dtype=float)
-    report = global_counting(config, lambdas=lambdas, sectors=sectors)
-    prediction = report.prediction
-    if predicted is None:
-        predicted = prediction.essential_bottom
+    report = global_counting(config, sectors=sectors)
+    lambdas, predicted = report.lambda_grid, report.prediction.essential_bottom
     if not report.domain_monotone:
         raise AssembleError("internal error: counts decreased under domain "
                             "growth during the probe")
     gf = num.grids[-1]
     domains = num.domains
-    tmax = domains[-1]
     totals = {T: report.totals_by_combo[(gf, T)] for T in domains}
     unstable = totals[domains[-1]] != totals[domains[-2]]
     step = float(np.max(np.diff(lambdas)))
-    detection = (math.pi / tmax) ** 2
+    error = step + (math.pi / domains[-1]) ** 2     # grid resolution + detection floor
     if not unstable.any():
         return ThresholdEstimate(
-            value=None, error=detection + step, predicted=predicted,
-            inconclusive=False, no_growth=True,
+            value=None, error=error, predicted=predicted, inconclusive=False,
             notes=("counts stable under domain growth across the window: "
                    "no essential spectrum detected",))
 
@@ -261,14 +264,12 @@ def threshold_probe(config: ProblemConfig, lambdas=None, sectors=None,
     rho_min = num.rho_min_factor * np.sqrt(np.maximum(
         lambdas - c_hat, 0.0)) / math.pi
     growing = bool(np.any(slopes[above] >= rho_min[above]) and slopes[above].max() > 0)
-    error = step + detection
     if not growing:
         return ThresholdEstimate(
             value=c_hat, error=error, predicted=predicted, inconclusive=True,
-            no_growth=False, notes=("instability without sustained growth: inconclusive",))
-    return ThresholdEstimate(
-        value=c_hat, error=error, predicted=predicted, inconclusive=False,
-        no_growth=False)
+            notes=("instability without sustained growth: inconclusive",))
+    return ThresholdEstimate(value=c_hat, error=error, predicted=predicted,
+                             inconclusive=False)
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +285,6 @@ class WeylFit:
     lambda_range: tuple
     n_range: tuple
     model: str
-    expected_exponent: float
-    predicted_constant: Optional[float]
     consistent: Optional[bool]
     notes: tuple = ()
 
@@ -354,7 +353,6 @@ def weyl_fit(report: SpectrumReport) -> WeylFit:
     return WeylFit(exponent=exponent, constant=constant, exponent_fixed=fixed,
                    quality=quality, lambda_range=(float(lam[0]), float(lam[-1])),
                    n_range=(int(ntot[0]), int(ntot[-1])), model=model,
-                   expected_exponent=q, predicted_constant=const,
                    consistent=consistent, notes=notes)
 
 
@@ -389,17 +387,14 @@ def _agreement(probes: dict, stable_note: str, mixed_note: str):
     return True, () if growing else (stable_note,)
 
 
-def cut_invariance_check(config: ProblemConfig, y0_list) -> CheckReport:
-    """Threshold estimates must agree for different cut radii Y0.
+def cut_invariance_check(config: ProblemConfig) -> CheckReport:
+    """Threshold estimates must agree for the cut radii Y0 in `config.check_y0`.
 
     Individual eigenvalues may move (only the essential spectrum is
     invariant under removing a compact piece), so pure-point problems pass
     by exhibiting stable counts for every Y0.
     """
-    y0s = tuple(y0_list)
-    if len(set(y0s)) < 2:
-        raise AssembleError("cut check needs at least 2 distinct values of Y0")
-    variants = {y0: threshold_probe(config.with_y0(y0)) for y0 in y0s}
+    variants = {y0: threshold_probe(config.with_y0(y0)) for y0 in config.check_y0}
     passed, notes = _agreement(
         {f"Y0={y0!r}": e for y0, e in variants.items()},
         "discrete spectrum at every cut: counts stable (individual eigenvalues may differ)",
@@ -407,10 +402,10 @@ def cut_invariance_check(config: ProblemConfig, y0_list) -> CheckReport:
     return CheckReport(passed=passed, variants=variants, notes=notes)
 
 
-def perturbation_stability_check(config: ProblemConfig, bump) -> CheckReport:
-    """Threshold estimates with and without a compact bump must agree."""
+def perturbation_stability_check(config: ProblemConfig) -> CheckReport:
+    """Threshold estimates with and without the bump `config.check_bump` must agree."""
     variants = {"base": threshold_probe(config),
-                "bumped": threshold_probe(config.with_bump(bump))}
+                "bumped": threshold_probe(config.with_bump(config.check_bump))}
     passed, notes = _agreement(
         variants, "discrete spectrum with and without the bump: counts stable",
         "stability changed under the bump")

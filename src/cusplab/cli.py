@@ -137,7 +137,7 @@ def _prediction_text(pred) -> str:
     else:
         lines.append("thresholds: (none)")
     lines.append(f"weyl regime: {pred.weyl_regime}")
-    for name, val in (("C1", pred.c1), ("C2", pred.c2), ("C3", pred.c3)):
+    for name, val in pred.constants.items():
         if val is not None:
             lines.append(f"{name} = {val!r}")
     if pred.c3_tail is not None:
@@ -151,7 +151,7 @@ def cmd_criteria(args):
     pred = criteria.classify(_load_config(args))
     row = {"classification": pred.classification,
            "essential_bottom": pred.essential_bottom,
-           "weyl_regime": pred.weyl_regime, "C1": pred.c1, "C2": pred.c2, "C3": pred.c3}
+           "weyl_regime": pred.weyl_regime, **pred.constants}
     _emit(args, criteria.prediction_to_dict(pred), _prediction_text(pred), list(row), [row])
     return EXIT_OK
 
@@ -223,10 +223,11 @@ def cmd_essspec(args):
 def cmd_weyl(args):
     report = assemble.global_counting(_load_config(args))
     fit = assemble.weyl_fit(report)
+    pred = report.prediction
     payload = {
-        "regime": report.prediction.weyl_regime, "model": fit.model,
-        "exponent": fit.exponent, "expected_exponent": fit.expected_exponent,
-        "constant": fit.constant, "predicted_constant": fit.predicted_constant,
+        "regime": pred.weyl_regime, "model": fit.model,
+        "exponent": fit.exponent, "expected_exponent": pred.weyl_exponent,
+        "constant": fit.constant, "predicted_constant": pred.weyl_constant,
         "quality": fit.quality, "lambda_range": list(fit.lambda_range),
         "n_range": list(fit.n_range), "stable": report.stable,
         "truncation_dependent": report.truncation_dependent,
@@ -268,17 +269,13 @@ def _probe_fields(est):
 
 
 def cmd_cut_check(args):
-    config = _load_config(args)
-    y0s = config.check_y0 or (config.geometry.y0, 2.0 * config.geometry.y0)
-    check = assemble.cut_invariance_check(config, y0s)
+    check = assemble.cut_invariance_check(_load_config(args))
     return _check_report(args, check, {
         f"Y0={y0!r}": _probe_fields(e) for y0, e in check.variants.items()})
 
 
 def cmd_perturb_check(args):
-    config = _load_config(args)
-    bump = config.check_bump or (config.geometry.y0 + 1.5, 1.0, 5.0)
-    check = assemble.perturbation_stability_check(config, bump)
+    check = assemble.perturbation_stability_check(_load_config(args))
     return _check_report(args, check, {
         key: _probe_fields(e) for key, e in check.variants.items()})
 

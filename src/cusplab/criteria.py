@@ -58,46 +58,47 @@ class CriteriaError(ValueError):
     pass
 
 
+#: the name the paper gives each regime's counting constant
+CONSTANT_NAMES = {POWER_N2: "C1", LOG_LAW: "C2", POWER_HALF_P: "C3"}
+
+
 @dataclass(frozen=True)
 class Prediction:
     """Analytic output for one problem.
 
-    classification is "pure_point" (empty essential spectrum) or
-    "essential_from" with `essential_bottom` = inf of the threshold set.
-    `thresholds` lists the bottoms of all essential branches.  c1/c2/c3 are
-    the counting constants defined in this regime (None when a constant is
-    not defined or not certified); c3_tail certifies the zeta truncation.
-    `classify` states the regime's law N ~ C lambda^q (times log lambda in
-    the log regime): weyl_exponent q and weyl_constant C (its c1/c2/c3).
+    `thresholds` lists the bottoms of all essential branches, sorted; it is
+    empty exactly when the spectrum is pure point, and otherwise the
+    essential spectrum is [min, oo).  `classify` states the regime's law
+    N ~ C lambda^q (times log lambda in the log regime): weyl_exponent q and
+    weyl_constant C (None when not defined or not certified); c3_tail
+    certifies the zeta truncation of C3.
     """
 
-    classification: str
-    essential_bottom: Optional[float]
     thresholds: tuple
     weyl_regime: str
-    c1: Optional[float] = None
-    c2: Optional[float] = None
-    c3: Optional[float] = None
-    c3_tail: Optional[float] = None
-    notes: tuple = ()
     weyl_exponent: Optional[float] = None
     weyl_constant: Optional[float] = None
-
-    def __post_init__(self):
-        if self.classification == PURE_POINT:
-            if self.thresholds:
-                raise CriteriaError("pure point spectrum cannot carry thresholds")
-            if self.essential_bottom is not None:
-                raise CriteriaError("pure point spectrum has no essential bottom")
-        else:
-            if not self.thresholds:
-                raise CriteriaError("essential spectrum needs a threshold set")
-            if self.essential_bottom != min(self.thresholds):
-                raise CriteriaError("essential bottom must be inf of the thresholds")
+    c3_tail: Optional[float] = None
+    notes: tuple = ()
 
     @property
     def is_pure_point(self) -> bool:
-        return self.classification == PURE_POINT
+        return not self.thresholds
+
+    @property
+    def classification(self) -> str:
+        return PURE_POINT if self.is_pure_point else ESSENTIAL
+
+    @property
+    def essential_bottom(self) -> Optional[float]:
+        return None if self.is_pure_point else min(self.thresholds)
+
+    @property
+    def constants(self) -> dict:
+        """C1, C2 and C3 by name: the regime's constant under its own, None elsewhere."""
+        own = CONSTANT_NAMES[self.weyl_regime]
+        return {name: self.weyl_constant if name == own else None
+                for name in CONSTANT_NAMES.values()}
 
 
 def weyl_regime(n: int, p: Fraction) -> str:
@@ -140,15 +141,15 @@ def thresholds_forms(n: int, k: int, p, betti: Sequence[int]) -> Prediction:
         raise CriteriaError("p must be > 0")
     regime = weyl_regime(n, p)
     if p > 1:
-        return Prediction(PURE_POINT, None, (), regime,
+        return Prediction((), regime,
                           notes=("warped-product end with p > 1: "
                                  "all self-adjoint extensions have discrete spectrum",))
     if full_ellipticity_forms(n, k, betti):
-        return Prediction(PURE_POINT, None, (), regime,
+        return Prediction((), regime,
                           notes=("harmonic sectors empty (h^k = h^(k-1) = 0): "
                                  "discrete spectrum",))
     if p < 1:
-        return Prediction(ESSENTIAL, 0.0, (0.0,), regime,
+        return Prediction((0.0,), regime,
                           notes=("p < 1: every active harmonic branch starts at 0",))
     c0, c1 = form_constants(n, k, p)
     thresholds = set()
@@ -156,8 +157,7 @@ def thresholds_forms(n: int, k: int, p, betti: Sequence[int]) -> Prediction:
         thresholds.add(c0 * c0)
     if _betti(betti, k - 1) != 0:
         thresholds.add(c1 * c1)
-    ts = tuple(sorted(thresholds))
-    return Prediction(ESSENTIAL, ts[0], ts, regime,
+    return Prediction(tuple(sorted(thresholds)), regime,
                       notes=("p = 1: thresholds are the squared harmonic-sector "
                              "constants of the active degrees",))
 
@@ -182,13 +182,11 @@ def magnetic_pure_point(magnetic: MagneticData, n: int, p) -> Prediction:
             why.append("non-closed tangential form")
         if not magnetic.flux_is_integral:
             why.append("non-integral flux")
-        return Prediction(PURE_POINT, None, (), regime,
-                          notes=("pure point: " + ", ".join(why),))
+        return Prediction((), regime, notes=("pure point: " + ", ".join(why),))
     if p > 1:
-        return Prediction(PURE_POINT, None, (), regime,
-                          notes=("integral flux, p > 1: discrete spectrum",))
+        return Prediction((), regime, notes=("integral flux, p > 1: discrete spectrum",))
     bottom = 0.0 if p < 1 else ((n - 1) / 2.0) ** 2
-    return Prediction(ESSENTIAL, bottom, (bottom,), regime,
+    return Prediction((bottom,), regime,
                       notes=("integral flux is gauge-trivial on the end: scalar "
                              "essential spectrum survives",))
 
@@ -278,13 +276,10 @@ def vol_end(n: int, p, y0: float, vol_m: float) -> float:
 
 @dataclass(frozen=True)
 class WeylConstants:
-    c1: Optional[float]
-    c2: Optional[float]
-    c3: Optional[float]
-    c3_tail: Optional[float]
-    notes: tuple
     exponent: float              # the regime's law: N ~ constant * lambda^exponent
     constant: Optional[float]    # its C1, C2 or C3
+    c3_tail: Optional[float]
+    notes: tuple
 
 
 def weyl_constants(config: ProblemConfig) -> WeylConstants:
@@ -302,16 +297,16 @@ def weyl_constants(config: ProblemConfig) -> WeylConstants:
     cs = config.cross_section
     regime = weyl_regime(n, p)
     notes = []
-    c1 = c2 = c3 = c3_tail = constant = None
+    c3_tail = constant = None
     binom = math.comb(n, k)
 
     if regime == POWER_N2:
         exponent = n / 2.0
-        c1 = constant = (binom * vol_end(n, p, config.geometry.y0, cs.volume)
-                         * vol_sphere(n) / (n * (2.0 * math.pi) ** n))
+        constant = (binom * vol_end(n, p, config.geometry.y0, cs.volume)
+                    * vol_sphere(n) / (n * (2.0 * math.pi) ** n))
     elif regime == LOG_LAW:
         exponent = n / 2.0
-        c2 = constant = binom * cs.volume * vol_sphere(n) / (2.0 * (2.0 * math.pi) ** n)
+        constant = binom * cs.volume * vol_sphere(n) / (2.0 * (2.0 * math.pi) ** n)
     else:
         pf = float(p)
         exponent = 1.0 / (2.0 * pf)
@@ -329,15 +324,15 @@ def weyl_constants(config: ProblemConfig) -> WeylConstants:
                         / (2.0 * math.sqrt(math.pi) * math.gamma(1.0 / (2.0 * pf))))
                 zk = zeta_mod.form_zeta(cs, k, s_half, shift)
                 zk1 = zeta_mod.form_zeta(cs, k - 1, s_half, shift)
-                c3 = constant = pref * (zk.value + zk1.value)
+                constant = pref * (zk.value + zk1.value)
                 c3_tail = pref * (zk.tail + zk1.tail)
                 if shift > 0:
                     notes.append("C3 uses the boundary-potential-shifted cross "
                                  "spectrum (derived interpretation)")
                 if config.magnetic is not None:
                     notes.append("integral flux removed by gauge before C3")
-    return WeylConstants(c1=c1, c2=c2, c3=c3, c3_tail=c3_tail, notes=tuple(notes),
-                         exponent=exponent, constant=constant)
+    return WeylConstants(exponent=exponent, constant=constant, c3_tail=c3_tail,
+                         notes=tuple(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +357,7 @@ def classify(config: ProblemConfig) -> Prediction:
 
     base = None
     if config.potential is not None and schrodinger_pure_point([(v0, v0 > 0)]):
-        base = Prediction(PURE_POINT, None, (), weyl_regime(n, p),
+        base = Prediction((), weyl_regime(n, p),
                           notes=("pure point: boundary potential is nonnegative "
                                  "and somewhere positive",))
     elif k == 0 and config.magnetic is not None:
@@ -389,13 +384,9 @@ def classify(config: ProblemConfig) -> Prediction:
         notes.append("counting constants describe the full-manifold asymptotics "
                      "and apply only if the spectrum were discrete")
     return Prediction(
-        classification=base.classification,
-        essential_bottom=base.essential_bottom,
-        thresholds=base.thresholds,
-        weyl_regime=base.weyl_regime,
-        c1=consts.c1, c2=consts.c2, c3=consts.c3, c3_tail=consts.c3_tail,
-        notes=base.notes + tuple(notes),
-        weyl_exponent=consts.exponent, weyl_constant=consts.constant)
+        thresholds=base.thresholds, weyl_regime=base.weyl_regime,
+        weyl_exponent=consts.exponent, weyl_constant=consts.constant,
+        c3_tail=consts.c3_tail, notes=base.notes + tuple(notes))
 
 
 def prediction_to_dict(pred: Prediction) -> dict:
@@ -404,7 +395,6 @@ def prediction_to_dict(pred: Prediction) -> dict:
         "essential_bottom": pred.essential_bottom,
         "thresholds": list(pred.thresholds),
         "weyl_regime": pred.weyl_regime,
-        "constants": {"C1": pred.c1, "C2": pred.c2, "C3": pred.c3,
-                      "C3_tail": pred.c3_tail},
+        "constants": {**pred.constants, "C3_tail": pred.c3_tail},
         "notes": list(pred.notes),
     }

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Any, Callable, NamedTuple, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional
 
 
 class ConfigError(ValueError):
@@ -28,15 +28,6 @@ class ConfigError(ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
-
-
-def _as_fraction(x) -> Fraction:
-    """Exact rational from user input.  Decimal strings stay exact."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, str):
-        return Fraction(x)
-    return Fraction(x)
 
 
 def _fraction_str(x: Fraction) -> str:
@@ -79,17 +70,12 @@ class EndGeometry:
     y0: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _as_fraction(self.p))
+        object.__setattr__(self, "p", Fraction(self.p))
         _check_domains(self)
 
     @property
     def pf(self) -> float:
         return float(self.p)
-
-    @property
-    def complete(self) -> bool:
-        """The metric is complete exactly when p <= 1."""
-        return self.p <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -256,17 +242,11 @@ class MagneticData:
     theta0_closed: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "flux", tuple(_as_fraction(f) for f in self.flux))
+        object.__setattr__(self, "flux", tuple(Fraction(f) for f in self.flux))
 
     @property
     def flux_is_integral(self) -> bool:
         return all(f.denominator == 1 for f in self.flux)
-
-    def shifted(self, shift: Sequence[int]) -> "MagneticData":
-        """Equivalent data with flux translated by an integer vector."""
-        if len(shift) != len(self.flux):
-            raise ConfigError("flux shift has wrong length")
-        return replace(self, flux=tuple(f + int(s) for f, s in zip(self.flux, shift)))
 
 
 @dataclass(frozen=True)
@@ -408,14 +388,15 @@ class ProblemConfig:
     h1_x: Optional[int] = None
     zeta_s: Optional[float] = None
     zeta_shift: float = 0.0
-    check_y0: Optional[tuple] = None
-    check_bump: Optional[tuple] = None
+    check_y0: Optional[tuple] = None     # cut-check radii; None means (Y0, 2 Y0)
+    check_bump: Optional[tuple] = None   # perturb-check bump; None means (Y0 + 1.5, 1, 5)
 
     def __post_init__(self):
-        if self.check_y0 is not None:
-            object.__setattr__(self, "check_y0", tuple(float(v) for v in self.check_y0))
-        if self.check_bump is not None:
-            object.__setattr__(self, "check_bump", tuple(float(v) for v in self.check_bump))
+        y0 = self.geometry.y0
+        object.__setattr__(self, "check_y0", tuple(
+            float(v) for v in self.check_y0 or (y0, 2.0 * y0)))
+        object.__setattr__(self, "check_bump", tuple(
+            float(v) for v in self.check_bump or (y0 + 1.5, 1.0, 5.0)))
         _check_domains(self)
         n = self.geometry.n
         cs = self.cross_section
@@ -451,11 +432,6 @@ class ProblemConfig:
     def with_bump(self, bump) -> "ProblemConfig":
         pot = self.potential if self.potential is not None else RadialPotential()
         return replace(self, potential=replace(pot, bump=tuple(bump) if bump else None))
-
-    def with_flux(self, flux) -> "ProblemConfig":
-        if self.magnetic is None:
-            return replace(self, magnetic=MagneticData(flux=tuple(flux)))
-        return replace(self, magnetic=replace(self.magnetic, flux=tuple(flux)))
 
 
 # ---------------------------------------------------------------------------

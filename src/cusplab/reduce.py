@@ -121,9 +121,6 @@ class CanonicalOperator:
         conj = ((self.conj_coeff, 2.0 * self.p - 2.0),)
         return potential_values(y, conj + self.potential_terms, self.bump)
 
-    def w(self, z):
-        return self.q(self.y_of_z(z))
-
 
 # ---------------------------------------------------------------------------
 # coordinate maps

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -90,6 +91,11 @@ def _probe_config(numerics=None, flux="0", y0=1.0):
                                       lambda_grid=(0.05, 0.5, 46)))
 
 
+def _in_window(config, lambda_grid):
+    """`config` with the lambda window (lo, hi, count)."""
+    return replace(config, numerics=replace(config.numerics, lambda_grid=lambda_grid))
+
+
 def criterion_3():
     """Scalar threshold at p=1: probe finds 1/4 within 0.02."""
     est = assemble.threshold_probe(_probe_config())
@@ -100,17 +106,12 @@ def criterion_3():
 
 def criterion_4():
     """Flux switch: half-integral flux kills the essential spectrum."""
-    cfg = _probe_config(flux="0.5")
-    pred = criteria.classify(cfg)
-    rep = assemble.global_counting(cfg, lambdas=np.linspace(0.1, 1.0, 10))
-    T = cfg.numerics.domains
-    gf = cfg.numerics.grids[-1]
-    same = np.array_equal(rep.totals_by_combo[(gf, T[-1])],
-                          rep.totals_by_combo[(gf, T[-2])])
+    rep = assemble.global_counting(_in_window(_probe_config(flux="0.5"), (0.1, 1.0, 10)))
+    pred = rep.prediction
     est = assemble.threshold_probe(_probe_config(flux="1"))
-    ok = (pred.is_pure_point and same
+    ok = (pred.is_pure_point and rep.stable
           and est.value is not None and abs(est.value - 0.25) <= 0.02)
-    return ok, (f"mu=0.5: {pred.classification}, counts stable={same}; "
+    return ok, (f"mu=0.5: {pred.classification}, counts stable={rep.stable}; "
                 f"mu=1: threshold {est.value}")
 
 
@@ -164,10 +165,10 @@ def criterion_8():
         cross_section=builtin_cross_section("square_torus", side=2 * math.pi, dim=2),
         degree=1,
         numerics=Numerics(grids=(1000, 2000), domains=(8.0, 16.0, 32.0)))
-    e0 = assemble.threshold_probe(cfg, lambdas=np.linspace(0.005, 0.3, 31),
-                                  sectors={red.SECTOR_FORM_0}, predicted=0.0)
-    e1 = assemble.threshold_probe(cfg, lambdas=np.linspace(0.8, 1.3, 51),
-                                  sectors={red.SECTOR_FORM_1}, predicted=1.0)
+    e0 = assemble.threshold_probe(_in_window(cfg, (0.005, 0.3, 31)),
+                                  sectors={red.SECTOR_FORM_0})
+    e1 = assemble.threshold_probe(_in_window(cfg, (0.8, 1.3, 51)),
+                                  sectors={red.SECTOR_FORM_1})
     ok = (e0.value is not None and abs(e0.value - 0.0) <= 0.03
           and e1.value is not None and abs(e1.value - 1.0) <= 0.05)
     return ok, f"sector0 {e0.value:.4f} (tol 0.03), sector1 {e1.value:.4f} (tol 0.05)"
@@ -177,8 +178,9 @@ def criterion_9():
     """p > 1 discreteness: counts below 10 stable under both doublings."""
     cfg = _circle_config(
         p="2", flux="0",
-        numerics=Numerics(grids=(1000, 2000), domains=(8.0, 16.0)))
-    rep = assemble.global_counting(cfg, lambdas=np.linspace(1.0, 10.0, 10))
+        numerics=Numerics(grids=(1000, 2000), domains=(8.0, 16.0),
+                          lambda_grid=(1.0, 10.0, 10)))
+    rep = assemble.global_counting(cfg)
     grid_same = all(
         np.array_equal(rep.totals_by_combo[(1000, T)], rep.totals_by_combo[(2000, T)])
         for T in cfg.numerics.domains)
@@ -239,9 +241,10 @@ def criterion_12():
     c = criteria.magnetic_schrodinger_bound(cs, ("0.5",))
     cfg = _circle_config(
         p="1", flux="0.5", potential=RadialPotential(poly=((-0.1, 2.0),)),
-        numerics=Numerics(grids=(1000, 2000), domains=(8.0, 16.0, 32.0)))
-    pred = criteria.classify(cfg)
-    rep = assemble.global_counting(cfg, lambdas=np.linspace(0.5, 6.0, 12))
+        numerics=Numerics(grids=(1000, 2000), domains=(8.0, 16.0, 32.0),
+                          lambda_grid=(0.5, 6.0, 12)))
+    rep = assemble.global_counting(cfg)
+    pred = rep.prediction
     ok = (c == 0.25 and pred.is_pure_point and rep.stable
           and rep.n_total[-1] >= 1)
     return ok, (f"c = {c}, classification {pred.classification}, "

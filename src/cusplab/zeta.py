@@ -24,6 +24,12 @@ from .model import CIRCLE, TORUS, CrossSection
 
 #: target relative size of the certified tail
 REL_TOL = 1e-12
+#: most terms `circle_zeta` sums, and most sup-norm shells `lattice_zeta`
+#: visits in dimension 2 and in dimension >= 3; these keep the loops
+#: affordable, and a loop cut short still reports an honest tail
+CIRCLE_MAX_TERMS = 20_000_000
+LATTICE_MAX_RADIUS_2D = 4000
+LATTICE_MAX_RADIUS = 300
 
 
 class ZetaError(ValueError):
@@ -36,10 +42,6 @@ class ZetaResult:
     tail: float
     terms: int
 
-    @property
-    def upper(self) -> float:
-        return self.value + self.tail
-
 
 def _check_args(s, shift, abscissa, what):
     if shift < 0:
@@ -49,8 +51,7 @@ def _check_args(s, shift, abscissa, what):
             f"{what}: s = {s} is at or below the convergence abscissa {abscissa}")
 
 
-def circle_zeta(length: float, s: float, shift: float = 0.0,
-                max_terms: int = 20_000_000) -> ZetaResult:
+def circle_zeta(length: float, s: float, shift: float = 0.0) -> ZetaResult:
     """sum over m in Z of ((2 pi m / L)^2 + shift)^(-s), zero modes excluded.
 
     Convergence needs s > 1/2.  The tail beyond |m| > M is bounded by the
@@ -65,8 +66,8 @@ def circle_zeta(length: float, s: float, shift: float = 0.0,
     m_done = 0
     block = 4096
     tail = math.inf
-    while m_done < max_terms:
-        hi = min(m_done + block, max_terms)
+    while m_done < CIRCLE_MAX_TERMS:
+        hi = min(m_done + block, CIRCLE_MAX_TERMS)
         ms = np.arange(m_done + 1, hi + 1, dtype=float)
         total += 2.0 * float(np.sum((w * ms * ms + shift) ** (-s)))
         terms += 2 * len(ms)
@@ -97,8 +98,7 @@ def _shell(r: int, d: int) -> np.ndarray:
     return np.concatenate(faces, axis=0)
 
 
-def lattice_zeta(dual_basis, s: float, shift: float = 0.0,
-                 max_radius: int = 20000) -> ZetaResult:
+def lattice_zeta(dual_basis, s: float, shift: float = 0.0) -> ZetaResult:
     """sum over m in Z^d of (|2 pi B* m|^2 + shift)^(-s), zero modes excluded.
 
     Summation proceeds over sup-norm shells; the tail after radius R uses
@@ -118,8 +118,7 @@ def lattice_zeta(dual_basis, s: float, shift: float = 0.0,
     if d == 1:
         # one-dimensional lattices are circles: reuse the block summation
         return circle_zeta(2.0 * math.pi / abs(float(basis[0, 0])), s, shift)
-    # keep the shell loop affordable; the tail certificate stays honest
-    max_radius = min(max_radius, 4000 if d == 2 else 300)
+    max_radius = LATTICE_MAX_RADIUS_2D if d == 2 else LATTICE_MAX_RADIUS
 
     total = shift ** (-s) if shift > 0 else 0.0
     terms = 1 if shift > 0 else 0

@@ -12,8 +12,8 @@ from cusplab.assemble import (AssembleError, cut_invariance_check,
                               report_to_dict, report_two_column,
                               threshold_probe, weyl_fit)
 from cusplab.criteria import LOG_LAW, POWER_HALF_P, POWER_N2
-from cusplab.model import (EndGeometry, MagneticData, Numerics, ProblemConfig,
-                           RadialPotential, builtin_cross_section)
+from cusplab.model import (ConfigError, EndGeometry, MagneticData, Numerics,
+                           ProblemConfig, RadialPotential, builtin_cross_section)
 from cusplab.reduce import CanonicalOperator
 
 TWO_PI = 2 * math.pi
@@ -150,9 +150,8 @@ def test_weyl_fit_reads_the_law_from_the_prediction(p, regime, grids, domains, l
     pred = rep.prediction
     assert pred.weyl_regime == regime
     fit = weyl_fit(rep)
-    assert fit.expected_exponent == pred.weyl_exponent == {"1": 1.0, "0.5": 1.0,
-                                                          "0.25": 2.0}[p]
-    assert fit.predicted_constant == pred.weyl_constant is not None
+    assert pred.weyl_exponent == {"1": 1.0, "0.5": 1.0, "0.25": 2.0}[p]
+    assert pred.weyl_constant is not None
     assert fit.exponent_fixed == (regime == LOG_LAW)
     # the re-fit constant is the least-squares C of N = C lambda^q at the
     # prediction's q; a wrong q would move it far from the predicted one
@@ -173,47 +172,47 @@ def test_weyl_verdict_is_undecided_on_a_domain_unstable_pure_point_table():
     judged = weyl_fit(dataclasses.replace(rep, stable=True))
     assert judged.consistent is False and judged.notes == ()
     # with essential spectrum the fit is informational whatever the table
-    ess = dataclasses.replace(rep.prediction, classification="essential_from",
-                              essential_bottom=0.25, thresholds=(0.25,))
+    ess = dataclasses.replace(rep.prediction, thresholds=(0.25,))
     assert weyl_fit(dataclasses.replace(rep, prediction=ess)).consistent is True
 
 
 def test_cut_invariance_passes_for_essential_case():
-    check = cut_invariance_check(circle_cfg(flux="0"), (1.0, 2.0))
-    assert check.passed
+    check = cut_invariance_check(circle_cfg(flux="0"))
+    assert check.passed and list(check.variants) == [1.0, 2.0]
     vals = [e.value for e in check.variants.values()]
     assert all(abs(v - 0.25) <= 0.02 for v in vals)
 
 
 def test_cut_invariance_pure_point_stable_counts():
-    check = cut_invariance_check(circle_cfg(flux="0.5"), (1.0, 2.0))
+    check = cut_invariance_check(circle_cfg(flux="0.5"))
     assert check.passed
     assert any("discrete spectrum" in n for n in check.notes)
 
 
 def test_cut_invariance_needs_two_y0():
     for y0s in ((1.0,), (1.0, 1.0)):
-        with pytest.raises(AssembleError, match="2 distinct values"):
-            cut_invariance_check(circle_cfg(flux="0"), y0s)
+        with pytest.raises(ConfigError, match="2 distinct values"):
+            dataclasses.replace(circle_cfg(flux="0"), check_y0=y0s)
 
 
 def test_perturbation_check_with_bump():
-    check = perturbation_stability_check(circle_cfg(flux="0"), (2.5, 1.0, 5.0))
+    check = perturbation_stability_check(circle_cfg(flux="0"))   # bump (2.5, 1, 5)
     assert check.passed
     base, bumped = check.variants["base"], check.variants["bumped"]
     assert abs(base.value - bumped.value) <= base.error + bumped.error
 
 
 def test_perturbation_zero_bump_is_identity():
-    cfg = circle_cfg(flux="0")
-    check = perturbation_stability_check(cfg, (2.5, 1.0, 0.0))
+    cfg = dataclasses.replace(circle_cfg(flux="0"), check_bump=(2.5, 1.0, 0.0))
+    check = perturbation_stability_check(cfg)
     assert check.passed
     assert check.variants["base"].value == check.variants["bumped"].value
 
 
 def test_perturbation_negative_bump_on_pure_point():
     # a small negative dip cannot destabilize a confining problem
-    check = perturbation_stability_check(circle_cfg(flux="0.5"), (2.5, 1.0, -0.1))
+    cfg = dataclasses.replace(circle_cfg(flux="0.5"), check_bump=(2.5, 1.0, -0.1))
+    check = perturbation_stability_check(cfg)
     assert check.passed
     assert check.variants["bumped"].no_growth
 
@@ -238,10 +237,11 @@ def test_log_regime_fit_runs():
 
 
 def test_lambdas_must_increase_strictly():
-    cfg = circle_cfg(flux="0.5")
-    for lams in ([0.5, 0.5, 1.0], [1.0, 0.5], [0.5, float("nan")]):
+    # lo < hi, but the window holds fewer doubles than the grid has points
+    for scale in ("lin", "log"):
+        cfg = circle_cfg(flux="0.5", lam=(1.0, 1.0 + 2.0**-52, 5), scale=scale)
         with pytest.raises(AssembleError, match="strictly increasing"):
-            global_counting(cfg, lambdas=lams)
+            global_counting(cfg)
 
 
 def test_counts_decreasing_in_lambda_are_an_internal_error(counts_reversed_in_lambda):
@@ -292,10 +292,10 @@ def test_shorter_domains_are_leading_blocks_and_one_pass_equals_per_combo_passes
 
 def _reference_pencil(op, length, cells):
     """P1 assembly of one operator written out: k = w1(midpoints)/h,
-    diag = k[:-1] + k[1:] + q w0 lump; the normal form in z with W = op.w."""
+    diag = k[:-1] + k[1:] + q w0 lump; the normal form in z with W = op.q(y(z))."""
     t, y = sturm.mesh_for(op, length, cells)
     if isinstance(op, CanonicalOperator):
-        h, w1, w0, q = np.diff(t), np.ones(cells), np.ones(cells + 1), op.w(t)
+        h, w1, w0, q = np.diff(t), np.ones(cells), np.ones(cells + 1), op.q(y)
     else:
         h, w1, w0, q = np.diff(y), op.w1(0.5 * (y[:-1] + y[1:])), op.w0(y), op.q(y)
     lump = 0.5 * (h[:-1] + h[1:])

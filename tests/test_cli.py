@@ -511,14 +511,14 @@ def test_an_inconclusive_probe_exits_one_after_its_report(cfg_path, capsys, comm
         assert "base: " in err and "bumped: " in err
 
 
-GROWTH = ThresholdEstimate(0.25, 0.1, 0.25, False, False)
-SHIFTED = ThresholdEstimate(1.0, 0.1, 0.25, False, False)
-STABLE = ThresholdEstimate(None, 0.1, 0.25, False, True, ("counts stable",))
-UNSURE = ThresholdEstimate(0.25, 0.1, 0.25, True, False, (INCONCLUSIVE,))
+GROWTH = ThresholdEstimate(0.25, 0.1, 0.25, False)
+SHIFTED = ThresholdEstimate(1.0, 0.1, 0.25, False)
+STABLE = ThresholdEstimate(None, 0.1, 0.25, False, ("counts stable",))
+UNSURE = ThresholdEstimate(0.25, 0.1, 0.25, True, (INCONCLUSIVE,))
 
 
 def _weyl_fit(consistent, notes=()):
-    return WeylFit(1.0, 0.5, False, 0.01, (10.0, 100.0), (5, 50), "N = C l^a", 1.0, 0.5,
+    return WeylFit(1.0, 0.5, False, 0.01, (10.0, 100.0), (5, 50), "N = C l^a",
                    consistent, notes)
 
 

@@ -114,8 +114,9 @@ def test_magnetic_nonclosed_or_nonconstant_is_pure_point():
        st.integers(min_value=-3, max_value=3))
 @settings(max_examples=30, deadline=None)
 def test_magnetic_classification_invariant_under_integer_shift(flux, e):
-    base = magnetic_pure_point(MagneticData(flux=(flux,)), 2, 1)
-    moved = magnetic_pure_point(MagneticData(flux=(flux,)).shifted([e]), 2, 1)
+    mag = MagneticData(flux=(flux,))
+    base = magnetic_pure_point(mag, 2, 1)
+    moved = magnetic_pure_point(MagneticData(flux=(mag.flux[0] + e,)), 2, 1)
     assert base.classification == moved.classification
     assert base.thresholds == moved.thresholds
 
@@ -194,15 +195,15 @@ def test_vol_end_formula():
 
 def test_c1_is_length_over_4pi():
     consts = weyl_constants(circle_cfg(1, flux="0.5"))
-    assert consts.c1 == pytest.approx(TWO_PI / (4 * math.pi))
+    assert consts.constant == pytest.approx(TWO_PI / (4 * math.pi))
     consts2 = weyl_constants(circle_cfg(1, flux="0.5", length=3.0))
-    assert consts2.c1 == pytest.approx(3.0 / (4 * math.pi))
+    assert consts2.constant == pytest.approx(3.0 / (4 * math.pi))
 
 
 def test_c2_is_length_over_4pi():
-    consts = weyl_constants(circle_cfg(Fraction(1, 2), flux="0.5"))
-    assert consts.c2 == pytest.approx(0.5)
-    assert consts.c1 is None
+    cfg = circle_cfg(Fraction(1, 2), flux="0.5")
+    assert weyl_constants(cfg).constant == pytest.approx(0.5)
+    assert classify(cfg).constants["C1"] is None
 
 
 def test_c3_schrodinger_quarter_prefactor():
@@ -211,8 +212,8 @@ def test_c3_schrodinger_quarter_prefactor():
     cfg = circle_cfg(Fraction(1, 4), potential=RadialPotential(poly=((1.0, 0.5),)))
     consts = weyl_constants(cfg)
     brute = 1.0 + 2.0 * sum((m * m + 1.0) ** -1.5 for m in range(1, 200000))
-    assert consts.c3 == pytest.approx(0.25 * brute, rel=1e-9)
-    assert consts.c3_tail < 1e-9 * consts.c3
+    assert consts.constant == pytest.approx(0.25 * brute, rel=1e-9)
+    assert consts.c3_tail < 1e-9 * consts.constant
 
 
 def test_c3_pure_forms_excludes_zero_modes():
@@ -220,12 +221,12 @@ def test_c3_pure_forms_excludes_zero_modes():
     consts = weyl_constants(cfg)
     # degree 0 and degree -1: only the function zeta, zero mode excluded
     brute = 2.0 * sum(float(m * m) ** -1.5 for m in range(1, 200000))
-    assert consts.c3 == pytest.approx(0.25 * brute, rel=1e-8)
+    assert consts.constant == pytest.approx(0.25 * brute, rel=1e-8)
 
 
 def test_c3_magnetic_is_fit_only():
     consts = weyl_constants(circle_cfg(Fraction(1, 4), flux="0.5"))
-    assert consts.c3 is None
+    assert consts.constant is None
     assert any("fit-only" in n for n in consts.notes)
 
 
@@ -233,10 +234,10 @@ def test_c1_c2_ignore_flux_and_potential():
     base = weyl_constants(circle_cfg(1))
     with_flux = weyl_constants(circle_cfg(1, flux="0.3"))
     with_pot = weyl_constants(circle_cfg(1, potential=RadialPotential(poly=((5.0, 2.0),))))
-    assert base.c1 == with_flux.c1 == with_pot.c1
+    assert base.constant == with_flux.constant == with_pot.constant
     base2 = weyl_constants(circle_cfg(Fraction(1, 2)))
     fl2 = weyl_constants(circle_cfg(Fraction(1, 2), flux="0.3"))
-    assert base2.c2 == fl2.c2
+    assert base2.constant == fl2.constant
 
 
 # ---------------------------------------------------------------------------
@@ -268,25 +269,28 @@ def test_classify_scalar_essential():
 
 
 @pytest.mark.parametrize("p, regime, exponent, name", [
-    (1, POWER_N2, 1.0, "c1"),
-    (Fraction(1, 2), LOG_LAW, 1.0, "c2"),
-    (Fraction(1, 4), POWER_HALF_P, 2.0, "c3"),
+    (1, POWER_N2, 1.0, "C1"),
+    (Fraction(1, 2), LOG_LAW, 1.0, "C2"),
+    (Fraction(1, 4), POWER_HALF_P, 2.0, "C3"),
 ])
 def test_prediction_states_the_regime_law(p, regime, exponent, name):
     pred = classify(circle_cfg(p, potential=RadialPotential(poly=((1.0, 0.5),))))
     assert pred.weyl_regime == regime
     assert pred.weyl_exponent == exponent
     assert pred.weyl_constant is not None
-    assert pred.weyl_constant == getattr(pred, name)
-    assert sum(c is not None for c in (pred.c1, pred.c2, pred.c3)) == 1
+    assert pred.constants[name] == pred.weyl_constant
+    assert sum(c is not None for c in pred.constants.values()) == 1
+    assert prediction_to_dict(pred)["constants"] == {**pred.constants,
+                                                     "C3_tail": pred.c3_tail}
 
 
 def test_prediction_law_has_no_constant_where_c3_is_fit_only():
     for cfg in (circle_cfg(Fraction(1, 4), flux="0.5"),
                 circle_cfg(Fraction(1, 4), potential=RadialPotential(poly=((-1.0, 0.5),)))):
         pred = classify(cfg)
-        assert weyl_constants(cfg).c3 is None
+        assert weyl_constants(cfg).constant is None
         assert pred.weyl_exponent == 2.0 and pred.weyl_constant is None
+        assert pred.constants == {"C1": None, "C2": None, "C3": None}
 
 
 def test_law_stays_out_of_the_prediction_report():

@@ -86,11 +86,6 @@ def test_geometry_invariants():
         EndGeometry(2, 1, 0.5)
 
 
-@pytest.mark.parametrize("p,complete", [("0.5", True), ("1", True), ("1.5", False)])
-def test_completeness_flag_is_p_at_most_one(p, complete):
-    assert EndGeometry(2, p).complete is complete
-
-
 def test_builtin_circle():
     cs = builtin_cross_section("circle", length=TWO_PI)
     assert cs.betti == (1, 1)
@@ -237,6 +232,16 @@ def test_table_rejects_degrees_beyond_dim():
         parse_config(VALID + "cross_section.eigenvalues.0 = (0.0,1)\n")
 
 
+def test_check_variants_default_from_the_cut_radius():
+    cfg = parse_config(VALID.replace("geometry.y0 = 1.0", "geometry.y0 = 1.5"))
+    assert cfg.geometry.y0 == 1.5
+    assert cfg.check_y0 == (1.5, 3.0)
+    assert cfg.check_bump == (3.0, 1.0, 5.0)
+    chosen = parse_config(VALID + "checks.y0 = 1,4\nchecks.bump = 2,0.5,-1\n")
+    assert chosen.check_y0 == (1.0, 4.0)
+    assert chosen.check_bump == (2.0, 0.5, -1.0)
+
+
 def test_round_trip_table_and_extras():
     cfg = ProblemConfig(
         geometry=EndGeometry(2, "0.25", 1.5),
@@ -259,7 +264,8 @@ NO_B1 = builtin_cross_section("table", betti=(1, 0), volume=1.0,
 
 
 def test_round_trip_empty_flux():
-    cfg = ProblemConfig(geometry=EndGeometry(2, "1"), cross_section=NO_B1).with_flux(())
+    cfg = ProblemConfig(geometry=EndGeometry(2, "1"), cross_section=NO_B1,
+                        magnetic=MagneticData(flux=()))
     text = render_config(cfg)
     assert "\nmagnetic.flux = \n" in text
     assert parse_config(text) == cfg
@@ -318,9 +324,9 @@ def test_integer_flux_shift_gives_same_eigenvalue_multiset():
 
     cs = builtin_cross_section("circle", length=TWO_PI)
     mag = MagneticData(flux=("0.5",))
-    shifted = mag.shifted([2])
+    shifted = (mag.flux[0] + 2,)
     base = sorted(cross_eigenvalue(cs, (m,), mag.flux) for m in range(-6, 7))
-    moved = sorted(cross_eigenvalue(cs, (m - 2,), shifted.flux) for m in range(-6, 7))
+    moved = sorted(cross_eigenvalue(cs, (m - 2,), shifted) for m in range(-6, 7))
     assert base == moved
 
 
