@@ -42,6 +42,7 @@ from .reduce import ModeSpec
 WEYL_EXPONENT_TOL = 0.1     # Weyl verdict: |fitted - predicted exponent|
 WEYL_CONSTANT_RTOL = 0.2    # Weyl verdict: |fitted / predicted constant - 1|
 EIGEN_CAP = 400             # most eigenvalues `global_counting` lists
+RHO_MIN_FACTOR = 0.5        # threshold probe: growth line, a fraction of sqrt(lambda - c)/pi
 
 
 class AssembleError(ValueError):
@@ -172,7 +173,7 @@ def global_counting(config: ProblemConfig, with_eigenvalues: bool = False,
         if total_top > EIGEN_CAP:
             raise AssembleError(
                 f"{total_top} eigenvalues below {top:g} exceed the listing cap "
-                f"({EIGEN_CAP}); lower lambda_max")
+                f"({EIGEN_CAP}); lower the top of numerics.lambda_grid")
         diags, off, mass = stack
         for res, diag in zip(mode_results, diags):
             pen = sturm.TridiagonalPencil(diag=diag, offdiag=off, mass=mass)
@@ -234,7 +235,7 @@ def threshold_probe(config: ProblemConfig, sectors=None) -> ThresholdEstimate:
     grid resolution with the (pi/T_max)^2 detection floor of a Dirichlet
     channel of length T_max.  Growth must be sustained: above the
     candidate, least-squares count growth per unit length has to exceed
-    rho_min_factor * sqrt(lambda - c)/pi, else the probe is inconclusive.
+    RHO_MIN_FACTOR * sqrt(lambda - c)/pi, else the probe is inconclusive.
     """
     num = config.numerics
     if len(num.domains) < 3:
@@ -261,7 +262,7 @@ def threshold_probe(config: ProblemConfig, sectors=None) -> ThresholdEstimate:
     above = np.arange(len(lambdas)) >= first
     stacked = np.stack([totals[T] for T in domains]).astype(float)
     slopes = np.polyfit(np.array(domains), stacked, 1)[0]
-    rho_min = num.rho_min_factor * np.sqrt(np.maximum(
+    rho_min = RHO_MIN_FACTOR * np.sqrt(np.maximum(
         lambdas - c_hat, 0.0)) / math.pi
     growing = bool(np.any(slopes[above] >= rho_min[above]) and slopes[above].max() > 0)
     if not growing:

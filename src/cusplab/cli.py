@@ -14,9 +14,10 @@ Subcommands and the formats each writes (the first is the default):
   selftest      run the acceptance battery
 
 Every command but selftest takes --config PATH (required), --format and
---out PATH; selftest takes no flags.  reduce also takes --lambda-max X and
---domains z1,z2,...; count, spectrum, essspec, weyl, cut-check and
-perturb-check take --domains z1,z2,... and --grids n1,n2,...
+--out PATH; selftest takes no flags.  reduce also takes --domains
+z1,z2,...; count, spectrum, essspec, weyl, cut-check and perturb-check take
+--domains z1,z2,... and --grids n1,n2,...  Every numeric command, reduce
+included, works up to the top of numerics.lambda_grid.
 
 Exit codes: 0 success, 1 configuration/usage error or an inconclusive
 comparison (the report is written, then one error[inconclusive] line; for
@@ -164,7 +165,7 @@ def cmd_reduce(args):
     config = _load_config(args)
     p = config.geometry.p
     records = []
-    for m in red.enumerate_modes(config, config.numerics.lambda_max):
+    for m in red.enumerate_modes(config, float(config.numerics.lambdas()[-1])):
         op = red.mode_operator(config, m)
         terms = "+".join(f"{a!r}*y^{b!r}" for a, b in op.potential_terms) or "0"
         if op.bump is not None:
@@ -292,7 +293,7 @@ _STUDY = ("domains", "grids")
 #: the command line may override); --help of each subcommand lists exactly these
 _SUBCOMMANDS = {
     "criteria": (cmd_criteria, _TEXT_CSV_JSON, ()),
-    "reduce": (cmd_reduce, ("csv", "json"), ("lambda_max", "domains")),
+    "reduce": (cmd_reduce, ("csv", "json"), ("domains",)),
     "count": (cmd_count, _TEXT_CSV_JSON, _STUDY),
     "spectrum": (cmd_spectrum, _TEXT_CSV_JSON, _STUDY),
     "essspec": (cmd_essspec, _TEXT_CSV_JSON, _STUDY),

@@ -229,15 +229,14 @@ class MagneticData:
 
     `flux` is the class of the tangential connection form in units where the
     integral lattice is exactly Z^b1; entries are exact rationals so the
-    integrality predicate is arithmetic, not a float comparison.  `phi0` is
-    the constant radial coefficient; it is pure gauge, so the numerics
-    ignore it.  A non-constant radial coefficient or a non-closed tangential
-    form is outside the numerically modelled class: `reduce.enumerate_modes`
+    integrality predicate is arithmetic, not a float comparison.  A constant
+    radial coefficient is pure gauge, so only `phi0_constant` is kept.  A
+    non-constant radial coefficient or a non-closed tangential form is
+    outside the numerically modelled class: `reduce.enumerate_modes`
     refuses it, while the analytic criteria still classify it.
     """
 
     flux: tuple
-    phi0: float = 0.0
     phi0_constant: bool = True
     theta0_closed: bool = True
 
@@ -336,7 +335,8 @@ class Numerics:
                 p > 1 (zmax depends on e^T) no two domains nest.
     domains     strictly increasing transformed-variable lengths: z-lengths
                 for p <= 1; for p > 1 a domain T truncates at Ymax = Y0 * e^T.
-    lambda_grid (lo, hi, count) spectral-parameter grid, linear by default.
+    lambda_grid (lo, hi, count) spectral-parameter grid, linear by default;
+                hi is the one spectral window of every numeric command.
     """
 
     grids: tuple = (1000, 2000)
@@ -344,9 +344,7 @@ class Numerics:
     tol: float = 1e-8
     lambda_grid: tuple = (0.05, 0.5, 46)
     lambda_scale: str = "lin"
-    lambda_max: float = 1.0
     mode_cap: int = 600
-    rho_min_factor: float = 0.5
 
     def __post_init__(self):
         object.__setattr__(self, "grids", tuple(int(g) for g in self.grids))
@@ -570,7 +568,6 @@ _FIELDS = (
     _Field("degree", "degree", _integer),
     _Field("magnetic.flux", "flux", _flux,
            lambda flux: ",".join(_fraction_str(f) for f in flux), required=True),
-    _Field("magnetic.phi0", "phi0", _real),
     _Field("magnetic.phi0_constant", "phi0_constant", _flag, _flag_str),
     _Field("magnetic.theta0_closed", "theta0_closed", _flag, _flag_str),
     _Field("potential.poly", "poly", _pairs,
@@ -589,12 +586,8 @@ _FIELDS = (
            "lambda grid bounds must be finite"),
     _Field("numerics.lambda_scale", "lambda_scale", str, str, lambda s: s in ("lin", "log"),
            "numerics.lambda_scale must be 'lin' or 'log'"),
-    _Field("numerics.lambda_max", "lambda_max", _real, ok=math.isfinite,
-           rule="lambda_max must be finite"),
     _Field("numerics.mode_cap", "mode_cap", _integer, ok=lambda cap: cap >= 1,
            rule="mode_cap must be >= 1"),
-    _Field("numerics.rho_min_factor", "rho_min_factor", _real, ok=_positive,
-           rule="rho_min_factor must be finite and > 0"),
     _Field("topology.orientable", "orientable", _flag, _flag_str),
     _Field("topology.h1_x", "h1_x", _integer, ok=lambda h: h >= 0,
            rule="topology.h1_x must be >= 0"),
@@ -617,8 +610,15 @@ _SECTIONS = {"geometry": EndGeometry, "magnetic": MagneticData,
 _TABLE_PREFIX = "cross_section.eigenvalues."
 _KNOWN_KEYS = {f.key for f in _FIELDS} | {
     "cross_section.kind", "cross_section.length", "cross_section.side",
-    "cross_section.dim", "cross_section.dual_basis", "cross_section.volume",
-    "cross_section.betti"}
+    "cross_section.dual_basis", "cross_section.volume", "cross_section.betti"}
+
+#: removed keys -> what replaces them; parse_config refuses them with this reason
+_REMOVED_KEYS = {
+    "numerics.lambda_max": "reduce lists the modes up to the top of numerics.lambda_grid",
+    "numerics.rho_min_factor": "the probe's growth line is fixed at half the flat-channel rate",
+    "magnetic.phi0": "a constant radial coefficient is pure gauge; delete the line",
+    "cross_section.dim": "a square torus has dimension geometry.n - 1",
+}
 
 
 def _check_domains(obj) -> None:
@@ -659,6 +659,8 @@ def parse_config(text: str) -> ProblemConfig:
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
+        if key in _REMOVED_KEYS:
+            raise ConfigError(f"key {key!r} was removed: {_REMOVED_KEYS[key]}", ln)
         if key not in _KNOWN_KEYS and not key.startswith(_TABLE_PREFIX):
             raise ConfigError(f"unknown key {key!r}", ln)
         if key in raw:
@@ -690,22 +692,17 @@ def parse_config(text: str) -> ProblemConfig:
 
 
 def _parse_cross_section(raw, lines, n) -> CrossSection:
-    def need(key):
+    def value(read, key):
         if key not in raw:
             raise ConfigError(f"missing required key {key!r}")
-        return raw[key]
+        return _read(read, raw[key], lines[key])
 
-    def value(read, key, default=None):
-        tok = need(key) if default is None else raw.get(key, default)
-        return _read(read, tok, lines.get(key))
-
-    kind = need("cross_section.kind")
+    kind = value(str, "cross_section.kind")
     if kind == "circle":
         cs = builtin_cross_section("circle", length=value(_real, "cross_section.length"))
     elif kind == "square_torus":
-        cs = builtin_cross_section(
-            "square_torus", side=value(_real, "cross_section.side"),
-            dim=value(_integer, "cross_section.dim", str(n - 1)))
+        cs = builtin_cross_section("square_torus", side=value(_real, "cross_section.side"),
+                                   dim=n - 1)
     elif kind == "lattice_torus":
         rows = value(lambda tok: [_list(_real)(row) for row in tok.split(";")],
                      "cross_section.dual_basis")

@@ -179,6 +179,7 @@ def cross_eigenvalue(cross_section: CrossSection, m: Sequence[int],
 def _function_modes(cross_section: CrossSection, flux, nu_max: float,
                     cap: int) -> List[ModeSpec]:
     """All lattice modes with nu <= nu_max, sorted by (nu, label)."""
+    advice = "lower the top of numerics.lambda_grid or raise numerics.mode_cap"
     modes = []
     if cross_section.kind == CIRCLE:
         mu = 0.0 if flux is None else float(flux[0])
@@ -187,8 +188,7 @@ def _function_modes(cross_section: CrossSection, flux, nu_max: float,
         lo = math.ceil(-mu - reach - 1e-12)
         hi = math.floor(-mu + reach + 1e-12)
         if hi - lo + 1 > 8 * cap:
-            raise ReduceError(
-                f"mode count would exceed the cap ({cap}); lower lambda_max")
+            raise ReduceError(f"mode count would exceed the cap ({cap}); {advice}")
         for m in range(lo, hi + 1):
             nu = cross_eigenvalue(cross_section, (m,), flux)
             if nu <= nu_max + 1e-12:
@@ -205,8 +205,7 @@ def _function_modes(cross_section: CrossSection, flux, nu_max: float,
         for a, b in zip(lo, hi):
             box *= max(b - a + 1, 0)
         if box > 64 * cap:
-            raise ReduceError(
-                f"mode count would exceed the cap ({cap}); lower lambda_max")
+            raise ReduceError(f"mode count would exceed the cap ({cap}); {advice}")
         for m in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
             nu = cross_eigenvalue(cross_section, m, flux)
             if nu <= nu_max + 1e-12:
@@ -219,8 +218,7 @@ def _function_modes(cross_section: CrossSection, flux, nu_max: float,
                 modes.append(ModeSpec(label=(i,), nu=float(e), multiplicity=mult))
     modes.sort(key=lambda sp: (sp.nu, sp.label))
     if len(modes) > cap:
-        raise ReduceError(
-            f"{len(modes)} modes exceed the cap ({cap}); lower lambda_max")
+        raise ReduceError(f"{len(modes)} modes exceed the cap ({cap}); {advice}")
     return modes
 
 
@@ -253,8 +251,8 @@ def _nu_reach(config: ProblemConfig, lambda_max: float) -> float:
     while floor(hi) <= lambda_max:
         hi *= 2.0
         if hi > 1e18:
-            raise ReduceError("potential keeps every mode below lambda_max; "
-                              "no finite mode cut exists")
+            raise ReduceError("potential keeps every mode below the top of "
+                              "numerics.lambda_grid; no finite mode cut exists")
     lo = 0.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
@@ -276,12 +274,13 @@ def enumerate_modes(config: ProblemConfig, lambda_max: float) -> List[ModeSpec]:
     sectors are returned (the coexact tower has compact resolvent and only
     enters the counting constants analytically).
 
-    Every numeric command passes through here, so this is where magnetic
-    data outside the modelled class (only closed tangential forms with a
+    Every numeric command passes through here with the top of
+    `numerics.lambda_grid` as lambda_max, so this is where magnetic data
+    outside the modelled class (only closed tangential forms with a
     constant, pure-gauge radial coefficient are discretized) is refused.
     """
     if lambda_max < 0:
-        raise ReduceError("lambda_max must be >= 0")
+        raise ReduceError(f"the top of numerics.lambda_grid must be >= 0, got {lambda_max!r}")
     mag = config.magnetic
     if mag is not None and not (mag.theta0_closed and mag.phi0_constant):
         why = ("non-closed tangential form" if not mag.theta0_closed

@@ -109,7 +109,8 @@ def test_missing_file_exits_one(capsys):
 
 
 def test_reduce_csv_header(cfg_path, capsys):
-    assert main(["reduce", "--config", cfg_path(AB_CFG), "--lambda-max", "10"]) == 0
+    path = cfg_path(with_line(AB_CFG, "numerics.lambda_grid = 0.5,10,4"))
+    assert main(["reduce", "--config", path]) == 0
     out = capsys.readouterr().out
     head = out.splitlines()[0]
     assert head == ("mode,nu,multiplicity,density_exp,stiffness_exp,"
@@ -118,8 +119,9 @@ def test_reduce_csv_header(cfg_path, capsys):
 
 
 def test_reduce_quotes_bump_terms_and_types_json(cfg_path, capsys):
-    path = cfg_path(ESS_CFG + "potential.bump = 2.5,1.0,5.0\n")
-    args = ["reduce", "--config", path, "--lambda-max", "10"]
+    path = cfg_path(with_line(ESS_CFG + "potential.bump = 2.5,1.0,5.0\n",
+                              "numerics.lambda_grid = 0.5,10,4"))
+    args = ["reduce", "--config", path]
     assert main(args + ["--format", "csv"]) == 0
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
     assert all(len(row) == 7 for row in rows)
@@ -175,7 +177,7 @@ def test_torus_mode_labels_are_quoted_in_csv(cfg_path, capsys, command):
     ["count", "--domains", "abc"],
     ["count", "--grids", "100,2.5"],
     ["spectrum", "--domains", ""],
-    ["reduce", "--lambda-max", "ten"],
+    ["reduce", "--domains", "8,ten"],
 ])
 def test_malformed_override_values_exit_one(cfg_path, capsys, argv):
     assert main(argv[:1] + ["--config", cfg_path(AB_CFG)] + argv[1:]) == 1
@@ -186,7 +188,7 @@ def test_malformed_override_values_exit_one(cfg_path, capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["count", "--domains", "nan,16"],
     ["weyl", "--domains", "8,inf"],
-    ["reduce", "--lambda-max", "inf"],
+    ["reduce", "--domains", "nan"],
 ])
 def test_non_finite_override_values_exit_one(cfg_path, capsys, argv):
     assert main(argv[:1] + ["--config", cfg_path(AB_CFG)] + argv[1:]) == 1
@@ -214,7 +216,7 @@ def test_non_finite_numerics_in_the_config_exit_one(cfg_path, capsys, line):
 FLAGS = {
     "criteria": {"--config", "--format", "--out"},
     "zeta": {"--config", "--format", "--out"},
-    "reduce": {"--config", "--format", "--out", "--lambda-max", "--domains"},
+    "reduce": {"--config", "--format", "--out", "--domains"},
     "selftest": set(),
     **{cmd: {"--config", "--format", "--out", "--domains", "--grids"}
        for cmd in ("count", "spectrum", "essspec", "weyl", "cut-check", "perturb-check")},
@@ -237,13 +239,14 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
         fmt = actions.get("--format")
         assert (tuple(fmt.choices) if fmt else None) == FORMATS[name], name
         assert fmt is None or fmt.default == FORMATS[name][0]
-    assert sum(len(flags) for flags in FLAGS.values()) == 41
+    assert sum(len(flags) for flags in FLAGS.values()) == 40
 
 
 @pytest.mark.parametrize("argv", [
     ["criteria", "--grids", "2"],
     ["zeta", "--domains", "8,16"],
     ["count", "--lambda-max", "99"],
+    ["reduce", "--lambda-max", "10"],
     ["reduce", "--grids", "400,800"],
     ["reduce", "--format", "text"],
     ["cut-check", "--format", "csv"],
@@ -252,6 +255,86 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
 def test_removed_flags_and_formats_exit_one(cfg_path, capsys, argv):
     assert main(argv[:1] + ["--config", cfg_path(AB_CFG)] + argv[1:]) == 1
     assert "error[usage]" in capsys.readouterr().err
+
+
+#: a removed config key set to its old default, on a config it applied to,
+#: and words of the reason the refusal gives
+REMOVED_KEYS = {
+    "numerics.lambda_max": (PROBE_CFG, "1.0", "top of numerics.lambda_grid"),
+    "numerics.rho_min_factor": (PROBE_CFG, "0.5", "half the flat-channel rate"),
+    "magnetic.phi0": (PROBE_CFG, "0.0", "pure gauge"),
+    "cross_section.dim": (TORUS_CFG, "2", "geometry.n - 1"),
+}
+
+
+@pytest.mark.parametrize("command", ["criteria", "reduce", "count"])
+@pytest.mark.parametrize("key", sorted(REMOVED_KEYS))
+def test_a_removed_config_key_is_refused_with_its_replacement(cfg_path, capsys, command, key):
+    base, value, replacement = REMOVED_KEYS[key]
+    assert main([command, "--config", cfg_path(with_line(base, f"{key} = {value}"))]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error[config]: line ") and err.count("\n") == 1
+    assert f"{key!r} was removed" in err and replacement in err
+
+
+LAMBDA_TOP = "numerics.lambda_grid"
+MODE_CAP = "numerics.mode_cap"
+CAP_TORUS_CFG = with_line(with_line(TORUS_CFG, "numerics.mode_cap = 1"),
+                          "numerics.lambda_grid = 0.5,20,4")
+
+
+@pytest.mark.parametrize("command, text, keys, fixes", [
+    # 771 eigenvalues below 1000 against the listing cap of 400
+    ("spectrum", with_line(PROBE_CFG, "numerics.lambda_grid = 100,1000,8"), (LAMBDA_TOP,),
+     ["numerics.lambda_grid = 100,200,8"]),
+    # the circle's bound on the label range, 8 * mode_cap
+    ("count", with_line(with_line(PROBE_CFG, "numerics.mode_cap = 1"),
+                        "numerics.lambda_grid = 0.5,100,4"), (LAMBDA_TOP, MODE_CAP),
+     ["numerics.lambda_grid = 0.05,0.5,4", "numerics.mode_cap = 21"]),
+    # the torus's bound on the label box, 64 * mode_cap
+    ("count", CAP_TORUS_CFG, (LAMBDA_TOP, MODE_CAP),
+     ["numerics.lambda_grid = 0.05,0.3,4", "numerics.mode_cap = 100"]),
+    # 5 modes (m0, m-1, m1, m-2, m2) against a cap of 3
+    ("count", with_line(PROBE_CFG, "numerics.mode_cap = 3"), (LAMBDA_TOP, MODE_CAP),
+     ["numerics.lambda_grid = 0.5,3,12", "numerics.mode_cap = 5"]),
+    ("count", with_line(PROBE_CFG, "numerics.lambda_grid = -5,-1,4"), (LAMBDA_TOP,),
+     ["numerics.lambda_grid = -5,1,4"]),
+], ids=["listing-cap", "circle-label-range", "torus-label-box", "mode-cap", "negative-top"])
+def test_a_window_error_names_the_keys_that_clear_it(cfg_path, capsys, command, text,
+                                                     keys, fixes):
+    assert main([command, "--config", cfg_path(text)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error[invalid]: ") and err.count("\n") == 1
+    assert "lambda_max" not in err
+    assert all(key in err for key in keys), err
+    for fix in fixes:
+        assert main([command, "--config", cfg_path(with_line(text, fix))]) == 0, fix
+        assert capsys.readouterr().err == ""
+
+
+#: configs on which reduce and count must enumerate the same modes: the
+#: potential goes through the sampled potential floor, the torus has form
+#: sectors
+REDUCE_VS_COUNT = {
+    "circle": PROBE_CFG,
+    "circle-potential": PROBE_CFG + "potential.poly = (0.5,1.0);(-0.2,0)\n"
+                                    "potential.bump = 2.5,1.0,5.0\n",
+    "torus-forms": with_line(TORUS_CFG.replace("magnetic.flux = 0.5,0.25\n", ""),
+                             "degree = 1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REDUCE_VS_COUNT))
+def test_reduce_lists_exactly_the_modes_count_reports(cfg_path, capsys, name):
+    path = cfg_path(REDUCE_VS_COUNT[name])
+    assert main(["reduce", "--config", path, "--format", "json"]) == 0
+    listed = [record["mode"] for record in json.loads(capsys.readouterr().out)]
+    assert main(["count", "--config", path, "--format", "json"]) == 0
+    counted = [mode["label"] for mode in json.loads(capsys.readouterr().out)["modes"]]
+    assert listed == counted
+    if name.startswith("circle"):
+        assert listed == ["m0", "m-1", "m1", "m-2", "m2"]
 
 
 def test_selftest_takes_no_flags(tmp_path, capsys):
@@ -392,8 +475,6 @@ def test_counts_decreasing_in_lambda_exit_one(cfg_path, capsys, command,
     # inf, exit 0 with a nan result or an ignored input, or a late error
     ("essspec", "geometry.y0 = nan"),
     ("cut-check", "checks.y0 = 1,nan"),
-    ("essspec", "numerics.rho_min_factor = nan"),
-    ("essspec", "numerics.rho_min_factor = inf"),
     ("zeta", "zeta.s = nan"),
     ("essspec", "potential.bump = 2.5,nan,5"),
     ("perturb-check", "checks.bump = 2.5,nan,5"),
@@ -446,10 +527,8 @@ OUT_OF_DOMAIN = {
         st.sampled_from(["0.5,6", "0.5,6,12,1", "0.5,6,2.5", "0.5,abc,12"])),
     "numerics.lambda_scale": st.text("abcdefghijklmnopqrstuvwxyz", max_size=6)
     .filter(lambda s: s not in ("lin", "log")),
-    "numerics.lambda_max": st.one_of(NON_FINITE, NOT_A_NUMBER),
     "numerics.mode_cap": st.one_of(st.integers(max_value=0).map(str), NOT_A_NUMBER,
                                    st.sampled_from(["2.5", "nan"])),
-    "numerics.rho_min_factor": st.one_of(reals(max_value=0), NON_FINITE, NOT_A_NUMBER),
     "checks.y0": st.one_of(reals(max_value=1, exclude_max=True).map(lambda y: f"1,{y}"),
                            NON_FINITE.map(lambda x: f"1,{x}"),
                            st.sampled_from(["1", "2", "1,1", "1,,2", "1,abc"])),
@@ -491,9 +570,11 @@ INCONCLUSIVE = "instability without sustained growth: inconclusive"
 @pytest.mark.parametrize("command, fmt", [
     ("essspec", "text"), ("essspec", "json"), ("cut-check", "text"),
     ("cut-check", "json"), ("perturb-check", "text"), ("perturb-check", "json")])
-def test_an_inconclusive_probe_exits_one_after_its_report(cfg_path, capsys, command, fmt):
+def test_an_inconclusive_probe_exits_one_after_its_report(cfg_path, capsys, monkeypatch,
+                                                          command, fmt):
     # a growth line far above any measured rate: every probe is inconclusive
-    path = cfg_path(with_line(PROBE_CFG, "numerics.rho_min_factor = 1e9"))
+    monkeypatch.setattr(assemble, "RHO_MIN_FACTOR", 1e9)
+    path = cfg_path(PROBE_CFG)
     assert main([command, "--config", path, "--format", fmt]) == 1
     out, err = capsys.readouterr()
     verdict = "consistent" if command == "essspec" else "passed"

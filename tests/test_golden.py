@@ -57,6 +57,7 @@ CASES = {
     "essspec-pure-point": ("essspec", C1 + PROBE, ("json",), 0),
     "cut-check-default-y0": ("cut-check", ESSENTIAL + PROBE, ("json",), 0),
     "perturb-check-default-bump": ("perturb-check", ESSENTIAL + PROBE, ("json",), 0),
+    "reduce-essential": ("reduce", ESSENTIAL + PROBE, ("csv", "json"), 0),
 }
 
 RUNS = [(case, fmt) for case, (_, _, formats, _) in CASES.items() for fmt in formats]

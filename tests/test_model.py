@@ -148,6 +148,14 @@ def test_flux_length_must_match_b1():
             magnetic=MagneticData(flux=("0.5",)))
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_square_torus_has_dimension_n_minus_one(n):
+    cfg = parse_config(f"geometry.n = {n}\ngeometry.p = 1\n"
+                       "cross_section.kind = square_torus\ncross_section.side = 2.0\n")
+    assert cfg.cross_section.dim == n - 1
+    assert cfg.cross_section.betti == tuple(math.comb(n - 1, j) for j in range(n))
+
+
 def test_numerics_invariants():
     with pytest.raises(ConfigError, match="increasing"):
         Numerics(domains=(16.0, 8.0))
@@ -158,13 +166,11 @@ def test_numerics_invariants():
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-def test_numerics_rejects_non_finite_domains_and_lambda_max(bad):
+def test_numerics_rejects_non_finite_domains(bad):
     with pytest.raises(ConfigError, match="domain lengths must be finite"):
         Numerics(domains=(bad, 8.0))
     with pytest.raises(ConfigError, match="domain lengths must be finite"):
         Numerics(domains=(4.0, bad))
-    with pytest.raises(ConfigError, match="lambda_max must be finite"):
-        Numerics(lambda_max=bad)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -298,7 +304,7 @@ def configs(draw):
     if degree == 0 and draw(st.booleans()):
         flux = tuple(draw(st.sampled_from(["0", "0.5", "1.25", "-0.75"]))
                      for _ in range(cs.b1))
-        magnetic = MagneticData(flux=flux, phi0=draw(st.sampled_from([0.0, 1.5])))
+        magnetic = MagneticData(flux=flux, phi0_constant=draw(st.booleans()))
     return ProblemConfig(geometry=geometry, cross_section=cs, degree=degree,
                          magnetic=magnetic)
 
