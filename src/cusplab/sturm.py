@@ -13,11 +13,17 @@ Eigenvalue counts come from the LDL^T inertia of A - lambda B (a Sturm
 sequence) and eigenvalues from bisection on the counts.  Counts are
 integers computed by exact sign tests, so reports are bit-stable across
 runs.  One blocked, node-major kernel computes them all, bit-identical to
-the per-node LDL^T recurrence (see `_sturm_pass`).  A wider pass costs
-little more than a narrow one, so bisection runs as a multisection: each
-pass counts at several levels of every bracket's bisection tree at once,
-and the listing stays bit-identical to one-level-per-pass bisection (see
-`eigenvalues_below`).
+the per-node LDL^T recurrence (see `_sturm_pass`).  A (pencil row, lambda)
+lane leaves the pass once the rest of its pencil is diagonally dominant,
+diag - lambda mass - rad > a few ulps of |diag| + |lambda| mass + rad with
+rad the Gershgorin radius, and its last pivot is at least the next
+off-diagonal: then no later pivot is negative or zero, so its count and
+breakdown bit are already final and stay bit-identical.  Past a mode's
+potential wall no eigenvalue can appear, and that is where most of the
+node x lane work lay.  A wider pass costs little more than a narrow one,
+so bisection runs as a multisection: each pass counts at several levels
+of every bracket's bisection tree at once, and the listing stays
+bit-identical to one-level-per-pass bisection (see `eigenvalues_below`).
 
 Grid numbers mean mesh *cells*; a grid g on the base domain T0 fixes the
 mesh width h = T0/g, and larger domains keep h fixed by scaling the cell
@@ -183,6 +189,57 @@ def discretize(op, length: float, cells: int, mesh: str = "auto") -> Tridiagonal
 _BLOCK_BYTES = 1 << 17
 
 
+def _row_radius(off, n: int) -> np.ndarray:
+    """Gershgorin radius |e_j| + |e_(j+1)| of each of the n rows; off: (n-1,)."""
+    radius = np.zeros(n)
+    radius[:-1] += np.abs(off)
+    radius[1:] += np.abs(off)
+    return radius
+
+
+def _rows(x) -> np.ndarray:
+    """x as (rows, nodes): a shared vector is one row."""
+    x = np.asarray(x, dtype=float)
+    return x.reshape(math.prod(x.shape[:-1]), x.shape[-1])
+
+
+def _dominance_starts(diag, off, mass, lams) -> np.ndarray:
+    """First node of permanent dominance of every (row, lambda) lane.
+
+    diag, off, mass as in `_sturm_pass`; returns (rows, L) node indices.
+    Lane (r, lambda) starts at the least i such that every row j >= i of
+    A_r - lambda B_r is dominant with a margin,
+
+        diag_j - lambda mass_j - rad_j > eps (|diag_j| + |lambda| mass_j + rad_j),
+
+    with rad_j = |e_j| + |e_(j+1)| and eps = 8 ulps of 1; it is N where no
+    such i exists.  The test is rearranged per row into key_j > lambda +
+    eps |lambda| with key_j = (diag_j - rad_j - eps (|diag_j| + rad_j)) /
+    mass_j, so one reverse cumulative minimum of key and one searchsorted
+    give every lane's start, row by row with O(N) scratch.  Rows whose scale
+    |diag_j| + rad_j or mass leaves [2^-400, 2^400] never certify, so no
+    underflow or overflow can exceed the margin's rounding bound.
+    """
+    diag, off, mass = _rows(diag), _rows(off), _rows(mass)
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    rows, n = diag.shape
+    eps = 8 * np.finfo(float).eps
+    with np.errstate(over="ignore", invalid="ignore"):
+        target = lams + eps * np.abs(lams)
+    starts = np.empty((rows, lams.size), dtype=np.int64)
+    for r, (d, e, m) in enumerate(zip(diag, np.broadcast_to(off, (rows, n - 1)),
+                                      np.broadcast_to(mass, (rows, n)))):
+        rad = _row_radius(e, n)
+        scale = np.abs(d) + rad
+        with np.errstate(over="ignore", invalid="ignore"):
+            key = (d - rad - eps * scale) / m
+        safe = (scale >= 2.0**-400) & (scale <= 2.0**400) & (m >= 2.0**-400) & (m <= 2.0**400)
+        key[~safe] = -np.inf
+        suffix_min = np.minimum.accumulate(key[::-1])[::-1]
+        starts[r] = np.searchsorted(suffix_min, target, side="right")
+    return starts
+
+
 def _sturm_pass(diag, off, mass, lams, sizes=None):
     """Vectorized LDL^T sign count of A - lambda B for a batch of lambdas.
 
@@ -196,55 +253,87 @@ def _sturm_pass(diag, off, mass, lams, sizes=None):
     the running count at that node (the Sturm sequence property); the pass
     ends at the last checkpoint.
 
-    Node-major and blocked: inputs are viewed as (N, rows, 1) against lams
-    (W = rows * L lanes; off padded so node i holds off[i-1]).  Per block,
-    a = diag - lambda mass and e*e are formed whole; per node only one
-    divide and one subtract on W lanes run, d_i = a_i - (e*e)_i / d_{i-1}:
-    the IEEE operations of the per-node recurrence in its order, so counts
-    are bit-identical to it.  Blocks are split at every checkpoint, where
-    the running counts and mask are copied out.  Every caller discards the
-    count of a lane with a zero pivot, so no tiny replaces the zero; that
-    lane's inf/nan warnings are silenced.
+    Node-major and blocked over the (row, lambda) lanes still live.  Per
+    block, a = diag - lambda mass and e*e are gathered for those lanes and
+    formed whole; per node only one divide and one subtract run,
+    d_i = a_i - (e*e)_i / d_(i-1) with d_(-1) = inf: the IEEE operations of
+    the per-node recurrence in its order, so counts are bit-identical to it.
+    Blocks end at every checkpoint, where the counts and mask are copied
+    out.  Every caller discards the count of a lane with a zero pivot, so no
+    tiny replaces the zero; that lane's inf/nan warnings are silenced.
+
+    Retirement.  A lane leaves the pass at a block start s once s is at
+    least its `_dominance_starts` node (every row j >= s of the last
+    checkpoint's block is dominant with the margin) and d_(s-1) >= |e_s|.
+    By induction d_j >= |e_(j+1)| and d_j > 0 for every j >= s, in floating
+    point too: fl(fl(e*e)/d_(j-1)) exceeds |e_j| by at most two roundings,
+    a_j = fl(diag_j - fl(lambda mass_j)) is off by at most two roundings of
+    |diag_j| + |lambda| mass_j, and the 8-ulp margin covers both and the
+    rounding of the dominance test itself.  (A zero pivot followed by
+    e_s = 0 gives nan pivots, which are never counted either.)  So no later
+    pivot is negative or zero: the lane's count and breakdown bit are final
+    at this checkpoint and at every later one, those of the full pass bit
+    for bit.  Blocks also end at each lane's start node and, while its
+    pivot is still below |e_s|, at doubling distances past it, so a narrow
+    pass does not run on in one long block; blocks grow as lanes leave, and
+    the pass ends when none is left.  The margin is a few ulps of |diag| +
+    |lambda| mass + rad, not of lambda: on fine meshes the stiffness ~1/h
+    dwarfs (q - lambda) h, so a margin relative to lambda can sit inside the
+    rounding error of a_j.
     """
-    diag = np.asarray(diag, dtype=float)
+    diag, off, mass = (np.asarray(x, dtype=float) for x in (diag, off, mass))
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     batch, n = diag.shape[:-1], diag.shape[-1]
     stops = (n,) if sizes is None else tuple(int(k) for k in sizes)
     if not stops or stops[0] < 1 or stops[-1] > n or any(
             a >= b for a, b in zip(stops, stops[1:])):
         raise SturmError(f"checkpoints must increase within 1..{n}, got {stops}")
-    width = math.prod(batch) * lams.size
-    block = max(1, _BLOCK_BYTES // (8 * max(1, width)))
-    starts = sorted(set(range(0, stops[-1], block)).union(stops[:-1]))
+    last = stops[-1]
+    start = _dominance_starts(diag[..., :last], off[..., :last - 1], mass[..., :last],
+                              lams).ravel()
+    # node-major views: node i of `off` holds off[i-1], and off[-1] = 0
+    diag, mass = _rows(diag).T, _rows(mass).T
+    off = _rows(np.insert(off, 0, 0.0, axis=-1)).T
+    counts = np.zeros(start.size, dtype=np.int64)
+    broke = np.zeros(start.size, dtype=bool)
+    # the live lanes: lane k is (row k // L, lambda k % L), prev is its last
+    # pivot, and a block ends at its `check` node, where it is tested again
+    live = np.arange(start.size)
+    row, lam = live // lams.size, lams[live % lams.size]
+    check, prev = start, np.full(start.size, np.inf)
 
-    def node_major(x):
-        x = np.asarray(x, dtype=float)
-        return x.reshape(math.prod(x.shape[:-1]), x.shape[-1]).T[:, :, None]
+    def gather(x, nodes):       # a node-major slice, one column per live lane
+        x = x[nodes]
+        return x if x.shape[-1] == 1 else x[..., row]
 
-    diag, mass = node_major(diag), node_major(mass)
-    off = node_major(np.insert(off, 0, 0.0, axis=-1))
-    counts = np.zeros(width, dtype=np.int64)
-    broke = np.zeros(width, dtype=bool)
-    tmp = np.empty(width)
     divide, subtract = np.divide, np.subtract
     snapshots = []
+    s = 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for s, end in zip(starts, starts[1:] + [stops[-1]]):
-            a = diag[s:end] - lams * mass[s:end]
-            e = off[s:end]
-            e2 = np.broadcast_to(e * e, a.shape).reshape(len(a), -1)
-            a = a.reshape(len(a), -1)
-            first = s == 0
-            if first:
-                prev = a[0]
-            for a_j, e2_j in zip(a[first:], e2[first:]):
-                divide(e2_j, prev, tmp)
-                subtract(a_j, tmp, a_j)
-                prev = a_j
-            counts += (a < 0).sum(0)
-            broke |= (a == 0).any(0)
-            if end in stops:
-                snapshots.append((counts.copy(), broke.copy()))
+        for stop in stops:
+            while s < stop and live.size:
+                due = start <= s
+                if due.any():
+                    keep = ~due | (prev < np.abs(gather(off, s)))
+                    check = np.where(check <= s, 2 * s - start + 1, check)
+                    live, row, lam, prev, start, check = (
+                        x[keep] for x in (live, row, lam, prev, start, check))
+                    if not live.size:
+                        break
+                end = min(stop, s + max(1, _BLOCK_BYTES // (8 * live.size)), int(check.min()))
+                a = gather(diag, slice(s, end)) - lam * gather(mass, slice(s, end))
+                e = gather(off, slice(s, end))
+                # a ufunc on a broadcast (1,) row runs slower than on a full one
+                e2 = np.multiply(e, e, out=np.empty_like(a))
+                tmp = np.empty(live.size)
+                for a_j, e2_j in zip(a, e2):
+                    divide(e2_j, prev, tmp)
+                    subtract(a_j, tmp, a_j)
+                    prev = a_j
+                counts[live] += (a < 0).sum(0)
+                broke[live] |= (a == 0).any(0)
+                s = end
+            snapshots.append((counts.copy(), broke.copy()))
     shape = batch + (-1,) if sizes is None else (len(stops),) + batch + (-1,)
     return tuple(np.stack(arrs).reshape(shape) for arrs in zip(*snapshots))
 
@@ -312,11 +401,7 @@ def count_below_stack(diags, offs, masses, lams, sizes=None) -> np.ndarray:
 
 def gershgorin_lower(pencil: TridiagonalPencil) -> float:
     """Certified lower bound for the generalized spectrum."""
-    n = pencil.n
-    radius = np.zeros(n)
-    if n > 1:
-        radius[:-1] += np.abs(pencil.offdiag)
-        radius[1:] += np.abs(pencil.offdiag)
+    radius = _row_radius(pencil.offdiag, pencil.n)
     bmin = np.min(pencil.mass)
     bmax = np.max(pencil.mass)
     amin = float(np.min(pencil.diag - radius))

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cusplab import sturm
+from cusplab import assemble, sturm
+from cusplab.model import EndGeometry, MagneticData, Numerics, ProblemConfig, builtin_cross_section
 from cusplab.reduce import CanonicalOperator, RadialOperator
 from cusplab.sturm import (SturmError, TridiagonalPencil, cells_for, count_below,
                            count_below_many, count_below_stack, discretize,
@@ -533,3 +534,165 @@ def test_stack_checkpoints_fall_back_per_leading_block():
 def test_checkpoints_must_increase_within_the_pencil(sizes):
     with pytest.raises(SturmError, match="checkpoints must increase within 1..6"):
         sturm._sturm_pass(np.ones(6), np.zeros(5), np.ones(6), [0.5], sizes)
+
+
+# ---------------------------------------------------------------------------
+# lane retirement: the rest of a pencil is diagonally dominant
+# ---------------------------------------------------------------------------
+
+def _potential(kind, t, height, rng):
+    """A potential profile on t in (0, 1]: it walls, dips and walls again,
+    or carries a compact bump (of either sign) on a plateau."""
+    if kind == "wall":
+        return height * t * t
+    if kind == "dip":
+        centre, width = rng.uniform(0.3, 0.7), rng.uniform(0.03, 0.15)
+        return height * (1.0 - np.exp(-t / 0.05)
+                         - rng.uniform(0.5, 1.5) * np.exp(-((t - centre) / width) ** 2))
+    centre, width = rng.uniform(0.2, 0.8), rng.uniform(0.02, 0.2)
+    return height * (0.5 + rng.choice([-1.0, 1.0])
+                     * np.clip(1.0 - ((t - centre) / width) ** 2, 0.0, None) ** 2)
+
+
+@st.composite
+def walled_inputs(draw):
+    """P1 stacks in Liouville form, diag = 2/h + q h, off = -1/h, mass = h,
+    one potential per row.  Lambdas are drawn from the potential's range,
+    hit its node values exactly or within an ulp, or lie below it, so lanes
+    retire early, late, never, or in the first block.  On the finest mesh
+    1/h dwarfs (q - lambda) h: a margin relative to lambda would sit inside
+    the rounding error of the pivots."""
+    n = draw(st.integers(min_value=3, max_value=300))
+    rows = draw(st.integers(min_value=1, max_value=3))
+    h = draw(st.sampled_from([0.1, 1e-3, 1e-6]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    t = np.arange(1, n + 1) / n
+    q = np.stack([_potential(draw(st.sampled_from(["wall", "dip", "bump"])), t,
+                             rng.uniform(1.0, 50.0), rng) for _ in range(rows)])
+    diags = 2.0 / h + q * h
+    off, mass = np.full(n - 1, -1.0 / h), np.full(n, h)
+    lams = np.concatenate([rng.uniform(q.min() - 1.0, q.max() + 1.0, 6),
+                           rng.choice(q.ravel(), 3),
+                           np.nextafter(rng.choice(q.ravel(), 2), np.inf),
+                           [q.min() - 5.0]])
+    return diags, off, mass, np.sort(lams)
+
+
+@given(walled_inputs(), st.sampled_from([8, 256, sturm._BLOCK_BYTES]))
+@settings(max_examples=150, deadline=None)
+def test_retiring_kernel_matches_reference_on_walled_pencils(inputs, block_bytes):
+    with mock.patch.object(sturm, "_BLOCK_BYTES", block_bytes):
+        assert_matches_reference(*inputs)
+
+
+@given(walled_inputs(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_checkpoints_around_retirement_match_the_reference(inputs, data):
+    # a lane retires at its start node or at most a few nodes past it, so
+    # checkpoints just before, at and after the start nodes straddle it
+    diag, off, mass, lams = inputs
+    n = diag.shape[-1]
+    starts = sturm._dominance_starts(diag, off, mass, lams).ravel()
+    near = sorted({int(k) + d for k in starts for d in (-1, 0, 1, 3)} & set(range(1, n + 1)))
+    sizes = data.draw(st.sets(st.sampled_from(near or [n]), min_size=1, max_size=8))
+    with mock.patch.object(sturm, "_BLOCK_BYTES", data.draw(st.sampled_from([8, 256, sturm._BLOCK_BYTES]))):
+        assert_checkpoints_match_reference(diag, off, mass, lams, sorted(sizes))
+
+
+@given(walled_inputs())
+@settings(max_examples=60, deadline=None)
+def test_listing_on_walled_pencils_equals_bisection_on_the_reference_recurrence(inputs):
+    diags, off, mass, lams = inputs
+    pen = TridiagonalPencil(diag=diags[0], offdiag=off, mass=mass)
+    got = eigenvalues_below(pen, float(lams[-1]), 1e-9)
+
+    def reference_kernel(diag, off, mass, lams):
+        with np.errstate(over="ignore"):
+            return _reference_pass(diag, off, mass, lams)
+
+    with mock.patch.object(sturm, "_sturm_pass", reference_kernel):
+        assert got == _reference_bisection(replace(pen), float(lams[-1]), 1e-9)
+
+
+def test_a_margin_relative_to_lambda_would_retire_a_lane_before_its_zero_pivot():
+    # A fine mesh: the stiffness k = 2^20 dwarfs lambda * mass.  At node 1,
+    # diag - lambda mass = k + 2^-34 exactly, which is dominant (rad = k) but
+    # rounds to k, so the pivot there is k - k^2/k = 0.  A margin of a few
+    # ulps of lambda would certify nodes 0.. (key 1.0 > lambda); the margin
+    # of a few ulps of |diag| + |lambda| mass + rad starts the lane at node 2.
+    k, m = 2.0**20, 2.0**-20
+    lam = 1.0 - 2.0**-14
+    diag = np.array([k + 2.0**-20, k + 2.0**-20, 1.0])
+    off, mass = np.array([-k, 0.0]), np.full(3, m)
+    assert sturm._dominance_starts(diag, off, mass, [lam]).tolist() == [[2]]
+    broke = assert_matches_reference(diag, off, mass, [lam])
+    assert broke.tolist() == [True]
+    got, broke = assert_checkpoints_match_reference(diag, off, mass, [lam], [1, 2, 3])
+    assert broke[:, 0].tolist() == [False, True, True]
+
+
+def test_a_zero_pivot_before_retirement_keeps_its_breakdown_bit():
+    # lambda = 1 zeroes the pivot of node 2; nodes 3.. are strongly dominant,
+    # so the lane retires soon after with its breakdown bit set
+    n = 40
+    diag = np.full(n, 10.0)
+    diag[:3] = [3.0, 3.0, 1.0]
+    off = np.zeros(n - 1)
+    off[0] = -1.0
+    lams = np.array([0.5, 1.0, 1.5])
+    starts = sturm._dominance_starts(diag, off, np.ones(n), lams)
+    assert starts.tolist() == [[0, 3, 3]]
+    for block_bytes in (8, 24, sturm._BLOCK_BYTES):
+        with mock.patch.object(sturm, "_BLOCK_BYTES", block_bytes):
+            broke = assert_matches_reference(diag, off, np.ones(n), lams)
+            assert broke.tolist() == [False, True, False]
+            _, broke = assert_checkpoints_match_reference(diag, off, np.ones(n), lams,
+                                                          [2, 3, 4, n])
+            assert broke[:, 1].tolist() == [False, True, True, True]
+
+
+def test_every_lane_retires_in_the_first_block():
+    # lambda far below a constant potential: every row is dominant, so every
+    # lane starts at node 0 and leaves the pass before its first pivot
+    rng = np.random.default_rng(17)
+    n, h = 500, 1e-3
+    diags = 2.0 / h + rng.uniform(5.0, 9.0, (3, n)) * h
+    off, mass = np.full(n - 1, -1.0 / h), np.full(n, h)
+    lams = np.linspace(-3.0, 4.0, 8)
+    assert not sturm._dominance_starts(diags, off, mass, lams).any()
+    got, broke = sturm._sturm_pass(diags, off, mass, lams, [1, 250, n])
+    assert not got.any() and not broke.any()
+    assert_checkpoints_match_reference(diags, off, mass, lams, [1, 250, n])
+    # with no potential on the first three nodes, the lanes with lambda >= 0
+    # start at node 3 and leave after one short block
+    diags[:, :3] = 2.0 / h
+    starts = sturm._dominance_starts(diags, off, mass, lams)
+    assert (starts == np.where(lams < 0, 0, 3)).all()
+    assert_checkpoints_match_reference(diags, off, mass, lams, [1, 3, 4, n])
+
+
+def _locate_stack(flux):
+    """The finest `spectrum-locate` stack: p = 1 on the circle, grid 2000
+    on domain 32 (h = 1/250), one row per mode below lambda = 6."""
+    circle = builtin_cross_section("circle", length=2 * math.pi)
+    config = ProblemConfig(
+        geometry=EndGeometry(2, "1", 1.0), cross_section=circle,
+        magnetic=MagneticData(flux=(flux,)),
+        numerics=Numerics(grids=(1000, 2000), domains=(8.0, 16.0, 32.0),
+                          lambda_grid=(0.5, 6.0, 12)))
+    ops = assemble._mode_operators(config, 6.0)
+    return [m.name for m, _ in ops], discretize_stack([op for _, op in ops], 32.0,
+                                                      cells_for(2000, 32.0, 8.0))
+
+
+def test_the_certificate_is_not_vacuous_on_the_spectrum_locate_stack():
+    names, (diags, off, mass) = _locate_stack("0.5")
+    assert diags.shape == (4, 7999)
+    lams = np.concatenate([np.linspace(0.0, 6.0, 61), [4.665218848500144]])
+    starts = sturm._dominance_starts(diags, off, mass, lams)
+    assert starts.max() < 0.1 * 7999, dict(zip(names, starts.max(axis=1)))
+    # integral flux: the k = 0 channel sits at 1/4 and never walls, so only
+    # the last row, the one with a single neighbour, is dominant at lambda = 1
+    names, (diags, off, mass) = _locate_stack("0")
+    row = names.index("m0")
+    assert sturm._dominance_starts(diags[row], off, mass, [1.0]).tolist() == [[7998]]
