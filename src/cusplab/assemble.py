@@ -8,13 +8,16 @@ analytic layer predicts:
   multiplicity-weighted sum of per-mode counts at every lambda).  A
   planner groups each grid's domains whose meshes nest; one stack on the
   group's longest domain (one mesh, one potential row per mode) and one
-  Sturm pass over it count all of them.  The lambda window and the study's
-  grids and domains all come from `config.numerics`.
+  Sturm pass over it count all of them.  Counts that fall in lambda or
+  under domain growth (Dirichlet bracketing) within a group raise an
+  internal error.  The lambda window and the study's grids and domains all
+  come from `config.numerics`.
 * `threshold_probe` estimates the bottom of the essential spectrum as the
-  smallest lambda at which counts keep growing linearly with the domain
-  length; Dirichlet counts for a flat channel grow like T sqrt(lambda-c)/pi
-  per unit length, so half that predicted rate separates real growth from
-  boundary effects.
+  first lambda at which the two longest domains count differently, and
+  judges that growth by the lanes the Sturm pass settled: a lane that
+  walls inside the longest domain has a final count, and only an open lane
+  of a mode that is a continuous channel of the reduction
+  (`reduce.mode_threshold`) shows essential spectrum.
 * `weyl_fit` fits the counting table against the predicted law and judges it.
 * `cut_invariance_check` / `perturbation_stability_check` verify that the
   probe's output ignores the cut radii `config.check_y0` and the compact
@@ -42,7 +45,6 @@ from .reduce import ModeSpec
 WEYL_EXPONENT_TOL = 0.1     # Weyl verdict: |fitted - predicted exponent|
 WEYL_CONSTANT_RTOL = 0.2    # Weyl verdict: |fitted / predicted constant - 1|
 EIGEN_CAP = 400             # most eigenvalues `global_counting` lists
-RHO_MIN_FACTOR = 0.5        # threshold probe: growth line, a fraction of sqrt(lambda - c)/pi
 
 
 class AssembleError(ValueError):
@@ -53,6 +55,7 @@ class AssembleError(ValueError):
 class ModeResult:
     mode: ModeSpec
     counts: np.ndarray
+    settled: np.ndarray     # per lambda: the lane walls inside the longest domain
     eigenvalues: Optional[list] = None
 
 
@@ -60,14 +63,19 @@ class ModeResult:
 class SpectrumReport:
     lambda_grid: np.ndarray
     modes: List[ModeResult]
-    n_total: np.ndarray
     totals_by_combo: dict
     stable: bool
-    domain_monotone: bool
-    truncation_dependent: bool
     prediction: Prediction
     meta: dict = field(default_factory=dict)
     notes: tuple = ()
+
+    @property
+    def n_total(self) -> np.ndarray:     # the finest grid on the longest domain
+        return self.totals_by_combo[(self.meta["grids"][-1], self.meta["domains"][-1])]
+
+    @property
+    def truncation_dependent(self) -> bool:
+        return not self.prediction.is_pure_point
 
 
 def _mode_operators(config: ProblemConfig, lambda_max: float):
@@ -103,24 +111,27 @@ def _group_totals(ops, lambdas, grid, group):
 
     One `sturm.discretize_stack` call assembles every mode on the group's
     longest domain, and one pass counts every domain of the group at its
-    interior node count.  Returns (counts (S, M, L), totals (S, L), stack).
+    interior node count.  Returns (counts (S, M, L), the longest domain's
+    settled mask (M, L), totals (S, L), stack).
     """
     if not ops:
         z = np.zeros((len(group), 0, len(lambdas)), dtype=np.int64)
-        return z, z.sum(axis=1), ([], None, None)
+        return z, np.zeros(z.shape[1:], dtype=bool), z.sum(axis=1), ([], None, None)
     domain, cells = group[-1]
     stack = sturm.discretize_stack([op for _, op in ops], domain, cells)
-    counts = sturm.count_below_stack(*stack, lambdas,
-                                     sizes=[cells - 1 for _, cells in group])
-    # the threshold probe and the Weyl fit read these counts as monotone in lambda
-    for (domain, _), c in zip(group, counts):
-        dropped = (np.diff(c, axis=1) < 0).any(axis=1)
-        if dropped.any():
-            mode = ops[int(np.argmax(dropped))][0]
-            raise AssembleError(f"internal error: counts decreased in lambda for mode "
-                                f"{mode.name} at grid={grid}, domain={domain!r}")
+    counts, settled = sturm.count_below_stack(*stack, lambdas,
+                                              sizes=[cells - 1 for _, cells in group])
+    # the threshold probe and the Weyl fit read these counts as monotone in
+    # lambda; Dirichlet bracketing keeps them monotone under domain growth
+    for what, axis in (("in lambda", 2), ("under domain growth", 0)):
+        dropped = np.argwhere(np.diff(counts, axis=axis) < 0)
+        if dropped.size:
+            k, i, _ = dropped[0]
+            raise AssembleError(
+                f"internal error: counts decreased {what} for mode {ops[i][0].name} "
+                f"at grid={grid}, domain={group[k + (axis == 0)][0]!r}")
     mult = np.array([m.multiplicity for m, _ in ops], dtype=np.int64)
-    return counts, (mult[:, None] * counts).sum(axis=1), stack
+    return counts, settled[-1], (mult[:, None] * counts).sum(axis=1), stack
 
 
 def global_counting(config: ProblemConfig, with_eigenvalues: bool = False,
@@ -132,9 +143,11 @@ def global_counting(config: ProblemConfig, with_eigenvalues: bool = False,
     stability assessment.  Per grid, each group of nested domains
     (`_nested_groups`) is assembled as one stack on its longest domain and
     counted in one pass; the eigenvalue listing takes its pencils from the
-    finest stack's rows.  If the analytic layer predicts
-    essential spectrum the table is labeled truncation-dependent: counts
-    then grow with the domain and carry no spectral meaning of their own.
+    finest stack's rows, and each `ModeResult` carries the finest grid's
+    counts and the longest domain's settled mask.  If the analytic layer
+    predicts essential spectrum the table is labeled truncation-dependent:
+    counts then grow with the domain and carry no spectral meaning of
+    their own.
     """
     lambdas = config.numerics.lambdas()
     if not np.all(np.diff(lambdas) > 0):
@@ -146,27 +159,21 @@ def global_counting(config: ProblemConfig, with_eigenvalues: bool = False,
     grids = config.numerics.grids
     domains = config.numerics.domains
     gf = grids[-1]
-    totals, monotone = {}, True
+    totals = {}
     for g in grids:
         for group in _nested_groups(config, g):
             stack = None   # free the previous group's stack before assembling this one
-            counts, group_totals, stack = _group_totals(ops, lambdas, g, group)
+            counts, settled, group_totals, stack = _group_totals(ops, lambdas, g, group)
             for (T, _), t in zip(group, group_totals):
                 totals[(g, T)] = t
-            # Dirichlet bracketing: counts may not fall as the domain grows.  Within
-            # a group the counts are running sums over one pass, so only a lane
-            # re-counted after a pivot breakdown can trip this; domains in
-            # different groups (p > 1, or unequal widths) are not compared.
-            if np.any(np.diff(group_totals, axis=0) < 0):
-                monotone = False
     # the finest combo (gf, domains[-1]) closes the last group, so the loop
-    # leaves its counts and its stack (the eigenvalue listing's pencils)
-    finest = counts[-1]
+    # leaves its counts, settled mask and stack (the listing's pencils)
     totals = {(g, T): totals[(g, T)] for g in grids for T in domains}   # combo order
     stable = len(domains) >= 2 and bool(
         np.array_equal(totals[(gf, domains[-1])], totals[(gf, domains[-2])]))
 
-    mode_results = [ModeResult(mode=m, counts=finest[i]) for i, (m, _) in enumerate(ops)]
+    mode_results = [ModeResult(mode=m, counts=counts[-1][i], settled=settled[i])
+                    for i, (m, _) in enumerate(ops)]
     if with_eigenvalues:
         top = float(lambdas[-1])
         total_top = int(totals[(gf, domains[-1])][-1])
@@ -179,21 +186,16 @@ def global_counting(config: ProblemConfig, with_eigenvalues: bool = False,
             pen = sturm.TridiagonalPencil(diag=diag, offdiag=off, mass=mass)
             res.eigenvalues = sturm.eigenvalues_below(pen, top, config.numerics.tol)
 
-    n_total = totals[(gf, domains[-1])]
     notes = []
-    truncation = not prediction.is_pure_point
-    if truncation:
+    if not prediction.is_pure_point:
         notes.append("prediction has essential spectrum: counts are "
                      "truncation-dependent and grow with the domain")
     if config.degree >= 1:
         notes.append("form counts cover the harmonic sectors only; the coexact "
                      "tower is discrete and enters constants analytically")
-    if not monotone:
-        notes.append("internal error: counts decreased under domain growth")
     return SpectrumReport(
-        lambda_grid=lambdas, modes=mode_results, n_total=n_total,
-        totals_by_combo=totals, stable=stable, domain_monotone=monotone,
-        truncation_dependent=truncation, prediction=prediction,
+        lambda_grid=lambdas, modes=mode_results, totals_by_combo=totals,
+        stable=stable, prediction=prediction,
         meta={"grids": grids, "domains": domains,
               "y0": config.geometry.y0},
         notes=tuple(notes))
@@ -205,9 +207,10 @@ def global_counting(config: ProblemConfig, with_eigenvalues: bool = False,
 
 @dataclass
 class ThresholdEstimate:
-    value: Optional[float]       # None: counts stable across the window
+    value: Optional[float]       # None: no growth in the window
     error: float
     predicted: Optional[float]
+    top: float                   # the top of the lambda window
     inconclusive: bool
     notes: tuple = ()
 
@@ -217,8 +220,13 @@ class ThresholdEstimate:
 
     @property
     def consistent(self) -> Optional[bool]:
+        """No growth contradicts a predicted bottom c only when c + error
+        lies below the window top; c at or above the top agrees, and a c
+        within the error bar of the top is undecided (None)."""
         if self.no_growth:
-            return self.predicted is None
+            if self.predicted is None or self.predicted >= self.top:
+                return True
+            return False if self.predicted + self.error < self.top else None
         if self.inconclusive:
             return None
         if self.predicted is None:
@@ -226,51 +234,64 @@ class ThresholdEstimate:
         return abs(self.value - self.predicted) <= self.error
 
 
+_COUNTS_STABLE = ("counts stable under domain growth across the window: "
+                  "no essential spectrum detected")
+
+
 def threshold_probe(config: ProblemConfig, sectors=None) -> ThresholdEstimate:
     """Estimate inf of the essential spectrum from count growth in length.
 
-    The probe scans the configured lambda window.  The estimate is the
-    first lambda on the grid where counts differ across the two largest
-    domains, backed off by half a grid step; the error bar combines the
+    The probe scans the configured lambda window on the finest grid.  The
+    estimate is the first lambda where the two longest domains count
+    differently, backed off by half a grid step; the error bar combines the
     grid resolution with the (pi/T_max)^2 detection floor of a Dirichlet
-    channel of length T_max.  Growth must be sustained: above the
-    candidate, least-squares count growth per unit length has to exceed
-    RHO_MIN_FACTOR * sqrt(lambda - c)/pi, else the probe is inconclusive.
+    channel of length T_max.  The lanes the longest domain has settled
+    (`ModeResult.settled`) judge that difference, at and above the estimate:
+
+    * every lane settled: those counts are final, so the shorter domain was
+      too short and nothing grows;
+    * an open lane of a mode whose `reduce.mode_threshold` is at most its
+      lambda: a continuous channel of the reduction, so the growth is real;
+    * else every open lane walls beyond the longest domain: inconclusive.
     """
     num = config.numerics
-    if len(num.domains) < 3:
-        raise AssembleError("threshold probe needs at least 3 domain lengths")
+    if len(num.domains) < 2:
+        raise AssembleError("threshold probe needs at least 2 domain lengths")
     report = global_counting(config, sectors=sectors)
     lambdas, predicted = report.lambda_grid, report.prediction.essential_bottom
-    if not report.domain_monotone:
-        raise AssembleError("internal error: counts decreased under domain "
-                            "growth during the probe")
-    gf = num.grids[-1]
-    domains = num.domains
-    totals = {T: report.totals_by_combo[(gf, T)] for T in domains}
-    unstable = totals[domains[-1]] != totals[domains[-2]]
+    gf, (shorter, longest) = num.grids[-1], num.domains[-2:]
     step = float(np.max(np.diff(lambdas)))
-    error = step + (math.pi / domains[-1]) ** 2     # grid resolution + detection floor
-    if not unstable.any():
-        return ThresholdEstimate(
-            value=None, error=error, predicted=predicted, inconclusive=False,
-            notes=("counts stable under domain growth across the window: "
-                   "no essential spectrum detected",))
+    error = step + (math.pi / longest) ** 2     # grid resolution + detection floor
 
+    def estimate(value, inconclusive, note):
+        est = ThresholdEstimate(value, error, predicted, float(lambdas[-1]),
+                                inconclusive, (note,) if note else ())
+        if est.no_growth and est.consistent is None:
+            est.notes += (f"the predicted bottom {predicted!r} lies within the error "
+                          f"bar of the window top {est.top!r}: its growth cannot show",)
+        return est
+
+    if report.stable:
+        return estimate(None, False, _COUNTS_STABLE)
+    unstable = report.totals_by_combo[(gf, longest)] != report.totals_by_combo[(gf, shorter)]
     first = int(np.argmax(unstable))
+    open_lanes = []     # (lambda, mode name, the mode's threshold) from the estimate up
+    for r in report.modes:
+        at = first + np.flatnonzero(~r.settled[first:])
+        if at.size:
+            c = red.mode_threshold(red.mode_operator(config, r.mode), config.geometry.p)
+            open_lanes += [(float(lambdas[j]), r.mode.name, c) for j in at]
+    if not open_lanes:
+        return estimate(None, False, (
+            f"counts differ between domains {shorter!r} and {longest!r} from lambda = "
+            f"{float(lambdas[first])!r}, but every lane there walls inside domain "
+            f"{longest!r}: domain {shorter!r} is too short"))
     c_hat = float(lambdas[first]) - 0.5 * step
-    above = np.arange(len(lambdas)) >= first
-    stacked = np.stack([totals[T] for T in domains]).astype(float)
-    slopes = np.polyfit(np.array(domains), stacked, 1)[0]
-    rho_min = RHO_MIN_FACTOR * np.sqrt(np.maximum(
-        lambdas - c_hat, 0.0)) / math.pi
-    growing = bool(np.any(slopes[above] >= rho_min[above]) and slopes[above].max() > 0)
-    if not growing:
-        return ThresholdEstimate(
-            value=c_hat, error=error, predicted=predicted, inconclusive=True,
-            notes=("instability without sustained growth: inconclusive",))
-    return ThresholdEstimate(value=c_hat, error=error, predicted=predicted,
-                             inconclusive=False)
+    if any(c is not None and c <= lam for lam, _, c in open_lanes):
+        return estimate(c_hat, False, None)
+    lam, name, _ = min(open_lanes, key=lambda lane: lane[0])
+    return estimate(c_hat, True, f"mode {name} at lambda = {lam!r} is still open at "
+                                 f"domain {longest!r}: the mode walls beyond it")
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +392,10 @@ class CheckReport:
 def _agreement(probes: dict, stable_note: str, mixed_note: str):
     """(passed, notes) of threshold probes that must agree, keyed by name.
 
-    passed is False only for a conclusive disagreement: stable counts
-    against sustained growth, or estimates outside each other's error bars.
-    Otherwise an inconclusive probe makes it None, with a note naming it.
+    passed is False only for a conclusive disagreement: no growth against
+    growth, or estimates outside each other's error bars.  Otherwise an
+    inconclusive probe makes it None, with a note naming it.  A pass with
+    no growth names the probes whose counts were not stable.
     """
     sure = [e for e in probes.values() if not e.inconclusive]
     growing = [e for e in sure if not e.no_growth]
@@ -385,7 +407,11 @@ def _agreement(probes: dict, stable_note: str, mixed_note: str):
                    for note in e.notes)
     if unsure:
         return None, unsure
-    return True, () if growing else (stable_note,)
+    if growing:
+        return True, ()
+    short = tuple(f"{name}: {e.notes[0]}" for name, e in probes.items()
+                  if e.notes[0] != _COUNTS_STABLE)
+    return True, short or (stable_note,)
 
 
 def cut_invariance_check(config: ProblemConfig) -> CheckReport:
@@ -433,7 +459,6 @@ def report_to_dict(report: SpectrumReport) -> dict:
             f"grid={g},domain={t!r}": [int(x) for x in v]
             for (g, t), v in sorted(report.totals_by_combo.items())},
         "stable": report.stable,
-        "domain_monotone": report.domain_monotone,
         "truncation_dependent": report.truncation_dependent,
         "prediction": criteria.prediction_to_dict(report.prediction),
         "meta": {k: list(v) if isinstance(v, tuple) else v

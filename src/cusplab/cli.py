@@ -212,7 +212,7 @@ def cmd_essspec(args):
         "consistent": est.consistent, "notes": list(est.notes),
     }
     if est.no_growth:
-        txt = "no essential spectrum detected in the window (counts stable)\n"
+        txt = "no essential spectrum detected in the window\n"
     else:
         txt = f"threshold estimate: {est.value!r} +- {est.error!r}\n"
     txt += f"predicted: {est.predicted!r}\nconsistent: {est.consistent}\n"

@@ -615,7 +615,7 @@ _KNOWN_KEYS = {f.key for f in _FIELDS} | {
 #: removed keys -> what replaces them; parse_config refuses them with this reason
 _REMOVED_KEYS = {
     "numerics.lambda_max": "reduce lists the modes up to the top of numerics.lambda_grid",
-    "numerics.rho_min_factor": "the probe's growth line is fixed at half the flat-channel rate",
+    "numerics.rho_min_factor": "the probe reads the lanes the Sturm pass settled; delete the line",
     "magnetic.phi0": "a constant radial coefficient is pure gauge; delete the line",
     "cross_section.dim": "a square torus has dimension geometry.n - 1",
 }

@@ -244,14 +244,18 @@ def _sturm_pass(diag, off, mass, lams, sizes=None):
     """Vectorized LDL^T sign count of A - lambda B for a batch of lambdas.
 
     diag/mass: (..., N); off: (..., N-1) per row or shared; lams: (L,).
-    Returns (counts (..., L) int array, breakdown mask (..., L)).
+    Returns (counts (..., L) int array, breakdown mask (..., L), settled
+    mask (..., L)).  A lane is settled when it retired (below) at a block
+    start s <= N - 2: its count is final and the pencil past s walls it.
+    The last row has one neighbour only, so it is dominant at nearly every
+    lambda, and a lane that retires there alone is open.
 
-    With `sizes`, increasing checkpoints in 1..N, both come back with a
-    leading (S,) axis: entry s holds the counts and breakdown mask of the
-    leading sizes[s] x sizes[s] block.  The pivots of a leading block are
-    the first pivots of the whole pencil, so its negative-pivot count is
-    the running count at that node (the Sturm sequence property); the pass
-    ends at the last checkpoint.
+    With `sizes`, increasing checkpoints in 1..N, all three come back with
+    a leading (S,) axis: entry s holds them for the leading sizes[s] x
+    sizes[s] block, with N = sizes[s] in the settled rule.  The pivots of a
+    leading block are the first pivots of the whole pencil, so its
+    negative-pivot count is the running count at that node (the Sturm
+    sequence property); the pass ends at the last checkpoint.
 
     Node-major and blocked over the (row, lambda) lanes still live.  Per
     block, a = diag - lambda mass and e*e are gathered for those lanes and
@@ -296,6 +300,7 @@ def _sturm_pass(diag, off, mass, lams, sizes=None):
     off = _rows(np.insert(off, 0, 0.0, axis=-1)).T
     counts = np.zeros(start.size, dtype=np.int64)
     broke = np.zeros(start.size, dtype=bool)
+    retired = np.full(start.size, last)     # the block start each lane left at
     # the live lanes: lane k is (row k // L, lambda k % L), prev is its last
     # pivot, and a block ends at its `check` node, where it is tested again
     live = np.arange(start.size)
@@ -315,6 +320,7 @@ def _sturm_pass(diag, off, mass, lams, sizes=None):
                 due = start <= s
                 if due.any():
                     keep = ~due | (prev < np.abs(gather(off, s)))
+                    retired[live[~keep]] = s
                     check = np.where(check <= s, 2 * s - start + 1, check)
                     live, row, lam, prev, start, check = (
                         x[keep] for x in (live, row, lam, prev, start, check))
@@ -333,7 +339,7 @@ def _sturm_pass(diag, off, mass, lams, sizes=None):
                 counts[live] += (a < 0).sum(0)
                 broke[live] |= (a == 0).any(0)
                 s = end
-            snapshots.append((counts.copy(), broke.copy()))
+            snapshots.append((counts.copy(), broke.copy(), retired <= stop - 2))
     shape = batch + (-1,) if sizes is None else (len(stops),) + batch + (-1,)
     return tuple(np.stack(arrs).reshape(shape) for arrs in zip(*snapshots))
 
@@ -361,12 +367,12 @@ def count_below(pencil: TridiagonalPencil, lam: float) -> int:
 
 def count_below_many(pencil: TridiagonalPencil, lams) -> np.ndarray:
     lams = np.asarray(lams, dtype=float)
-    counts, broke = _sturm_pass(pencil.diag, pencil.offdiag, pencil.mass, lams)
+    counts, broke, _ = _sturm_pass(pencil.diag, pencil.offdiag, pencil.mass, lams)
     for j in np.nonzero(broke)[0]:
         lam = float(lams[j])
         shifted = lam - BREAKDOWN_SHIFT * _scale(pencil, lam)
-        c, again = _sturm_pass(pencil.diag, pencil.offdiag, pencil.mass,
-                               np.array([shifted]))
+        c, again, _ = _sturm_pass(pencil.diag, pencil.offdiag, pencil.mass,
+                                  np.array([shifted]))
         pencil.breakdowns += 1
         if again[0]:
             raise SturmError(f"pivot breakdown at lambda = {lam!r} persists at the "
@@ -375,19 +381,21 @@ def count_below_many(pencil: TridiagonalPencil, lams) -> np.ndarray:
     return counts
 
 
-def count_below_stack(diags, offs, masses, lams, sizes=None) -> np.ndarray:
+def count_below_stack(diags, offs, masses, lams, sizes=None):
     """Counts for a stack of pencils sharing one mesh: (M, L) integers.
 
     Used by the mode loop: all modes of one (grid, domain) combination have
     the same mesh, so the Sturm recurrence runs once over an (M, L) block.
     With `sizes` (increasing leading-block sizes, see `_sturm_pass`) the
     result is (S, M, L): the counts of every nested domain from one pass.
-    Exact pivot hits fall back to the per-pencil path on the leading block
-    of the checkpoint they break.
+    Returns (counts, settled) with `_sturm_pass`'s settled mask of the same
+    shape.  Exact pivot hits fall back to the per-pencil path on the leading
+    block of the checkpoint they break, and such a lane is open.
     """
-    counts, broke = _sturm_pass(diags, offs, masses, lams, sizes)
+    counts, broke, settled = _sturm_pass(diags, offs, masses, lams, sizes)
+    settled &= ~broke
     if not broke.any():
-        return counts
+        return counts, settled
     offs = np.broadcast_to(offs, diags.shape[:-1] + np.shape(offs)[-1:])
     masses = np.broadcast_to(masses, diags.shape)
     stops = (diags.shape[-1],) if sizes is None else tuple(sizes)
@@ -396,7 +404,7 @@ def count_below_stack(diags, offs, masses, lams, sizes=None) -> np.ndarray:
         n = stops[k]
         pencil = TridiagonalPencil(diags[i, :n], offs[i, :n - 1], masses[i, :n])
         by_stop[k, i, j] = count_below(pencil, float(lams[j]))
-    return by_stop.reshape(counts.shape)
+    return by_stop.reshape(counts.shape), settled
 
 
 def gershgorin_lower(pencil: TridiagonalPencil) -> float:

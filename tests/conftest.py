@@ -11,7 +11,19 @@ def counts_reversed_in_lambda(monkeypatch):
     real = sturm._sturm_pass
 
     def reversed_pass(diag, off, mass, lams, sizes=None):
-        counts, broke = real(diag, off, mass, lams, sizes)
-        return counts[..., ::-1], broke[..., ::-1]
+        counts, broke, settled = real(diag, off, mass, lams, sizes)
+        return counts[..., ::-1], broke[..., ::-1], settled[..., ::-1]
+
+    monkeypatch.setattr(sturm, "_sturm_pass", reversed_pass)
+
+
+@pytest.fixture
+def counts_shrinking_with_domain(monkeypatch):
+    """Make every checkpointed Sturm pass return its checkpoints in reversed order."""
+    real = sturm._sturm_pass
+
+    def reversed_pass(diag, off, mass, lams, sizes=None):
+        result = real(diag, off, mass, lams, sizes)
+        return result if sizes is None else tuple(x[::-1] for x in result)
 
     monkeypatch.setattr(sturm, "_sturm_pass", reversed_pass)

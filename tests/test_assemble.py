@@ -99,9 +99,60 @@ def test_probe_reports_no_growth_for_pure_point():
     assert est.consistent  # prediction agrees: no essential spectrum
 
 
-def test_probe_needs_three_domains():
-    with pytest.raises(AssembleError, match="3 domain"):
-        threshold_probe(circle_cfg(flux="0", domains=(8.0, 16.0)))
+def test_probe_needs_two_domains():
+    with pytest.raises(AssembleError, match="at least 2 domain lengths"):
+        threshold_probe(circle_cfg(flux="0", domains=(8.0,)))
+    est = threshold_probe(circle_cfg(flux="0", domains=(16.0, 32.0)))
+    assert not est.inconclusive and abs(est.value - 0.25) <= est.error
+    assert est.consistent
+
+
+# the FOUND configs of ROADMAP item 8: p = 1/4 walls every mode, and the
+# domains 16 and 32 count differently near the top of the window
+def _walled_cfg(**extra):
+    return circle_cfg(p="0.25", grids=(200, 400), lam=(0.5, 6.0, 12), **extra)
+
+
+def test_growth_that_the_longest_domain_settled_is_no_growth():
+    est = threshold_probe(_walled_cfg(potential=RadialPotential(poly=((1.0, 0.5),))))
+    assert est.no_growth and not est.inconclusive and est.consistent
+    assert est.notes == ("counts differ between domains 16.0 and 32.0 from lambda = 6.0, "
+                         "but every lane there walls inside domain 32.0: domain 16.0 "
+                         "is too short",)
+
+
+def test_growth_in_lanes_that_wall_beyond_the_longest_domain_is_inconclusive():
+    est = threshold_probe(_walled_cfg(flux="0.5"))
+    assert est.inconclusive and est.value == 1.25 and est.consistent is None
+    assert est.notes == ("mode m-1 at lambda = 2.5 is still open at domain 32.0: "
+                         "the mode walls beyond it",)
+
+
+def test_lanes_open_only_at_the_last_node_are_open():
+    # p = 1/2, flux 0: the m0 channel is continuous from 0 and walls nowhere;
+    # its lanes reach node 1598 of 1599, where only the last row is dominant
+    rep = global_counting(circle_cfg(p="0.5", flux="0", grids=(200, 400),
+                                     lam=(0.5, 2.5, 5)))
+    m0 = next(r for r in rep.modes if r.mode.name == "m0")
+    assert not m0.settled.any()
+    assert any(r.settled.all() for r in rep.modes)
+
+
+@pytest.mark.parametrize("top, consistent", [(0.2, True), (0.25, True), (0.26, None),
+                                             (0.3, False)])
+def test_no_growth_contradicts_a_bottom_only_below_the_window_top(top, consistent):
+    est = assemble.ThresholdEstimate(None, 0.02, 0.25, top, False)
+    assert est.consistent is consistent
+    assert assemble.ThresholdEstimate(None, 0.02, None, top, False).consistent
+
+
+def test_a_bottom_within_the_error_bar_of_the_window_top_is_undecided():
+    # p = 1, flux 0: [1/4, oo) with the first channel level at 1/4 + (pi/32)^2;
+    # the window tops at 0.255, less than one error bar above 1/4
+    est = threshold_probe(circle_cfg(flux="0", grids=(200, 400), lam=(0.05, 0.255, 16)))
+    assert est.no_growth and est.consistent is None
+    assert est.notes[-1] == ("the predicted bottom 0.25 lies within the error bar of "
+                             "the window top 0.255: its growth cannot show")
 
 
 def test_probe_p_below_one_finds_zero():
@@ -251,6 +302,14 @@ def test_counts_decreasing_in_lambda_are_an_internal_error(counts_reversed_in_la
         global_counting(cfg)
 
 
+def test_counts_falling_under_domain_growth_are_an_internal_error(
+        counts_shrinking_with_domain):
+    cfg = circle_cfg(flux="0", lam=(0.5, 6.0, 12))   # the k = 0 channel grows with T
+    with pytest.raises(AssembleError, match=r"counts decreased under domain growth for "
+                                            r"mode \S+ at grid=500, domain=16\.0"):
+        global_counting(cfg)
+
+
 # ---------------------------------------------------------------------------
 # nested domains: one assembly and one pass per grid for p <= 1
 # ---------------------------------------------------------------------------
@@ -280,8 +339,8 @@ def test_shorter_domains_are_leading_blocks_and_one_pass_equals_per_combo_passes
                 assert np.array_equal(pen.diag, full[:n])
                 assert np.array_equal(pen.offdiag, off[:n - 1])
                 assert np.array_equal(pen.mass, mass[:n])
-            counts = sturm.count_below_stack(np.stack([pen.diag for pen in pens]),
-                                             pens[0].offdiag, pens[0].mass, lambdas)
+            counts, _ = sturm.count_below_stack(np.stack([pen.diag for pen in pens]),
+                                                pens[0].offdiag, pens[0].mass, lambdas)
             assert np.array_equal(rep.totals_by_combo[(g, T)],
                                   (mult[:, None] * counts).sum(axis=0))
 
@@ -390,5 +449,7 @@ def test_partly_nested_domains_share_a_pass_and_stay_bracketed(work):
     rep = global_counting(cfg)
     assert work["passes"] == [(687, [687]), (999, [499, 999]), (1999, [999, 1374, 1999])]
     assert work["stacks"] == [len(rep.modes)] * 3
-    assert rep.domain_monotone
+    # the three nest at 1000 cells: the group's raise found no count falling
+    assert np.all(np.diff([rep.totals_by_combo[(1000, T)] for T in (8.0, 11.0, 16.0)],
+                          axis=0) >= 0)
     assert list(rep.totals_by_combo) == [(g, T) for g in (500, 1000) for T in (8.0, 11.0, 16.0)]

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 
 import pytest
@@ -261,7 +262,7 @@ def test_removed_flags_and_formats_exit_one(cfg_path, capsys, argv):
 #: and words of the reason the refusal gives
 REMOVED_KEYS = {
     "numerics.lambda_max": (PROBE_CFG, "1.0", "top of numerics.lambda_grid"),
-    "numerics.rho_min_factor": (PROBE_CFG, "0.5", "half the flat-channel rate"),
+    "numerics.rho_min_factor": (PROBE_CFG, "0.5", "reads the lanes the Sturm pass settled"),
     "magnetic.phi0": (PROBE_CFG, "0.0", "pure gauge"),
     "cross_section.dim": (TORUS_CFG, "2", "geometry.n - 1"),
 }
@@ -565,37 +566,39 @@ def test_any_out_of_domain_numerics_or_checks_value_is_a_config_error(item, comm
 
 
 INCONCLUSIVE = "instability without sustained growth: inconclusive"
+OPEN_LANE = "is still open at domain 32.0: the mode walls beyond it"
 
 
 @pytest.mark.parametrize("command, fmt", [
     ("essspec", "text"), ("essspec", "json"), ("cut-check", "text"),
     ("cut-check", "json"), ("perturb-check", "text"), ("perturb-check", "json")])
-def test_an_inconclusive_probe_exits_one_after_its_report(cfg_path, capsys, monkeypatch,
-                                                          command, fmt):
-    # a growth line far above any measured rate: every probe is inconclusive
-    monkeypatch.setattr(assemble, "RHO_MIN_FACTOR", 1e9)
-    path = cfg_path(PROBE_CFG)
+def test_an_inconclusive_probe_exits_one_after_its_report(cfg_path, capsys, command, fmt):
+    # p = 1/4 with flux 1/2: every mode walls, but from lambda = 2.5 on only
+    # beyond z = 32, so every probe (cut radius, bump) is inconclusive
+    path = cfg_path(with_line(with_line(PROBE_CFG, "geometry.p = 0.25"),
+                              "magnetic.flux = 0.5"))
     assert main([command, "--config", path, "--format", fmt]) == 1
     out, err = capsys.readouterr()
     verdict = "consistent" if command == "essspec" else "passed"
     if fmt == "json":
         data = json.loads(out)
         assert data[verdict] is None
-        assert all(INCONCLUSIVE in note for note in data["notes"])
+        assert all(OPEN_LANE in note for note in data["notes"])
     else:
         assert f"{verdict}: None" in out
     assert err.startswith("error[inconclusive]: ") and err.count("\n") == 1
-    assert INCONCLUSIVE in err
+    lanes = re.findall(r"mode (m0|m-1) at lambda = (\S+) " + re.escape(OPEN_LANE), err)
+    assert lanes and all(float(lam) >= 2.5 for _, lam in lanes)
     if command == "cut-check":
         assert "Y0=1.0: " in err and "Y0=2.0: " in err
     if command == "perturb-check":
         assert "base: " in err and "bumped: " in err
 
 
-GROWTH = ThresholdEstimate(0.25, 0.1, 0.25, False)
-SHIFTED = ThresholdEstimate(1.0, 0.1, 0.25, False)
-STABLE = ThresholdEstimate(None, 0.1, 0.25, False, ("counts stable",))
-UNSURE = ThresholdEstimate(0.25, 0.1, 0.25, True, (INCONCLUSIVE,))
+GROWTH = ThresholdEstimate(0.25, 0.1, 0.25, 6.0, False)
+SHIFTED = ThresholdEstimate(1.0, 0.1, 0.25, 6.0, False)
+STABLE = ThresholdEstimate(None, 0.1, 0.25, 6.0, False, ("counts stable",))
+UNSURE = ThresholdEstimate(0.25, 0.1, 0.25, 6.0, True, (INCONCLUSIVE,))
 
 
 def _weyl_fit(consistent, notes=()):

@@ -41,6 +41,7 @@ degree = 1
 
 PROBE = ("numerics.grid = 200,400\nnumerics.domain_z = 8,16,32\n"
          "numerics.lambda_grid = 0.5,6,12\n")
+BELOW = PROBE.replace("0.5,6,12", "0.05,0.2,16")   # the window ends below 1/4
 WEYL = ("numerics.grid = 300,600\nnumerics.domain_z = 5,6\n"
         "numerics.lambda_grid = 100,1000,8\nnumerics.lambda_scale = log\n")
 
@@ -58,6 +59,13 @@ CASES = {
     "cut-check-default-y0": ("cut-check", ESSENTIAL + PROBE, ("json",), 0),
     "perturb-check-default-bump": ("perturb-check", ESSENTIAL + PROBE, ("json",), 0),
     "reduce-essential": ("reduce", ESSENTIAL + PROBE, ("csv", "json"), 0),
+    # p = 1/4 walls every mode: the poly lanes all settle inside domain 32,
+    # the flux lanes from lambda = 2.5 on only beyond it (inconclusive)
+    "essspec-walled-poly": ("essspec", C3_TAIL + PROBE, ("json",), 0),
+    "cut-check-walled-poly": ("cut-check", C3_TAIL + PROBE, ("json",), 0),
+    "essspec-walled-flux": ("essspec", C3_FIT_ONLY + PROBE, ("json",), 1),
+    "cut-check-walled-flux": ("cut-check", C3_FIT_ONLY + PROBE, ("json",), 1),
+    "essspec-below-window": ("essspec", ESSENTIAL + BELOW, ("json",), 0),
 }
 
 RUNS = [(case, fmt) for case, (_, _, formats, _) in CASES.items() for fmt in formats]

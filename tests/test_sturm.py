@@ -123,7 +123,7 @@ def test_count_stack_matches_scalar_counts():
     mass = rng.uniform(0.5, 2.0, n)
     diags = rng.uniform(-2, 2, (4, n))
     lams = np.linspace(-3, 3, 7)
-    stacked = count_below_stack(diags, off, mass, lams)
+    stacked, _ = count_below_stack(diags, off, mass, lams)
     for i in range(4):
         pen = TridiagonalPencil(diag=diags[i].copy(), offdiag=off.copy(),
                                 mass=mass.copy())
@@ -218,7 +218,7 @@ def assert_matches_reference(diag, off, mass, lams):
     # e*e/tiny overflows on broken lanes of the reference; those are discarded
     with np.errstate(over="ignore"):
         want, want_broke = _reference_pass(diag, off, mass, lams)
-    got, broke = sturm._sturm_pass(diag, off, mass, lams)
+    got, broke, _ = sturm._sturm_pass(diag, off, mass, lams)
     assert got.shape == want.shape and broke.shape == want_broke.shape
     assert np.array_equal(broke, want_broke)
     assert np.array_equal(got[~broke], want[~broke])
@@ -296,7 +296,7 @@ def test_stack_breakdown_falls_back_to_per_row_counts():
     diags[1, 0] = 1.0         # lambda = 1 hits the first pivot of row 1 only
     lams = np.array([0.5, 1.0, 2.0])
     for offs in (off, np.tile(off, (3, 1))):
-        stacked = count_below_stack(diags, offs, mass, lams)
+        stacked, _ = count_below_stack(diags, offs, mass, lams)
         for i in range(3):
             pen = TridiagonalPencil(diag=diags[i], offdiag=off, mass=mass)
             assert stacked[i].tolist() == [count_below(pen, lam) for lam in lams]
@@ -457,7 +457,7 @@ def test_bisection_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
 # ---------------------------------------------------------------------------
 
 def assert_checkpoints_match_reference(diag, off, mass, lams, sizes):
-    got, broke = sturm._sturm_pass(diag, off, mass, lams, sizes)
+    got, broke, _ = sturm._sturm_pass(diag, off, mass, lams, sizes)
     assert got.shape == broke.shape == (len(sizes),) + np.shape(diag)[:-1] + (len(lams),)
     for k, n in enumerate(sizes):
         with np.errstate(over="ignore"):
@@ -497,7 +497,7 @@ def test_checkpoints_on_block_boundaries_and_the_last_node():
             assert_checkpoints_match_reference(diags, off, np.ones(n), lams, sizes)
             assert_checkpoints_match_reference(diags, np.tile(off, (2, 1)),
                                                np.ones(n), lams, sizes)
-    full, _ = sturm._sturm_pass(diags, off, np.ones(n), lams)
+    full, _, _ = sturm._sturm_pass(diags, off, np.ones(n), lams)
     assert np.array_equal(sturm._sturm_pass(diags, off, np.ones(n), lams, [n])[0][0], full)
 
 
@@ -520,7 +520,7 @@ def test_stack_checkpoints_fall_back_per_leading_block():
     lams = np.array([0.5, 1.0, 2.0])
     for offs in (off, np.tile(off, (3, 1))):
         with mock.patch.object(sturm, "count_below", wraps=sturm.count_below) as slow:
-            stacked = count_below_stack(diags, offs, mass, lams, sizes=[3, 5, n])
+            stacked, _ = count_below_stack(diags, offs, mass, lams, sizes=[3, 5, n])
         # the hit lies behind checkpoint 3 and before 5 and n: two re-counts
         assert slow.call_count == 2
         for k, size in enumerate([3, 5, n]):
@@ -599,6 +599,31 @@ def test_checkpoints_around_retirement_match_the_reference(inputs, data):
         assert_checkpoints_match_reference(diag, off, mass, lams, sorted(sizes))
 
 
+@given(walled_inputs(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_a_settled_lane_keeps_its_count_and_the_last_node_settles_none(inputs, data):
+    # settled at a checkpoint of m nodes: retired at a block start s <= m - 2,
+    # so the count is final there, in every later block and in the reference;
+    # a lane whose certificate starts at the last row, m - 1, stays open
+    diag, off, mass, lams = inputs
+    n = diag.shape[-1]
+    sizes = sorted(data.draw(st.sets(st.integers(1, n), min_size=1, max_size=6)) | {n})
+    block_bytes = data.draw(st.sampled_from([8, 256, sturm._BLOCK_BYTES]))
+    with mock.patch.object(sturm, "_BLOCK_BYTES", block_bytes):
+        got, broke, settled = sturm._sturm_pass(diag, off, mass, lams, sizes)
+    starts = sturm._dominance_starts(diag, off, mass, lams)
+    with np.errstate(over="ignore"):
+        want = [_reference_pass(diag[..., :m], off[..., :m - 1], mass[..., :m], lams)[0]
+                for m in sizes]
+    for k, m in enumerate(sizes):
+        assert not (settled[k] & (starts >= m - 1)).any()
+        final = settled[k] & ~broke[k]
+        for later in range(k, len(sizes)):
+            assert settled[later][final].all()
+            assert np.array_equal(got[later][final], got[k][final])
+            assert np.array_equal(want[later][final], got[k][final])
+
+
 @given(walled_inputs())
 @settings(max_examples=60, deadline=None)
 def test_listing_on_walled_pencils_equals_bisection_on_the_reference_recurrence(inputs):
@@ -608,7 +633,8 @@ def test_listing_on_walled_pencils_equals_bisection_on_the_reference_recurrence(
 
     def reference_kernel(diag, off, mass, lams):
         with np.errstate(over="ignore"):
-            return _reference_pass(diag, off, mass, lams)
+            counts, broke = _reference_pass(diag, off, mass, lams)
+        return counts, broke, np.zeros_like(broke)
 
     with mock.patch.object(sturm, "_sturm_pass", reference_kernel):
         assert got == _reference_bisection(replace(pen), float(lams[-1]), 1e-9)
@@ -660,8 +686,10 @@ def test_every_lane_retires_in_the_first_block():
     off, mass = np.full(n - 1, -1.0 / h), np.full(n, h)
     lams = np.linspace(-3.0, 4.0, 8)
     assert not sturm._dominance_starts(diags, off, mass, lams).any()
-    got, broke = sturm._sturm_pass(diags, off, mass, lams, [1, 250, n])
+    got, broke, settled = sturm._sturm_pass(diags, off, mass, lams, [1, 250, n])
     assert not got.any() and not broke.any()
+    # retired at node 0: settled in every block but the one-node block
+    assert settled[1:].all() and not settled[0].any()
     assert_checkpoints_match_reference(diags, off, mass, lams, [1, 250, n])
     # with no potential on the first three nodes, the lanes with lambda >= 0
     # start at node 3 and leave after one short block
