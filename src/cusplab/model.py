@@ -83,7 +83,7 @@ class EndGeometry:
 # ---------------------------------------------------------------------------
 
 CIRCLE = "circle"
-TORUS = "torus"
+TORUS = "lattice_torus"
 TABLE = "table"
 
 
@@ -91,10 +91,12 @@ TABLE = "table"
 class CrossSection:
     """Spectral model of the closed (n-1)-manifold M.
 
-    kind = "circle": one circle of circumference `length`.
-    kind = "torus":  flat torus given by a dual-lattice basis (rows of
-                     `dual_basis`); function eigenvalues are |2 pi B* m|^2.
-    kind = "table":  explicit per-degree (eigenvalue, multiplicity) tables.
+    kind = "circle":        one circle of circumference `length`.
+    kind = "lattice_torus": flat torus given by a dual-lattice basis (rows of
+                            `dual_basis`); function eigenvalues are |2 pi B* m|^2.
+    kind = "table":         explicit per-degree (eigenvalue, multiplicity) tables.
+
+    `kind` is the cross_section.kind that render_config writes for it.
 
     `betti` lists h^0 .. h^(dim); `volume` is Vol(M, h).
     """
@@ -179,19 +181,27 @@ def _det(rows) -> float:
 
 
 def builtin_cross_section(name: str, **params) -> CrossSection:
-    """Construct one of the built-in cross-sections.
+    """Construct one of the built-in cross-sections from the parameters
+    `_KINDS` and `_DERIVED` declare for it ([optional]):
 
-    circle(length)                  -- betti (1, 1), volume = length
-    square_torus(side, dim)         -- side-length s torus, dual basis I/s
-    lattice_torus(dual_basis, dim)  -- explicit dual-lattice rows
-    table(dim, betti, volume, tables)
+    circle(length)                       -- betti (1, 1), volume = length
+    square_torus(side, dim)              -- side-length s torus, dual basis I/s
+    lattice_torus(dual_basis[, volume])  -- explicit dual-lattice rows; volume 1/|det|
+    table(volume, betti, tables)
     """
+    if name not in _KINDS:
+        raise ConfigError(f"unknown cross-section name {name!r}")
+    optional = sorted(f.attr for f in _KINDS[name] if not f.required)
+    required = [f.attr for f in _KINDS[name] if f.required] + list(_DERIVED.get(name, ()))
+    if (set(params) ^ set(required)) - set(optional):
+        takes = ", ".join(required + [f"[{attr}]" for attr in optional])
+        raise ConfigError(f"a {name} cross-section takes {takes}; got {', '.join(params)}")
     if name == "circle":
-        length = float(params.get("length", 2 * math.pi))
+        length = float(params["length"])
         return CrossSection(kind=CIRCLE, dim=1, betti=(1, 1), volume=length, length=length)
     if name == "square_torus":
-        dim = int(params.get("dim", 2))
-        side = float(params.get("side", 2 * math.pi))
+        dim = int(params["dim"])
+        side = float(params["side"])
         if side <= 0:
             raise ConfigError("square torus needs side > 0")
         basis = tuple(tuple(1.0 / side if i == j else 0.0 for j in range(dim))
@@ -199,9 +209,11 @@ def builtin_cross_section(name: str, **params) -> CrossSection:
         betti = tuple(math.comb(dim, j) for j in range(dim + 1))
         return CrossSection(kind=TORUS, dim=dim, betti=betti, volume=side**dim,
                             dual_basis=basis)
-    if name == "lattice_torus":
+    if name == TORUS:
         basis = tuple(tuple(float(x) for x in row) for row in params["dual_basis"])
         dim = len(basis)
+        if any(len(row) != dim for row in basis):
+            raise ConfigError("dual-lattice basis must be a square (dim x dim) matrix")
         det = _det(basis)
         if abs(det) < 1e-300:
             raise ConfigError("degenerate lattice: dual basis has determinant 0")
@@ -211,12 +223,10 @@ def builtin_cross_section(name: str, **params) -> CrossSection:
             volume = 1.0 / abs(det)
         return CrossSection(kind=TORUS, dim=dim, betti=betti, volume=float(volume),
                             dual_basis=basis)
-    if name == "table":
-        tables = tuple(tuple((float(e), int(m)) for e, m in tab) for tab in params["tables"])
-        betti = tuple(int(b) for b in params["betti"])
-        return CrossSection(kind=TABLE, dim=len(betti) - 1, betti=betti,
-                            volume=float(params["volume"]), tables=tables)
-    raise ConfigError(f"unknown cross-section name {name!r}")
+    tables = tuple(tuple((float(e), int(m)) for e, m in tab) for tab in params["tables"])
+    betti = tuple(int(b) for b in params["betti"])
+    return CrossSection(kind=TABLE, dim=len(betti) - 1, betti=betti,
+                        volume=float(params["volume"]), tables=tables)
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +549,8 @@ class _Field(NamedTuple):
     """One config key that holds a single value.
 
     `attr` is the field it sets: on the dataclass of its section (see
-    `_SECTIONS`), else on ProblemConfig itself.  `read` parses the value,
+    `_SECTIONS`), else on ProblemConfig itself; a cross_section.* key (see
+    `_KINDS`) sets the builtin_cross_section parameter of that name.  `read` parses the value,
     `write` renders it, and `ok` is its domain, enforced by the owning
     dataclass with the message "invariant violated: <rule>".  A `required`
     key must be present whenever its section is built (geometry always is).
@@ -604,13 +615,24 @@ _FIELDS = (
 _SECTIONS = {"geometry": EndGeometry, "magnetic": MagneticData,
              "potential": RadialPotential, "numerics": Numerics}
 
-# cross_section.* is parsed by hand: which keys apply depends on the kind.
-# Table cross-sections also take one key per degree j = 0..dim; the degrees
-# are checked once the dimension is known.
+#: cross_section.kind -> the keys it reads, in rendering order; each
+#: `attr` also names the CrossSection field that render_config writes
+_KINDS = {
+    CIRCLE: (_Field("cross_section.length", "length", _real, required=True),),
+    "square_torus": (_Field("cross_section.side", "side", _real, required=True),),
+    TORUS: (_Field("cross_section.dual_basis", "dual_basis",
+                   lambda tok: tuple(_list(_real)(row) for row in tok.split(";")),
+                   lambda rows: ";".join(_join(row) for row in rows), required=True),
+            _Field("cross_section.volume", "volume", _real)),
+    TABLE: (_Field("cross_section.volume", "volume", _real, required=True),
+            _Field("cross_section.betti", "betti", _list(_integer), _join, required=True)),
+}
+#: the builtin_cross_section parameters that are no config key: parse_config
+#: sets dim to geometry.n - 1 and reads the tables, one key per degree 0..dim
+_DERIVED = {"square_torus": ("dim",), TABLE: ("tables",)}
 _TABLE_PREFIX = "cross_section.eigenvalues."
-_KNOWN_KEYS = {f.key for f in _FIELDS} | {
-    "cross_section.kind", "cross_section.length", "cross_section.side",
-    "cross_section.dual_basis", "cross_section.volume", "cross_section.betti"}
+_KNOWN_KEYS = ({f.key for f in _FIELDS} | {"cross_section.kind"}
+               | {f.key for fields in _KINDS.values() for f in fields})
 
 #: removed keys -> what replaces them; parse_config refuses them with this reason
 _REMOVED_KEYS = {
@@ -692,45 +714,32 @@ def parse_config(text: str) -> ProblemConfig:
 
 
 def _parse_cross_section(raw, lines, n) -> CrossSection:
-    def value(read, key):
+    def value(read, key, missing=""):
         if key not in raw:
-            raise ConfigError(f"missing required key {key!r}")
+            raise ConfigError(f"missing required key {key!r}{missing}")
         return _read(read, raw[key], lines[key])
 
     kind = value(str, "cross_section.kind")
-    if kind == "circle":
-        cs = builtin_cross_section("circle", length=value(_real, "cross_section.length"))
-    elif kind == "square_torus":
-        cs = builtin_cross_section("square_torus", side=value(_real, "cross_section.side"),
-                                   dim=n - 1)
-    elif kind == "lattice_torus":
-        rows = value(lambda tok: [_list(_real)(row) for row in tok.split(";")],
-                     "cross_section.dual_basis")
-        vol = None
-        if "cross_section.volume" in raw:
-            vol = value(_real, "cross_section.volume")
-        cs = builtin_cross_section("lattice_torus", dual_basis=rows, volume=vol)
-    elif kind == "table":
-        betti = value(_list(_integer), "cross_section.betti")
-        tables = []
-        for j in range(len(betti)):
-            key = f"{_TABLE_PREFIX}{j}"
-            if key not in raw:
-                raise ConfigError(f"missing required key {key!r} for table cross-section")
-            tables.append(list(value(_table, key)))
-        cs = builtin_cross_section("table", betti=betti, tables=tables,
-                                   volume=value(_real, "cross_section.volume"))
-    else:
+    if kind not in _KINDS:
         raise ConfigError(f"unknown cross-section kind {kind!r}", lines["cross_section.kind"])
-    table_keys = ({f"{_TABLE_PREFIX}{j}" for j in range(cs.dim + 1)}
-                  if cs.kind == TABLE else set())
+    fields = {f.key: f for f in _KINDS[kind]}
+    params = {f.attr: value(f.read, key) for key, f in fields.items()
+              if f.required or key in raw}
+    # a table cross-section reads one eigenvalue key per Betti number
+    tables = [f"{_TABLE_PREFIX}{j}" for j in range(len(params.get("betti", ())))]
+    known = {*fields, *tables, "cross_section.kind"}
     for key in raw:
-        if key.startswith(_TABLE_PREFIX) and key not in table_keys:
-            where = (f"degrees 0..{cs.dim}" if cs.kind == TABLE
-                     else "table cross-sections only")
-            raise ConfigError(f"unknown key {key!r} (eigenvalue tables: {where})",
+        if key.startswith(_TABLE_PREFIX) and key not in tables:
+            where = f"degrees 0..{len(tables) - 1}" if tables else "table cross-sections only"
+            raise ConfigError(f"unknown key {key!r} (eigenvalue tables: {where})", lines[key])
+        if key.startswith("cross_section.") and key not in known:
+            raise ConfigError(f"key {key!r} is not read by cross_section.kind = {kind}",
                               lines[key])
-    return cs
+    if kind == "square_torus":
+        params["dim"] = n - 1
+    if tables:
+        params["tables"] = [value(_table, key, " for table cross-section") for key in tables]
+    return builtin_cross_section(kind, **params)
 
 
 def render_config(config: ProblemConfig) -> str:
@@ -746,19 +755,9 @@ def render_config(config: ProblemConfig) -> str:
         if value is not None:
             out.append(f"{f.key} = {f.write(value)}")
     cs = config.cross_section
-    if cs.kind == CIRCLE:
-        out += ["cross_section.kind = circle",
-                f"cross_section.length = {cs.length!r}"]
-    elif cs.kind == TORUS:
-        rows = ";".join(_join(row) for row in cs.dual_basis)
-        out += ["cross_section.kind = lattice_torus",
-                f"cross_section.dual_basis = {rows}",
-                f"cross_section.volume = {cs.volume!r}"]
-    else:
-        out += ["cross_section.kind = table",
-                f"cross_section.volume = {cs.volume!r}",
-                "cross_section.betti = " + _join(cs.betti)]
-        for j, tab in enumerate(cs.tables):
-            pairs = ";".join(f"({e!r},{m})" for e, m in tab)
-            out.append(f"{_TABLE_PREFIX}{j} = {pairs}")
+    out.append(f"cross_section.kind = {cs.kind}")
+    out += [f"{f.key} = {f.write(getattr(cs, f.attr))}" for f in _KINDS[cs.kind]]
+    for j, tab in enumerate(cs.tables or ()):
+        pairs = ";".join(f"({e!r},{m})" for e, m in tab)
+        out.append(f"{_TABLE_PREFIX}{j} = {pairs}")
     return "\n".join(out) + "\n"

@@ -275,9 +275,10 @@ def enumerate_modes(config: ProblemConfig, lambda_max: float) -> List[ModeSpec]:
     enters the counting constants analytically).
 
     Every numeric command passes through here with the top of
-    `numerics.lambda_grid` as lambda_max, so this is where magnetic data
-    outside the modelled class (only closed tangential forms with a
-    constant, pure-gauge radial coefficient are discretized) is refused.
+    `numerics.lambda_grid` as lambda_max, so this is where data outside the
+    modelled class is refused: magnetic data other than closed tangential
+    forms with a constant, pure-gauge radial coefficient, and a potential
+    on k-forms (the harmonic-sector operators carry none).
     """
     if lambda_max < 0:
         raise ReduceError(f"the top of numerics.lambda_grid must be >= 0, got {lambda_max!r}")
@@ -289,6 +290,9 @@ def enumerate_modes(config: ProblemConfig, lambda_max: float) -> List[ModeSpec]:
                           "the analytic criteria classify it as pure point")
     geom = config.geometry
     k = config.degree
+    if k >= 1 and config.potential is not None and not config.potential.is_zero:
+        raise ReduceError(f"a potential on {k}-forms is outside the numerically "
+                          "modelled class; only criteria classifies it")
     if k == 0:
         flux = config.magnetic.flux if config.magnetic is not None else None
         if config.potential is None or config.potential.is_zero:

@@ -96,11 +96,15 @@ def _in_window(config, lambda_grid):
     return replace(config, numerics=replace(config.numerics, lambda_grid=lambda_grid))
 
 
+def _conclusive(est) -> bool:
+    """A threshold estimate that the probe found and could judge."""
+    return est.value is not None and not est.inconclusive
+
+
 def criterion_3():
     """Scalar threshold at p=1: probe finds 1/4 within 0.02."""
     est = assemble.threshold_probe(_probe_config())
-    ok = (est.value is not None and not est.inconclusive
-          and abs(est.value - 0.25) <= 0.02)
+    ok = _conclusive(est) and abs(est.value - 0.25) <= 0.02
     return ok, f"estimate {est.value} +- {est.error:.3f}, predicted {est.predicted}"
 
 
@@ -109,8 +113,8 @@ def criterion_4():
     rep = assemble.global_counting(_in_window(_probe_config(flux="0.5"), (0.1, 1.0, 10)))
     pred = rep.prediction
     est = assemble.threshold_probe(_probe_config(flux="1"))
-    ok = (pred.is_pure_point and rep.stable
-          and est.value is not None and abs(est.value - 0.25) <= 0.02)
+    ok = (pred.is_pure_point and rep.stable and _conclusive(est)
+          and abs(est.value - 0.25) <= 0.02)
     return ok, (f"mu=0.5: {pred.classification}, counts stable={rep.stable}; "
                 f"mu=1: threshold {est.value}")
 
@@ -169,8 +173,8 @@ def criterion_8():
                                   sectors={red.SECTOR_FORM_0})
     e1 = assemble.threshold_probe(_in_window(cfg, (0.8, 1.3, 51)),
                                   sectors={red.SECTOR_FORM_1})
-    ok = (e0.value is not None and abs(e0.value - 0.0) <= 0.03
-          and e1.value is not None and abs(e1.value - 1.0) <= 0.05)
+    ok = (_conclusive(e0) and abs(e0.value - 0.0) <= 0.03
+          and _conclusive(e1) and abs(e1.value - 1.0) <= 0.05)
     return ok, f"sector0 {e0.value:.4f} (tol 0.03), sector1 {e1.value:.4f} (tol 0.05)"
 
 
@@ -192,14 +196,10 @@ def criterion_9():
 
 def criterion_10():
     """Cut and bump invariance of the p=1 threshold."""
-    vals = {}
-    for y0 in (1.0, 2.0):
-        est = assemble.threshold_probe(_probe_config(y0=y0))
-        vals[f"Y0={y0}"] = est.value
-    est = assemble.threshold_probe(_probe_config().with_bump((2.5, 1.0, 5.0)))
-    vals["bump"] = est.value
-    ok = all(v is not None and abs(v - 0.25) <= 0.02 for v in vals.values())
-    return ok, ", ".join(f"{k}: {v:.4f}" for k, v in vals.items())
+    ests = {f"Y0={y0}": assemble.threshold_probe(_probe_config(y0=y0)) for y0 in (1.0, 2.0)}
+    ests["bump"] = assemble.threshold_probe(_probe_config().with_bump((2.5, 1.0, 5.0)))
+    ok = all(_conclusive(e) and abs(e.value - 0.25) <= 0.02 for e in ests.values())
+    return ok, ", ".join(f"{k}: {e.value:.4f}" for k, e in ests.items())
 
 
 def criterion_11():

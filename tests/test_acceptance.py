@@ -6,9 +6,11 @@ implementations live in cusplab.selftest so the same battery backs the
 `cusplab selftest` subcommand.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from cusplab import selftest
+from cusplab import assemble, selftest
 
 
 def _run(index):
@@ -65,3 +67,12 @@ def test_criterion_11_predicate_table():
 
 def test_criterion_12_magnetic_schrodinger_margin():
     _run(12)
+
+
+@pytest.mark.parametrize("index", [3, 4, 8, 10])
+def test_a_criterion_refuses_an_inconclusive_probe(monkeypatch, index):
+    real = assemble.threshold_probe
+    monkeypatch.setattr(assemble, "threshold_probe",
+                        lambda *args, **kw: replace(real(*args, **kw), inconclusive=True))
+    ok, _ = selftest.CRITERIA[index - 1][1]()
+    assert not ok

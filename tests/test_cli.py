@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from cusplab import assemble
 from cusplab.assemble import ThresholdEstimate, WeylFit
 from cusplab.cli import _build_parser, _emit, main
-from cusplab.model import _FIELDS
+from cusplab.model import _FIELDS, _KNOWN_KEYS
 
 AB_CFG = """\
 geometry.n = 2
@@ -279,6 +279,46 @@ def test_a_removed_config_key_is_refused_with_its_replacement(cfg_path, capsys, 
     assert f"{key!r} was removed" in err and replacement in err
 
 
+#: one config of every cross_section.kind, and a valid value of every
+#: cross_section.* key; each kind reads only its own keys
+KIND_CFGS = {
+    "circle": PROBE_CFG,
+    "square_torus": TORUS_CFG,
+    "lattice_torus": TORUS_CFG.replace(
+        "kind = square_torus\ncross_section.side = 6.283185307179586",
+        "kind = lattice_torus\ncross_section.dual_basis = 0.5,0.0;0.25,1.0"),
+    "table": PROBE_CFG.replace(
+        "kind = circle\ncross_section.length = 6.283185307179586",
+        "kind = table\ncross_section.volume = 2.5\ncross_section.betti = 1,1\n"
+        "cross_section.eigenvalues.0 = (0.0,1);(1.0,2)\n"
+        "cross_section.eigenvalues.1 = (0.0,1);(1.0,2)"),
+}
+CS_VALUES = {"length": "1.0", "side": "1.0", "dual_basis": "1.0,0.0;0.0,1.0",
+             "volume": "99", "betti": "1,1"}
+READS = {"circle": {"length"}, "square_torus": {"side"},
+         "lattice_torus": {"dual_basis", "volume"}, "table": {"volume", "betti"}}
+UNREAD = [(kind, "cross_section." + name) for kind in KIND_CFGS for name in CS_VALUES
+          if name not in READS[kind]]
+
+
+def test_every_cross_section_key_has_a_test_value():
+    keys = {"cross_section." + name for name in CS_VALUES} | {"cross_section.kind"}
+    assert keys == {key for key in _KNOWN_KEYS if key.startswith("cross_section.")}
+    assert len(UNREAD) == 14
+
+
+@pytest.mark.parametrize("kind, key", UNREAD, ids=[f"{k}-{key}" for k, key in UNREAD])
+def test_a_cross_section_key_the_kind_does_not_read_is_refused(cfg_path, capsys, kind, key):
+    assert main(["criteria", "--config", cfg_path(KIND_CFGS[kind])]) == 0
+    capsys.readouterr()
+    text = KIND_CFGS[kind] + f"{key} = {CS_VALUES[key.partition('.')[2]]}\n"
+    assert main(["criteria", "--config", cfg_path(text)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error[config]: line {text.count(chr(10))}: key {key!r} is not read "
+                   f"by cross_section.kind = {kind}\n")
+
+
 LAMBDA_TOP = "numerics.lambda_grid"
 MODE_CAP = "numerics.mode_cap"
 CAP_TORUS_CFG = with_line(with_line(TORUS_CFG, "numerics.mode_cap = 1"),
@@ -357,6 +397,31 @@ def test_magnetic_outside_the_numeric_class_is_refused(cfg_path, capsys, flag, r
     assert main(["criteria", "--config", path]) == 0
     out = capsys.readouterr().out
     assert "pure_point" in out and reason in out
+
+
+# n = 3, k = 1 with a potential: the harmonic-sector operators carry none
+FORMS_POTENTIAL_CFG = (TORUS_CFG.replace("degree = 0", "degree = 1")
+                       .replace("magnetic.flux = 0.5,0.25", "potential.poly = (1.0,2.0)")
+                       .replace("100,200", "200,400").replace("4,8\n", "8,16,32\n")
+                       .replace("0.5,6,4", "0.005,1.3,40"))
+
+
+@pytest.mark.parametrize("command, text", [
+    ("essspec", FORMS_POTENTIAL_CFG),
+    ("reduce", FORMS_POTENTIAL_CFG),
+    ("perturb-check", FORMS_POTENTIAL_CFG),
+    # the perturbation bump is itself a potential on 1-forms
+    ("perturb-check", FORMS_POTENTIAL_CFG.replace("potential.poly = (1.0,2.0)\n", "")),
+], ids=["essspec", "reduce", "perturb-check", "perturb-check-bump-only"])
+def test_a_potential_on_forms_is_refused_by_the_numeric_commands(cfg_path, capsys,
+                                                                 command, text):
+    path = cfg_path(text)
+    assert main([command, "--config", path]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error[invalid]: a potential on 1-forms is outside the numerically "
+                   "modelled class; only criteria classifies it\n")
+    assert main(["criteria", "--config", path]) == 0
 
 
 def test_essspec_consistent_threshold(cfg_path, capsys):

@@ -38,6 +38,27 @@ cross_section.kind = square_torus
 cross_section.side = 6.283185307179586
 degree = 1
 """
+LATTICE = """\
+geometry.n = 3
+geometry.p = 1
+geometry.y0 = 1.0
+cross_section.kind = lattice_torus
+cross_section.dual_basis = 0.5,0.0;0.25,1.0
+degree = 0
+magnetic.flux = 0.5,0.25
+"""
+TABLE = """\
+geometry.n = 2
+geometry.p = 0.25
+geometry.y0 = 1.0
+cross_section.kind = table
+cross_section.volume = 2.5
+cross_section.betti = 1,1
+cross_section.eigenvalues.0 = (0.0,1);(1.0,2);(4.0,2)
+cross_section.eigenvalues.1 = (0.0,1);(1.0,2)
+degree = 0
+potential.poly = (1.0,0.5)
+"""
 
 PROBE = ("numerics.grid = 200,400\nnumerics.domain_z = 8,16,32\n"
          "numerics.lambda_grid = 0.5,6,12\n")
@@ -53,12 +74,17 @@ CASES = {
     "criteria-c3-tail": ("criteria", C3_TAIL, ("text", "csv", "json"), 0),
     "criteria-c3-fit-only": ("criteria", C3_FIT_ONLY, ("text", "csv", "json"), 0),
     "criteria-torus-forms": ("criteria", TORUS_FORMS, ("text", "csv", "json"), 0),
+    # the volume comes from the determinant of the dual basis
+    "criteria-lattice-torus": ("criteria", LATTICE, ("text", "csv", "json"), 0),
+    "criteria-table": ("criteria", TABLE, ("text", "csv", "json"), 0),
     "weyl-c1": ("weyl", C1 + WEYL, ("json",), 0),
     "essspec-essential": ("essspec", ESSENTIAL + PROBE, ("json",), 0),
     "essspec-pure-point": ("essspec", C1 + PROBE, ("json",), 0),
     "cut-check-default-y0": ("cut-check", ESSENTIAL + PROBE, ("json",), 0),
     "perturb-check-default-bump": ("perturb-check", ESSENTIAL + PROBE, ("json",), 0),
     "reduce-essential": ("reduce", ESSENTIAL + PROBE, ("csv", "json"), 0),
+    "count-pure-point": ("count", C1 + PROBE, ("text", "csv", "json"), 0),
+    "spectrum-pure-point": ("spectrum", C1 + PROBE, ("json",), 0),
     # p = 1/4 walls every mode: the poly lanes all settle inside domain 32,
     # the flux lanes from lambda = 2.5 on only beyond it (inconclusive)
     "essspec-walled-poly": ("essspec", C3_TAIL + PROBE, ("json",), 0),

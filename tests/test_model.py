@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cusplab.model import (_KNOWN_KEYS, _TABLE_PREFIX, ConfigError, EndGeometry,
+from cusplab.model import (_FIELDS, _KINDS, _KNOWN_KEYS, _TABLE_PREFIX, ConfigError,
+                           EndGeometry,
                            MagneticData, Numerics, ProblemConfig, RadialPotential,
                            builtin_cross_section, parse_config, render_config)
 
@@ -104,9 +105,45 @@ def test_degenerate_lattice_rejected():
         builtin_cross_section("lattice_torus", dual_basis=[[1.0, 0.0], [0.0, 0.0]])
 
 
+@pytest.mark.parametrize("rows", ["1.0,0.0;1.0", "1.0;1.0,0.0"])
+def test_a_ragged_dual_basis_is_a_config_error(rows):
+    # the determinant used to index past the short row (IndexError)
+    with pytest.raises(ConfigError, match="square"):
+        parse_config("geometry.n = 3\ngeometry.p = 1\ncross_section.kind = lattice_torus\n"
+                     f"cross_section.dual_basis = {rows}\n")
+
+
 def test_unknown_cross_section_name():
     with pytest.raises(ConfigError, match="unknown cross-section"):
         builtin_cross_section("klein_bottle")
+
+
+@pytest.mark.parametrize("name, params", [
+    ("circle", dict(length=TWO_PI, volume=3.0)),
+    ("circle", dict(length=TWO_PI, dim=1)),
+    ("circle", dict()),
+    ("square_torus", dict(side=TWO_PI)),
+    ("square_torus", dict(side=TWO_PI, dim=2, volume=1.0)),
+    ("lattice_torus", dict(dual_basis=[[1.0]], dim=1)),
+    ("table", dict(betti=(1, 1), volume=1.0)),
+])
+def test_a_builtin_cross_section_takes_only_its_declared_parameters(name, params):
+    with pytest.raises(ConfigError, match=f"a {name} cross-section takes "):
+        builtin_cross_section(name, **params)
+
+
+@pytest.mark.parametrize("text", [
+    "cross_section.kind = circle\ncross_section.length = 1.5\n",
+    "cross_section.kind = lattice_torus\ncross_section.dual_basis = 2.0\n",
+    "cross_section.kind = lattice_torus\ncross_section.dual_basis = 2.0\n"
+    "cross_section.volume = 0.25\n",
+    "cross_section.kind = square_torus\ncross_section.side = 1.5\n",
+    "cross_section.kind = table\ncross_section.volume = 2.0\ncross_section.betti = 1,1\n"
+    "cross_section.eigenvalues.0 = (0.0,1);(1.0,2)\ncross_section.eigenvalues.1 = (0.0,1)\n",
+])
+def test_every_kind_round_trips(text):
+    cfg = parse_config("geometry.n = 2\ngeometry.p = 1\n" + text)
+    assert parse_config(render_config(cfg)) == cfg
 
 
 def test_table_zero_modes_must_match_betti():
@@ -341,11 +378,30 @@ def test_comments_and_blank_lines_ignored():
     assert cfg.geometry.n == 2
 
 
-def test_readme_config_block_lists_exactly_the_accepted_keys():
+def _readme_config_block():
     readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
-    block = readme.read_text(encoding="utf-8").split("## Config format")[1].split("```")[1]
+    return readme.read_text(encoding="utf-8").split("## Config format")[1].split("```")[1]
+
+
+def test_readme_config_block_lists_exactly_the_accepted_keys():
+    block = _readme_config_block()
     documented = {re.sub(r"\.\d+$", ".j", key) for key in
                   re.findall(r"\b(?:degree\b|[a-z_]+(?:\.[a-z0-9_]+)+)", block)}
     assert documented == _KNOWN_KEYS | {_TABLE_PREFIX + "j"}
     # every numerics key states its domain
     assert all("#" in row for row in block.splitlines() if row.startswith("numerics."))
+
+
+def test_readme_lists_the_keys_each_kind_declares():
+    block = _readme_config_block()
+    rows = dict(re.findall(r"^# ([a-z_]+): +(.*)$", block, re.M))
+    assert set(_KINDS) <= set(rows)
+    declared = {f.key for fields in _KINDS.values() for f in fields}
+    accepted = {f.key for f in _FIELDS} | declared | {"cross_section.kind"}
+    assert accepted == _KNOWN_KEYS
+    for kind, fields in _KINDS.items():
+        optional = set(re.findall(r"\[([a-z_.]+)\]", rows[kind]))
+        named = set(re.findall(r"cross_section\.[a-z_.]+", rows[kind]))
+        assert optional == {f.key for f in fields if not f.required}
+        tables = {_TABLE_PREFIX + "j"} if kind == "table" else set()
+        assert named - optional == {f.key for f in fields if f.required} | tables
