@@ -331,7 +331,7 @@ def weyl_fit(report: SpectrumReport) -> WeylFit:
     q = pred.weyl_exponent
     lam = np.asarray(report.lambda_grid, dtype=float)
     ntot = np.asarray(report.n_total, dtype=float)
-    pos = ntot > 0
+    pos = (ntot > 0) & (lam > 0)   # log lambda needs lambda > 0
     if not pos.any() or ntot.max() < 2:
         raise AssembleError("no growth: counting table is flat or empty")
     lam, ntot = lam[pos], ntot[pos]

@@ -43,8 +43,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import zeta as zeta_mod
-from .model import (CIRCLE, TORUS, CrossSection, MagneticData,
-                    ProblemConfig)
+from .model import CrossSection, MagneticData, ProblemConfig
+from .reduce import min_cross_eigenvalue
 
 PURE_POINT = "pure_point"
 ESSENTIAL = "essential_from"
@@ -201,44 +201,6 @@ def schrodinger_pure_point(v0_components: Sequence[tuple]) -> bool:
     if not v0_components:
         return False
     return all(vmin >= 0 and pos for vmin, pos in v0_components)
-
-
-def _min_lattice_norm_sq(basis_rows, flux) -> float:
-    """min over integer vectors m of |2 pi B* (m + mu)|^2, exact search.
-
-    Rounds -mu to the nearest lattice point and visits the sup-norm shells
-    around it until the lower bound sigma_min^2 (r - |mu - round|)^2
-    exceeds the best value.
-    """
-    import numpy as np
-
-    basis = 2.0 * math.pi * np.asarray(basis_rows, dtype=float)
-    mu = np.array([float(f) for f in flux])
-    d = len(mu)
-    sigma_min = float(np.linalg.svd(basis, compute_uv=False)[-1])
-    center = np.round(-mu).astype(int)
-    best = math.inf
-    r = 0
-    while True:
-        for off in zeta_mod._shell(r, d):
-            v = basis @ (center + off + mu)
-            best = min(best, float(v @ v))
-        r += 1
-        # every unexplored m has |m + mu|_2 >= r - 1/2 - |frac| >= r - 1
-        if sigma_min**2 * max(r - 1.0, 0.0) ** 2 > best and r >= 2:
-            return best
-
-
-def min_cross_eigenvalue(cross_section: CrossSection, flux) -> float:
-    """Smallest eigenvalue of the flux-twisted function Laplacian on M."""
-    if cross_section.kind == CIRCLE:
-        mu = float(flux[0])
-        w = 2.0 * math.pi / cross_section.length
-        lo = math.floor(-mu)
-        return min((w * (m + mu)) ** 2 for m in (lo, lo + 1))
-    if cross_section.kind == TORUS:
-        return _min_lattice_norm_sq(cross_section.dual_basis, flux)
-    raise CriteriaError("table cross-sections with flux are unsupported")
 
 
 def magnetic_schrodinger_bound(cross_section: CrossSection, flux) -> float:

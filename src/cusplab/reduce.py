@@ -22,6 +22,15 @@ factor in the C1 constant.
 stretched variable z (z = log y for p = 1, y^(1-p)/(1-p) for p < 1) as
 -d^2/dz^2 + W(z) with flat measure, which is what the discretizer prefers
 for p <= 1.
+
+This module owns the flux-twisted spectrum of M.  `enumerate_modes` lists
+the modes that can reach the top lambda of the window: circle and lattice
+torus labels come from one box walk, and `min_cross_eigenvalue` gives
+`criteria` the bottom c of the same spectrum by that walk.  The mode cut is
+closed-form: a mode reaches lambda on [Y0, Ymax] only if
+nu <= max (lambda - V(y)) / y^(2p), maximised over 4096 samples (with
+V = 0 the cut is lambda / Y0^(2p)); `domain_end` gives Ymax, here and to
+the p > 1 mesh.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .model import (CIRCLE, TABLE, TORUS, CrossSection, EndGeometry,
+from .model import (CIRCLE, TABLE, CrossSection, EndGeometry,
                     ProblemConfig, RadialPotential, potential_values)
 
 SECTOR_FUNCTION = "function"
@@ -178,89 +187,113 @@ def cross_eigenvalue(cross_section: CrossSection, m: Sequence[int],
 
 def _function_modes(cross_section: CrossSection, flux, nu_max: float,
                     cap: int) -> List[ModeSpec]:
-    """All lattice modes with nu <= nu_max, sorted by (nu, label)."""
+    """All modes with nu <= nu_max, sorted by (nu, label).
+
+    Circle and lattice torus walk one box of labels: nu = |2 pi B* (m + mu)|^2
+    >= sigma_min^2 |m + mu|^2, with sigma_min the smallest singular value of
+    2 pi B* (2 pi / L on the circle), so every mode lies in the box
+    |m_i + mu_i| <= sqrt(nu_max) / sigma_min.  A box of more than 8 cap
+    labels (circle) or 64 cap labels (torus) is refused before it is
+    walked.  A cubic 3-torus box holds only about two labels per mode, so a
+    wider bound would only walk longer before the mode count is refused.
+    """
     advice = "lower the top of numerics.lambda_grid or raise numerics.mode_cap"
     modes = []
-    if cross_section.kind == CIRCLE:
-        mu = 0.0 if flux is None else float(flux[0])
-        w = 2.0 * math.pi / cross_section.length
-        reach = math.sqrt(nu_max) / w if nu_max >= 0 else -1.0
-        lo = math.ceil(-mu - reach - 1e-12)
-        hi = math.floor(-mu + reach + 1e-12)
-        if hi - lo + 1 > 8 * cap:
-            raise ReduceError(f"mode count would exceed the cap ({cap}); {advice}")
-        for m in range(lo, hi + 1):
-            nu = cross_eigenvalue(cross_section, (m,), flux)
-            if nu <= nu_max + 1e-12:
-                modes.append(ModeSpec(label=(m,), nu=nu, multiplicity=1))
-    elif cross_section.kind == TORUS:
-        d = cross_section.dim
-        basis = 2.0 * math.pi * np.asarray(cross_section.dual_basis, dtype=float)
-        sigma_min = float(np.linalg.svd(basis, compute_uv=False)[-1])
-        mu = np.zeros(d) if flux is None else np.array([float(f) for f in flux])
-        reach = math.sqrt(max(nu_max, 0.0)) / sigma_min
-        lo = np.ceil(-mu - reach - 1e-12).astype(int)
-        hi = np.floor(-mu + reach + 1e-12).astype(int)
-        box = 1
-        for a, b in zip(lo, hi):
-            box *= max(b - a + 1, 0)
-        if box > 64 * cap:
-            raise ReduceError(f"mode count would exceed the cap ({cap}); {advice}")
-        for m in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-            nu = cross_eigenvalue(cross_section, m, flux)
-            if nu <= nu_max + 1e-12:
-                modes.append(ModeSpec(label=tuple(m), nu=nu, multiplicity=1))
-    else:  # table
+    if cross_section.kind == TABLE:
         if flux is not None and any(float(f) != 0.0 for f in flux):
             raise ReduceError("table cross-sections with flux are unsupported")
         for i, (e, mult) in enumerate(cross_section.tables[0]):
             if e <= nu_max + 1e-12:
                 modes.append(ModeSpec(label=(i,), nu=float(e), multiplicity=mult))
+    else:
+        d = cross_section.dim
+        if cross_section.kind == CIRCLE:
+            sigma_min = 2.0 * math.pi / cross_section.length
+        else:
+            basis = 2.0 * math.pi * np.asarray(cross_section.dual_basis, dtype=float)
+            sigma_min = float(np.linalg.svd(basis, compute_uv=False)[-1])
+        mu = [0.0] * d if flux is None else [float(f) for f in flux]
+        reach = math.sqrt(max(nu_max, 0.0)) / sigma_min
+        lo = [math.ceil(-c - reach - 1e-12) for c in mu]
+        hi = [math.floor(-c + reach + 1e-12) for c in mu]
+        if math.prod(max(b - a + 1, 0) for a, b in zip(lo, hi)) > 8 ** min(d, 2) * cap:
+            raise ReduceError(f"mode count would exceed the cap ({cap}); {advice}")
+        for m in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
+            nu = cross_eigenvalue(cross_section, m, flux)
+            if nu <= nu_max + 1e-12:
+                modes.append(ModeSpec(label=m, nu=nu, multiplicity=1))
     modes.sort(key=lambda sp: (sp.nu, sp.label))
     if len(modes) > cap:
         raise ReduceError(f"{len(modes)} modes exceed the cap ({cap}); {advice}")
     return modes
 
 
+def min_cross_eigenvalue(cross_section: CrossSection, flux) -> float:
+    """Smallest eigenvalue c of the flux-twisted function Laplacian on M.
+
+    Circle: the better of the two labels around -mu, (w (m + mu))^2 with
+    w = 2 pi / L, in closed form (`cross_eigenvalue` rounds its circle
+    formula differently in the last ulp for some fluxes).  Lattice torus:
+    `_function_modes` lists every mode up to the eigenvalue at the label
+    nearest -mu, and c is the first.
+    """
+    if cross_section.kind == TABLE:
+        raise ReduceError("table cross-sections with flux are unsupported")
+    if cross_section.kind == CIRCLE:
+        mu = float(flux[0])
+        w = 2.0 * math.pi / cross_section.length
+        lo = math.floor(-mu)
+        return min((w * (m + mu)) ** 2 for m in (lo, lo + 1))
+    nearest = [round(-float(f)) for f in flux]
+    top = cross_eigenvalue(cross_section, nearest, flux)
+    # |nearest + mu| <= sqrt(d)/2, so the box is at most
+    # sqrt(d) sigma_max / sigma_min + 1 labels a side and needs no cap
+    return _function_modes(cross_section, flux, top, math.inf)[0].nu
+
+
+def domain_end(p: float, y0: float, length: float) -> float:
+    """Radial end Ymax of the computational domain of length T.
+
+    p > 1: Y0 e^T (T is a log-length; the arc length of the end is finite).
+    p <= 1: y(z0 + T) (T is a length in the Liouville variable z).  An end
+    past the largest float is refused.
+    """
+    if p > 1.0:
+        try:
+            ymax = y0 * math.exp(length)
+        except OverflowError:
+            ymax = math.inf
+    else:
+        with np.errstate(over="ignore"):
+            ymax = float(y_of_z(float(z_of_y(y0, p, y0)) + length, p, y0))
+    if not math.isfinite(ymax):
+        raise ReduceError(f"a domain of length {length!r} ends past the largest "
+                          "float radius; shorten numerics.domain_z")
+    return ymax
+
+
 def _nu_reach(config: ProblemConfig, lambda_max: float) -> float:
     """Largest cross-eigenvalue whose mode can reach lambda_max.
 
-    The mode operator with cross-eigenvalue nu is bounded below by the
-    minimum of its full potential nu y^(2p) + V(y) over the computational
-    domain, which is non-decreasing in nu; bisection on that sampled floor
-    gives the cut.  (With V = 0 this reduces to nu Y0^(2p) <= lambda_max.)
+    The mode with cross-eigenvalue nu has the full potential
+    nu y^(2p) + V(y), which dips to lambda_max somewhere on the
+    computational domain exactly when nu <= (lambda_max - V(y)) / y^(2p)
+    there.  So the cut is, in closed form, the maximum of that ratio over
+    4096 geometric samples of [Y0, Ymax], and -1 when it is negative (no
+    mode reaches the window).  A cut that is not finite or exceeds 1e18 is
+    refused: the potential then holds every mode down.
     """
     geom = config.geometry
-    p = geom.pf
-    tmax = max(config.numerics.domains)
-    if p > 1.0:
-        ymax = geom.y0 * math.exp(tmax)
-    else:
-        zmax = float(z_of_y(geom.y0, p, geom.y0)) + tmax
-        ymax = float(y_of_z(zmax, p, geom.y0))
+    ymax = domain_end(geom.pf, geom.y0, max(config.numerics.domains))
     y = np.geomspace(geom.y0, max(ymax, geom.y0 * (1 + 1e-9)), 4096)
-    v = config.potential(y)
-    ypow = y ** (2.0 * p)
-
-    def floor(nu):
-        return float(np.min(nu * ypow + v))
-
-    if floor(0.0) > lambda_max:
-        return -1.0
-    hi = max(lambda_max / geom.y0 ** (2.0 * p), 1.0)
-    while floor(hi) <= lambda_max:
-        hi *= 2.0
-        if hi > 1e18:
-            raise ReduceError("potential keeps every mode below the top of "
-                              "numerics.lambda_grid; no finite mode cut exists")
-    lo = 0.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if floor(mid) <= lambda_max:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = (lambda_max - config.potential(y)) / y ** (2.0 * geom.pf)
+    # fmax skips inf/inf, a sample where y^(2p) and V both overflow
+    cut = float(np.fmax.reduce(ratio))
+    if not cut <= 1e18:
+        raise ReduceError("potential keeps every mode below the top of "
+                          "numerics.lambda_grid; no finite mode cut exists")
+    return cut if cut >= 0.0 else -1.0
 
 
 def enumerate_modes(config: ProblemConfig, lambda_max: float) -> List[ModeSpec]:
@@ -420,8 +453,6 @@ def mode_threshold(op: RadialOperator, p) -> Optional[float]:
         if b > 0.0:
             return None  # confining
         if b == 0.0:
-            lim += a
-        elif pf == 1.0 and b == 2.0 * pf - 2.0:
             lim += a
     return lim
 

@@ -45,7 +45,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .reduce import CanonicalOperator, RadialOperator, y_of_z, z_of_y
+from .reduce import CanonicalOperator, RadialOperator, domain_end, y_of_z, z_of_y
 
 #: relative pivot-breakdown shift applied to lambda, as documented
 BREAKDOWN_SHIFT = 1e-14
@@ -104,7 +104,7 @@ def mesh_for(op, length: float, cells: int, mesh: str = "auto"):
     Returns (t_nodes, y_nodes): t is the meshed variable (z for canonical
     and p <= 1 weighted operators, arc length for p > 1), y the radial
     coordinate at the same nodes.  `length` is the z-length for p <= 1;
-    for p > 1 it truncates at Ymax = y0 * e^length.  With mesh="uniform-y"
+    for p > 1 it truncates at `reduce.domain_end`.  With mesh="uniform-y"
     a weighted operator is meshed directly in y on [y0, y0 + length] (the
     cross-check mesh).
     """
@@ -127,7 +127,7 @@ def mesh_for(op, length: float, cells: int, mesh: str = "auto"):
     else:
         # zmax depends on e^length, so meshes of different lengths never
         # nest; the end points are pinned exactly instead
-        ymax = op.y0 * math.exp(length)
+        ymax = domain_end(p, op.y0, length)
         zmax = float(z_of_y(ymax, p, op.y0))
         t = np.linspace(0.0, zmax, cells + 1)
         y = y_of_z(t, p, op.y0)

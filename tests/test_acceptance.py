@@ -4,13 +4,32 @@ One test per criterion; each prints its PASS/FAIL line with the measured
 numbers (run pytest with -s or -v to see them stream).  The criterion
 implementations live in cusplab.selftest so the same battery backs the
 `cusplab selftest` subcommand.
+
+Each criterion's detail string must also match tests/golden/selftest.txt
+(one `index<TAB>detail` line per criterion; timings are not part of it).
+Criterion 2 is pinned by its pass only: its worst deviation is LAPACK's
+`eigvalsh`, not cusplab's.  After a deliberate change, rewrite the file with
+
+    PYTHONPATH=src python tests/test_acceptance.py
+
+and review the diff.
 """
 
+import os
 from dataclasses import replace
 
 import pytest
 
 from cusplab import assemble, selftest
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "selftest.txt")
+UNPINNED = {2}
+
+
+def _golden_details():
+    with open(GOLDEN, encoding="utf-8") as fh:
+        return {int(index): detail for index, detail in
+                (line.rstrip("\n").split("\t", 1) for line in fh)}
 
 
 def _run(index):
@@ -19,6 +38,8 @@ def _run(index):
     status = "PASS" if ok else "FAIL"
     print(f"[{status}] criterion {index:2d} - {name}: {detail}")
     assert ok, f"criterion {index} ({name}): {detail}"
+    if index not in UNPINNED:
+        assert detail == _golden_details()[index]
 
 
 def test_criterion_01_discretization_sanity():
@@ -76,3 +97,10 @@ def test_a_criterion_refuses_an_inconclusive_probe(monkeypatch, index):
                         lambda *args, **kw: replace(real(*args, **kw), inconclusive=True))
     ok, _ = selftest.CRITERIA[index - 1][1]()
     assert not ok
+
+
+if __name__ == "__main__":
+    with open(GOLDEN, "w", encoding="utf-8") as fh:
+        for index, (_, fn) in enumerate(selftest.CRITERIA, start=1):
+            if index not in UNPINNED:
+                fh.write(f"{index}\t{fn()[1]}\n")

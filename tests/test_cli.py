@@ -707,3 +707,66 @@ def test_exit_two_only_for_a_conclusive_mismatch(cfg_path, capsys, monkeypatch,
         assert INCONCLUSIVE in err
     else:
         assert err == ""
+
+
+# a p = 2 end of log-length 800 ends at Y0 e^800, past the largest float
+LONG_CFG = """\
+geometry.n = 2
+geometry.p = 2
+geometry.y0 = 1.0
+cross_section.kind = circle
+cross_section.length = 6.283185307179586
+degree = 0
+magnetic.flux = 0
+numerics.grid = 200,400
+numerics.domain_z = 8,800
+numerics.lambda_grid = 1,10,10
+"""
+LONG_POLY_CFG = LONG_CFG.replace("magnetic.flux = 0", "potential.poly = (1.0,2.0)")
+NO_CUT_CFG = (AB_CFG.replace("500,1000", "200,400").replace("8,16,32", "8,16")
+              .replace("0.05,0.5,46", "1,10,10").replace("zeta.s = 3.0\n", "")
+              + "potential.poly = (-1e300,2.0)\n")
+DOMAIN_END = ("error[invalid]: a domain of length 800.0 ends past the largest float "
+              "radius; shorten numerics.domain_z\n")
+
+
+@pytest.mark.parametrize("command, text, err", [
+    ("count", LONG_CFG, DOMAIN_END),
+    ("reduce", LONG_POLY_CFG, DOMAIN_END),
+    ("count", LONG_POLY_CFG.replace("geometry.p = 2", "geometry.p = 1"), DOMAIN_END),
+    ("reduce", NO_CUT_CFG, "error[invalid]: potential keeps every mode below the top of "
+                           "numerics.lambda_grid; no finite mode cut exists\n"),
+], ids=["p2-flux", "p2-poly", "p1-poly", "no-finite-cut"])
+def test_an_unrepresentable_window_is_one_error_line(cfg_path, capsys, command, text, err):
+    assert main([command, "--config", cfg_path(text)]) == 1
+    assert capsys.readouterr() == ("", err)
+
+
+# a bump that binds eight eigenvalues below 0, so N > 0 at lambda = 0
+BOUND_BELOW_ZERO_CFG = """\
+geometry.n = 2
+geometry.p = 1
+geometry.y0 = 1.0
+cross_section.kind = circle
+cross_section.length = 6.283185307179586
+degree = 0
+magnetic.flux = 0.5
+potential.bump = 1.5,0.5,-60
+numerics.grid = 1500,3000
+numerics.domain_z = 6,8
+numerics.lambda_grid = 0,1200,16
+"""
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_weyl_fits_past_a_window_that_starts_at_zero(cfg_path, capsys, fmt):
+    assert main(["weyl", "--config", cfg_path(BOUND_BELOW_ZERO_CFG), "--format", fmt]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    if fmt == "json":
+        fit = json.loads(out)
+        assert fit["lambda_range"][0] > 0 and fit["consistent"] is True
+        assert fit["exponent"] == pytest.approx(1.0009, abs=1e-4)
+        assert fit["constant"] == pytest.approx(0.4840, abs=1e-4)
+    else:
+        assert "consistent: True\n" in out

@@ -9,12 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from cusplab.criteria import (CriteriaError, classify, form_constants,
                               full_ellipticity_forms, magnetic_pure_point,
-                              magnetic_schrodinger_bound, min_cross_eigenvalue,
-                              prediction_to_dict, schrodinger_pure_point, thresholds_forms,
+                              magnetic_schrodinger_bound, prediction_to_dict,
+                              schrodinger_pure_point, thresholds_forms,
                               vol_end, vol_sphere, weyl_constants, weyl_regime,
                               POWER_N2, LOG_LAW, POWER_HALF_P)
 from cusplab.model import (EndGeometry, MagneticData, ProblemConfig,
                            RadialPotential, builtin_cross_section)
+from cusplab.reduce import min_cross_eigenvalue
 
 TWO_PI = 2 * math.pi
 

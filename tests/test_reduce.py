@@ -1,5 +1,6 @@
 """Mode enumeration, radial operators, and the separation-of-variables oracle."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -9,12 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from cusplab.model import (EndGeometry, MagneticData, Numerics, ProblemConfig,
                            RadialPotential, builtin_cross_section)
-from cusplab.reduce import (ModeSpec, RadialOperator, ReduceError,
+from cusplab.reduce import (ModeSpec, RadialOperator, ReduceError, _nu_reach,
                             SECTOR_FORM_0, SECTOR_FORM_1, cross_eigenvalue,
                             enumerate_modes,
                             harmonic_form_radial_operator, liouville_transform,
-                            mode_threshold, scalar_radial_operator, y_of_z,
-                            z_of_y)
+                            min_cross_eigenvalue, mode_threshold,
+                            scalar_radial_operator, y_of_z, z_of_y)
 from cusplab.sturm import discretize, eigenvalues_below
 
 TWO_PI = 2 * math.pi
@@ -191,6 +192,179 @@ def test_torus_mode_enumeration_counts():
                   for m1 in range(-2, 3) for m2 in range(-2, 3)
                   if m1 * m1 + m2 * m2 <= 4)
     assert [(m.nu, m.label) for m in modes] == [(float(nu), l) for nu, l in want]
+
+
+# ---------------------------------------------------------------------------
+# the mode window and c, bit for bit against the earlier algorithms
+# ---------------------------------------------------------------------------
+# The oracles below are the algorithms `reduce` replaced: a bisection for
+# the mode cut, one enumeration branch per cross-section kind, and a
+# sup-norm shell search for the bottom c of a lattice torus.
+
+def _oracle_shell(r, d):
+    """Integer points with sup-norm exactly r, each listed once."""
+    if r == 0:
+        return np.zeros((1, d), dtype=np.int64)
+    faces = []
+    for axis in range(d):
+        spans = [np.arange(-r, r + 1) if b < axis else np.arange(-r + 1, r)
+                 if b > axis else np.array([-r, r]) for b in range(d)]
+        grids = np.meshgrid(*spans, indexing="ij")
+        faces.append(np.stack([g.ravel() for g in grids], axis=1))
+    return np.concatenate(faces, axis=0)
+
+
+def _oracle_min_cross_eigenvalue(cs, flux):
+    if cs.kind == "circle":
+        mu = float(flux[0])
+        w = 2.0 * math.pi / cs.length
+        lo = math.floor(-mu)
+        return min((w * (m + mu)) ** 2 for m in (lo, lo + 1))
+    basis = 2.0 * math.pi * np.asarray(cs.dual_basis, dtype=float)
+    mu = np.array([float(f) for f in flux])
+    d = len(mu)
+    sigma_min = float(np.linalg.svd(basis, compute_uv=False)[-1])
+    center = np.round(-mu).astype(int)
+    best = math.inf
+    r = 0
+    while True:
+        for off in _oracle_shell(r, d):
+            v = basis @ (center + off + mu)
+            best = min(best, float(v @ v))
+        r += 1
+        if sigma_min**2 * max(r - 1.0, 0.0) ** 2 > best and r >= 2:
+            return best
+
+
+def _oracle_nu_reach(config, lambda_max):
+    geom = config.geometry
+    p = geom.pf
+    tmax = max(config.numerics.domains)
+    if p > 1.0:
+        ymax = geom.y0 * math.exp(tmax)
+    else:
+        ymax = float(y_of_z(float(z_of_y(geom.y0, p, geom.y0)) + tmax, p, geom.y0))
+    y = np.geomspace(geom.y0, max(ymax, geom.y0 * (1 + 1e-9)), 4096)
+    v = config.potential(y)
+    ypow = y ** (2.0 * p)
+
+    def floor(nu):
+        return float(np.min(nu * ypow + v))
+
+    if floor(0.0) > lambda_max:
+        return -1.0
+    hi = max(lambda_max / geom.y0 ** (2.0 * p), 1.0)
+    while floor(hi) <= lambda_max:
+        hi *= 2.0
+        if hi > 1e18:
+            raise ReduceError("no finite mode cut exists")
+    lo = 0.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if floor(mid) <= lambda_max:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _oracle_modes(config, lambda_max):
+    """(label, nu) of every mode, by the per-kind branches."""
+    geom, cs, cap = config.geometry, config.cross_section, config.numerics.mode_cap
+    flux = config.magnetic.flux
+    if config.potential is None or config.potential.is_zero:
+        nu_max = lambda_max / geom.y0 ** (2.0 * geom.pf)
+    else:
+        nu_max = _oracle_nu_reach(config, lambda_max)
+    modes = []
+    if cs.kind == "circle":
+        mu = float(flux[0])
+        w = 2.0 * math.pi / cs.length
+        reach = math.sqrt(nu_max) / w if nu_max >= 0 else -1.0
+        lo = math.ceil(-mu - reach - 1e-12)
+        hi = math.floor(-mu + reach + 1e-12)
+        if hi - lo + 1 > 8 * cap:
+            raise ReduceError("cap")
+        for m in range(lo, hi + 1):
+            nu = cross_eigenvalue(cs, (m,), flux)
+            if nu <= nu_max + 1e-12:
+                modes.append(((m,), nu))
+    else:
+        basis = 2.0 * math.pi * np.asarray(cs.dual_basis, dtype=float)
+        sigma_min = float(np.linalg.svd(basis, compute_uv=False)[-1])
+        mu = np.array([float(f) for f in flux])
+        reach = math.sqrt(max(nu_max, 0.0)) / sigma_min
+        lo = np.ceil(-mu - reach - 1e-12).astype(int)
+        hi = np.floor(-mu + reach + 1e-12).astype(int)
+        if math.prod(max(int(b - a) + 1, 0) for a, b in zip(lo, hi)) > 64 * cap:
+            raise ReduceError("cap")
+        for m in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
+            nu = cross_eigenvalue(cs, m, flux)
+            if nu <= nu_max + 1e-12:
+                modes.append((tuple(m), nu))
+    modes.sort(key=lambda lm: (lm[1], lm[0]))
+    if len(modes) > cap:
+        raise ReduceError("cap")
+    return modes
+
+
+@st.composite
+def _window_configs(draw):
+    """A cross-section with a rational flux, an end, a potential and a window top."""
+    dim = draw(st.sampled_from([1, 2, 3]))
+    if dim == 1:
+        cs = builtin_cross_section("circle", length=draw(st.floats(0.5, 20.0)))
+    else:
+        diag = draw(st.lists(st.floats(0.15, 1.0), min_size=dim, max_size=dim))
+        off = st.floats(-0.3, 0.3).map(lambda t: t * min(diag))
+        basis = [[diag[i] if i == j else draw(off) for j in range(dim)]
+                 for i in range(dim)]
+        cs = builtin_cross_section("lattice_torus", dual_basis=basis)
+    flux = tuple(draw(st.fractions(-2, 2, max_denominator=12)) for _ in range(dim))
+    p = draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2)]))
+    y0 = draw(st.sampled_from([1.0, 1.5]))
+    kind = draw(st.sampled_from(["poly", "bump", None]))
+    if kind == "poly":
+        exponent = draw(st.sampled_from([0.0, float(p), 2.0 * float(p)])
+                        | st.floats(-1.0, 2.0 * float(p)))
+        potential = RadialPotential(poly=((draw(st.floats(-5.0, 5.0)), exponent),))
+    elif kind == "bump":
+        potential = RadialPotential(bump=(y0 + draw(st.floats(0.0, 5.0)),
+                                          draw(st.floats(0.1, 2.0)),
+                                          draw(st.floats(-50.0, 50.0))))
+    else:
+        potential = None
+    domains = draw(st.sampled_from([(2.0, 4.0), (4.0, 8.0), (8.0, 16.0, 32.0)]))
+    config = ProblemConfig(
+        geometry=EndGeometry(dim + 1, p, y0), cross_section=cs, degree=0,
+        magnetic=MagneticData(flux=flux), potential=potential,
+        numerics=Numerics(domains=domains))
+    if draw(st.booleans()):
+        return config, draw(st.floats(0.0, 60.0 if dim == 3 else 200.0))
+    # a window whose top is a mode's own eigenvalue puts labels on the box edge
+    label = tuple(draw(st.integers(-3, 3)) for _ in range(dim))
+    return config, y0 ** (2.0 * float(p)) * cross_eigenvalue(cs, label, flux)
+
+
+@given(_window_configs())
+@settings(max_examples=300, deadline=None)
+def test_mode_window_and_c_match_the_earlier_algorithms(case):
+    config, lambda_max = case
+    try:
+        want = _oracle_modes(config, lambda_max)
+    except ReduceError:
+        with pytest.raises(ReduceError):
+            enumerate_modes(config, lambda_max)
+        return
+    got = enumerate_modes(config, lambda_max)
+    assert [(m.label, m.nu) for m in got] == want
+    if config.potential is not None:
+        # the closed form and the bisection agree on the cut to rounding
+        cut = _oracle_nu_reach(config, lambda_max)
+        assert _nu_reach(config, lambda_max) == pytest.approx(cut, rel=1e-12, abs=1e-12)
+    flux = config.magnetic.flux
+    assert (min_cross_eigenvalue(config.cross_section, flux)
+            == _oracle_min_cross_eigenvalue(config.cross_section, flux))
 
 
 # ---------------------------------------------------------------------------
