@@ -8,7 +8,7 @@ counting constants and `cli`/`selftest` on top.
 
 from .model import (ConfigError, CrossSection, EndGeometry, MagneticData,
                     Numerics, ProblemConfig, RadialPotential,
-                    builtin_cross_section, parse_config, render_config)
+                    builtin_cross_section, parse_config)
 from .criteria import Prediction, classify
 from .assemble import SpectrumReport, global_counting, threshold_probe, weyl_fit
 
@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError", "CrossSection", "EndGeometry", "MagneticData", "Numerics",
     "ProblemConfig", "RadialPotential", "builtin_cross_section",
-    "parse_config", "render_config", "Prediction", "classify",
+    "parse_config", "Prediction", "classify",
     "SpectrumReport", "global_counting", "threshold_probe", "weyl_fit",
     "__version__",
 ]

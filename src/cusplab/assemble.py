@@ -302,7 +302,6 @@ def threshold_probe(config: ProblemConfig, sectors=None) -> ThresholdEstimate:
 class WeylFit:
     exponent: float
     constant: float
-    exponent_fixed: bool
     quality: float
     lambda_range: tuple
     n_range: tuple
@@ -346,8 +345,7 @@ def weyl_fit(report: SpectrumReport) -> WeylFit:
             f"insufficient data: need N >= 30 at the top, achieved {int(ntot.max())}")
     keep = loglam >= loglam[0] + 0.2 * span
     lam, ntot, loglam = lam[keep], ntot[keep], loglam[keep]
-    fixed = pred.weyl_regime == criteria.LOG_LAW
-    if fixed:
+    if pred.weyl_regime == criteria.LOG_LAW:
         u = ntot / lam**q
         coef = np.polyfit(loglam, u, 1)
         constant = float(coef[0])
@@ -372,8 +370,8 @@ def weyl_fit(report: SpectrumReport) -> WeylFit:
     else:
         consistent = (abs(exponent - q) <= WEYL_EXPONENT_TOL
                       and (const is None or abs(constant / const - 1.0) <= WEYL_CONSTANT_RTOL))
-    return WeylFit(exponent=exponent, constant=constant, exponent_fixed=fixed,
-                   quality=quality, lambda_range=(float(lam[0]), float(lam[-1])),
+    return WeylFit(exponent=exponent, constant=constant, quality=quality,
+                   lambda_range=(float(lam[0]), float(lam[-1])),
                    n_range=(int(ntot[0]), int(ntot[-1])), model=model,
                    consistent=consistent, notes=notes)
 

@@ -8,8 +8,8 @@ through its spectral data: Betti numbers, volume, and the eigenvalues of
 its (flux-twisted) Laplacians.
 
 Everything here is plain data, and configs are immutable after validation.
-The text format is line-oriented ``key = value`` with dotted section names;
-see `parse_config`.
+`parse_config` reads the line-oriented ``key = value`` text format with
+dotted section names; nothing in the package writes it.
 """
 
 from __future__ import annotations
@@ -28,29 +28,6 @@ class ConfigError(ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
-
-
-def _fraction_str(x: Fraction) -> str:
-    """Decimal rendering of a parse-produced fraction (denominator 2^a 5^b)."""
-    den = x.denominator
-    if den == 1:
-        return str(x.numerator)
-    k2 = k5 = 0
-    d = den
-    while d % 2 == 0:
-        d //= 2
-        k2 += 1
-    while d % 5 == 0:
-        d //= 5
-        k5 += 1
-    if d != 1:
-        # Not a terminating decimal; fall back to float repr (round-trips).
-        return repr(float(x))
-    shift = max(k2, k5)
-    scaled = x.numerator * 10**shift // den
-    s = str(abs(scaled)).rjust(shift + 1, "0")
-    sign = "-" if scaled < 0 else ""
-    return f"{sign}{s[:-shift]}.{s[-shift:]}" if shift else f"{sign}{s}"
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +73,7 @@ class CrossSection:
                             `dual_basis`); function eigenvalues are |2 pi B* m|^2.
     kind = "table":         explicit per-degree (eigenvalue, multiplicity) tables.
 
-    `kind` is the cross_section.kind that render_config writes for it.
+    A config's square_torus builds a lattice_torus.
 
     `betti` lists h^0 .. h^(dim); `volume` is Vol(M, h).
     """
@@ -443,7 +420,7 @@ class ProblemConfig:
 
 
 # ---------------------------------------------------------------------------
-# parsing / rendering
+# parsing
 # ---------------------------------------------------------------------------
 #
 # Token readers turn one value string into a value or raise ValueError with
@@ -483,10 +460,6 @@ def _flag(tok: str) -> bool:
         return {"true": True, "false": False}[tok.strip().lower()]
     except KeyError:
         raise ValueError(f"expected true/false, got {tok!r}") from None
-
-
-def _flag_str(value: bool) -> str:
-    return str(value).lower()
 
 
 def _list(read):
@@ -534,10 +507,6 @@ def _flux(tok: str) -> tuple:
     return _list(_exact)(tok) if tok else ()
 
 
-def _join(values) -> str:
-    return ",".join(repr(v) for v in values)
-
-
 def _positive(x) -> bool:
     return math.isfinite(x) and x > 0
 
@@ -550,8 +519,8 @@ class _Field(NamedTuple):
 
     `attr` is the field it sets: on the dataclass of its section (see
     `_SECTIONS`), else on ProblemConfig itself; a cross_section.* key (see
-    `_KINDS`) sets the builtin_cross_section parameter of that name.  `read` parses the value,
-    `write` renders it, and `ok` is its domain, enforced by the owning
+    `_KINDS`) sets the builtin_cross_section parameter of that name.  `read`
+    parses the value and `ok` is its domain, enforced by the owning
     dataclass with the message "invariant violated: <rule>".  A `required`
     key must be present whenever its section is built (geometry always is).
     """
@@ -559,7 +528,6 @@ class _Field(NamedTuple):
     key: str
     attr: str
     read: Callable[[str], Any]
-    write: Callable[[Any], str] = repr
     ok: Optional[Callable[[Any], bool]] = None
     rule: str = ""
     required: bool = False
@@ -572,42 +540,40 @@ class _Field(NamedTuple):
 _FIELDS = (
     _Field("geometry.n", "n", _integer, ok=lambda n: n >= 2,
            rule="dimension n must be >= 2", required=True),
-    _Field("geometry.p", "p", _exact, _fraction_str, lambda p: p > 0,
+    _Field("geometry.p", "p", _exact, lambda p: p > 0,
            "exponent p must be > 0", required=True),
     _Field("geometry.y0", "y0", _real, ok=lambda y: y >= 1,
            rule="inner radius Y0 must be >= 1"),
     _Field("degree", "degree", _integer),
-    _Field("magnetic.flux", "flux", _flux,
-           lambda flux: ",".join(_fraction_str(f) for f in flux), required=True),
-    _Field("magnetic.phi0_constant", "phi0_constant", _flag, _flag_str),
-    _Field("magnetic.theta0_closed", "theta0_closed", _flag, _flag_str),
-    _Field("potential.poly", "poly", _pairs,
-           lambda poly: ";".join(f"({a!r},{b!r})" for a, b in poly)),
-    _Field("potential.bump", "bump", _BUMP, _join, lambda b: b[1] > 0,
+    _Field("magnetic.flux", "flux", _flux, required=True),
+    _Field("magnetic.phi0_constant", "phi0_constant", _flag),
+    _Field("magnetic.theta0_closed", "theta0_closed", _flag),
+    _Field("potential.poly", "poly", _pairs),
+    _Field("potential.bump", "bump", _BUMP, lambda b: b[1] > 0,
            "bump width must be > 0"),
-    _Field("numerics.grid", "grids", _list(_integer), _join,
+    _Field("numerics.grid", "grids", _list(_integer),
            lambda grids: all(g >= 4 for g in grids), "each grid needs at least 4 cells"),
-    _Field("numerics.domain_z", "domains", _list(_real), _join,
+    _Field("numerics.domain_z", "domains", _list(_real),
            lambda domains: all(_positive(d) for d in domains),
            "domain lengths must be finite and > 0"),
     _Field("numerics.tol", "tol", _real, ok=_positive,
            rule="tolerance must be finite and > 0"),
     _Field("numerics.lambda_grid", "lambda_grid", _fixed("lo,hi,count", _real, _real, _integer),
-           _join, lambda g: math.isfinite(g[0]) and math.isfinite(g[1]),
+           lambda g: math.isfinite(g[0]) and math.isfinite(g[1]),
            "lambda grid bounds must be finite"),
-    _Field("numerics.lambda_scale", "lambda_scale", str, str, lambda s: s in ("lin", "log"),
+    _Field("numerics.lambda_scale", "lambda_scale", str, lambda s: s in ("lin", "log"),
            "numerics.lambda_scale must be 'lin' or 'log'"),
     _Field("numerics.mode_cap", "mode_cap", _integer, ok=lambda cap: cap >= 1,
            rule="mode_cap must be >= 1"),
-    _Field("topology.orientable", "orientable", _flag, _flag_str),
+    _Field("topology.orientable", "orientable", _flag),
     _Field("topology.h1_x", "h1_x", _integer, ok=lambda h: h >= 0,
            rule="topology.h1_x must be >= 0"),
     _Field("zeta.s", "zeta_s", _real),
     _Field("zeta.shift", "zeta_shift", _real),
-    _Field("checks.y0", "check_y0", _list(_real), _join,
+    _Field("checks.y0", "check_y0", _list(_real),
            lambda ys: len(set(ys)) >= 2 and all(y >= 1 for y in ys),
            "checks.y0 needs at least 2 distinct values, each >= 1"),
-    _Field("checks.bump", "check_bump", _BUMP, _join, lambda b: b[1] > 0,
+    _Field("checks.bump", "check_bump", _BUMP, lambda b: b[1] > 0,
            "checks.bump width must be > 0"),
 )
 
@@ -615,17 +581,16 @@ _FIELDS = (
 _SECTIONS = {"geometry": EndGeometry, "magnetic": MagneticData,
              "potential": RadialPotential, "numerics": Numerics}
 
-#: cross_section.kind -> the keys it reads, in rendering order; each
-#: `attr` also names the CrossSection field that render_config writes
+#: cross_section.kind -> the keys it reads
 _KINDS = {
     CIRCLE: (_Field("cross_section.length", "length", _real, required=True),),
     "square_torus": (_Field("cross_section.side", "side", _real, required=True),),
     TORUS: (_Field("cross_section.dual_basis", "dual_basis",
                    lambda tok: tuple(_list(_real)(row) for row in tok.split(";")),
-                   lambda rows: ";".join(_join(row) for row in rows), required=True),
+                   required=True),
             _Field("cross_section.volume", "volume", _real)),
     TABLE: (_Field("cross_section.volume", "volume", _real, required=True),
-            _Field("cross_section.betti", "betti", _list(_integer), _join, required=True)),
+            _Field("cross_section.betti", "betti", _list(_integer), required=True)),
 }
 #: the builtin_cross_section parameters that are no config key: parse_config
 #: sets dim to geometry.n - 1 and reads the tables, one key per degree 0..dim
@@ -741,23 +706,3 @@ def _parse_cross_section(raw, lines, n) -> CrossSection:
         params["tables"] = [value(_table, key, " for table cross-section") for key in tables]
     return builtin_cross_section(kind, **params)
 
-
-def render_config(config: ProblemConfig) -> str:
-    """Serialize a config so that parse_config(render_config(c)) == c.
-
-    Every field that is set is written out, defaults included, so the
-    rendered text is also the record of the defaults in force.
-    """
-    out = []
-    for f in _FIELDS:
-        holder = getattr(config, f.section) if f.section in _SECTIONS else config
-        value = None if holder is None else getattr(holder, f.attr)
-        if value is not None:
-            out.append(f"{f.key} = {f.write(value)}")
-    cs = config.cross_section
-    out.append(f"cross_section.kind = {cs.kind}")
-    out += [f"{f.key} = {f.write(getattr(cs, f.attr))}" for f in _KINDS[cs.kind]]
-    for j, tab in enumerate(cs.tables or ()):
-        pairs = ";".join(f"({e!r},{m})" for e, m in tab)
-        out.append(f"{_TABLE_PREFIX}{j} = {pairs}")
-    return "\n".join(out) + "\n"

@@ -30,7 +30,7 @@ torus labels come from one box walk, and `min_cross_eigenvalue` gives
 closed-form: a mode reaches lambda on [Y0, Ymax] only if
 nu <= max (lambda - V(y)) / y^(2p), maximised over 4096 samples (with
 V = 0 the cut is lambda / Y0^(2p)); `domain_end` gives Ymax, here and to
-the p > 1 mesh.
+the p > 1 mesh, and refuses an end past the largest float.
 """
 
 from __future__ import annotations
@@ -105,6 +105,11 @@ class RadialOperator:
 
     def q(self, y):
         return potential_values(y, self.potential_terms, self.bump)
+
+    @property
+    def p(self) -> float:
+        """The exponent p of the end's metric, read off the weights."""
+        return 0.5 * (self.stiffness_exponent - self.density_exponent)
 
 
 @dataclass(frozen=True)
@@ -194,10 +199,12 @@ def _function_modes(cross_section: CrossSection, flux, nu_max: float,
     2 pi B* (2 pi / L on the circle), so every mode lies in the box
     |m_i + mu_i| <= sqrt(nu_max) / sigma_min.  A box of more than 8 cap
     labels (circle) or 64 cap labels (torus) is refused before it is
-    walked.  A cubic 3-torus box holds only about two labels per mode, so a
-    wider bound would only walk longer before the mode count is refused.
+    walked, and the walk stops at the first mode past the cap.  A cubic
+    3-torus box holds only about two labels per mode, so a wider bound
+    would only walk longer before the mode count is refused.
     """
     advice = "lower the top of numerics.lambda_grid or raise numerics.mode_cap"
+    too_many = f"mode count exceeds the cap ({cap}); {advice}"
     modes = []
     if cross_section.kind == TABLE:
         if flux is not None and any(float(f) != 0.0 for f in flux):
@@ -222,9 +229,11 @@ def _function_modes(cross_section: CrossSection, flux, nu_max: float,
             nu = cross_eigenvalue(cross_section, m, flux)
             if nu <= nu_max + 1e-12:
                 modes.append(ModeSpec(label=m, nu=nu, multiplicity=1))
+                if len(modes) > cap:
+                    raise ReduceError(too_many)
     modes.sort(key=lambda sp: (sp.nu, sp.label))
     if len(modes) > cap:
-        raise ReduceError(f"{len(modes)} modes exceed the cap ({cap}); {advice}")
+        raise ReduceError(too_many)
     return modes
 
 

@@ -98,15 +98,13 @@ def _nested_nodes(z0: float, length: float, cells: int) -> np.ndarray:
     return z0 + (length / cells) * np.arange(cells + 1)
 
 
-def mesh_for(op, length: float, cells: int, mesh: str = "auto"):
+def mesh_for(op, length: float, cells: int):
     """Mesh nodes for one operator and domain length.
 
     Returns (t_nodes, y_nodes): t is the meshed variable (z for canonical
     and p <= 1 weighted operators, arc length for p > 1), y the radial
     coordinate at the same nodes.  `length` is the z-length for p <= 1;
-    for p > 1 it truncates at `reduce.domain_end`.  With mesh="uniform-y"
-    a weighted operator is meshed directly in y on [y0, y0 + length] (the
-    cross-check mesh).
+    for p > 1 it truncates at `reduce.domain_end`.
     """
     if cells < 4:
         raise SturmError("need at least 4 mesh cells (3 interior points)")
@@ -116,11 +114,7 @@ def mesh_for(op, length: float, cells: int, mesh: str = "auto"):
             return t, op.y_of_z(t)
     if not isinstance(op, RadialOperator):
         raise SturmError(f"cannot mesh {type(op).__name__}")
-    if mesh == "uniform-y":
-        # the cross-check mesh is never sliced, so it keeps linspace
-        y = np.linspace(op.y0, op.y0 + length, cells + 1)
-        return y, y
-    p = 0.5 * (op.stiffness_exponent - op.density_exponent)
+    p = op.p
     if p <= 1.0:
         t = _nested_nodes(float(z_of_y(op.y0, p, op.y0)), length, cells)
         y = y_of_z(t, p, op.y0)
@@ -135,7 +129,7 @@ def mesh_for(op, length: float, cells: int, mesh: str = "auto"):
     return t, y
 
 
-def discretize_stack(ops, length: float, cells: int, mesh: str = "auto"):
+def discretize_stack(ops, length: float, cells: int):
     """P1 assembly of operators that differ only in their potential terms.
 
     Returns (diags (M, n), offdiag, mass): row m is the diagonal of ops[m]'s
@@ -143,10 +137,12 @@ def discretize_stack(ops, length: float, cells: int, mesh: str = "auto"):
     Dirichlet both ends; stiffness weights are evaluated at cell midpoints,
     the potential and the mass at the nodes.  A canonical operator has unit
     weights and is assembled in z, a weighted one in y.  Operators that
-    differ in anything but `potential_terms` are refused.
+    differ in anything but `potential_terms` are refused.  A potential row
+    that is not finite is refused by `reduce.domain_end` when the domain
+    ends past the largest float radius, else as an overflow.
     """
     op = ops[0]
-    t, y = mesh_for(op, length, cells, mesh)
+    t, y = mesh_for(op, length, cells)
     if any(type(o) is not type(op) or replace(o, potential_terms=op.potential_terms) != op
            for o in ops[1:]):
         raise SturmError("stacked operators may differ only in their potential terms")
@@ -169,15 +165,18 @@ def discretize_stack(ops, length: float, cells: int, mesh: str = "auto"):
     for row, o in zip(diags, ops):
         with np.errstate(over="ignore", invalid="ignore"):
             q = o.q(y)
-        _check_finite("the normal-form potential" if canonical else "the potential", q)
+        if not np.all(np.isfinite(q)):
+            # a domain that ends past the largest float gets domain_end's line
+            domain_end(op.p, op.y0, length)
+            _check_finite("the normal-form potential" if canonical else "the potential", q)
         row[:] = k[:-1] + k[1:] + q[1:-1] * w0[1:-1] * lump
         _check_finite("the assembled stiffness", row)
     return diags, -k[1:-1], mass
 
 
-def discretize(op, length: float, cells: int, mesh: str = "auto") -> TridiagonalPencil:
+def discretize(op, length: float, cells: int) -> TridiagonalPencil:
     """The pencil of one operator: a one-row `discretize_stack`."""
-    (diag,), off, mass = discretize_stack([op], length, cells, mesh)
+    (diag,), off, mass = discretize_stack([op], length, cells)
     return TridiagonalPencil(diag=diag, offdiag=off, mass=mass)
 
 

@@ -203,11 +203,13 @@ def test_weyl_fit_reads_the_law_from_the_prediction(p, regime, grids, domains, l
     fit = weyl_fit(rep)
     assert pred.weyl_exponent == {"1": 1.0, "0.5": 1.0, "0.25": 2.0}[p]
     assert pred.weyl_constant is not None
-    assert fit.exponent_fixed == (regime == LOG_LAW)
     # the re-fit constant is the least-squares C of N = C lambda^q at the
     # prediction's q; a wrong q would move it far from the predicted one
     assert fit.constant == pytest.approx(pred.weyl_constant, rel=0.3)
-    if not fit.exponent_fixed:
+    # the log law keeps the exponent at q; the power laws fit it
+    if pred.weyl_regime == LOG_LAW:
+        assert fit.exponent == pred.weyl_exponent
+    else:
         assert abs(fit.exponent - pred.weyl_exponent) <= 0.2
 
 
@@ -283,7 +285,7 @@ def test_log_regime_fit_runs():
                      lam=(10.0, 110.0, 12), scale="log")
     rep = global_counting(cfg)
     fit = weyl_fit(rep)
-    assert fit.exponent_fixed and fit.exponent == 1.0
+    assert rep.prediction.weyl_regime == LOG_LAW and fit.exponent == 1.0
     assert fit.constant == pytest.approx(0.5, rel=0.3)
 
 

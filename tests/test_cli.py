@@ -667,7 +667,7 @@ UNSURE = ThresholdEstimate(0.25, 0.1, 0.25, 6.0, True, (INCONCLUSIVE,))
 
 
 def _weyl_fit(consistent, notes=()):
-    return WeylFit(1.0, 0.5, False, 0.01, (10.0, 100.0), (5, 50), "N = C l^a",
+    return WeylFit(1.0, 0.5, 0.01, (10.0, 100.0), (5, 50), "N = C l^a",
                    consistent, notes)
 
 
@@ -732,14 +732,46 @@ DOMAIN_END = ("error[invalid]: a domain of length 800.0 ends past the largest fl
 
 @pytest.mark.parametrize("command, text, err", [
     ("count", LONG_CFG, DOMAIN_END),
+    # at p = 1 only the mesh meets the end, as a potential row that overflows
+    ("count", LONG_CFG.replace("geometry.p = 2", "geometry.p = 1"), DOMAIN_END),
     ("reduce", LONG_POLY_CFG, DOMAIN_END),
     ("count", LONG_POLY_CFG.replace("geometry.p = 2", "geometry.p = 1"), DOMAIN_END),
     ("reduce", NO_CUT_CFG, "error[invalid]: potential keeps every mode below the top of "
                            "numerics.lambda_grid; no finite mode cut exists\n"),
-], ids=["p2-flux", "p2-poly", "p1-poly", "no-finite-cut"])
+], ids=["p2-flux", "p1-flux", "p2-poly", "p1-poly", "no-finite-cut"])
 def test_an_unrepresentable_window_is_one_error_line(cfg_path, capsys, command, text, err):
     assert main([command, "--config", cfg_path(text)]) == 1
     assert capsys.readouterr() == ("", err)
+
+
+def test_a_p1_domain_past_the_largest_float_counts_where_no_row_overflows(cfg_path, capsys):
+    # the harmonic sectors' Liouville potential is constant at p = 1, so the
+    # y = inf nodes of domain 800 never reach a pencil row
+    text = (LONG_CFG.replace("geometry.p = 2", "geometry.p = 1")
+            .replace("degree = 0", "degree = 1").replace("magnetic.flux = 0\n", ""))
+    assert main(["count", "--config", cfg_path(text)]) == 0
+    assert capsys.readouterr() == ("""\
+classification: essential_from
+essential spectrum: [0.25, oo)
+thresholds: 0.25
+weyl regime: power_n2
+C1 = 1.0
+note: p = 1: thresholds are the squared harmonic-sector constants of the active degrees
+note: counting constants describe the full-manifold asymptotics and apply only if the \
+spectrum were discrete
+stable across domains: False
+# lambda  N
+1.0 440
+2.0 672
+3.0 844
+4.0 986
+5.0 1110
+6.0 1220
+7.0 1322
+8.0 1418
+9.0 1506
+10.0 1590
+""", "")
 
 
 # a bump that binds eight eigenvalues below 0, so N > 0 at lambda = 0

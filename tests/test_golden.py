@@ -63,6 +63,7 @@ potential.poly = (1.0,0.5)
 PROBE = ("numerics.grid = 200,400\nnumerics.domain_z = 8,16,32\n"
          "numerics.lambda_grid = 0.5,6,12\n")
 BELOW = PROBE.replace("0.5,6,12", "0.05,0.2,16")   # the window ends below 1/4
+LATTICE_WINDOW = PROBE.replace("0.5,6,12", "0.5,40,8")
 WEYL = ("numerics.grid = 300,600\nnumerics.domain_z = 5,6\n"
         "numerics.lambda_grid = 100,1000,8\nnumerics.lambda_scale = log\n")
 
@@ -92,6 +93,9 @@ CASES = {
     "essspec-walled-flux": ("essspec", C3_FIT_ONLY + PROBE, ("json",), 1),
     "cut-check-walled-flux": ("cut-check", C3_FIT_ONLY + PROBE, ("json",), 1),
     "essspec-below-window": ("essspec", ESSENTIAL + BELOW, ("json",), 0),
+    "reduce-lattice-torus": ("reduce", LATTICE + LATTICE_WINDOW, ("csv", "json"), 0),
+    "criteria-lattice-torus-gap": ("criteria", LATTICE + "potential.poly = (-0.1,2.0)\n",
+                                   ("text", "json"), 0),
 }
 
 RUNS = [(case, fmt) for case, (_, _, formats, _) in CASES.items() for fmt in formats]

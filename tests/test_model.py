@@ -1,4 +1,4 @@
-"""Config parsing, validation, and round-trip properties."""
+"""Config parsing and validation."""
 
 import math
 import pathlib
@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from cusplab.model import (_FIELDS, _KINDS, _KNOWN_KEYS, _TABLE_PREFIX, ConfigError,
                            EndGeometry,
                            MagneticData, Numerics, ProblemConfig, RadialPotential,
-                           builtin_cross_section, parse_config, render_config)
+                           builtin_cross_section, parse_config)
 
 TWO_PI = 2 * math.pi
 
@@ -132,18 +132,23 @@ def test_a_builtin_cross_section_takes_only_its_declared_parameters(name, params
         builtin_cross_section(name, **params)
 
 
-@pytest.mark.parametrize("text", [
-    "cross_section.kind = circle\ncross_section.length = 1.5\n",
-    "cross_section.kind = lattice_torus\ncross_section.dual_basis = 2.0\n",
-    "cross_section.kind = lattice_torus\ncross_section.dual_basis = 2.0\n"
-    "cross_section.volume = 0.25\n",
-    "cross_section.kind = square_torus\ncross_section.side = 1.5\n",
-    "cross_section.kind = table\ncross_section.volume = 2.0\ncross_section.betti = 1,1\n"
-    "cross_section.eigenvalues.0 = (0.0,1);(1.0,2)\ncross_section.eigenvalues.1 = (0.0,1)\n",
-])
-def test_every_kind_round_trips(text):
+@pytest.mark.parametrize("text, name, params", [
+    ("cross_section.kind = circle\ncross_section.length = 1.5\n",
+     "circle", dict(length=1.5)),
+    ("cross_section.kind = lattice_torus\ncross_section.dual_basis = 2.0\n",
+     "lattice_torus", dict(dual_basis=[[2.0]])),
+    ("cross_section.kind = lattice_torus\ncross_section.dual_basis = 2.0\n"
+     "cross_section.volume = 0.25\n", "lattice_torus", dict(dual_basis=[[2.0]], volume=0.25)),
+    ("cross_section.kind = square_torus\ncross_section.side = 1.5\n",
+     "square_torus", dict(side=1.5, dim=1)),
+    ("cross_section.kind = table\ncross_section.volume = 2.0\ncross_section.betti = 1,1\n"
+     "cross_section.eigenvalues.0 = (0.0,1);(1.0,2)\ncross_section.eigenvalues.1 = (0.0,1)\n",
+     "table", dict(volume=2.0, betti=(1, 1), tables=[[(0.0, 1), (1.0, 2)], [(0.0, 1)]])),
+], ids=["circle", "lattice_torus", "lattice_torus-volume", "square_torus", "table"])
+def test_every_kind_parses_to_its_cross_section(text, name, params):
     cfg = parse_config("geometry.n = 2\ngeometry.p = 1\n" + text)
-    assert parse_config(render_config(cfg)) == cfg
+    assert cfg == ProblemConfig(geometry=EndGeometry(2, 1),
+                                cross_section=builtin_cross_section(name, **params))
 
 
 def test_table_zero_modes_must_match_betti():
@@ -220,10 +225,11 @@ def test_numerics_rejects_non_finite_tol_and_lambda_grid(bad):
         Numerics(lambda_grid=(bad, 0.5, 4))
 
 
-def test_round_trip_field_by_field():
-    cfg = parse_config(VALID)
-    again = parse_config(render_config(cfg))
-    assert again == cfg
+def test_valid_parses_field_by_field():
+    assert parse_config(VALID) == ProblemConfig(
+        geometry=EndGeometry(2, 1, 1.0),
+        cross_section=builtin_cross_section("circle", length=6.283185307),
+        degree=0, magnetic=MagneticData(flux=("0.5",)))
 
 
 def _table_text(n):
@@ -241,7 +247,10 @@ def test_table_accepts_every_degree_up_to_dim():
     cfg = parse_config(_table_text(9))
     assert cfg.cross_section.dim == 8
     assert len(cfg.cross_section.tables) == 9
-    assert parse_config(render_config(cfg)) == cfg
+    betti = (1,) + (0,) * 7 + (1,)
+    tables = [[(0.0, 1), (1.0, 2)] if b else [(1.0, 1)] for b in betti]
+    assert cfg == ProblemConfig(geometry=EndGeometry(9, 1), cross_section=builtin_cross_section(
+        "table", volume=1.0, betti=betti, tables=tables))
 
 
 @pytest.mark.parametrize("pairs, shown", [
@@ -285,8 +294,31 @@ def test_check_variants_default_from_the_cut_radius():
     assert chosen.check_bump == (2.0, 0.5, -1.0)
 
 
-def test_round_trip_table_and_extras():
-    cfg = ProblemConfig(
+def test_table_and_extras_parse():
+    text = """\
+geometry.n = 2
+geometry.p = 0.25
+geometry.y0 = 1.5
+degree = 1
+potential.poly = (0.5,0.5)
+potential.bump = 2.0,1.0,3.0
+numerics.grid = 100,200
+numerics.domain_z = 4.0,8.0
+numerics.lambda_grid = 0.1,2.0,5
+numerics.lambda_scale = log
+topology.orientable = false
+topology.h1_x = 2
+zeta.s = 3.0
+zeta.shift = 1.0
+checks.y0 = 1.0,2.0
+checks.bump = 2.5,1.0,5.0
+cross_section.kind = table
+cross_section.volume = 2.5
+cross_section.betti = 1,1
+cross_section.eigenvalues.0 = (0.0,1);(1.25,2)
+cross_section.eigenvalues.1 = (0.0,1);(2.0,1)
+"""
+    assert parse_config(text) == ProblemConfig(
         geometry=EndGeometry(2, "0.25", 1.5),
         cross_section=builtin_cross_section(
             "table", betti=(1, 1), volume=2.5,
@@ -297,8 +329,6 @@ def test_round_trip_table_and_extras():
                           lambda_grid=(0.1, 2.0, 5), lambda_scale="log"),
         orientable=False, h1_x=2, zeta_s=3.0, zeta_shift=1.0,
         check_y0=(1.0, 2.0), check_bump=(2.5, 1.0, 5.0))
-    again = parse_config(render_config(cfg))
-    assert again == cfg
 
 
 #: a cross-section with b1 = 0, where magnetic data has the empty flux ()
@@ -306,12 +336,13 @@ NO_B1 = builtin_cross_section("table", betti=(1, 0), volume=1.0,
                               tables=[[(0.0, 1), (1.0, 2)], [(1.0, 1)]])
 
 
-def test_round_trip_empty_flux():
-    cfg = ProblemConfig(geometry=EndGeometry(2, "1"), cross_section=NO_B1,
-                        magnetic=MagneticData(flux=()))
-    text = render_config(cfg)
-    assert "\nmagnetic.flux = \n" in text
-    assert parse_config(text) == cfg
+def test_empty_flux_parses():
+    text = ("geometry.n = 2\ngeometry.p = 1\nmagnetic.flux =\ncross_section.kind = table\n"
+            "cross_section.volume = 1.0\ncross_section.betti = 1,0\n"
+            "cross_section.eigenvalues.0 = (0.0,1);(1.0,2)\n"
+            "cross_section.eigenvalues.1 = (1.0,1)\n")
+    assert parse_config(text) == ProblemConfig(geometry=EndGeometry(2, "1"), cross_section=NO_B1,
+                                               magnetic=MagneticData(flux=()))
     # with b1 > 0 the flux-length invariant refuses the empty flux
     with pytest.raises(ConfigError, match="flux vector length 0"):
         parse_config(VALID.replace("magnetic.flux = 0.5", "magnetic.flux ="))
@@ -322,34 +353,6 @@ def test_round_trip_empty_flux():
 def test_every_other_list_key_refuses_an_empty_value(key):
     with pytest.raises(ConfigError, match="line 8: expected"):
         parse_config(VALID + f"{key} =\n")
-
-
-@st.composite
-def configs(draw):
-    n = draw(st.sampled_from([2, 3]))
-    p = draw(st.sampled_from(["0.25", "0.5", "1", "2"]))
-    y0 = draw(st.sampled_from([1.0, 1.5, 2.0]))
-    geometry = EndGeometry(n, p, y0)
-    if n == 2:
-        cs = draw(st.sampled_from([builtin_cross_section("circle", length=1.0),
-                                   builtin_cross_section("circle", length=TWO_PI),
-                                   NO_B1]))
-    else:
-        cs = builtin_cross_section("square_torus", side=TWO_PI, dim=2)
-    degree = draw(st.integers(min_value=0, max_value=n))
-    magnetic = None
-    if degree == 0 and draw(st.booleans()):
-        flux = tuple(draw(st.sampled_from(["0", "0.5", "1.25", "-0.75"]))
-                     for _ in range(cs.b1))
-        magnetic = MagneticData(flux=flux, phi0_constant=draw(st.booleans()))
-    return ProblemConfig(geometry=geometry, cross_section=cs, degree=degree,
-                         magnetic=magnetic)
-
-
-@given(configs())
-@settings(max_examples=40, deadline=None)
-def test_round_trip_property(cfg):
-    assert parse_config(render_config(cfg)) == cfg
 
 
 @given(st.text(max_size=200))

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -10,13 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from cusplab.model import (EndGeometry, MagneticData, Numerics, ProblemConfig,
                            RadialPotential, builtin_cross_section)
-from cusplab.reduce import (ModeSpec, RadialOperator, ReduceError, _nu_reach,
+from cusplab.reduce import (ModeSpec, ReduceError, _nu_reach,
                             SECTOR_FORM_0, SECTOR_FORM_1, cross_eigenvalue,
                             enumerate_modes,
                             harmonic_form_radial_operator, liouville_transform,
                             min_cross_eigenvalue, mode_threshold,
                             scalar_radial_operator, y_of_z, z_of_y)
-from cusplab.sturm import discretize, eigenvalues_below
+from cusplab.sturm import TridiagonalPencil, discretize, eigenvalues_below
 
 TWO_PI = 2 * math.pi
 
@@ -143,6 +144,23 @@ def test_enumerate_mode_cap():
         numerics=Numerics(mode_cap=5))
     with pytest.raises(ReduceError, match="cap"):
         enumerate_modes(cfg, 500.0)
+
+
+def test_the_label_walk_stops_once_the_mode_count_passes_the_cap(monkeypatch):
+    # the cubic 3-torus box at 270 is within 64 cap labels (35,937) but
+    # holds 18,579 modes; the walk refuses at mode 601
+    from cusplab import reduce as red
+
+    calls = []
+    monkeypatch.setattr(red, "cross_eigenvalue",
+                        lambda *args: calls.append(args) or cross_eigenvalue(*args))
+    flux = tuple(str(1 / q) for q in (3, 5, 7))
+    cfg = circle_cfg(n=4, flux=flux,
+                     cs=builtin_cross_section("square_torus", side=TWO_PI, dim=3))
+    with pytest.raises(ReduceError, match=re.escape(
+            "mode count exceeds the cap (600); lower the top of numerics.lambda_grid")):
+        enumerate_modes(cfg, 270.0)
+    assert len(calls) <= 4000
 
 
 def test_enumerate_form_sectors_carry_betti_multiplicity():
@@ -492,7 +510,8 @@ def test_2d_flux_laplacian_separates_into_radial_modes():
     """Assemble the twisted Laplacian of y^(-2)(dy^2 + dtheta^2) on a 2-d
     grid (gauge links in theta) and check its smallest eigenvalue equals the
     smallest eigenvalue over the discrete theta-modes of the 1-d radial
-    pencils built by this package."""
+    pencils: P1 elements on the same uniform y-mesh, lumped mass y^(-2),
+    potential nu y^2, listed by this package's Sturm bisection."""
     sparse = pytest.importorskip("scipy.sparse")
     splinalg = pytest.importorskip("scipy.sparse.linalg")
 
@@ -530,11 +549,14 @@ def test_2d_flux_laplacian_separates_into_radial_modes():
     # discrete theta-modes of the gauge-link stencil
     nu_disc = [(2.0 - 2.0 * math.cos((m + mu) * hth)) / hth**2
                for m in range(-mth // 2, mth // 2)]
+    y = np.linspace(y0, ymax, ny + 1)
+    h = np.diff(y)
+    stiff = 1.0 / h
+    mass = y[1:-1] ** -2.0 * (0.5 * (h[:-1] + h[1:]))
     lows = []
     for nu in nu_disc:
-        op = RadialOperator(density_exponent=-2.0, stiffness_exponent=0.0,
-                            potential_terms=((nu, 2.0),), y0=1.0)
-        pen = discretize(op, ymax - y0, ny, mesh="uniform-y")
+        pen = TridiagonalPencil(diag=stiff[:-1] + stiff[1:] + nu * y[1:-1] ** 2.0 * mass,
+                                offdiag=-stiff[1:-1], mass=mass)
         ev = eigenvalues_below(pen, 5000.0, 1e-9)
         if ev:
             lows.append(ev[0])
