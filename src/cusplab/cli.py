@@ -14,10 +14,9 @@ Subcommands and the formats each writes (the first is the default):
   selftest      run the acceptance battery
 
 Every command but selftest takes --config PATH (required), --format and
---out PATH; selftest takes no flags.  reduce also takes --domains
-z1,z2,...; count, spectrum, essspec, weyl, cut-check and perturb-check take
---domains z1,z2,... and --grids n1,n2,...  Every numeric command, reduce
-included, works up to the top of numerics.lambda_grid.
+--out PATH; selftest takes no flags.  The numerics come from the config
+alone, so a report can be rebuilt from its config.  Every numeric command,
+reduce included, works up to the top of numerics.lambda_grid.
 
 Exit codes: 0 success, 1 configuration/usage error or an inconclusive
 comparison (the report is written, then one error[inconclusive] line; for
@@ -33,10 +32,9 @@ import csv
 import io
 import json
 import sys
-from dataclasses import replace
 
 from . import assemble, criteria, reduce as red, selftest, sturm, zeta
-from .model import ConfigError, ProblemConfig, numerics_reader, parse_config
+from .model import ConfigError, ProblemConfig, parse_config
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -52,30 +50,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _override_type(field):
-    """argparse type of a numerics override: the reader of its config key."""
-    read = numerics_reader(field)
-
-    def convert(text):
-        try:
-            return read(text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc))
-    return convert
-
-
 def _build_parser():
     p = _Parser(prog="cusplab", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (_, formats, overrides) in _SUBCOMMANDS.items():
+    for name, (_, formats) in _SUBCOMMANDS.items():
         sp = sub.add_parser(name)
         if formats:
             sp.add_argument("--config", required=True)
             sp.add_argument("--format", choices=formats, default=formats[0])
             sp.add_argument("--out", default=None)
-        for field in overrides:
-            sp.add_argument("--" + field.replace("_", "-"), type=_override_type(field))
     return p
 
 
@@ -85,12 +69,7 @@ def _load_config(args) -> ProblemConfig:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {args.config!r}: {exc}")
-    config = parse_config(text)
-    overrides = {field: getattr(args, field) for field in _SUBCOMMANDS[args.command][2]
-                 if getattr(args, field) is not None}
-    if overrides:
-        config = replace(config, numerics=replace(config.numerics, **overrides))
-    return config
+    return parse_config(text)
 
 
 def _emit(args, record, text, columns=(), rows=()):
@@ -98,7 +77,8 @@ def _emit(args, record, text, columns=(), rows=()):
 
     json dumps `record`; csv writes `rows` (dicts, read by `columns`) with
     the csv module: floats by repr, None as an empty field, fields with
-    commas quoted; text writes `text`.
+    commas quoted; text writes `text`.  An --out that cannot be written is
+    a usage error.
     """
     if args.format == "json":
         payload = json.dumps(record, indent=2, sort_keys=True) + "\n"
@@ -112,8 +92,11 @@ def _emit(args, record, text, columns=(), rows=()):
     else:
         payload = text
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {args.out!r}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(payload)
 
@@ -287,21 +270,20 @@ def cmd_selftest(args):
 
 
 _TEXT_CSV_JSON = ("text", "csv", "json")
-_STUDY = ("domains", "grids")
 
-#: subcommand -> (handler, formats it writes with the default first, numerics
-#: the command line may override); --help of each subcommand lists exactly these
+#: subcommand -> (handler, formats it writes with the default first); --help
+#: of each subcommand lists exactly these
 _SUBCOMMANDS = {
-    "criteria": (cmd_criteria, _TEXT_CSV_JSON, ()),
-    "reduce": (cmd_reduce, ("csv", "json"), ("domains",)),
-    "count": (cmd_count, _TEXT_CSV_JSON, _STUDY),
-    "spectrum": (cmd_spectrum, _TEXT_CSV_JSON, _STUDY),
-    "essspec": (cmd_essspec, _TEXT_CSV_JSON, _STUDY),
-    "weyl": (cmd_weyl, _TEXT_CSV_JSON, _STUDY),
-    "zeta": (cmd_zeta, _TEXT_CSV_JSON, ()),
-    "cut-check": (cmd_cut_check, ("text", "json"), _STUDY),
-    "perturb-check": (cmd_perturb_check, ("text", "json"), _STUDY),
-    "selftest": (cmd_selftest, (), ()),
+    "criteria": (cmd_criteria, _TEXT_CSV_JSON),
+    "reduce": (cmd_reduce, ("csv", "json")),
+    "count": (cmd_count, _TEXT_CSV_JSON),
+    "spectrum": (cmd_spectrum, _TEXT_CSV_JSON),
+    "essspec": (cmd_essspec, _TEXT_CSV_JSON),
+    "weyl": (cmd_weyl, _TEXT_CSV_JSON),
+    "zeta": (cmd_zeta, _TEXT_CSV_JSON),
+    "cut-check": (cmd_cut_check, ("text", "json")),
+    "perturb-check": (cmd_perturb_check, ("text", "json")),
+    "selftest": (cmd_selftest, ()),
 }
 
 

@@ -75,7 +75,8 @@ class CrossSection:
 
     A config's square_torus builds a lattice_torus.
 
-    `betti` lists h^0 .. h^(dim); `volume` is Vol(M, h).
+    `betti` lists h^0 .. h^(dim) and `volume` is Vol(M, h); both are derived
+    by `builtin_cross_section` except a table's volume.
     """
 
     kind: str
@@ -89,12 +90,6 @@ class CrossSection:
     def __post_init__(self):
         if self.kind not in (CIRCLE, TORUS, TABLE):
             raise ConfigError(f"unknown cross-section kind {self.kind!r}")
-        if len(self.betti) != self.dim + 1:
-            raise ConfigError(
-                "invariant violated: betti must list h^0..h^dim "
-                f"({self.dim + 1} numbers, got {len(self.betti)})")
-        if any((not isinstance(b, int)) or b < 0 for b in self.betti):
-            raise ConfigError("invariant violated: Betti numbers are non-negative integers")
         if not (self.volume > 0):
             raise ConfigError("invariant violated: cross-section volume must be > 0")
         if self.kind == CIRCLE:
@@ -102,17 +97,7 @@ class CrossSection:
                 raise ConfigError("invariant violated: a circle cross-section has dim 1")
             if self.length is None or self.length <= 0:
                 raise ConfigError("invariant violated: circle needs length > 0")
-        if self.kind == TORUS:
-            if self.dual_basis is None:
-                raise ConfigError("torus cross-section needs a dual-lattice basis")
-            rows = self.dual_basis
-            if len(rows) != self.dim or any(len(r) != self.dim for r in rows):
-                raise ConfigError("dual-lattice basis must be a square (dim x dim) matrix")
-            if abs(_det(rows)) < 1e-300:
-                raise ConfigError("degenerate lattice: dual basis has determinant 0")
         if self.kind == TABLE:
-            if self.tables is None or len(self.tables) != self.dim + 1:
-                raise ConfigError("table cross-section needs one eigenvalue table per degree 0..dim")
             for j, tab in enumerate(self.tables):
                 eigs = [e for e, _ in tab]
                 if any(e < 0 for e in eigs):
@@ -121,11 +106,6 @@ class CrossSection:
                     raise ConfigError(f"invariant violated: degree-{j} eigenvalue table must be sorted")
                 if any(m < 1 for _, m in tab):
                     raise ConfigError(f"invariant violated: degree-{j} multiplicities must be >= 1")
-                zero_mult = sum(m for e, m in tab if e == 0.0)
-                if zero_mult != self.betti[j]:
-                    raise ConfigError(
-                        "invariant violated: multiplicity of eigenvalue 0 in degree "
-                        f"{j} is {zero_mult}, expected betti[{j}] = {self.betti[j]}")
 
     def betti_at(self, j: int) -> int:
         """h^j(M), with degrees outside 0..dim counting as 0."""
@@ -159,23 +139,29 @@ def _det(rows) -> float:
 
 def builtin_cross_section(name: str, **params) -> CrossSection:
     """Construct one of the built-in cross-sections from the parameters
-    `_KINDS` and `_DERIVED` declare for it ([optional]):
+    `_KINDS` and `_DERIVED` declare for it:
 
-    circle(length)                       -- betti (1, 1), volume = length
-    square_torus(side, dim)              -- side-length s torus, dual basis I/s
-    lattice_torus(dual_basis[, volume])  -- explicit dual-lattice rows; volume 1/|det|
-    table(volume, betti, tables)
+    circle(length)             -- betti (1, 1), volume = length
+    square_torus(side, dim)    -- side-length s torus, dual basis I/s, volume s^dim
+    lattice_torus(dual_basis)  -- explicit dual-lattice rows; volume 1/|det|
+    table(volume, tables)      -- h^j is the multiplicity of 0 in table j (Hodge)
+
+    A torus has betti (dim choose j); its basis is checked here, once.
     """
     if name not in _KINDS:
         raise ConfigError(f"unknown cross-section name {name!r}")
-    optional = sorted(f.attr for f in _KINDS[name] if not f.required)
-    required = [f.attr for f in _KINDS[name] if f.required] + list(_DERIVED.get(name, ()))
-    if (set(params) ^ set(required)) - set(optional):
-        takes = ", ".join(required + [f"[{attr}]" for attr in optional])
-        raise ConfigError(f"a {name} cross-section takes {takes}; got {', '.join(params)}")
+    takes = [f.attr for f in _KINDS[name]] + list(_DERIVED.get(name, ()))
+    if set(params) != set(takes):
+        raise ConfigError(f"a {name} cross-section takes {', '.join(takes)}; "
+                          f"got {', '.join(params)}")
     if name == "circle":
         length = float(params["length"])
         return CrossSection(kind=CIRCLE, dim=1, betti=(1, 1), volume=length, length=length)
+    if name == TABLE:
+        tables = tuple(tuple((float(e), int(m)) for e, m in tab) for tab in params["tables"])
+        betti = tuple(sum(m for e, m in tab if e == 0.0) for tab in tables)
+        return CrossSection(kind=TABLE, dim=len(tables) - 1, betti=betti,
+                            volume=float(params["volume"]), tables=tables)
     if name == "square_torus":
         dim = int(params["dim"])
         side = float(params["side"])
@@ -183,27 +169,19 @@ def builtin_cross_section(name: str, **params) -> CrossSection:
             raise ConfigError("square torus needs side > 0")
         basis = tuple(tuple(1.0 / side if i == j else 0.0 for j in range(dim))
                       for i in range(dim))
-        betti = tuple(math.comb(dim, j) for j in range(dim + 1))
-        return CrossSection(kind=TORUS, dim=dim, betti=betti, volume=side**dim,
-                            dual_basis=basis)
-    if name == TORUS:
+        volume = side**dim
+    else:
         basis = tuple(tuple(float(x) for x in row) for row in params["dual_basis"])
         dim = len(basis)
-        if any(len(row) != dim for row in basis):
-            raise ConfigError("dual-lattice basis must be a square (dim x dim) matrix")
-        det = _det(basis)
-        if abs(det) < 1e-300:
-            raise ConfigError("degenerate lattice: dual basis has determinant 0")
-        betti = tuple(math.comb(dim, j) for j in range(dim + 1))
-        volume = params.get("volume")
-        if volume is None:
-            volume = 1.0 / abs(det)
-        return CrossSection(kind=TORUS, dim=dim, betti=betti, volume=float(volume),
-                            dual_basis=basis)
-    tables = tuple(tuple((float(e), int(m)) for e, m in tab) for tab in params["tables"])
-    betti = tuple(int(b) for b in params["betti"])
-    return CrossSection(kind=TABLE, dim=len(betti) - 1, betti=betti,
-                        volume=float(params["volume"]), tables=tables)
+    if any(len(row) != dim for row in basis):
+        raise ConfigError("dual-lattice basis must be a square (dim x dim) matrix")
+    det = _det(basis)
+    if abs(det) < 1e-300:
+        raise ConfigError("degenerate lattice: dual basis has determinant 0")
+    if name == TORUS:
+        volume = 1.0 / abs(det)
+    betti = tuple(math.comb(dim, j) for j in range(dim + 1))
+    return CrossSection(kind=TORUS, dim=dim, betti=betti, volume=volume, dual_basis=basis)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +402,7 @@ class ProblemConfig:
 # ---------------------------------------------------------------------------
 #
 # Token readers turn one value string into a value or raise ValueError with
-# the reason; the parser adds the line number, the CLI the flag name.
+# the reason; the parser adds the line number.
 
 def _real(tok: str) -> float:
     """A plain decimal; nan and inf are refused."""
@@ -522,7 +500,8 @@ class _Field(NamedTuple):
     `_KINDS`) sets the builtin_cross_section parameter of that name.  `read`
     parses the value and `ok` is its domain, enforced by the owning
     dataclass with the message "invariant violated: <rule>".  A `required`
-    key must be present whenever its section is built (geometry always is).
+    key must be present whenever its section is built (geometry always is);
+    every key a cross-section kind declares is required.
     """
 
     key: str
@@ -581,19 +560,16 @@ _FIELDS = (
 _SECTIONS = {"geometry": EndGeometry, "magnetic": MagneticData,
              "potential": RadialPotential, "numerics": Numerics}
 
-#: cross_section.kind -> the keys it reads
+#: cross_section.kind -> the keys it reads, each one required
 _KINDS = {
-    CIRCLE: (_Field("cross_section.length", "length", _real, required=True),),
-    "square_torus": (_Field("cross_section.side", "side", _real, required=True),),
+    CIRCLE: (_Field("cross_section.length", "length", _real),),
+    "square_torus": (_Field("cross_section.side", "side", _real),),
     TORUS: (_Field("cross_section.dual_basis", "dual_basis",
-                   lambda tok: tuple(_list(_real)(row) for row in tok.split(";")),
-                   required=True),
-            _Field("cross_section.volume", "volume", _real)),
-    TABLE: (_Field("cross_section.volume", "volume", _real, required=True),
-            _Field("cross_section.betti", "betti", _list(_integer), required=True)),
+                   lambda tok: tuple(_list(_real)(row) for row in tok.split(";"))),),
+    TABLE: (_Field("cross_section.volume", "volume", _real),),
 }
 #: the builtin_cross_section parameters that are no config key: parse_config
-#: sets dim to geometry.n - 1 and reads the tables, one key per degree 0..dim
+#: sets dim to geometry.n - 1 and reads the tables, one key per degree 0..n-1
 _DERIVED = {"square_torus": ("dim",), TABLE: ("tables",)}
 _TABLE_PREFIX = "cross_section.eigenvalues."
 _KNOWN_KEYS = ({f.key for f in _FIELDS} | {"cross_section.kind"}
@@ -605,6 +581,8 @@ _REMOVED_KEYS = {
     "numerics.rho_min_factor": "the probe reads the lanes the Sturm pass settled; delete the line",
     "magnetic.phi0": "a constant radial coefficient is pure gauge; delete the line",
     "cross_section.dim": "a square torus has dimension geometry.n - 1",
+    "cross_section.betti": "the Betti numbers are read off the zero eigenvalues of the "
+                           "tables; delete the line",
 }
 
 
@@ -615,11 +593,6 @@ def _check_domains(obj) -> None:
             value = getattr(obj, f.attr)
             if value is not None and not f.ok(value):
                 raise ConfigError(f"invariant violated: {f.rule}")
-
-
-def numerics_reader(attr: str) -> Callable[[str], Any]:
-    """The token reader of the numerics.* key that sets Numerics.<attr>."""
-    return next(f.read for f in _FIELDS if f.section == "numerics" and f.attr == attr)
 
 
 def _read(read, tok: str, line: Optional[int]):
@@ -688,10 +661,9 @@ def _parse_cross_section(raw, lines, n) -> CrossSection:
     if kind not in _KINDS:
         raise ConfigError(f"unknown cross-section kind {kind!r}", lines["cross_section.kind"])
     fields = {f.key: f for f in _KINDS[kind]}
-    params = {f.attr: value(f.read, key) for key, f in fields.items()
-              if f.required or key in raw}
-    # a table cross-section reads one eigenvalue key per Betti number
-    tables = [f"{_TABLE_PREFIX}{j}" for j in range(len(params.get("betti", ())))]
+    params = {f.attr: value(f.read, key) for key, f in fields.items()}
+    # a table cross-section reads one eigenvalue key per degree 0..n-1
+    tables = [f"{_TABLE_PREFIX}{j}" for j in range(n if kind == TABLE else 0)]
     known = {*fields, *tables, "cross_section.kind"}
     for key in raw:
         if key.startswith(_TABLE_PREFIX) and key not in tables:

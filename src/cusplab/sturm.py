@@ -247,7 +247,8 @@ def _sturm_pass(diag, off, mass, lams, sizes=None):
     mask (..., L)).  A lane is settled when it retired (below) at a block
     start s <= N - 2: its count is final and the pencil past s walls it.
     The last row has one neighbour only, so it is dominant at nearly every
-    lambda, and a lane that retires there alone is open.
+    lambda, and a lane that retires there alone is open.  The settled bit
+    depends on the lane alone (see Retirement).
 
     With `sizes`, increasing checkpoints in 1..N, all three come back with
     a leading (S,) axis: entry s holds them for the leading sizes[s] x
@@ -262,8 +263,9 @@ def _sturm_pass(diag, off, mass, lams, sizes=None):
     d_i = a_i - (e*e)_i / d_(i-1) with d_(-1) = inf: the IEEE operations of
     the per-node recurrence in its order, so counts are bit-identical to it.
     Blocks end at every checkpoint, where the counts and mask are copied
-    out.  Every caller discards the count of a lane with a zero pivot, so no
-    tiny replaces the zero; that lane's inf/nan warnings are silenced.
+    out, and two nodes before every checkpoint.  Every caller discards the count of a
+    lane with a zero pivot, so no tiny replaces the zero; that lane's
+    inf/nan warnings are silenced.
 
     Retirement.  A lane leaves the pass at a block start s once s is at
     least its `_dominance_starts` node (every row j >= s of the last
@@ -276,13 +278,18 @@ def _sturm_pass(diag, off, mass, lams, sizes=None):
     e_s = 0 gives nan pivots, which are never counted either.)  So no later
     pivot is negative or zero: the lane's count and breakdown bit are final
     at this checkpoint and at every later one, those of the full pass bit
-    for bit.  Blocks also end at each lane's start node and, while its
-    pivot is still below |e_s|, at doubling distances past it, so a narrow
-    pass does not run on in one long block; blocks grow as lanes leave, and
-    the pass ends when none is left.  The margin is a few ulps of |diag| +
-    |lambda| mass + rad, not of lambda: on fine meshes the stiffness ~1/h
-    dwarfs (q - lambda) h, so a margin relative to lambda can sit inside the
-    rounding error of a_j.
+    for bit.  The certificate d_(s-1) >= |e_s| thus holds at every node
+    from the first one c >= start on, so a lane retires at the first block
+    start at or past c.  As a block starts at sizes[s] - 2 for every
+    checkpoint, also one the pass reaches while working towards an earlier
+    checkpoint, the lane is settled exactly when c <= N - 2, whatever the
+    block sizes and whichever lanes share the pass.  Blocks also end at each
+    lane's start node and, while its pivot is still below |e_s|, at
+    doubling distances past it, so a narrow pass does not run on in one
+    long block; blocks grow as lanes leave, and the pass ends when none is
+    left.  The margin is a few ulps of |diag| + |lambda| mass + rad, not of
+    lambda: on fine meshes the stiffness ~1/h dwarfs (q - lambda) h, so a
+    margin relative to lambda can sit inside the rounding error of a_j.
     """
     diag, off, mass = (np.asarray(x, dtype=float) for x in (diag, off, mass))
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
@@ -325,7 +332,8 @@ def _sturm_pass(diag, off, mass, lams, sizes=None):
                         x[keep] for x in (live, row, lam, prev, start, check))
                     if not live.size:
                         break
-                end = min(stop, s + max(1, _BLOCK_BYTES // (8 * live.size)), int(check.min()))
+                end = min(stop, s + max(1, _BLOCK_BYTES // (8 * live.size)), int(check.min()),
+                          *(k - 2 for k in stops if k - 2 > s))
                 a = gather(diag, slice(s, end)) - lam * gather(mass, slice(s, end))
                 e = gather(off, slice(s, end))
                 # a ufunc on a broadcast (1,) row runs slower than on a full one

@@ -53,7 +53,6 @@ geometry.p = 0.25
 geometry.y0 = 1.0
 cross_section.kind = table
 cross_section.volume = 2.5
-cross_section.betti = 1,1
 cross_section.eigenvalues.0 = (0.0,1);(1.0,2);(4.0,2)
 cross_section.eigenvalues.1 = (0.0,1);(1.0,2)
 degree = 0

@@ -126,6 +126,7 @@ def test_unknown_cross_section_name():
     ("square_torus", dict(side=TWO_PI, dim=2, volume=1.0)),
     ("lattice_torus", dict(dual_basis=[[1.0]], dim=1)),
     ("table", dict(betti=(1, 1), volume=1.0)),
+    ("lattice_torus", dict(dual_basis=[[1.0]], volume=1.0)),
 ])
 def test_a_builtin_cross_section_takes_only_its_declared_parameters(name, params):
     with pytest.raises(ConfigError, match=f"a {name} cross-section takes "):
@@ -137,32 +138,28 @@ def test_a_builtin_cross_section_takes_only_its_declared_parameters(name, params
      "circle", dict(length=1.5)),
     ("cross_section.kind = lattice_torus\ncross_section.dual_basis = 2.0\n",
      "lattice_torus", dict(dual_basis=[[2.0]])),
-    ("cross_section.kind = lattice_torus\ncross_section.dual_basis = 2.0\n"
-     "cross_section.volume = 0.25\n", "lattice_torus", dict(dual_basis=[[2.0]], volume=0.25)),
     ("cross_section.kind = square_torus\ncross_section.side = 1.5\n",
      "square_torus", dict(side=1.5, dim=1)),
-    ("cross_section.kind = table\ncross_section.volume = 2.0\ncross_section.betti = 1,1\n"
+    ("cross_section.kind = table\ncross_section.volume = 2.0\n"
      "cross_section.eigenvalues.0 = (0.0,1);(1.0,2)\ncross_section.eigenvalues.1 = (0.0,1)\n",
-     "table", dict(volume=2.0, betti=(1, 1), tables=[[(0.0, 1), (1.0, 2)], [(0.0, 1)]])),
-], ids=["circle", "lattice_torus", "lattice_torus-volume", "square_torus", "table"])
+     "table", dict(volume=2.0, tables=[[(0.0, 1), (1.0, 2)], [(0.0, 1)]])),
+], ids=["circle", "lattice_torus", "square_torus", "table"])
 def test_every_kind_parses_to_its_cross_section(text, name, params):
     cfg = parse_config("geometry.n = 2\ngeometry.p = 1\n" + text)
     assert cfg == ProblemConfig(geometry=EndGeometry(2, 1),
                                 cross_section=builtin_cross_section(name, **params))
 
 
-def test_table_zero_modes_must_match_betti():
-    with pytest.raises(ConfigError, match="betti"):
-        builtin_cross_section(
-            "table", betti=(1, 1), volume=1.0,
-            tables=[[(0.0, 2), (1.0, 1)], [(0.0, 1)]])
+def test_table_betti_numbers_are_the_multiplicities_of_zero():
+    cs = builtin_cross_section("table", volume=1.0,
+                               tables=[[(0.0, 2), (1.0, 1)], [(1.0, 3)], [(0.0, 1)]])
+    assert (cs.dim, cs.betti) == (2, (2, 0, 1))
 
 
 def test_table_must_be_sorted():
     with pytest.raises(ConfigError, match="sorted"):
         builtin_cross_section(
-            "table", betti=(1, 1), volume=1.0,
-            tables=[[(1.0, 1), (0.0, 1)], [(0.0, 1)]])
+            "table", volume=1.0, tables=[[(1.0, 1), (0.0, 1)], [(0.0, 1)]])
 
 
 def test_potential_exponent_capped_by_2p():
@@ -235,8 +232,7 @@ def test_valid_parses_field_by_field():
 def _table_text(n):
     betti = [1] + [0] * (n - 2) + [1]
     lines = ["geometry.n = %d" % n, "geometry.p = 1", "cross_section.kind = table",
-             "cross_section.volume = 1.0",
-             "cross_section.betti = " + ",".join(str(b) for b in betti)]
+             "cross_section.volume = 1.0"]
     for j, b in enumerate(betti):
         lines.append(f"cross_section.eigenvalues.{j} = "
                      + ("(0.0,1);(1.0,2)" if b else "(1.0,1)"))
@@ -248,9 +244,10 @@ def test_table_accepts_every_degree_up_to_dim():
     assert cfg.cross_section.dim == 8
     assert len(cfg.cross_section.tables) == 9
     betti = (1,) + (0,) * 7 + (1,)
+    assert cfg.cross_section.betti == betti
     tables = [[(0.0, 1), (1.0, 2)] if b else [(1.0, 1)] for b in betti]
     assert cfg == ProblemConfig(geometry=EndGeometry(9, 1), cross_section=builtin_cross_section(
-        "table", volume=1.0, betti=betti, tables=tables))
+        "table", volume=1.0, tables=tables))
 
 
 @pytest.mark.parametrize("pairs, shown", [
@@ -261,7 +258,7 @@ def test_table_multiplicities_must_be_non_negative_integers(tmp_path, capsys, pa
 
     text = _table_text(2).replace("eigenvalues.0 = (0.0,1);(1.0,2)",
                                   f"eigenvalues.0 = {pairs}")
-    message = f"line 6: multiplicity must be a non-negative integer, got {shown}"
+    message = f"line 5: multiplicity must be a non-negative integer, got {shown}"
     with pytest.raises(ConfigError, match=re.escape(message)):
         parse_config(text)
     path = tmp_path / "table.cfg"
@@ -277,7 +274,7 @@ def test_integral_table_multiplicities_may_be_written_as_reals():
 
 def test_table_rejects_degrees_beyond_dim():
     text = _table_text(2) + "cross_section.eigenvalues.5 = (1.0,1)\n"
-    with pytest.raises(ConfigError, match=r"line 8: unknown key "
+    with pytest.raises(ConfigError, match=r"line 7: unknown key "
                        r"'cross_section\.eigenvalues\.5'.*0\.\.1"):
         parse_config(text)
     with pytest.raises(ConfigError, match=r"line 8: unknown key .*table cross-sections only"):
@@ -314,15 +311,13 @@ checks.y0 = 1.0,2.0
 checks.bump = 2.5,1.0,5.0
 cross_section.kind = table
 cross_section.volume = 2.5
-cross_section.betti = 1,1
 cross_section.eigenvalues.0 = (0.0,1);(1.25,2)
 cross_section.eigenvalues.1 = (0.0,1);(2.0,1)
 """
     assert parse_config(text) == ProblemConfig(
         geometry=EndGeometry(2, "0.25", 1.5),
         cross_section=builtin_cross_section(
-            "table", betti=(1, 1), volume=2.5,
-            tables=[[(0.0, 1), (1.25, 2)], [(0.0, 1), (2.0, 1)]]),
+            "table", volume=2.5, tables=[[(0.0, 1), (1.25, 2)], [(0.0, 1), (2.0, 1)]]),
         degree=1,
         potential=RadialPotential(poly=((0.5, 0.5),), bump=(2.0, 1.0, 3.0)),
         numerics=Numerics(grids=(100, 200), domains=(4.0, 8.0),
@@ -332,13 +327,12 @@ cross_section.eigenvalues.1 = (0.0,1);(2.0,1)
 
 
 #: a cross-section with b1 = 0, where magnetic data has the empty flux ()
-NO_B1 = builtin_cross_section("table", betti=(1, 0), volume=1.0,
-                              tables=[[(0.0, 1), (1.0, 2)], [(1.0, 1)]])
+NO_B1 = builtin_cross_section("table", volume=1.0, tables=[[(0.0, 1), (1.0, 2)], [(1.0, 1)]])
 
 
 def test_empty_flux_parses():
     text = ("geometry.n = 2\ngeometry.p = 1\nmagnetic.flux =\ncross_section.kind = table\n"
-            "cross_section.volume = 1.0\ncross_section.betti = 1,0\n"
+            "cross_section.volume = 1.0\n"
             "cross_section.eigenvalues.0 = (0.0,1);(1.0,2)\n"
             "cross_section.eigenvalues.1 = (1.0,1)\n")
     assert parse_config(text) == ProblemConfig(geometry=EndGeometry(2, "1"), cross_section=NO_B1,
@@ -403,8 +397,8 @@ def test_readme_lists_the_keys_each_kind_declares():
     accepted = {f.key for f in _FIELDS} | declared | {"cross_section.kind"}
     assert accepted == _KNOWN_KEYS
     for kind, fields in _KINDS.items():
-        optional = set(re.findall(r"\[([a-z_.]+)\]", rows[kind]))
+        # every key a kind reads is required: the README marks none optional
+        assert "[" not in rows[kind]
         named = set(re.findall(r"cross_section\.[a-z_.]+", rows[kind]))
-        assert optional == {f.key for f in fields if not f.required}
         tables = {_TABLE_PREFIX + "j"} if kind == "table" else set()
-        assert named - optional == {f.key for f in fields if f.required} | tables
+        assert named == {f.key for f in fields} | tables

@@ -54,7 +54,7 @@ def test_cross_eigenvalue_torus_matches_square_example():
 
 
 def test_cross_eigenvalue_table_with_flux_unsupported():
-    cs = builtin_cross_section("table", betti=(1, 1), volume=1.0,
+    cs = builtin_cross_section("table", volume=1.0,
                                tables=[[(0.0, 1), (1.0, 2)], [(0.0, 1)]])
     with pytest.raises(ReduceError, match="unsupported"):
         cross_eigenvalue(cs, (0,), (Fraction(1, 2),))
@@ -174,7 +174,7 @@ def test_enumerate_form_sectors_carry_betti_multiplicity():
 
 
 def test_enumerate_form_sectors_empty_when_betti_vanish():
-    cs = builtin_cross_section("table", betti=(1, 0, 0, 1), volume=1.0,
+    cs = builtin_cross_section("table", volume=1.0,
                                tables=[[(0.0, 1), (2.0, 3)], [(1.0, 2)],
                                        [(1.0, 2)], [(0.0, 1), (2.0, 3)]])
     cfg = circle_cfg(n=4, degree=2, cs=cs)
@@ -195,7 +195,7 @@ def test_excluded_mode_cannot_reach_the_window():
 
 
 def test_table_cross_section_function_modes():
-    cs = builtin_cross_section("table", betti=(1, 1), volume=1.0,
+    cs = builtin_cross_section("table", volume=1.0,
                                tables=[[(0.0, 1), (0.5, 2), (3.0, 1)], [(0.0, 1)]])
     cfg = circle_cfg(cs=cs)
     modes = enumerate_modes(cfg, 1.0)

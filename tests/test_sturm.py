@@ -624,6 +624,51 @@ def test_a_settled_lane_keeps_its_count_and_the_last_node_settles_none(inputs, d
             assert np.array_equal(want[later][final], got[k][final])
 
 
+def _certificate_nodes(diag, off, mass, lams):
+    """First node c >= start of every (row, lambda) lane with d_(c-1) >= |e_c|,
+    from the per-node pivots (d_(-1) = inf, e_0 = 0); N where there is none."""
+    n = diag.shape[-1]
+    starts = sturm._dominance_starts(diag, off, mass, lams)
+    e = np.concatenate([[0.0], off])
+    cert = np.full(starts.shape, n)
+    prev = np.full(starts.shape, np.inf)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(n):
+            cert[(cert == n) & (starts <= j) & (prev >= abs(e[j]))] = j
+            prev = (diag[:, j:j + 1] - lams * mass[j]) - e[j] * e[j] / prev
+    return cert
+
+
+@given(walled_inputs(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_a_lane_is_settled_by_its_own_certificate_node(inputs, data):
+    # settled at m nodes exactly when the certificate node is at most m - 2:
+    # for every block size, and for a row counted alone or in its stack
+    diag, off, mass, lams = inputs
+    n = diag.shape[-1]
+    sizes = sorted(data.draw(st.sets(st.integers(1, n), min_size=1, max_size=3)))
+    last = sizes[-1]
+    cert = _certificate_nodes(diag[:, :last], off[:last - 1], mass[:last], lams)
+    want = np.stack([cert <= m - 2 for m in sizes])
+    for block_bytes in (1 << 17, 1 << 9, 1 << 6):
+        with mock.patch.object(sturm, "_BLOCK_BYTES", block_bytes):
+            assert np.array_equal(sturm._sturm_pass(diag, off, mass, lams, sizes)[2], want)
+            for r, row in enumerate(diag):
+                alone = sturm._sturm_pass(row, off, mass, lams, sizes)[2]
+                assert np.array_equal(alone, want[:, r])
+
+
+def test_a_lane_settles_at_a_checkpoint_whose_node_m_minus_2_precedes_the_one_before():
+    # rows 1.. are dominant, so the lane starts at node 1; its pivots 0.3,
+    # -1.28, 2.83 first reach |e| = 1 at c = 3, which is no check node of the
+    # lane.  The pass reaches node 3 on its way to checkpoint 4, and
+    # checkpoint 5 must still see the lane settled (3 <= 5 - 2)
+    diag = np.array([0.3] + [2.05] * 7)
+    off, mass, lams = np.full(7, -1.0), np.ones(8), np.zeros(1)
+    assert _certificate_nodes(diag[None], off, mass, lams).tolist() == [[3]]
+    assert sturm._sturm_pass(diag, off, mass, lams, [4, 5])[2].tolist() == [[False], [True]]
+
+
 @given(walled_inputs())
 @settings(max_examples=60, deadline=None)
 def test_listing_on_walled_pencils_equals_bisection_on_the_reference_recurrence(inputs):
