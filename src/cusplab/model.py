@@ -104,8 +104,6 @@ class CrossSection:
                     raise ConfigError(f"invariant violated: degree-{j} eigenvalues must be >= 0")
                 if eigs != sorted(eigs):
                     raise ConfigError(f"invariant violated: degree-{j} eigenvalue table must be sorted")
-                if any(m < 1 for _, m in tab):
-                    raise ConfigError(f"invariant violated: degree-{j} multiplicities must be >= 1")
 
     def betti_at(self, j: int) -> int:
         """h^j(M), with degrees outside 0..dim counting as 0."""
@@ -472,11 +470,11 @@ def _pairs(tok: str) -> tuple:
 
 
 def _table(tok: str) -> tuple:
-    """An eigenvalue table '(e,m);...' whose multiplicities are integers >= 0."""
+    """An eigenvalue table '(e,m);...' whose multiplicities are integers >= 1."""
     pairs = _pairs(tok)
     for _, m in pairs:
-        if m < 0 or m != int(m):
-            raise ValueError(f"multiplicity must be a non-negative integer, got {m!r}")
+        if m < 1 or m != int(m):
+            raise ValueError(f"multiplicity must be a positive integer, got {m!r}")
     return tuple((e, int(m)) for e, m in pairs)
 
 

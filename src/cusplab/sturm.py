@@ -13,7 +13,9 @@ Eigenvalue counts come from the LDL^T inertia of A - lambda B (a Sturm
 sequence) and eigenvalues from bisection on the counts.  Counts are
 integers computed by exact sign tests, so reports are bit-stable across
 runs.  One blocked, node-major kernel computes them all, bit-identical to
-the per-node LDL^T recurrence (see `_sturm_pass`).  A (pencil row, lambda)
+the per-node LDL^T recurrence (see `_sturm_pass`); a block of a few lanes
+runs that recurrence on Python floats, a wide one on numpy rows, with the
+same IEEE operations in the same order.  A (pencil row, lambda)
 lane leaves the pass once the rest of its pencil is diagonally dominant,
 diag - lambda mass - rad > a few ulps of |diag| + |lambda| mass + rad with
 rad the Gershgorin radius, and its last pivot is at least the next
@@ -39,6 +41,7 @@ with zmax depending on e^T, so no two domains nest.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
@@ -187,6 +190,9 @@ def discretize(op, length: float, cells: int) -> TridiagonalPencil:
 #: bytes of one block array in `_sturm_pass` (sized for cache and peak RSS)
 _BLOCK_BYTES = 1 << 17
 
+#: live lanes up to which a block runs on Python floats (`_scalar_block`)
+_SCALAR_LANES = 8
+
 
 def _row_radius(off, n: int) -> np.ndarray:
     """Gershgorin radius |e_j| + |e_(j+1)| of each of the n rows; off: (n-1,)."""
@@ -200,6 +206,12 @@ def _rows(x) -> np.ndarray:
     """x as (rows, nodes): a shared vector is one row."""
     x = np.asarray(x, dtype=float)
     return x.reshape(math.prod(x.shape[:-1]), x.shape[-1])
+
+
+def _each_row(x, rows: int, f):
+    """f of each row of x (rows, ...) as an iterator; a single shared row
+    is mapped once and repeated `rows` times."""
+    return itertools.repeat(f(x[0]), rows) if len(x) == 1 else map(f, x)
 
 
 def _dominance_starts(diag, off, mass, lams) -> np.ndarray:
@@ -226,21 +238,57 @@ def _dominance_starts(diag, off, mass, lams) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         target = lams + eps * np.abs(lams)
     starts = np.empty((rows, lams.size), dtype=np.int64)
-    for r, (d, e, m) in enumerate(zip(diag, np.broadcast_to(off, (rows, n - 1)),
-                                      np.broadcast_to(mass, (rows, n)))):
-        rad = _row_radius(e, n)
+    # a shared off or mass row (one pencil mesh) has its radius and range test done once
+    rads = _each_row(off, rows, lambda e: _row_radius(e, n))
+    mass_ok = _each_row(mass, rows, lambda m: (m >= 2.0**-400) & (m <= 2.0**400))
+    for r, (d, m, rad, m_ok) in enumerate(zip(diag, np.broadcast_to(mass, (rows, n)),
+                                              rads, mass_ok)):
         scale = np.abs(d) + rad
         with np.errstate(over="ignore", invalid="ignore"):
             key = (d - rad - eps * scale) / m
-        safe = (scale >= 2.0**-400) & (scale <= 2.0**400) & (m >= 2.0**-400) & (m <= 2.0**400)
+        safe = (scale >= 2.0**-400) & (scale <= 2.0**400) & m_ok
         key[~safe] = -np.inf
         suffix_min = np.minimum.accumulate(key[::-1])[::-1]
         starts[r] = np.searchsorted(suffix_min, target, side="right")
     return starts
 
 
+def _vector_block(a, e2, prev):
+    """Pivots d_j = a_j - e2_j / d_(j-1) of one block, written over `a` in place.
+
+    a, e2: (nodes, lanes); prev: (lanes,) pivots of the node before the
+    block.  Returns (negative-pivot counts, zero-pivot mask, last pivots).
+    """
+    divide, subtract = np.divide, np.subtract
+    tmp = np.empty(a.shape[1])
+    for a_j, e2_j in zip(a, e2):
+        divide(e2_j, prev, tmp)
+        subtract(a_j, tmp, a_j)
+        prev = a_j
+    return (a < 0).sum(0), (a == 0).any(0), prev
+
+
+def _scalar_block(a, e2, prev):
+    """`_vector_block` lane by lane on Python floats, leaving `a` as it is.
+
+    Raises ZeroDivisionError when it would divide by a zero pivot, the
+    carried one included, so only a last pivot can be zero when it returns.
+    """
+    negative, last = [], []
+    for d, a_col, e2_col in zip(prev.tolist(), a.T.tolist(), e2.T.tolist()):
+        neg = 0
+        for a_j, e2_j in zip(a_col, e2_col):
+            d = a_j - e2_j / d
+            if d < 0.0:
+                neg += 1
+        negative.append(neg)
+        last.append(d)
+    last = np.array(last)
+    return negative, last == 0, last
+
+
 def _sturm_pass(diag, off, mass, lams, sizes=None):
-    """Vectorized LDL^T sign count of A - lambda B for a batch of lambdas.
+    """Blocked LDL^T sign count of A - lambda B for a batch of lambdas.
 
     diag/mass: (..., N); off: (..., N-1) per row or shared; lams: (L,).
     Returns (counts (..., L) int array, breakdown mask (..., L), settled
@@ -266,6 +314,22 @@ def _sturm_pass(diag, off, mass, lams, sizes=None):
     out, and two nodes before every checkpoint.  Every caller discards the count of a
     lane with a zero pivot, so no tiny replaces the zero; that lane's
     inf/nan warnings are silenced.
+
+    Scalar blocks.  A numpy node step costs two ufunc dispatches whatever
+    its width, and since lanes retire most steps of a pass carry a few
+    lanes only.  A block with at most _SCALAR_LANES live lanes therefore
+    runs each lane as d = a_j - e2_j / d on Python floats, over `.tolist()`
+    columns of the same gathered a and e*e (`_scalar_block`).  Python's
+    float divide and subtract are the same correctly rounded IEEE
+    operations as numpy's, applied to the same doubles in the same order,
+    and the counts (d < 0), breakdown bits (d == 0) and the carried pivot
+    come out bit-identical; the block schedule does not change, so neither
+    does the settled mask.  They part only at a zero pivot (-0.0
+    included): Python raises ZeroDivisionError at the next node where
+    numpy carries +-inf or nan on, and the block is then re-run on numpy
+    rows (`_vector_block`).  An overflowing quotient gives +-inf on both,
+    as CPython's float division raises only on a zero divisor, and a nan
+    pivot carried into a block stays nan on both.
 
     Retirement.  A lane leaves the pass at a block start s once s is at
     least its `_dominance_starts` node (every row j >= s of the last
@@ -317,7 +381,6 @@ def _sturm_pass(diag, off, mass, lams, sizes=None):
         x = x[nodes]
         return x if x.shape[-1] == 1 else x[..., row]
 
-    divide, subtract = np.divide, np.subtract
     snapshots = []
     s = 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -338,13 +401,13 @@ def _sturm_pass(diag, off, mass, lams, sizes=None):
                 e = gather(off, slice(s, end))
                 # a ufunc on a broadcast (1,) row runs slower than on a full one
                 e2 = np.multiply(e, e, out=np.empty_like(a))
-                tmp = np.empty(live.size)
-                for a_j, e2_j in zip(a, e2):
-                    divide(e2_j, prev, tmp)
-                    subtract(a_j, tmp, a_j)
-                    prev = a_j
-                counts[live] += (a < 0).sum(0)
-                broke[live] |= (a == 0).any(0)
+                step = _scalar_block if live.size <= _SCALAR_LANES else _vector_block
+                try:
+                    negative, zero, prev = step(a, e2, prev)
+                except ZeroDivisionError:   # a zero pivot on Python floats
+                    negative, zero, prev = _vector_block(a, e2, prev)
+                counts[live] += negative
+                broke[live] |= zero
                 s = end
             snapshots.append((counts.copy(), broke.copy(), retired <= stop - 2))
     shape = batch + (-1,) if sizes is None else (len(stops),) + batch + (-1,)

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from cusplab import assemble
 from cusplab.assemble import ThresholdEstimate, WeylFit
-from cusplab.cli import _SUBCOMMANDS, _build_parser, _emit, main
+from cusplab.cli import _SUBCOMMANDS, UsageError, _build_parser, _emit, main
 from cusplab.model import _FIELDS, _KNOWN_KEYS
 
 AB_CFG = """\
@@ -110,6 +110,24 @@ def test_unknown_flag_exits_one(cfg_path, capsys):
     assert "error[usage]" in capsys.readouterr().err
     assert main(["count", "--config", cfg_path(AB_CFG), "--jobs", "2"]) == 1
     assert "error[usage]" in capsys.readouterr().err
+
+
+def test_the_parser_is_built_once_and_parses_each_call_afresh(cfg_path, capsys):
+    assert _build_parser() is _build_parser()
+    path = cfg_path(AB_CFG)
+    assert main(["criteria", "--config", path, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["classification"] == "pure_point"
+    # reduce has no text format; its refusal is the line a new parser gives
+    argv = ["reduce", "--config", path, "--format", "text"]
+    assert main(argv) == 1
+    with pytest.raises(UsageError) as fresh:
+        _build_parser.__wrapped__().parse_args(argv)
+    assert capsys.readouterr().err == f"error[usage]: {fresh.value}\n"
+    # each subcommand falls back to its own default format
+    assert main(["reduce", "--config", path]) == 0
+    assert capsys.readouterr().out.startswith("mode,nu,multiplicity,")
+    assert main(["criteria", "--config", path]) == 0
+    assert capsys.readouterr().out.startswith("classification: pure_point\n")
 
 
 def test_missing_file_exits_one(capsys):

@@ -252,13 +252,14 @@ def test_table_accepts_every_degree_up_to_dim():
 
 @pytest.mark.parametrize("pairs, shown", [
     ("(0.0,1);(1.0,2.5)", "2.5"), ("(0.0,1);(1.0,-1)", "-1.0"),
-    ("(0.0,1);(1.0,-0.5)", "-0.5"), ("(0.0,1);(1.0,1e-9)", "1e-09")])
-def test_table_multiplicities_must_be_non_negative_integers(tmp_path, capsys, pairs, shown):
+    ("(0.0,1);(1.0,-0.5)", "-0.5"), ("(0.0,1);(1.0,1e-9)", "1e-09"),
+    ("(0.0,1);(1.0,0)", "0.0"), ("(0.0,0);(1.0,1)", "0.0")])
+def test_table_multiplicities_must_be_positive_integers(tmp_path, capsys, pairs, shown):
     from cusplab import cli
 
     text = _table_text(2).replace("eigenvalues.0 = (0.0,1);(1.0,2)",
                                   f"eigenvalues.0 = {pairs}")
-    message = f"line 5: multiplicity must be a non-negative integer, got {shown}"
+    message = f"line 5: multiplicity must be a positive integer, got {shown}"
     with pytest.raises(ConfigError, match=re.escape(message)):
         parse_config(text)
     path = tmp_path / "table.cfg"

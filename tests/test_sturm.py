@@ -214,11 +214,28 @@ def _reference_pass(diag, off, mass, lams):
     return counts, broke
 
 
+#: every block on numpy, the default, and every block on Python floats
+SCALAR_LANES = (0, sturm._SCALAR_LANES, 64)
+
+
+def pass_at_each_scalar_width(diag, off, mass, lams, sizes=None):
+    """`_sturm_pass` at each of SCALAR_LANES: counts, breakdown and settled
+    masks must be equal, those of broken lanes too."""
+    runs = []
+    for lanes in SCALAR_LANES:
+        with mock.patch.object(sturm, "_SCALAR_LANES", lanes):
+            runs.append(sturm._sturm_pass(diag, off, mass, lams, sizes))
+    for run in runs[1:]:
+        for got, want in zip(run, runs[0]):
+            assert np.array_equal(got, want)
+    return runs[0]
+
+
 def assert_matches_reference(diag, off, mass, lams):
     # e*e/tiny overflows on broken lanes of the reference; those are discarded
     with np.errstate(over="ignore"):
         want, want_broke = _reference_pass(diag, off, mass, lams)
-    got, broke, _ = sturm._sturm_pass(diag, off, mass, lams)
+    got, broke, _ = pass_at_each_scalar_width(diag, off, mass, lams)
     assert got.shape == want.shape and broke.shape == want_broke.shape
     assert np.array_equal(broke, want_broke)
     assert np.array_equal(got[~broke], want[~broke])
@@ -286,6 +303,49 @@ def test_blocked_kernel_carries_across_blocks():
     broke = assert_matches_reference(diags, off, np.ones(n), lams)
     assert broke[2, 50]
     assert_matches_reference(diags, off[0], rng.uniform(0.5, 2.0, n), lams)
+
+
+@pytest.fixture
+def scalar_blocks(monkeypatch):
+    """Record each `_scalar_block` call: the pivots carried into it, and
+    whether a zero pivot sent the block back to the vector path."""
+    calls = []
+    real = sturm._scalar_block
+
+    def recorded(a, e2, prev):
+        calls.append((prev.tolist(), "sent back"))
+        out = real(a, e2, prev)
+        calls[-1] = (prev.tolist(), "ran")
+        return out
+
+    monkeypatch.setattr(sturm, "_scalar_block", recorded)
+    return calls
+
+
+# one row whose last node is never dominant, so no lane retires and the
+# first block runs up to node N - 2 (or to the checkpoint's node N - 2)
+@pytest.mark.parametrize("diag, off, lams, sizes, sent_back", [
+    # a_1 = 2 - 2 makes pivot 1 exactly zero; node 2 divides 1 by it
+    ([1.0, 2.0, 3.0, 3.0, 3.0, 3.0, 3.0, 0.5], [0.0] + [-1.0] * 6, [2.0, 2.5], None, True),
+    # -0.0 - 0 * 1 - 0 / inf is a -0.0 pivot at node 0
+    ([-0.0, 3.0, 3.0, 3.0, 0.5], [-1.0] * 4, [0.0, 0.5], None, True),
+    # 1e10 / 1e-300 overflows to inf on Python floats as in numpy, and
+    # 1 - inf is a negative pivot, not a breakdown
+    ([1e-300, 1.0, 3.0, 3.0, 0.5], [1e5, -1.0, -1.0, -1.0], [0.0, 0.5, 1.0], None, False),
+    # 0 / 0 at node 2 is a nan pivot, carried into the block that starts at
+    # node 3, two nodes before checkpoint 5
+    ([1.0, 2.0, 3.0, 3.0, 3.0, 3.0, 3.0, 0.5], [0.0, 0.0] + [-1.0] * 5, [2.0], [5, 8], True),
+], ids=["zero-pivot", "negative-zero-pivot", "overflowing-quotient", "nan-pivot"])
+def test_scalar_blocks_match_the_reference_on_special_pivots(scalar_blocks, diag, off, lams,
+                                                             sizes, sent_back):
+    diag, off, mass = np.array(diag), np.array(off), np.ones(len(diag))
+    if sizes is None:
+        assert_matches_reference(diag, off, mass, lams)
+    else:
+        assert_checkpoints_match_reference(diag, off, mass, lams, sizes)
+    assert scalar_blocks and any(how == "sent back" for _, how in scalar_blocks) == sent_back
+    nan_carried = any(math.isnan(d) for prev, how in scalar_blocks if how == "ran" for d in prev)
+    assert nan_carried == (sizes is not None)
 
 
 def test_stack_breakdown_falls_back_to_per_row_counts():
@@ -457,7 +517,7 @@ def test_bisection_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
 # ---------------------------------------------------------------------------
 
 def assert_checkpoints_match_reference(diag, off, mass, lams, sizes):
-    got, broke, _ = sturm._sturm_pass(diag, off, mass, lams, sizes)
+    got, broke, _ = pass_at_each_scalar_width(diag, off, mass, lams, sizes)
     assert got.shape == broke.shape == (len(sizes),) + np.shape(diag)[:-1] + (len(lams),)
     for k, n in enumerate(sizes):
         with np.errstate(over="ignore"):
@@ -610,7 +670,7 @@ def test_a_settled_lane_keeps_its_count_and_the_last_node_settles_none(inputs, d
     sizes = sorted(data.draw(st.sets(st.integers(1, n), min_size=1, max_size=6)) | {n})
     block_bytes = data.draw(st.sampled_from([8, 256, sturm._BLOCK_BYTES]))
     with mock.patch.object(sturm, "_BLOCK_BYTES", block_bytes):
-        got, broke, settled = sturm._sturm_pass(diag, off, mass, lams, sizes)
+        got, broke, settled = pass_at_each_scalar_width(diag, off, mass, lams, sizes)
     starts = sturm._dominance_starts(diag, off, mass, lams)
     with np.errstate(over="ignore"):
         want = [_reference_pass(diag[..., :m], off[..., :m - 1], mass[..., :m], lams)[0]
@@ -652,9 +712,10 @@ def test_a_lane_is_settled_by_its_own_certificate_node(inputs, data):
     want = np.stack([cert <= m - 2 for m in sizes])
     for block_bytes in (1 << 17, 1 << 9, 1 << 6):
         with mock.patch.object(sturm, "_BLOCK_BYTES", block_bytes):
-            assert np.array_equal(sturm._sturm_pass(diag, off, mass, lams, sizes)[2], want)
+            assert np.array_equal(pass_at_each_scalar_width(diag, off, mass, lams, sizes)[2],
+                                  want)
             for r, row in enumerate(diag):
-                alone = sturm._sturm_pass(row, off, mass, lams, sizes)[2]
+                alone = pass_at_each_scalar_width(row, off, mass, lams, sizes)[2]
                 assert np.array_equal(alone, want[:, r])
 
 
@@ -769,3 +830,18 @@ def test_the_certificate_is_not_vacuous_on_the_spectrum_locate_stack():
     names, (diags, off, mass) = _locate_stack("0")
     row = names.index("m0")
     assert sturm._dominance_starts(diags[row], off, mass, [1.0]).tolist() == [[7998]]
+
+
+def test_one_live_lane_never_takes_the_vector_path(monkeypatch):
+    # mode m-1 of the `spectrum-locate` stack, just above its eigenvalue
+    # 4.6652188: the lane walls at node 359 of 7999
+    names, (diags, off, mass) = _locate_stack("0.5")
+    assert names[0] == "m-1"
+    lams = [4.67]
+    want = pass_at_each_scalar_width(diags[:1], off, mass, lams)
+    vector = mock.Mock(wraps=sturm._vector_block)
+    monkeypatch.setattr(sturm, "_vector_block", vector)
+    got = sturm._sturm_pass(diags[:1], off, mass, lams)
+    assert vector.call_count == 0
+    assert all(np.array_equal(x, y) for x, y in zip(got, want))
+    assert got[0].tolist() == [[1]]
