@@ -11,24 +11,12 @@ Usage: python scripts/flux_switch_scan.py [--steps N] [--p P] [--csv]
 """
 
 import argparse
-import math
 import sys
 from fractions import Fraction
 
 from cusplab.assemble import threshold_probe
 from cusplab.criteria import classify
-from cusplab.model import (EndGeometry, MagneticData, Numerics, ProblemConfig,
-                           builtin_cross_section)
-
-
-def config_for(mu: Fraction, p: str) -> ProblemConfig:
-    return ProblemConfig(
-        geometry=EndGeometry(2, p, 1.0),
-        cross_section=builtin_cross_section("circle", length=2 * math.pi),
-        degree=0,
-        magnetic=MagneticData(flux=(mu,)),
-        numerics=Numerics(grids=(1000, 2000), domains=(8.0, 16.0, 32.0),
-                          lambda_grid=(0.05, 0.5, 46)))
+from cusplab.selftest import probe_config
 
 
 def main(argv=None) -> int:
@@ -42,7 +30,7 @@ def main(argv=None) -> int:
     rows = []
     for i in range(args.steps + 1):
         mu = Fraction(i, args.steps)
-        cfg = config_for(mu, args.p)
+        cfg = probe_config(flux=mu, p=args.p)
         pred = classify(cfg)
         est = threshold_probe(cfg)
         rows.append((float(mu), pred.classification,

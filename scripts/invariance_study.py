@@ -10,22 +10,10 @@ Usage: python scripts/invariance_study.py [--y0 LIST] [--heights LIST]
 """
 
 import argparse
-import math
 import sys
 
 from cusplab.assemble import threshold_probe
-from cusplab.model import (EndGeometry, MagneticData, Numerics, ProblemConfig,
-                           builtin_cross_section)
-
-
-def base_config() -> ProblemConfig:
-    return ProblemConfig(
-        geometry=EndGeometry(2, "1", 1.0),
-        cross_section=builtin_cross_section("circle", length=2 * math.pi),
-        degree=0,
-        magnetic=MagneticData(flux=("0",)),
-        numerics=Numerics(grids=(1000, 2000), domains=(8.0, 16.0, 32.0),
-                          lambda_grid=(0.05, 0.5, 46)))
+from cusplab.selftest import probe_config
 
 
 def main(argv=None) -> int:
@@ -35,7 +23,7 @@ def main(argv=None) -> int:
     ap.add_argument("--heights", default="0,2,5,-0.05",
                     help="comma list of bump heights (center Y0+1.5, width 1)")
     args = ap.parse_args(argv)
-    cfg = base_config()
+    cfg = probe_config()
 
     print(f"{'variant':>24} {'estimate':>10} {'error':>8}")
     for y0 in (float(t) for t in args.y0.split(",")):

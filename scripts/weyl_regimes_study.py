@@ -2,7 +2,7 @@
 """Fit the counting function in all three growth regimes and compare with
 the predicted constants.
 
-Three ready-made experiments on the circle cross-section S^1(2 pi):
+The experiments of selftest criteria 5-7 on the circle S^1(2 pi):
 
   p = 1   (volume regime)   N ~ C1 lambda        with C1 = 1/2
   p = 1/2 (log regime)      N ~ C2 lambda log l  with C2 = 1/2
@@ -12,37 +12,15 @@ Usage: python scripts/weyl_regimes_study.py [--regime {p1,log,zeta,all}]
 """
 
 import argparse
-import math
 import sys
 import time
 
 from cusplab.assemble import global_counting, weyl_fit
-from cusplab.model import (EndGeometry, MagneticData, Numerics, ProblemConfig,
-                           RadialPotential, builtin_cross_section)
-
-CIRCLE = builtin_cross_section("circle", length=2 * math.pi)
-
-EXPERIMENTS = {
-    "p1": ProblemConfig(
-        geometry=EndGeometry(2, "1", 1.0), cross_section=CIRCLE, degree=0,
-        magnetic=MagneticData(flux=("0.5",)),
-        numerics=Numerics(grids=(2500, 5000), domains=(6.5, 8.5),
-                          lambda_grid=(120.0, 1200.0, 16), lambda_scale="log")),
-    "log": ProblemConfig(
-        geometry=EndGeometry(2, "0.5", 1.0), cross_section=CIRCLE, degree=0,
-        magnetic=MagneticData(flux=("0.5",)),
-        numerics=Numerics(grids=(8000, 16000), domains=(80.0, 96.0),
-                          lambda_grid=(30.0, 300.0, 16), lambda_scale="log")),
-    "zeta": ProblemConfig(
-        geometry=EndGeometry(2, "0.25", 1.0), cross_section=CIRCLE, degree=0,
-        potential=RadialPotential(poly=((1.0, 0.5),)),
-        numerics=Numerics(grids=(70000, 140000), domains=(1400.0, 1680.0),
-                          lambda_grid=(10.0, 100.0, 16), lambda_scale="log")),
-}
+from cusplab.selftest import WEYL_EXPERIMENTS
 
 
 def run_one(name: str) -> None:
-    cfg = EXPERIMENTS[name]
+    cfg = WEYL_EXPERIMENTS[name]
     t0 = time.time()
     rep = global_counting(cfg)
     fit = weyl_fit(rep)
@@ -62,9 +40,9 @@ def run_one(name: str) -> None:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--regime", choices=[*EXPERIMENTS, "all"], default="all")
+    ap.add_argument("--regime", choices=[*WEYL_EXPERIMENTS, "all"], default="all")
     args = ap.parse_args(argv)
-    names = list(EXPERIMENTS) if args.regime == "all" else [args.regime]
+    names = list(WEYL_EXPERIMENTS) if args.regime == "all" else [args.regime]
     for name in names:
         run_one(name)
     return 0

@@ -24,8 +24,9 @@ analytic layer predicts:
   bump `config.check_bump`; an inconclusive probe leaves the check
   undecided (passed None), never failed.
 
-All aggregation is deterministic: modes are processed in their enumerated
-order and counts are integers, so reports are identical from run to run.
+The layer returns data only; `cli` writes every report.  All aggregation
+is deterministic: modes are processed in their enumerated order and counts
+are integers, so reports are identical from run to run.
 """
 
 from __future__ import annotations
@@ -234,6 +235,12 @@ class ThresholdEstimate:
         return abs(self.value - self.predicted) <= self.error
 
 
+def require_two_domains(config: ProblemConfig, study: str) -> None:
+    """Refuse, before counting, a study of the two longest domains of one."""
+    if len(config.numerics.domains) < 2:
+        raise AssembleError(f"{study} needs at least 2 domain lengths in numerics.domain_z")
+
+
 _COUNTS_STABLE = ("counts stable under domain growth across the window: "
                   "no essential spectrum detected")
 
@@ -254,9 +261,8 @@ def threshold_probe(config: ProblemConfig, sectors=None) -> ThresholdEstimate:
       lambda: a continuous channel of the reduction, so the growth is real;
     * else every open lane walls beyond the longest domain: inconclusive.
     """
+    require_two_domains(config, "threshold probe")
     num = config.numerics
-    if len(num.domains) < 2:
-        raise AssembleError("threshold probe needs at least 2 domain lengths")
     report = global_counting(config, sectors=sectors)
     lambdas, predicted = report.lambda_grid, report.prediction.essential_bottom
     gf, (shorter, longest) = num.grids[-1], num.domains[-2:]
@@ -383,33 +389,35 @@ def weyl_fit(report: SpectrumReport) -> WeylFit:
 @dataclass
 class CheckReport:
     passed: Optional[bool]
-    variants: dict
+    variants: dict      # the report's name ("Y0=1.0", "base", ...) -> ThresholdEstimate
     notes: tuple = ()
 
 
-def _agreement(probes: dict, stable_note: str, mixed_note: str):
-    """(passed, notes) of threshold probes that must agree, keyed by name.
+def _invariance_check(variants: dict, stable_note: str, mixed_note: str) -> CheckReport:
+    """Probe each named config variant; their threshold estimates must agree.
 
     passed is False only for a conclusive disagreement: no growth against
     growth, or estimates outside each other's error bars.  Otherwise an
     inconclusive probe makes it None, with a note naming it.  A pass with
     no growth names the probes whose counts were not stable.
     """
+    probes = {name: threshold_probe(config) for name, config in variants.items()}
     sure = [e for e in probes.values() if not e.inconclusive]
     growing = [e for e in sure if not e.no_growth]
-    if growing and len(growing) < len(sure):
-        return False, (mixed_note,)
-    if any(abs(a.value - b.value) > a.error + b.error for a in growing for b in growing):
-        return False, ()
     unsure = tuple(f"{name}: {note}" for name, e in probes.items() if e.inconclusive
                    for note in e.notes)
-    if unsure:
-        return None, unsure
-    if growing:
-        return True, ()
-    short = tuple(f"{name}: {e.notes[0]}" for name, e in probes.items()
-                  if e.notes[0] != _COUNTS_STABLE)
-    return True, short or (stable_note,)
+    if growing and len(growing) < len(sure):
+        passed, notes = False, (mixed_note,)
+    elif any(abs(a.value - b.value) > a.error + b.error for a in growing for b in growing):
+        passed, notes = False, ()
+    elif unsure:
+        passed, notes = None, unsure
+    elif growing:
+        passed, notes = True, ()
+    else:
+        passed, notes = True, tuple(f"{name}: {e.notes[0]}" for name, e in probes.items()
+                                    if e.notes[0] != _COUNTS_STABLE) or (stable_note,)
+    return CheckReport(passed=passed, variants=probes, notes=notes)
 
 
 def cut_invariance_check(config: ProblemConfig) -> CheckReport:
@@ -419,53 +427,15 @@ def cut_invariance_check(config: ProblemConfig) -> CheckReport:
     invariant under removing a compact piece), so pure-point problems pass
     by exhibiting stable counts for every Y0.
     """
-    variants = {y0: threshold_probe(config.with_y0(y0)) for y0 in config.check_y0}
-    passed, notes = _agreement(
-        {f"Y0={y0!r}": e for y0, e in variants.items()},
+    return _invariance_check(
+        {f"Y0={y0!r}": config.with_y0(y0) for y0 in config.check_y0},
         "discrete spectrum at every cut: counts stable (individual eigenvalues may differ)",
         "mixed stability across cuts")
-    return CheckReport(passed=passed, variants=variants, notes=notes)
 
 
 def perturbation_stability_check(config: ProblemConfig) -> CheckReport:
     """Threshold estimates with and without the bump `config.check_bump` must agree."""
-    variants = {"base": threshold_probe(config),
-                "bumped": threshold_probe(config.with_bump(config.check_bump))}
-    passed, notes = _agreement(
-        variants, "discrete spectrum with and without the bump: counts stable",
+    return _invariance_check(
+        {"base": config, "bumped": config.with_bump(config.check_bump)},
+        "discrete spectrum with and without the bump: counts stable",
         "stability changed under the bump")
-    return CheckReport(passed=passed, variants=variants, notes=notes)
-
-
-# ---------------------------------------------------------------------------
-# emission
-# ---------------------------------------------------------------------------
-
-def report_to_dict(report: SpectrumReport) -> dict:
-    return {
-        "lambda": [float(x) for x in report.lambda_grid],
-        "N_total": [int(x) for x in report.n_total],
-        "modes": [{
-            "label": r.mode.name,
-            "nu": r.mode.nu,
-            "multiplicity": r.mode.multiplicity,
-            "sector": r.mode.sector,
-            "counts": [int(c) for c in r.counts],
-            "eigenvalues": r.eigenvalues,
-        } for r in report.modes],
-        "totals_by_combo": {
-            f"grid={g},domain={t!r}": [int(x) for x in v]
-            for (g, t), v in sorted(report.totals_by_combo.items())},
-        "stable": report.stable,
-        "truncation_dependent": report.truncation_dependent,
-        "prediction": criteria.prediction_to_dict(report.prediction),
-        "meta": {k: list(v) if isinstance(v, tuple) else v
-                 for k, v in report.meta.items()},
-        "notes": list(report.notes),
-    }
-
-
-def report_two_column(report: SpectrumReport) -> str:
-    """Plot-ready dump: lambda and N separated by whitespace."""
-    return "\n".join(f"{float(l)!r} {int(n)}"
-                     for l, n in zip(report.lambda_grid, report.n_total)) + "\n"

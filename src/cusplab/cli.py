@@ -14,7 +14,8 @@ Subcommands and the formats each writes (the first is the default):
   selftest      run the acceptance battery
 
 Every command but selftest takes --config PATH (required), --format and
---out PATH; selftest takes no flags.  The numerics come from the config
+--out PATH; selftest takes no flags.  This module writes every report: the
+layers below it return data only.  The numerics come from the config
 alone, so a report can be rebuilt from its config.  Every numeric command,
 reduce included, works up to the top of numerics.lambda_grid.
 
@@ -135,12 +136,46 @@ def _prediction_text(pred) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _prediction_dict(pred) -> dict:
+    return {
+        "classification": pred.classification,
+        "essential_bottom": pred.essential_bottom,
+        "thresholds": list(pred.thresholds),
+        "weyl_regime": pred.weyl_regime,
+        "constants": {**pred.constants, "C3_tail": pred.c3_tail},
+        "notes": list(pred.notes),
+    }
+
+
+def _report_dict(report) -> dict:
+    return {
+        "lambda": [float(x) for x in report.lambda_grid],
+        "N_total": [int(x) for x in report.n_total],
+        "modes": [{
+            "label": r.mode.name,
+            "nu": r.mode.nu,
+            "multiplicity": r.mode.multiplicity,
+            "sector": r.mode.sector,
+            "counts": [int(c) for c in r.counts],
+            "eigenvalues": r.eigenvalues,
+        } for r in report.modes],
+        "totals_by_combo": {
+            f"grid={g},domain={t!r}": [int(x) for x in v]
+            for (g, t), v in sorted(report.totals_by_combo.items())},
+        "stable": report.stable,
+        "truncation_dependent": report.truncation_dependent,
+        "prediction": _prediction_dict(report.prediction),
+        "meta": report.meta,
+        "notes": list(report.notes),
+    }
+
+
 def cmd_criteria(args):
     pred = criteria.classify(_load_config(args))
     row = {"classification": pred.classification,
            "essential_bottom": pred.essential_bottom,
            "weyl_regime": pred.weyl_regime, **pred.constants}
-    _emit(args, criteria.prediction_to_dict(pred), _prediction_text(pred), list(row), [row])
+    _emit(args, _prediction_dict(pred), _prediction_text(pred), list(row), [row])
     return EXIT_OK
 
 
@@ -172,8 +207,8 @@ def cmd_count(args):
             for i, lam in enumerate(report.lambda_grid)]
     text = (_prediction_text(report.prediction)
             + f"stable across domains: {report.stable}\n"
-            + "# lambda  N\n" + assemble.report_two_column(report))
-    _emit(args, assemble.report_to_dict(report), text, columns, rows)
+            + "# lambda  N\n" + "".join(f"{r['lambda']!r} {r['N_total']}\n" for r in rows))
+    _emit(args, _report_dict(report), text, columns, rows)
     return EXIT_OK
 
 
@@ -186,7 +221,7 @@ def cmd_spectrum(args):
         evs = ", ".join(f"{ev:.8g}" for ev in (r.eigenvalues or []))
         lines.append(f"mode {r.mode.name} (nu={r.mode.nu:.6g}, "
                      f"mult={r.mode.multiplicity}): {evs or '(none below window)'}")
-    _emit(args, assemble.report_to_dict(report), "\n".join(lines) + "\n",
+    _emit(args, _report_dict(report), "\n".join(lines) + "\n",
           ("mode", "multiplicity", "eigenvalue"), rows)
     return EXIT_OK
 
@@ -209,7 +244,9 @@ def cmd_essspec(args):
 
 
 def cmd_weyl(args):
-    report = assemble.global_counting(_load_config(args))
+    config = _load_config(args)
+    assemble.require_two_domains(config, "weyl")
+    report = assemble.global_counting(config)
     fit = assemble.weyl_fit(report)
     pred = report.prediction
     payload = {
@@ -243,7 +280,9 @@ def cmd_zeta(args):
     return EXIT_OK
 
 
-def _check_report(args, check, variants):
+def _check_report(args, check):
+    variants = {name: {"estimate": e.value, "error": e.error, "no_growth": e.no_growth}
+                for name, e in check.variants.items()}
     payload = {"passed": check.passed, "notes": list(check.notes), "variants": variants}
     lines = [f"passed: {check.passed}"]
     lines += [f"{key}: {val}" for key, val in variants.items()]
@@ -252,25 +291,16 @@ def _check_report(args, check, variants):
     return _verdict(check.passed, check.notes)
 
 
-def _probe_fields(est):
-    return {"estimate": est.value, "error": est.error, "no_growth": est.no_growth}
-
-
 def cmd_cut_check(args):
-    check = assemble.cut_invariance_check(_load_config(args))
-    return _check_report(args, check, {
-        f"Y0={y0!r}": _probe_fields(e) for y0, e in check.variants.items()})
+    return _check_report(args, assemble.cut_invariance_check(_load_config(args)))
 
 
 def cmd_perturb_check(args):
-    check = assemble.perturbation_stability_check(_load_config(args))
-    return _check_report(args, check, {
-        key: _probe_fields(e) for key, e in check.variants.items()})
+    return _check_report(args, assemble.perturbation_stability_check(_load_config(args)))
 
 
 def cmd_selftest(args):
-    ok = selftest.run_all()
-    return EXIT_OK if ok else EXIT_DISCREPANCY
+    return EXIT_OK if selftest.run_all() else EXIT_DISCREPANCY
 
 
 _TEXT_CSV_JSON = ("text", "csv", "json")

@@ -350,13 +350,3 @@ def classify(config: ProblemConfig) -> Prediction:
         weyl_exponent=consts.exponent, weyl_constant=consts.constant,
         c3_tail=consts.c3_tail, notes=base.notes + tuple(notes))
 
-
-def prediction_to_dict(pred: Prediction) -> dict:
-    return {
-        "classification": pred.classification,
-        "essential_bottom": pred.essential_bottom,
-        "thresholds": list(pred.thresholds),
-        "weyl_regime": pred.weyl_regime,
-        "constants": {**pred.constants, "C3_tail": pred.c3_tail},
-        "notes": list(pred.notes),
-    }

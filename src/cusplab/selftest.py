@@ -1,9 +1,10 @@
 """Acceptance battery: one runnable check per advertised guarantee.
 
-Each criterion function returns (passed, detail) and is deliberately
-self-contained (it builds its own config), so the battery doubles as a set
-of worked examples.  `run_all` prints one PASS/FAIL line per criterion;
-the pytest suite asserts the same functions.
+Each criterion function takes no input and returns (passed, detail), so
+the battery doubles as a set of worked examples.  `run_all` prints one
+PASS/FAIL line per criterion; the pytest suite asserts the same functions.
+Criteria 3-7 and 10 read the shared experiments `probe_config` and
+`WEYL_EXPERIMENTS`, which the scripts in scripts/ run too.
 
 Tolerances are part of the contract and are pinned here, not computed.
 """
@@ -84,9 +85,11 @@ def criterion_2():
     return worst_val <= 1e-9, f"50 pencils; worst eigenvalue deviation {worst_val:.2e}"
 
 
-def _probe_config(numerics=None, flux="0", y0=1.0):
+def probe_config(flux="0", y0=1.0, p="1", numerics=None):
+    """The threshold probe's circle config: at p = 1 and integral flux its
+    essential spectrum starts at 1/4, inside the default window."""
     return _circle_config(
-        p="1", flux=flux, y0=y0,
+        p=p, flux=flux, y0=y0,
         numerics=numerics or Numerics(grids=(1000, 2000), domains=(8.0, 16.0, 32.0),
                                       lambda_grid=(0.05, 0.5, 46)))
 
@@ -103,34 +106,48 @@ def _conclusive(est) -> bool:
 
 def criterion_3():
     """Scalar threshold at p=1: probe finds 1/4 within 0.02."""
-    est = assemble.threshold_probe(_probe_config())
+    est = assemble.threshold_probe(probe_config())
     ok = _conclusive(est) and abs(est.value - 0.25) <= 0.02
     return ok, f"estimate {est.value} +- {est.error:.3f}, predicted {est.predicted}"
 
 
 def criterion_4():
     """Flux switch: half-integral flux kills the essential spectrum."""
-    rep = assemble.global_counting(_in_window(_probe_config(flux="0.5"), (0.1, 1.0, 10)))
+    rep = assemble.global_counting(_in_window(probe_config(flux="0.5"), (0.1, 1.0, 10)))
     pred = rep.prediction
-    est = assemble.threshold_probe(_probe_config(flux="1"))
+    est = assemble.threshold_probe(probe_config(flux="1"))
     ok = (pred.is_pure_point and rep.stable and _conclusive(est)
           and abs(est.value - 0.25) <= 0.02)
     return ok, (f"mu=0.5: {pred.classification}, counts stable={rep.stable}; "
                 f"mu=1: threshold {est.value}")
 
 
-def _weyl_run(**config):
-    """Counting table, Weyl fit and predicted constant of a circle config."""
-    rep = assemble.global_counting(_circle_config(**config))
+#: the Weyl-law experiment of each growth regime, on the circle S^1(2 pi)
+WEYL_EXPERIMENTS = {
+    "p1": _circle_config(    # N ~ C1 lambda, C1 = 1/2
+        p="1", flux="0.5",
+        numerics=Numerics(grids=(2500, 5000), domains=(6.5, 8.5),
+                          lambda_grid=(120.0, 1200.0, 16), lambda_scale="log")),
+    "log": _circle_config(   # N ~ C2 lambda log lambda, C2 = 1/2
+        p="0.5", flux="0.5",
+        numerics=Numerics(grids=(8000, 16000), domains=(80.0, 96.0),
+                          lambda_grid=(30.0, 300.0, 16), lambda_scale="log")),
+    "zeta": _circle_config(  # N ~ C3 lambda^2, C3 from zeta values
+        p="0.25", potential=RadialPotential(poly=((1.0, 0.5),)),
+        numerics=Numerics(grids=(70000, 140000), domains=(1400.0, 1680.0),
+                          lambda_grid=(10.0, 100.0, 16), lambda_scale="log")),
+}
+
+
+def _weyl_run(name):
+    """Counting table, Weyl fit and predicted constant of a Weyl experiment."""
+    rep = assemble.global_counting(WEYL_EXPERIMENTS[name])
     return rep, assemble.weyl_fit(rep), rep.prediction.weyl_constant
 
 
 def criterion_5():
     """Weyl law at p=1: exponent 1 +- 0.05, constant within 10% of C1=1/2."""
-    rep, fit, c1 = _weyl_run(
-        p="1", flux="0.5",
-        numerics=Numerics(grids=(2500, 5000), domains=(6.5, 8.5),
-                          lambda_grid=(120.0, 1200.0, 16), lambda_scale="log"))
+    rep, fit, c1 = _weyl_run("p1")
     ok = (rep.stable and abs(fit.exponent - 1.0) <= 0.05
           and abs(fit.constant / c1 - 1.0) <= 0.10)
     return ok, (f"exponent {fit.exponent:.4f}, constant {fit.constant:.4f} "
@@ -139,10 +156,7 @@ def criterion_5():
 
 def criterion_6():
     """Log regime p = 1/n: slope of N/lambda against log lambda is C2=1/2."""
-    rep, fit, c2 = _weyl_run(
-        p="0.5", flux="0.5",
-        numerics=Numerics(grids=(8000, 16000), domains=(80.0, 96.0),
-                          lambda_grid=(30.0, 300.0, 16), lambda_scale="log"))
+    rep, fit, c2 = _weyl_run("log")
     ok = rep.stable and abs(fit.constant / c2 - 1.0) <= 0.15
     return ok, (f"C2 fit {fit.constant:.4f} vs {c2:.4f} "
                 f"({100 * (fit.constant / c2 - 1):+.1f}%)")
@@ -150,10 +164,7 @@ def criterion_6():
 
 def criterion_7():
     """Power regime p < 1/n with a boundary potential: C3 from zeta values."""
-    rep, fit, c3 = _weyl_run(
-        p="0.25", potential=RadialPotential(poly=((1.0, 0.5),)),
-        numerics=Numerics(grids=(70000, 140000), domains=(1400.0, 1680.0),
-                          lambda_grid=(10.0, 100.0, 16), lambda_scale="log"))
+    rep, fit, c3 = _weyl_run("zeta")
     tail = rep.prediction.c3_tail
     ok = (rep.stable and abs(fit.exponent - 2.0) <= 0.1
           and abs(fit.constant / c3 - 1.0) <= 0.15
@@ -196,8 +207,8 @@ def criterion_9():
 
 def criterion_10():
     """Cut and bump invariance of the p=1 threshold."""
-    ests = {f"Y0={y0}": assemble.threshold_probe(_probe_config(y0=y0)) for y0 in (1.0, 2.0)}
-    ests["bump"] = assemble.threshold_probe(_probe_config().with_bump((2.5, 1.0, 5.0)))
+    ests = {f"Y0={y0}": assemble.threshold_probe(probe_config(y0=y0)) for y0 in (1.0, 2.0)}
+    ests["bump"] = assemble.threshold_probe(probe_config().with_bump((2.5, 1.0, 5.0)))
     ok = all(_conclusive(e) and abs(e.value - 0.25) <= 0.02 for e in ests.values())
     return ok, ", ".join(f"{k}: {e.value:.4f}" for k, e in ests.items())
 
@@ -267,10 +278,7 @@ CRITERIA = [
 ]
 
 
-def run_all(stream=None) -> bool:
-    import sys
-
-    stream = stream or sys.stdout
+def run_all() -> bool:
     all_ok = True
     for i, (name, fn) in enumerate(CRITERIA, start=1):
         t0 = time.time()
@@ -281,5 +289,5 @@ def run_all(stream=None) -> bool:
         all_ok &= ok
         status = "PASS" if ok else "FAIL"
         print(f"[{status}] criterion {i:2d} - {name}: {detail} "
-              f"({time.time() - t0:.1f}s)", file=stream)
+              f"({time.time() - t0:.1f}s)")
     return all_ok

@@ -9,7 +9,6 @@ import pytest
 from cusplab import assemble, sturm
 from cusplab.assemble import (AssembleError, cut_invariance_check,
                               global_counting, perturbation_stability_check,
-                              report_to_dict, report_two_column,
                               threshold_probe, weyl_fit)
 from cusplab.criteria import LOG_LAW, POWER_HALF_P, POWER_N2
 from cusplab.model import (ConfigError, EndGeometry, MagneticData, Numerics,
@@ -100,7 +99,7 @@ def test_probe_reports_no_growth_for_pure_point():
 
 
 def test_probe_needs_two_domains():
-    with pytest.raises(AssembleError, match="at least 2 domain lengths"):
+    with pytest.raises(AssembleError, match="at least 2 domain lengths in numerics.domain_z"):
         threshold_probe(circle_cfg(flux="0", domains=(8.0,)))
     est = threshold_probe(circle_cfg(flux="0", domains=(16.0, 32.0)))
     assert not est.inconclusive and abs(est.value - 0.25) <= est.error
@@ -184,6 +183,10 @@ def test_weyl_fit_requires_growth_and_span():
     rep2 = global_counting(cfg2)
     with pytest.raises(AssembleError, match="decade"):
         weyl_fit(rep2)
+    cfg3 = circle_cfg(flux="0.5", grids=(300, 600), domains=(6.0, 8.0),
+                      lam=(5.0, 60.0, 6), scale="log")
+    with pytest.raises(AssembleError, match="need N >= 30 at the top, achieved 26"):
+        weyl_fit(global_counting(cfg3))
 
 
 @pytest.mark.parametrize("p, regime, grids, domains, lam", [
@@ -231,7 +234,7 @@ def test_weyl_verdict_is_undecided_on_a_domain_unstable_pure_point_table():
 
 def test_cut_invariance_passes_for_essential_case():
     check = cut_invariance_check(circle_cfg(flux="0"))
-    assert check.passed and list(check.variants) == [1.0, 2.0]
+    assert check.passed and list(check.variants) == ["Y0=1.0", "Y0=2.0"]
     vals = [e.value for e in check.variants.values()]
     assert all(abs(v - 0.25) <= 0.02 for v in vals)
 
@@ -268,16 +271,6 @@ def test_perturbation_negative_bump_on_pure_point():
     check = perturbation_stability_check(cfg)
     assert check.passed
     assert check.variants["bumped"].no_growth
-
-
-def test_report_csv_and_dump_shapes():
-    cfg = circle_cfg(flux="0.5", lam=(0.5, 30.0, 12))
-    rep = global_counting(cfg)
-    dump = report_two_column(rep)
-    assert len(dump.strip().split("\n")) == 12
-    d = report_to_dict(rep)
-    assert d["prediction"]["classification"] == "pure_point"
-    assert len(d["N_total"]) == 12
 
 
 def test_log_regime_fit_runs():

@@ -14,7 +14,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cusplab import assemble
+from cusplab import assemble, selftest
 from cusplab.assemble import ThresholdEstimate, WeylFit
 from cusplab.cli import _SUBCOMMANDS, UsageError, _build_parser, _emit, main
 from cusplab.model import _FIELDS, _KNOWN_KEYS
@@ -170,6 +170,17 @@ def test_count_csv_and_determinism(cfg_path, capsys):
     second = capsys.readouterr().out
     assert first == second
     assert first.splitlines()[0].startswith("lambda,N_total")
+
+
+def test_report_csv_and_dump_shapes(cfg_path, capsys):
+    path = cfg_path(AB_CFG.replace("0.05,0.5,46", "0.5,30.0,12"))
+    assert main(["count", "--config", path]) == 0
+    dump = capsys.readouterr().out.split("# lambda  N\n")[1]
+    assert len(dump.strip().split("\n")) == 12
+    assert main(["count", "--config", path, "--format", "json"]) == 0
+    d = json.loads(capsys.readouterr().out)
+    assert d["prediction"]["classification"] == "pure_point"
+    assert len(d["N_total"]) == 12
 
 
 def test_count_csv_one_row_per_lambda(cfg_path, capsys):
@@ -396,6 +407,25 @@ def test_selftest_takes_no_flags(tmp_path, capsys):
     assert not out_file.exists()
 
 
+def test_selftest_reports_each_criterion_and_survives_a_crash(monkeypatch, capsys):
+    def crash():
+        raise ValueError("boom")
+
+    battery = [("passes", lambda: (True, "fine")), ("crashes", crash),
+               ("fails", lambda: (False, "off"))]
+    monkeypatch.setattr(selftest, "CRITERIA", battery)
+    assert main(["selftest"]) == 2
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert [re.sub(r" \(\d+\.\ds\)$", "", line) for line in out.splitlines()] == [
+        "[PASS] criterion  1 - passes: fine",
+        "[FAIL] criterion  2 - crashes: raised ValueError: boom",
+        "[FAIL] criterion  3 - fails: off"]
+    monkeypatch.setattr(selftest, "CRITERIA", battery[:1])
+    assert main(["selftest"]) == 0
+    assert capsys.readouterr().out.startswith("[PASS] criterion  1 - passes: fine (")
+
+
 @pytest.mark.parametrize("flag, reason", [
     ("magnetic.theta0_closed", "non-closed tangential form"),
     ("magnetic.phi0_constant", "non-constant radial coefficient"),
@@ -488,6 +518,23 @@ def test_weyl_on_an_unsettled_pure_point_table_exits_one(cfg_path, capsys, domai
         assert "stable: False\n" in out and out.endswith("consistent: None\n")
     assert err.startswith("error[inconclusive]: ") and err.count("\n") == 1
     assert "not domain-stable" in err
+
+
+@pytest.mark.parametrize("command, study", [
+    ("weyl", "weyl"), ("essspec", "threshold probe"), ("cut-check", "threshold probe"),
+    ("perturb-check", "threshold probe")])
+def test_a_one_domain_study_is_refused_before_counting(cfg_path, capsys, monkeypatch,
+                                                       command, study):
+    def counting(*args, **kwargs):
+        raise AssertionError("counted a one-domain study")
+
+    monkeypatch.setattr(assemble, "global_counting", counting)
+    path = cfg_path(with_line(UNSETTLED_WEYL_CFG, "numerics.domain_z = 8"))
+    assert main([command, "--config", path]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error[invalid]: {study} needs at least 2 domain lengths in "
+                   "numerics.domain_z\n")
 
 
 def test_weyl_on_an_essential_spectrum_table_stays_informational(cfg_path, capsys):
@@ -702,6 +749,7 @@ GROWTH = ThresholdEstimate(0.25, 0.1, 0.25, 6.0, False)
 SHIFTED = ThresholdEstimate(1.0, 0.1, 0.25, 6.0, False)
 STABLE = ThresholdEstimate(None, 0.1, 0.25, 6.0, False, ("counts stable",))
 UNSURE = ThresholdEstimate(0.25, 0.1, 0.25, 6.0, True, (INCONCLUSIVE,))
+UNPREDICTED = ThresholdEstimate(0.25, 0.1, None, 6.0, False)   # growth, pure point predicted
 
 
 def _weyl_fit(consistent, notes=()):
@@ -713,6 +761,7 @@ def _weyl_fit(consistent, notes=()):
     ("essspec", [GROWTH], 0),
     ("essspec", [SHIFTED], 2),
     ("essspec", [UNSURE], 1),
+    ("essspec", [UNPREDICTED], 2),
     ("cut-check", [GROWTH, GROWTH], 0),
     ("cut-check", [STABLE, STABLE], 0),
     ("cut-check", [GROWTH, STABLE], 2),

@@ -7,12 +7,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cusplab.cli import _prediction_dict
 from cusplab.criteria import (CriteriaError, classify, form_constants,
                               full_ellipticity_forms, magnetic_pure_point,
-                              magnetic_schrodinger_bound, prediction_to_dict,
-                              schrodinger_pure_point, thresholds_forms,
-                              vol_end, vol_sphere, weyl_constants, weyl_regime,
-                              POWER_N2, LOG_LAW, POWER_HALF_P)
+                              magnetic_schrodinger_bound, schrodinger_pure_point,
+                              thresholds_forms, vol_end, vol_sphere, weyl_constants,
+                              weyl_regime, POWER_N2, LOG_LAW, POWER_HALF_P)
 from cusplab.model import (EndGeometry, MagneticData, ProblemConfig,
                            RadialPotential, builtin_cross_section)
 from cusplab.reduce import min_cross_eigenvalue
@@ -281,8 +281,8 @@ def test_prediction_states_the_regime_law(p, regime, exponent, name):
     assert pred.weyl_constant is not None
     assert pred.constants[name] == pred.weyl_constant
     assert sum(c is not None for c in pred.constants.values()) == 1
-    assert prediction_to_dict(pred)["constants"] == {**pred.constants,
-                                                     "C3_tail": pred.c3_tail}
+    assert _prediction_dict(pred)["constants"] == {**pred.constants,
+                                                   "C3_tail": pred.c3_tail}
 
 
 def test_prediction_law_has_no_constant_where_c3_is_fit_only():
@@ -296,7 +296,7 @@ def test_prediction_law_has_no_constant_where_c3_is_fit_only():
 
 def test_law_stays_out_of_the_prediction_report():
     pred = classify(circle_cfg(1, flux="0.5"))
-    assert set(prediction_to_dict(pred)) == {
+    assert set(_prediction_dict(pred)) == {
         "classification", "essential_bottom", "thresholds", "weyl_regime",
         "constants", "notes"}
 
