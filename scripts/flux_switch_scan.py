@@ -3,9 +3,11 @@
 
 For each flux value mu in a grid over [0, 1] the script reports the
 analytic classification, the bottom of the essential spectrum predicted for
-integral flux, and the numerical stability/growth diagnosis of the counting
-function.  The essential spectrum should exist exactly at the integral
-points mu = 0 and mu = 1 and vanish everywhere in between.
+integral flux, the threshold probe's estimate and whether it found no
+growth (`no_growth`: also true when the counts differ only in lanes that
+wall inside the longest domain).  The essential spectrum should exist
+exactly at the integral points mu = 0 and mu = 1 and vanish everywhere in
+between.
 
 Usage: python scripts/flux_switch_scan.py [--steps N] [--p P] [--csv]
 """
@@ -37,17 +39,17 @@ def main(argv=None) -> int:
                      pred.essential_bottom, est.value, est.error, est.no_growth))
 
     if args.csv:
-        print("mu,classification,predicted_bottom,probe,probe_error,counts_stable")
-        for mu, cls, pb, pv, pe, stable in rows:
+        print("mu,classification,predicted_bottom,probe,probe_error,no_growth")
+        for mu, cls, pb, pv, pe, no_growth in rows:
             print(f"{mu!r},{cls},{'' if pb is None else repr(pb)},"
-                  f"{'' if pv is None else repr(pv)},{pe!r},{stable}")
+                  f"{'' if pv is None else repr(pv)},{pe!r},{no_growth}")
     else:
         print(f"{'mu':>8} {'classification':>16} {'predicted':>10} "
-              f"{'probe':>10} {'stable':>7}")
-        for mu, cls, pb, pv, pe, stable in rows:
+              f"{'probe':>10} {'no_growth':>9}")
+        for mu, cls, pb, pv, pe, no_growth in rows:
             pbs = "-" if pb is None else f"{pb:.3f}"
             pvs = "-" if pv is None else f"{pv:.3f}"
-            print(f"{mu:8.3f} {cls:>16} {pbs:>10} {pvs:>10} {str(stable):>7}")
+            print(f"{mu:8.3f} {cls:>16} {pbs:>10} {pvs:>10} {str(no_growth):>9}")
     return 0
 
 

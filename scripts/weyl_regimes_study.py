@@ -22,7 +22,7 @@ from cusplab.selftest import WEYL_EXPERIMENTS
 def run_one(name: str) -> None:
     cfg = WEYL_EXPERIMENTS[name]
     t0 = time.time()
-    rep = global_counting(cfg)
+    rep = global_counting(cfg.with_finest_grid())   # what the fit reads
     fit = weyl_fit(rep)
     pred = rep.prediction
     const = pred.weyl_constant

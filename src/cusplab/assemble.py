@@ -12,12 +12,13 @@ analytic layer predicts:
   under domain growth (Dirichlet bracketing) within a group raise an
   internal error.  The lambda window and the study's grids and domains all
   come from `config.numerics`.
-* `threshold_probe` estimates the bottom of the essential spectrum as the
-  first lambda at which the two longest domains count differently, and
-  judges that growth by the lanes the Sturm pass settled: a lane that
-  walls inside the longest domain has a final count, and only an open lane
-  of a mode that is a continuous channel of the reduction
-  (`reduce.mode_threshold`) shows essential spectrum.
+* `threshold_probe` counts the finest grid only.  It estimates the bottom
+  of the essential spectrum as the first lambda at which the two longest
+  domains count differently, and judges that growth by the lanes the
+  Sturm pass settled: a lane that walls inside the longest domain has a
+  final count, and only an open lane of a mode that is a continuous
+  channel of the reduction (`reduce.mode_threshold`) shows essential
+  spectrum.
 * `weyl_fit` fits the counting table against the predicted law and judges it.
 * `cut_invariance_check` / `perturbation_stability_check` verify that the
   probe's output ignores the cut radii `config.check_y0` and the compact
@@ -140,15 +141,17 @@ def global_counting(config: ProblemConfig, with_eigenvalues: bool = False,
     """Counting table N(lambda) over the configured (grid x domain) study.
 
     The lambda window is `config.numerics.lambdas()`.  The table reported
-    is the finest combination; `totals_by_combo` keeps all of them for
-    stability assessment.  Per grid, each group of nested domains
-    (`_nested_groups`) is assembled as one stack on its longest domain and
-    counted in one pass; the eigenvalue listing takes its pencils from the
-    finest stack's rows, and each `ModeResult` carries the finest grid's
-    counts and the longest domain's settled mask.  If the analytic layer
-    predicts essential spectrum the table is labeled truncation-dependent:
-    counts then grow with the domain and carry no spectral meaning of
-    their own.
+    is the finest combination, the last grid on the longest domain;
+    `totals_by_combo` keeps all of them for stability assessment.  Every
+    grid of `config` is counted, so a caller that reads only the finest
+    one passes `config.with_finest_grid()`.  Per grid, each group of
+    nested domains (`_nested_groups`) is assembled as one stack on its
+    longest domain and counted in one pass; the eigenvalue listing takes
+    its pencils from the finest stack's rows, and each `ModeResult`
+    carries the finest grid's counts and the longest domain's settled
+    mask.  If the analytic layer predicts essential spectrum the table is
+    labeled truncation-dependent: counts then grow with the domain and
+    carry no spectral meaning of their own.
     """
     lambdas = config.numerics.lambdas()
     if not np.all(np.diff(lambdas) > 0):
@@ -248,12 +251,14 @@ _COUNTS_STABLE = ("counts stable under domain growth across the window: "
 def threshold_probe(config: ProblemConfig, sectors=None) -> ThresholdEstimate:
     """Estimate inf of the essential spectrum from count growth in length.
 
-    The probe scans the configured lambda window on the finest grid.  The
-    estimate is the first lambda where the two longest domains count
-    differently, backed off by half a grid step; the error bar combines the
-    grid resolution with the (pi/T_max)^2 detection floor of a Dirichlet
-    channel of length T_max.  The lanes the longest domain has settled
-    (`ModeResult.settled`) judge that difference, at and above the estimate:
+    The probe scans the configured lambda window on the finest grid and
+    counts that grid only: the coarser grids of `config.numerics.grids`
+    are neither assembled nor counted.  The estimate is the first lambda
+    where the two longest domains count differently, backed off by half a
+    grid step; the error bar combines the grid resolution with the
+    (pi/T_max)^2 detection floor of a Dirichlet channel of length T_max.
+    The lanes the longest domain has settled (`ModeResult.settled`) judge
+    that difference, at and above the estimate:
 
     * every lane settled: those counts are final, so the shorter domain was
       too short and nothing grows;
@@ -263,9 +268,9 @@ def threshold_probe(config: ProblemConfig, sectors=None) -> ThresholdEstimate:
     """
     require_two_domains(config, "threshold probe")
     num = config.numerics
-    report = global_counting(config, sectors=sectors)
-    lambdas, predicted = report.lambda_grid, report.prediction.essential_bottom
     gf, (shorter, longest) = num.grids[-1], num.domains[-2:]
+    report = global_counting(config.with_finest_grid(), sectors=sectors)
+    lambdas, predicted = report.lambda_grid, report.prediction.essential_bottom
     step = float(np.max(np.diff(lambdas)))
     error = step + (math.pi / longest) ** 2     # grid resolution + detection floor
 
@@ -404,14 +409,13 @@ def _invariance_check(variants: dict, stable_note: str, mixed_note: str) -> Chec
     probes = {name: threshold_probe(config) for name, config in variants.items()}
     sure = [e for e in probes.values() if not e.inconclusive]
     growing = [e for e in sure if not e.no_growth]
-    unsure = tuple(f"{name}: {note}" for name, e in probes.items() if e.inconclusive
-                   for note in e.notes)
     if growing and len(growing) < len(sure):
         passed, notes = False, (mixed_note,)
     elif any(abs(a.value - b.value) > a.error + b.error for a in growing for b in growing):
         passed, notes = False, ()
-    elif unsure:
-        passed, notes = None, unsure
+    elif len(sure) < len(probes):
+        passed, notes = None, tuple(f"{name}: {note}" for name, e in probes.items()
+                                    if e.inconclusive for note in e.notes)
     elif growing:
         passed, notes = True, ()
     else:

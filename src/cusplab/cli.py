@@ -246,7 +246,8 @@ def cmd_essspec(args):
 def cmd_weyl(args):
     config = _load_config(args)
     assemble.require_two_domains(config, "weyl")
-    report = assemble.global_counting(config)
+    # the fit and the stability flag read the finest grid only
+    report = assemble.global_counting(config.with_finest_grid())
     fit = assemble.weyl_fit(report)
     pred = report.prediction
     payload = {

@@ -291,11 +291,14 @@ def bump_values(y, bump):
 class Numerics:
     """Discretization controls.
 
-    grids       mesh cells on the first (shortest) domain; cells scale with
+    grids       strictly increasing mesh cells on the first (shortest)
+                domain, so the last grid is the finest; cells scale with
                 the domain so the mesh width is fixed per grid level.  For
                 p <= 1, domains whose widths T/cells are the same double
                 nest node for node and are counted in one Sturm pass; for
-                p > 1 (zmax depends on e^T) no two domains nest.
+                p > 1 (zmax depends on e^T) no two domains nest.  `count`
+                and `spectrum` count every grid; the verdict commands only
+                the finest (`ProblemConfig.with_finest_grid`).
     domains     strictly increasing transformed-variable lengths: z-lengths
                 for p <= 1; for p > 1 a domain T truncates at Ymax = Y0 * e^T.
     lambda_grid (lo, hi, count) spectral-parameter grid, linear by default;
@@ -315,8 +318,9 @@ class Numerics:
         lo, hi, cnt = self.lambda_grid
         object.__setattr__(self, "lambda_grid", (float(lo), float(hi), int(cnt)))
         _check_domains(self)
-        if any(a >= b for a, b in zip(self.domains, self.domains[1:])):
-            raise ConfigError("invariant violated: domain lengths must be strictly increasing")
+        for name, values in (("grids", self.grids), ("domain lengths", self.domains)):
+            if any(a >= b for a, b in zip(values, values[1:])):
+                raise ConfigError(f"invariant violated: {name} must be strictly increasing")
         if not (lo < hi) or cnt < 2:
             raise ConfigError("invariant violated: lambda grid needs lo < hi and count >= 2")
         if self.lambda_scale == "log" and lo <= 0:
@@ -394,6 +398,10 @@ class ProblemConfig:
         pot = self.potential if self.potential is not None else RadialPotential()
         return replace(self, potential=replace(pot, bump=tuple(bump) if bump else None))
 
+    def with_finest_grid(self) -> "ProblemConfig":
+        """This config with its finest grid, the last of `numerics.grids`, alone."""
+        return replace(self, numerics=replace(self.numerics, grids=self.numerics.grids[-1:]))
+
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -441,6 +449,16 @@ def _flag(tok: str) -> bool:
 def _list(read):
     """Reader of a comma list, each token through `read`."""
     return lambda tok: tuple(read(t) for t in tok.split(","))
+
+
+def _increasing(read):
+    """Reader of a strictly increasing comma list, each token through `read`."""
+    def read_list(tok):
+        values = _list(read)(tok)
+        if any(a >= b for a, b in zip(values, values[1:])):
+            raise ValueError(f"expected strictly increasing values, got {tok!r}")
+        return values
+    return read_list
 
 
 def _fixed(names: str, *reads):
@@ -528,7 +546,7 @@ _FIELDS = (
     _Field("potential.poly", "poly", _pairs),
     _Field("potential.bump", "bump", _BUMP, lambda b: b[1] > 0,
            "bump width must be > 0"),
-    _Field("numerics.grid", "grids", _list(_integer),
+    _Field("numerics.grid", "grids", _increasing(_integer),
            lambda grids: all(g >= 4 for g in grids), "each grid needs at least 4 cells"),
     _Field("numerics.domain_z", "domains", _list(_real),
            lambda domains: all(_positive(d) for d in domains),

@@ -140,8 +140,11 @@ WEYL_EXPERIMENTS = {
 
 
 def _weyl_run(name):
-    """Counting table, Weyl fit and predicted constant of a Weyl experiment."""
-    rep = assemble.global_counting(WEYL_EXPERIMENTS[name])
+    """Counting table, Weyl fit and predicted constant of a Weyl experiment.
+
+    Like `cusplab weyl`, it counts the finest grid only: the fit and the
+    stability flag read nothing else."""
+    rep = assemble.global_counting(WEYL_EXPERIMENTS[name].with_finest_grid())
     return rep, assemble.weyl_fit(rep), rep.prediction.weyl_constant
 
 
@@ -206,11 +209,15 @@ def criterion_9():
 
 
 def criterion_10():
-    """Cut and bump invariance of the p=1 threshold."""
-    ests = {f"Y0={y0}": assemble.threshold_probe(probe_config(y0=y0)) for y0 in (1.0, 2.0)}
-    ests["bump"] = assemble.threshold_probe(probe_config().with_bump((2.5, 1.0, 5.0)))
-    ok = all(_conclusive(e) and abs(e.value - 0.25) <= 0.02 for e in ests.values())
-    return ok, ", ".join(f"{k}: {e.value:.4f}" for k, e in ests.items())
+    """Cut and bump invariance of the p=1 threshold: `cut-check` and
+    `perturb-check` pass on `probe_config()` (cuts Y0 = 1, 2; bump 2.5,1,5)."""
+    cut = assemble.cut_invariance_check(probe_config())
+    bump = assemble.perturbation_stability_check(probe_config())
+    ests = [*cut.variants.values(), *bump.variants.values()]
+    ok = (cut.passed is True and bump.passed is True
+          and all(_conclusive(e) and abs(e.value - 0.25) <= 0.02 for e in ests))
+    shown = {**cut.variants, "bump": bump.variants["bumped"]}
+    return ok, ", ".join(f"{k}: {e.value:.4f}" for k, e in shown.items())
 
 
 def criterion_11():

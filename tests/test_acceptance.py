@@ -99,6 +99,15 @@ def test_a_criterion_refuses_an_inconclusive_probe(monkeypatch, index):
     assert not ok
 
 
+def test_criterion_10_fails_with_a_failing_invariance_check(monkeypatch):
+    # criterion 10 must read the verdict that cut-check and perturb-check exit on
+    real = assemble._invariance_check
+    monkeypatch.setattr(assemble, "_invariance_check",
+                        lambda *args: replace(real(*args), passed=False))
+    ok, _ = selftest.criterion_10()
+    assert not ok
+
+
 if __name__ == "__main__":
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         for index, (_, fn) in enumerate(selftest.CRITERIA, start=1):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cusplab import assemble, sturm
+from cusplab import assemble, cli, sturm
 from cusplab.assemble import (AssembleError, cut_invariance_check,
                               global_counting, perturbation_stability_check,
                               threshold_probe, weyl_fit)
@@ -448,3 +448,38 @@ def test_partly_nested_domains_share_a_pass_and_stay_bracketed(work):
     assert np.all(np.diff([rep.totals_by_combo[(1000, T)] for T in (8.0, 11.0, 16.0)],
                           axis=0) >= 0)
     assert list(rep.totals_by_combo) == [(g, T) for g in (500, 1000) for T in (8.0, 11.0, 16.0)]
+
+
+@pytest.mark.parametrize("check, probes", [
+    (threshold_probe, 1), (cut_invariance_check, 2), (perturbation_stability_check, 2)])
+def test_the_threshold_verdicts_count_only_the_finest_grid(work, check, probes):
+    cfg = circle_cfg(flux="0", y0=1.5, lam=(0.05, 1.0, 12))
+    check(cfg)
+    # per probe, grid 1000 of (500, 1000): one assembly and one pass over its
+    # one nested group (8, 16, 32); nothing at 500 cells on the first domain
+    assert work["passes"] == [(3999, [999, 1999, 3999])] * probes
+    assert len(work["stacks"]) == probes
+
+
+WEYL_CFG = """\
+geometry.n = 2
+geometry.p = 1
+cross_section.kind = circle
+cross_section.length = 6.283185307179586
+degree = 0
+magnetic.flux = 0.5
+numerics.grid = 300,600
+numerics.domain_z = 5,6
+numerics.lambda_grid = 100,1000,8
+numerics.lambda_scale = log
+"""
+
+
+def test_weyl_counts_only_the_finest_grid(work, tmp_path, capsys):
+    path = tmp_path / "weyl.cfg"
+    path.write_text(WEYL_CFG)
+    assert cli.main(["weyl", "--config", str(path)]) == 0
+    assert "consistent: True" in capsys.readouterr().out
+    # domains 5 and 6 at 600 and 720 cells nest: one assembly and one pass
+    assert work["passes"] == [(719, [599, 719])]
+    assert len(work["stacks"]) == 1

@@ -654,6 +654,15 @@ def test_repeated_domains_or_cuts_are_config_errors(cfg_path, capsys, command, l
     assert ("strictly increasing" if command == "essspec" else "2 distinct values") in err
 
 
+@pytest.mark.parametrize("command", ["count", "weyl"])
+def test_a_falling_grid_list_is_a_line_numbered_config_error(cfg_path, capsys, command):
+    # "2000,1000" used to run, with grid 1000 taken as the finest
+    path = cfg_path(PROBE_CFG.replace("numerics.grid = 200,400", "numerics.grid = 2000,1000"))
+    assert main([command, "--config", path]) == 1
+    assert capsys.readouterr() == ("", "error[config]: line 8: expected strictly increasing "
+                                       "values, got '2000,1000'\n")
+
+
 NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity"])
 NOT_A_NUMBER = st.sampled_from(["", "abc", "1/2", "0x10"])
 

@@ -204,6 +204,17 @@ def test_numerics_invariants():
         Numerics(lambda_grid=(1.0, 0.5, 10))
 
 
+@pytest.mark.parametrize("grids", ["2000,1000", "1000,1000"])
+def test_a_grid_list_that_is_not_strictly_increasing_is_refused(grids):
+    # the last grid is the finest: a falling list would make a coarser grid
+    # "the finest", and a repeated grid would be counted twice
+    with pytest.raises(ConfigError, match=rf"^line 8: expected strictly increasing values, "
+                                          rf"got '{grids}'$"):
+        parse_config(VALID + f"numerics.grid = {grids}\n")
+    with pytest.raises(ConfigError, match="grids must be strictly increasing"):
+        Numerics(grids=tuple(int(g) for g in grids.split(",")))
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_numerics_rejects_non_finite_domains(bad):
     with pytest.raises(ConfigError, match="domain lengths must be finite"):
