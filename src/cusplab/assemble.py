@@ -5,25 +5,18 @@ analytic layer predicts:
 
 * `global_counting` sums mode counting functions into N(lambda) tables with
   convergence metadata (superposition is exact: the global table is the
-  multiplicity-weighted sum of per-mode counts at every lambda).  A
-  planner groups each grid's domains whose meshes nest; one stack on the
-  group's longest domain (one mesh, one potential row per mode) and one
-  Sturm pass over it count all of them.  Counts that fall in lambda or
-  under domain growth (Dirichlet bracketing) within a group raise an
-  internal error.  The lambda window and the study's grids and domains all
-  come from `config.numerics`.
-* `threshold_probe` counts the finest grid only.  It estimates the bottom
-  of the essential spectrum as the first lambda at which the two longest
-  domains count differently, and judges that growth by the lanes the
-  Sturm pass settled: a lane that walls inside the longest domain has a
-  final count, and only an open lane of a mode that is a continuous
-  channel of the reduction (`reduce.mode_threshold`) shows essential
-  spectrum.
+  multiplicity-weighted sum of per-mode counts at every lambda).  Counts
+  that fall in lambda or under domain growth (Dirichlet bracketing) raise
+  an internal error.
+* `threshold_probe` estimates the bottom of the essential spectrum from
+  the growth of the counts between the two longest domains, and states
+  the interval its counts put the bottom in (`ThresholdEstimate.interval`).
+  Every threshold verdict reads that interval alone: a prediction agrees
+  when it lies in it, and `cut_invariance_check` /
+  `perturbation_stability_check` pass when the intervals of the cut radii
+  `config.check_y0`, or with and without the bump `config.check_bump`,
+  share a point.  An inconclusive probe leaves a verdict undecided (None).
 * `weyl_fit` fits the counting table against the predicted law and judges it.
-* `cut_invariance_check` / `perturbation_stability_check` verify that the
-  probe's output ignores the cut radii `config.check_y0` and the compact
-  bump `config.check_bump`; an inconclusive probe leaves the check
-  undecided (passed None), never failed.
 
 The layer returns data only; `cli` writes every report.  All aggregation
 is deterministic: modes are processed in their enumerated order and counts
@@ -136,8 +129,7 @@ def _group_totals(ops, lambdas, grid, group):
     return counts, settled[-1], (mult[:, None] * counts).sum(axis=1), stack
 
 
-def global_counting(config: ProblemConfig, with_eigenvalues: bool = False,
-                    sectors=None) -> SpectrumReport:
+def global_counting(config: ProblemConfig, with_eigenvalues: bool = False) -> SpectrumReport:
     """Counting table N(lambda) over the configured (grid x domain) study.
 
     The lambda window is `config.numerics.lambdas()`.  The table reported
@@ -158,8 +150,6 @@ def global_counting(config: ProblemConfig, with_eigenvalues: bool = False,
         raise AssembleError("lambdas must be strictly increasing")
     prediction = classify(config)
     ops = _mode_operators(config, float(lambdas[-1]))
-    if sectors is not None:
-        ops = [(m, op) for m, op in ops if m.sector in sectors]
     grids = config.numerics.grids
     domains = config.numerics.domains
     gf = grids[-1]
@@ -213,29 +203,36 @@ def global_counting(config: ProblemConfig, with_eigenvalues: bool = False,
 class ThresholdEstimate:
     value: Optional[float]       # None: no growth in the window
     error: float
-    predicted: Optional[float]
+    predicted: Optional[float]   # None: pure point
     top: float                   # the top of the lambda window
     inconclusive: bool
     notes: tuple = ()
+    one_sided: bool = False      # growth bounds the bottom from above only
 
     @property
     def no_growth(self) -> bool:
         return self.value is None
 
     @property
-    def consistent(self) -> Optional[bool]:
-        """No growth contradicts a predicted bottom c only when c + error
-        lies below the window top; c at or above the top agrees, and a c
-        within the error bar of the top is undecided (None)."""
+    def interval(self) -> tuple:
+        """(lo, hi), where the counts put the essential bottom (oo: pure point):
+        [value - error, value + error] for two-sided growth, (-oo, value +
+        error] for one-sided growth and [top - error, oo) for no growth."""
         if self.no_growth:
-            if self.predicted is None or self.predicted >= self.top:
-                return True
-            return False if self.predicted + self.error < self.top else None
-        if self.inconclusive:
+            return self.top - self.error, math.inf
+        return (-math.inf if self.one_sided else self.value - self.error,
+                self.value + self.error)
+
+    @property
+    def consistent(self) -> Optional[bool]:
+        """The predicted bottom (oo for pure point) lies in `interval`; None
+        when inconclusive, or with no growth and the bottom within the error
+        bar below the window top, where its growth cannot show."""
+        lo, hi = self.interval
+        c = math.inf if self.predicted is None else self.predicted
+        if self.inconclusive or self.no_growth and lo <= c < self.top:
             return None
-        if self.predicted is None:
-            return False
-        return abs(self.value - self.predicted) <= self.error
+        return lo <= c <= hi
 
 
 def require_two_domains(config: ProblemConfig, study: str) -> None:
@@ -248,7 +245,7 @@ _COUNTS_STABLE = ("counts stable under domain growth across the window: "
                   "no essential spectrum detected")
 
 
-def threshold_probe(config: ProblemConfig, sectors=None) -> ThresholdEstimate:
+def threshold_probe(config: ProblemConfig) -> ThresholdEstimate:
     """Estimate inf of the essential spectrum from count growth in length.
 
     The probe scans the configured lambda window on the finest grid and
@@ -265,18 +262,23 @@ def threshold_probe(config: ProblemConfig, sectors=None) -> ThresholdEstimate:
     * an open lane of a mode whose `reduce.mode_threshold` is at most its
       lambda: a continuous channel of the reduction, so the growth is real;
     * else every open lane walls beyond the longest domain: inconclusive.
+
+    Growth is two-sided only on domains at least a factor 2 apart that
+    agreed at the lambda before: their counts differ at every lambda from
+    c + (pi/T_max)^2 on, where nearer domains agree again between their
+    channel levels.  Other growth bounds the bottom from above, with a note.
     """
     require_two_domains(config, "threshold probe")
     num = config.numerics
     gf, (shorter, longest) = num.grids[-1], num.domains[-2:]
-    report = global_counting(config.with_finest_grid(), sectors=sectors)
+    report = global_counting(config.with_finest_grid())
     lambdas, predicted = report.lambda_grid, report.prediction.essential_bottom
     step = float(np.max(np.diff(lambdas)))
     error = step + (math.pi / longest) ** 2     # grid resolution + detection floor
 
-    def estimate(value, inconclusive, note):
+    def estimate(value, inconclusive, note, one_sided=False):
         est = ThresholdEstimate(value, error, predicted, float(lambdas[-1]),
-                                inconclusive, (note,) if note else ())
+                                inconclusive, (note,) if note else (), one_sided)
         if est.no_growth and est.consistent is None:
             est.notes += (f"the predicted bottom {predicted!r} lies within the error "
                           f"bar of the window top {est.top!r}: its growth cannot show",)
@@ -299,7 +301,11 @@ def threshold_probe(config: ProblemConfig, sectors=None) -> ThresholdEstimate:
             f"{longest!r}: domain {shorter!r} is too short"))
     c_hat = float(lambdas[first]) - 0.5 * step
     if any(c is not None and c <= lam for lam, _, c in open_lanes):
-        return estimate(c_hat, False, None)
+        why = (f"the counts differ from the first lambda {float(lambdas[0])!r} on"
+               if first == 0 else f"domains {shorter!r} and {longest!r} are less than "
+               "a factor 2 apart" if longest < 2 * shorter else None)
+        note = why and f"{why}: growth puts the bottom at or below {c_hat + error!r} only"
+        return estimate(c_hat, False, note, bool(why))
     lam, name, _ = min(open_lanes, key=lambda lane: lane[0])
     return estimate(c_hat, True, f"mode {name} at lambda = {lam!r} is still open at "
                                  f"domain {longest!r}: the mode walls beyond it")
@@ -398,25 +404,22 @@ class CheckReport:
     notes: tuple = ()
 
 
-def _invariance_check(variants: dict, stable_note: str, mixed_note: str) -> CheckReport:
-    """Probe each named config variant; their threshold estimates must agree.
+def _invariance_check(variants: dict, stable_note: str) -> CheckReport:
+    """Probe each named config variant; the intervals their counts certify
+    (`ThresholdEstimate.interval`) must share a point.
 
-    passed is False only for a conclusive disagreement: no growth against
-    growth, or estimates outside each other's error bars.  Otherwise an
-    inconclusive probe makes it None, with a note naming it.  A pass with
-    no growth names the probes whose counts were not stable.
+    passed is False only when two conclusive intervals are disjoint.
+    Otherwise an inconclusive probe makes it None, with a note naming it.
+    A pass with no growth names the probes whose counts were not stable.
     """
     probes = {name: threshold_probe(config) for name, config in variants.items()}
-    sure = [e for e in probes.values() if not e.inconclusive]
-    growing = [e for e in sure if not e.no_growth]
-    if growing and len(growing) < len(sure):
-        passed, notes = False, (mixed_note,)
-    elif any(abs(a.value - b.value) > a.error + b.error for a in growing for b in growing):
+    sure = [e.interval for e in probes.values() if not e.inconclusive]
+    if sure and max(lo for lo, _ in sure) > min(hi for _, hi in sure):
         passed, notes = False, ()
     elif len(sure) < len(probes):
         passed, notes = None, tuple(f"{name}: {note}" for name, e in probes.items()
                                     if e.inconclusive for note in e.notes)
-    elif growing:
+    elif not all(e.no_growth for e in probes.values()):
         passed, notes = True, ()
     else:
         passed, notes = True, tuple(f"{name}: {e.notes[0]}" for name, e in probes.items()
@@ -433,13 +436,11 @@ def cut_invariance_check(config: ProblemConfig) -> CheckReport:
     """
     return _invariance_check(
         {f"Y0={y0!r}": config.with_y0(y0) for y0 in config.check_y0},
-        "discrete spectrum at every cut: counts stable (individual eigenvalues may differ)",
-        "mixed stability across cuts")
+        "discrete spectrum at every cut: counts stable (individual eigenvalues may differ)")
 
 
 def perturbation_stability_check(config: ProblemConfig) -> CheckReport:
     """Threshold estimates with and without the bump `config.check_bump` must agree."""
     return _invariance_check(
         {"base": config, "bumped": config.with_bump(config.check_bump)},
-        "discrete spectrum with and without the bump: counts stable",
-        "stability changed under the bump")
+        "discrete spectrum with and without the bump: counts stable")

@@ -23,6 +23,9 @@ Exit codes: 0 success, 1 configuration/usage error or an inconclusive
 comparison (the report is written, then one error[inconclusive] line; for
 weyl, a pure-point counting table that is not domain-stable), 2 a
 numerical result that conclusively disagrees with the analytic prediction.
+A threshold probe states where its counts put the essential bottom, as an
+interval (`assemble.ThresholdEstimate.interval`): essspec exits 2 when the
+prediction is outside it, cut-check and perturb-check when two are disjoint.
 Reports are byte-identical for a fixed config and version.
 """
 

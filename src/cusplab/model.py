@@ -318,9 +318,6 @@ class Numerics:
         lo, hi, cnt = self.lambda_grid
         object.__setattr__(self, "lambda_grid", (float(lo), float(hi), int(cnt)))
         _check_domains(self)
-        for name, values in (("grids", self.grids), ("domain lengths", self.domains)):
-            if any(a >= b for a, b in zip(values, values[1:])):
-                raise ConfigError(f"invariant violated: {name} must be strictly increasing")
         if not (lo < hi) or cnt < 2:
             raise ConfigError("invariant violated: lambda grid needs lo < hi and count >= 2")
         if self.lambda_scale == "log" and lo <= 0:
@@ -451,16 +448,6 @@ def _list(read):
     return lambda tok: tuple(read(t) for t in tok.split(","))
 
 
-def _increasing(read):
-    """Reader of a strictly increasing comma list, each token through `read`."""
-    def read_list(tok):
-        values = _list(read)(tok)
-        if any(a >= b for a, b in zip(values, values[1:])):
-            raise ValueError(f"expected strictly increasing values, got {tok!r}")
-        return values
-    return read_list
-
-
 def _fixed(names: str, *reads):
     """Reader of exactly len(reads) comma-separated tokens, named `names`."""
     def read(tok):
@@ -505,6 +492,10 @@ def _positive(x) -> bool:
     return math.isfinite(x) and x > 0
 
 
+def _rising(values) -> bool:
+    return all(a < b for a, b in zip(values, values[1:]))
+
+
 _BUMP = _fixed("center,width,height", _real, _real, _real)
 
 
@@ -514,8 +505,8 @@ class _Field(NamedTuple):
     `attr` is the field it sets: on the dataclass of its section (see
     `_SECTIONS`), else on ProblemConfig itself; a cross_section.* key (see
     `_KINDS`) sets the builtin_cross_section parameter of that name.  `read`
-    parses the value and `ok` is its domain, enforced by the owning
-    dataclass with the message "invariant violated: <rule>".  A `required`
+    parses the value and `ok` is its domain, enforced where the key is read
+    and by the owning dataclass: "invariant violated: <rule>".  A `required`
     key must be present whenever its section is built (geometry always is);
     every key a cross-section kind declares is required.
     """
@@ -546,11 +537,12 @@ _FIELDS = (
     _Field("potential.poly", "poly", _pairs),
     _Field("potential.bump", "bump", _BUMP, lambda b: b[1] > 0,
            "bump width must be > 0"),
-    _Field("numerics.grid", "grids", _increasing(_integer),
-           lambda grids: all(g >= 4 for g in grids), "each grid needs at least 4 cells"),
+    _Field("numerics.grid", "grids", _list(_integer),
+           lambda grids: _rising(grids) and all(g >= 4 for g in grids),
+           "grids must be strictly increasing, with at least 4 cells each"),
     _Field("numerics.domain_z", "domains", _list(_real),
-           lambda domains: all(_positive(d) for d in domains),
-           "domain lengths must be finite and > 0"),
+           lambda domains: _rising(domains) and all(_positive(d) for d in domains),
+           "domain lengths must be finite, > 0 and strictly increasing"),
     _Field("numerics.tol", "tol", _real, ok=_positive,
            rule="tolerance must be finite and > 0"),
     _Field("numerics.lambda_grid", "lambda_grid", _fixed("lo,hi,count", _real, _real, _integer),
@@ -621,8 +613,8 @@ def _read(read, tok: str, line: Optional[int]):
 def parse_config(text: str) -> ProblemConfig:
     """Parse and fully validate a config document.
 
-    Raises ConfigError with a line number for syntax problems and with the
-    violated invariant named for semantic ones.
+    Raises ConfigError with a line number for a value that is malformed or
+    outside its key's domain, otherwise with the violated invariant named.
     """
     raw = {}
     lines = {}
@@ -648,7 +640,10 @@ def parse_config(text: str) -> ProblemConfig:
     given = {}
     for f in _FIELDS:
         if f.key in raw:
-            given.setdefault(f.section, {})[f.attr] = _read(f.read, raw[f.key], lines[f.key])
+            value = _read(f.read, raw[f.key], lines[f.key])
+            if f.ok is not None and not f.ok(value):
+                raise ConfigError(f"invariant violated: {f.rule}", lines[f.key])
+            given.setdefault(f.section, {})[f.attr] = value
 
     def build(section):
         kwargs = given.get(section, {})

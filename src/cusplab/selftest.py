@@ -99,15 +99,14 @@ def _in_window(config, lambda_grid):
     return replace(config, numerics=replace(config.numerics, lambda_grid=lambda_grid))
 
 
-def _conclusive(est) -> bool:
-    """A threshold estimate that the probe found and could judge."""
-    return est.value is not None and not est.inconclusive
+def _shown(est) -> str:
+    return "no growth" if est.no_growth else f"{est.value:.4f}"
 
 
 def criterion_3():
     """Scalar threshold at p=1: probe finds 1/4 within 0.02."""
     est = assemble.threshold_probe(probe_config())
-    ok = _conclusive(est) and abs(est.value - 0.25) <= 0.02
+    ok = est.consistent is True and abs(est.value - 0.25) <= 0.02
     return ok, f"estimate {est.value} +- {est.error:.3f}, predicted {est.predicted}"
 
 
@@ -116,7 +115,7 @@ def criterion_4():
     rep = assemble.global_counting(_in_window(probe_config(flux="0.5"), (0.1, 1.0, 10)))
     pred = rep.prediction
     est = assemble.threshold_probe(probe_config(flux="1"))
-    ok = (pred.is_pure_point and rep.stable and _conclusive(est)
+    ok = (pred.is_pure_point and rep.stable and est.consistent is True
           and abs(est.value - 0.25) <= 0.02)
     return ok, (f"mu=0.5: {pred.classification}, counts stable={rep.stable}; "
                 f"mu=1: threshold {est.value}")
@@ -177,19 +176,20 @@ def criterion_7():
 
 
 def criterion_8():
-    """Form thresholds n=3, k=1, p=1: sectors at 0 and 1."""
-    cfg = ProblemConfig(
+    """Form thresholds n=3, k=1, p=1: c0^2 = 0 on T^2, c1^2 = 1 on S^2 (h^1 = 0)."""
+    torus = ProblemConfig(
         geometry=EndGeometry(3, 1, 1.0),
         cross_section=builtin_cross_section("square_torus", side=2 * math.pi, dim=2),
         degree=1,
         numerics=Numerics(grids=(1000, 2000), domains=(8.0, 16.0, 32.0)))
-    e0 = assemble.threshold_probe(_in_window(cfg, (0.005, 0.3, 31)),
-                                  sectors={red.SECTOR_FORM_0})
-    e1 = assemble.threshold_probe(_in_window(cfg, (0.8, 1.3, 51)),
-                                  sectors={red.SECTOR_FORM_1})
-    ok = (_conclusive(e0) and abs(e0.value - 0.0) <= 0.03
-          and _conclusive(e1) and abs(e1.value - 1.0) <= 0.05)
-    return ok, f"sector0 {e0.value:.4f} (tol 0.03), sector1 {e1.value:.4f} (tol 0.05)"
+    sphere = replace(torus, cross_section=builtin_cross_section(   # the unit S^2
+        "table", volume=4 * math.pi,
+        tables=(((0.0, 1), (2.0, 3)), ((2.0, 6),), ((0.0, 1), (2.0, 3)))))
+    e0 = assemble.threshold_probe(_in_window(torus, (0.005, 0.3, 31)))
+    e1 = assemble.threshold_probe(_in_window(sphere, (0.8, 1.3, 51)))
+    ok = (e0.consistent is True and abs(e0.value - 0.0) <= 0.03
+          and e1.consistent is True and abs(e1.value - 1.0) <= 0.05)
+    return ok, f"sector0 {_shown(e0)} (tol 0.03), sector1 {_shown(e1)} (tol 0.05)"
 
 
 def criterion_9():
@@ -215,9 +215,9 @@ def criterion_10():
     bump = assemble.perturbation_stability_check(probe_config())
     ests = [*cut.variants.values(), *bump.variants.values()]
     ok = (cut.passed is True and bump.passed is True
-          and all(_conclusive(e) and abs(e.value - 0.25) <= 0.02 for e in ests))
+          and all(e.consistent is True and abs(e.value - 0.25) <= 0.02 for e in ests))
     shown = {**cut.variants, "bump": bump.variants["bumped"]}
-    return ok, ", ".join(f"{k}: {e.value:.4f}" for k, e in shown.items())
+    return ok, ", ".join(f"{k}: {_shown(e)}" for k, e in shown.items())
 
 
 def criterion_11():

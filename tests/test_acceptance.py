@@ -99,6 +99,24 @@ def test_a_criterion_refuses_an_inconclusive_probe(monkeypatch, index):
     assert not ok
 
 
+@pytest.mark.parametrize("index", [3, 4, 8, 10])
+def test_a_criterion_fails_when_the_essspec_verdict_does(monkeypatch, index):
+    # each reads `consistent`, the verdict `essspec` exits on, not its own comparison
+    monkeypatch.setattr(assemble.ThresholdEstimate, "consistent", property(lambda est: False))
+    ok, _ = selftest.CRITERIA[index - 1][1]()
+    assert not ok
+
+
+@pytest.mark.parametrize("index", [8, 10])
+def test_a_probe_without_growth_is_shown_not_raised(monkeypatch, index):
+    real = assemble.threshold_probe
+    monkeypatch.setattr(assemble, "threshold_probe",
+                        lambda config: replace(real(config), value=None,
+                                               notes=(assemble._COUNTS_STABLE,)))
+    ok, detail = selftest.CRITERIA[index - 1][1]()
+    assert not ok and "no growth" in detail
+
+
 def test_criterion_10_fails_with_a_failing_invariance_check(monkeypatch):
     # criterion 10 must read the verdict that cut-check and perturb-check exit on
     real = assemble._invariance_check

@@ -145,6 +145,29 @@ def test_no_growth_contradicts_a_bottom_only_below_the_window_top(top, consisten
     assert assemble.ThresholdEstimate(None, 0.02, None, top, False).consistent
 
 
+@pytest.mark.parametrize("predicted, consistent", [(0.0, True), (0.375, True),
+                                                    (0.5, False), (None, False)])
+def test_one_sided_growth_contradicts_only_a_bottom_above_its_bound(predicted, consistent):
+    est = assemble.ThresholdEstimate(0.25, 0.125, predicted, 6.0, False, one_sided=True)
+    assert est.interval == (-math.inf, 0.375)
+    assert est.consistent is consistent
+
+
+@pytest.mark.parametrize("other, passed", [
+    (assemble.ThresholdEstimate(0.125, 0.0625, 0.25, 6.0, False), True),
+    (assemble.ThresholdEstimate(0.75, 0.5, 0.25, 6.0, False), True),
+    (assemble.ThresholdEstimate(1.0, 0.25, 0.25, 6.0, False), False),
+    (assemble.ThresholdEstimate(None, 0.25, 0.25, 6.0, False, ("counts stable",)), False),
+    (assemble.ThresholdEstimate(None, 0.25, 0.25, 0.5, False, ("counts stable",)), True),
+])
+def test_variants_disagree_only_when_their_intervals_are_disjoint(monkeypatch, other, passed):
+    # one-sided growth puts the bottom in (-oo, 0.375]
+    probes = iter([assemble.ThresholdEstimate(0.25, 0.125, 0.25, 6.0, False, one_sided=True),
+                   other])
+    monkeypatch.setattr(assemble, "threshold_probe", lambda config: next(probes))
+    assert assemble._invariance_check({"a": None, "b": None}, "stable").passed is passed
+
+
 def test_a_bottom_within_the_error_bar_of_the_window_top_is_undecided():
     # p = 1, flux 0: [1/4, oo) with the first channel level at 1/4 + (pi/32)^2;
     # the window tops at 0.255, less than one error bar above 1/4

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -640,18 +641,31 @@ def test_out_of_domain_config_values_exit_one(cfg_path, capsys, command, line):
     assert err.startswith("error[config]") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command, line", [
+@pytest.mark.parametrize("command, line, reason", [
     # each used to run and compare a domain or a cut with itself: essspec
     # exited 2 with "counts stable" and cut-check passed vacuously
-    ("essspec", "numerics.domain_z = 8,16,16"),
-    ("cut-check", "checks.y0 = 1.0,1.0"),
+    ("essspec", "numerics.domain_z = 8,16,16",
+     "invariant violated: domain lengths must be finite, > 0 and strictly increasing"),
+    ("cut-check", "checks.y0 = 1.0,1.0",
+     "invariant violated: checks.y0 needs at least 2 distinct values, each >= 1"),
 ], ids=["domain_z", "checks.y0"])
-def test_repeated_domains_or_cuts_are_config_errors(cfg_path, capsys, command, line):
-    assert main([command, "--config", cfg_path(with_line(PROBE_CFG, line))]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error[config]: invariant violated: ") and err.count("\n") == 1
-    assert ("strictly increasing" if command == "essspec" else "2 distinct values") in err
+def test_repeated_domains_or_cuts_are_config_errors(cfg_path, capsys, command, line, reason):
+    text = with_line(PROBE_CFG, line)
+    assert main([command, "--config", cfg_path(text)]) == 1
+    # the line is the last of the config
+    assert capsys.readouterr() == ("", f"error[config]: line {len(text.splitlines())}: {reason}\n")
+
+
+@pytest.mark.parametrize("line, reason", [
+    ("numerics.domain_z = 16,8", "invariant violated: domain lengths must be finite, > 0 and strictly increasing"),
+    ("numerics.mode_cap = 0", "invariant violated: mode_cap must be >= 1"),
+    ("checks.y0 = 1,1", "invariant violated: checks.y0 needs at least 2 distinct values, "
+                        "each >= 1"),
+])
+def test_a_value_outside_its_keys_domain_names_its_line(cfg_path, capsys, line, reason):
+    text = with_line(PROBE_CFG, line)
+    assert main(["count", "--config", cfg_path(text)]) == 1
+    assert capsys.readouterr() == ("", f"error[config]: line {len(text.splitlines())}: {reason}\n")
 
 
 @pytest.mark.parametrize("command", ["count", "weyl"])
@@ -659,8 +673,8 @@ def test_a_falling_grid_list_is_a_line_numbered_config_error(cfg_path, capsys, c
     # "2000,1000" used to run, with grid 1000 taken as the finest
     path = cfg_path(PROBE_CFG.replace("numerics.grid = 200,400", "numerics.grid = 2000,1000"))
     assert main([command, "--config", path]) == 1
-    assert capsys.readouterr() == ("", "error[config]: line 8: expected strictly increasing "
-                                       "values, got '2000,1000'\n")
+    assert capsys.readouterr() == ("", "error[config]: line 8: invariant violated: grids must "
+                                       "be strictly increasing, with at least 4 cells each\n")
 
 
 NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity"])
@@ -803,6 +817,46 @@ def test_exit_two_only_for_a_conclusive_mismatch(cfg_path, capsys, monkeypatch,
         assert INCONCLUSIVE in err
     else:
         assert err == ""
+
+
+#: the circle at p = 1 with grid 1000,2000, edited per case below
+BOUND_CFG = AB_CFG.replace("500,1000", "1000,2000").replace("zeta.s = 3.0\n", "")
+
+
+@pytest.mark.parametrize("commands, lines", [
+    (["essspec"], ["magnetic.flux = 0", "numerics.lambda_grid = 0.3,1.0,46"]),
+    (["essspec"], ["magnetic.flux = 2", "numerics.domain_z = 6,8",
+                   "numerics.lambda_grid = 0.1,3.1,12"]),
+    (["essspec"], ["geometry.p = 0.5", "geometry.y0 = 2", "magnetic.flux = 2",
+                   "numerics.grid = 400,800", "numerics.domain_z = 6,8",
+                   "numerics.lambda_grid = 0.5,1.5,46"]),
+    (["cut-check", "perturb-check"], [
+        "geometry.p = 0.25", "magnetic.flux = 2", "potential.bump = 4.0,1.0,5.0",
+        "numerics.domain_z = 6,8", "numerics.lambda_grid = 0.5,1.5,46"]),
+    (["perturb-check"], ["geometry.y0 = 1.5", "magnetic.flux = 0", "numerics.grid = 400,800",
+                         "numerics.domain_z = 6,8", "numerics.lambda_grid = 0.01,0.41,24"]),
+], ids=["first-lambda", "near-domains", "near-domains-p-half", "bounds-across-variants",
+        "growth-near-the-top"])
+def test_growth_that_only_bounds_the_bottom_agrees(cfg_path, capsys, commands, lines):
+    # each exited 2 although the true bottom lies in every interval the counts
+    # certify: growth from the first lambda or on domains less than a factor 2
+    # apart bounds the bottom from above only, and growth within an error bar
+    # of the window top does not contradict no growth
+    text = BOUND_CFG
+    for line in lines:
+        text = with_line(text, line)
+    for command in commands:
+        assert main([command, "--config", cfg_path(text)]) == 0
+    assert capsys.readouterr()[1] == ""
+
+
+@pytest.mark.parametrize("thresholds", [(0.4,), ()], ids=["shifted", "pure-point"])
+def test_a_wrong_prediction_still_exits_two(cfg_path, capsys, monkeypatch, thresholds):
+    real = assemble.classify
+    monkeypatch.setattr(assemble, "classify",
+                        lambda config: dataclasses.replace(real(config), thresholds=thresholds))
+    assert main(["essspec", "--config", cfg_path(ESS_CFG)]) == 2
+    assert "consistent: False" in capsys.readouterr()[0]
 
 
 # a p = 2 end of log-length 800 ends at Y0 e^800, past the largest float

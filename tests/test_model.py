@@ -208,8 +208,8 @@ def test_numerics_invariants():
 def test_a_grid_list_that_is_not_strictly_increasing_is_refused(grids):
     # the last grid is the finest: a falling list would make a coarser grid
     # "the finest", and a repeated grid would be counted twice
-    with pytest.raises(ConfigError, match=rf"^line 8: expected strictly increasing values, "
-                                          rf"got '{grids}'$"):
+    with pytest.raises(ConfigError, match="^line 8: invariant violated: grids must be "
+                                          "strictly increasing, with at least 4 cells each$"):
         parse_config(VALID + f"numerics.grid = {grids}\n")
     with pytest.raises(ConfigError, match="grids must be strictly increasing"):
         Numerics(grids=tuple(int(g) for g in grids.split(",")))

@@ -2,17 +2,22 @@
 
 import importlib.util
 import pathlib
+import sys
 
 import pytest
 
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
 
-def _main(name):
+def _module(name):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.main
+    return module
+
+
+def _main(name):
+    return _module(name).main
 
 
 @pytest.mark.parametrize("name, argv, variants", [
@@ -30,3 +35,22 @@ def test_script_runs(capsys, name, argv, variants):
     else:
         rows = lines[1:]
     assert len(rows) == variants
+
+
+def test_verdict_sweep_runs(capsys):
+    assert _main("verdict_sweep")(["--configs", "3"]) == 0
+    summary = capsys.readouterr().out.splitlines()[-3:]
+    assert [line.split(":")[0] for line in summary] == ["essspec", "cut-check", "perturb-check"]
+    assert all(" of 3 configs;" in line for line in summary)
+
+
+def test_verdict_sweep_fails_an_exit_one_without_one_reason(capsys, monkeypatch):
+    sweep = _module("verdict_sweep")
+
+    def two_lines(argv):
+        print("error[inconclusive]: a\nerror[inconclusive]: b", file=sys.stderr)
+        return 1
+
+    monkeypatch.setattr(sweep, "cli_main", two_lines)
+    assert sweep.main(["--configs", "1"]) == 1
+    assert "essspec exit 1 without one expected reason" in capsys.readouterr().out
