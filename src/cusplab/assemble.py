@@ -263,10 +263,11 @@ def threshold_probe(config: ProblemConfig) -> ThresholdEstimate:
       lambda: a continuous channel of the reduction, so the growth is real;
     * else every open lane walls beyond the longest domain: inconclusive.
 
-    Growth is two-sided only on domains at least a factor 2 apart that
-    agreed at the lambda before: their counts differ at every lambda from
-    c + (pi/T_max)^2 on, where nearer domains agree again between their
-    channel levels.  Other growth bounds the bottom from above, with a note.
+    Growth is two-sided only at p >= 1, on domains at least a factor 2 apart
+    that agreed at the lambda before: their counts differ at every lambda
+    from c + (pi/T_max)^2 on.  Nearer domains agree again between their
+    channel levels, and at p < 1 the channel potential stays above c.
+    Other growth bounds the bottom from above, with a note.
     """
     require_two_domains(config, "threshold probe")
     num = config.numerics
@@ -301,9 +302,11 @@ def threshold_probe(config: ProblemConfig) -> ThresholdEstimate:
             f"{longest!r}: domain {shorter!r} is too short"))
     c_hat = float(lambdas[first]) - 0.5 * step
     if any(c is not None and c <= lam for lam, _, c in open_lanes):
+        pf = config.geometry.pf
         why = (f"the counts differ from the first lambda {float(lambdas[0])!r} on"
                if first == 0 else f"domains {shorter!r} and {longest!r} are less than "
-               "a factor 2 apart" if longest < 2 * shorter else None)
+               "a factor 2 apart" if longest < 2 * shorter else f"at p = {pf!r} < 1 the "
+               "channel potential stays above its limit" if pf < 1 else None)
         note = why and f"{why}: growth puts the bottom at or below {c_hat + error!r} only"
         return estimate(c_hat, False, note, bool(why))
     lam, name, _ = min(open_lanes, key=lambda lane: lane[0])
@@ -408,14 +411,17 @@ def _invariance_check(variants: dict, stable_note: str) -> CheckReport:
     """Probe each named config variant; the intervals their counts certify
     (`ThresholdEstimate.interval`) must share a point.
 
-    passed is False only when two conclusive intervals are disjoint.
+    passed is False, with a note, only when two conclusive intervals are disjoint.
     Otherwise an inconclusive probe makes it None, with a note naming it.
     A pass with no growth names the probes whose counts were not stable.
     """
     probes = {name: threshold_probe(config) for name, config in variants.items()}
-    sure = [e.interval for e in probes.values() if not e.inconclusive]
-    if sure and max(lo for lo, _ in sure) > min(hi for _, hi in sure):
-        passed, notes = False, ()
+    sure = {name: e.interval for name, e in probes.items() if not e.inconclusive}
+    high = max(sure, key=lambda name: sure[name][0], default=None)   # highest lo
+    low = min(sure, key=lambda name: sure[name][1], default=None)    # lowest hi
+    if sure and sure[high][0] > sure[low][1]:
+        passed, notes = False, (f"{high} puts the bottom in {sure[high]!r} and {low} in "
+                                f"{sure[low]!r}: these intervals share no point",)
     elif len(sure) < len(probes):
         passed, notes = None, tuple(f"{name}: {note}" for name, e in probes.items()
                                     if e.inconclusive for note in e.notes)

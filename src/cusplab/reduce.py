@@ -302,7 +302,8 @@ def _nu_reach(config: ProblemConfig, lambda_max: float) -> float:
     if not cut <= 1e18:
         raise ReduceError("potential keeps every mode below the top of "
                           "numerics.lambda_grid; no finite mode cut exists")
-    return cut if cut >= 0.0 else -1.0
+    # -0.0 is a negative ratio that underflowed: no mode reaches the window
+    return cut if math.copysign(1.0, cut) > 0.0 else -1.0
 
 
 def enumerate_modes(config: ProblemConfig, lambda_max: float) -> List[ModeSpec]:

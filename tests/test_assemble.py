@@ -168,6 +168,16 @@ def test_variants_disagree_only_when_their_intervals_are_disjoint(monkeypatch, o
     assert assemble._invariance_check({"a": None, "b": None}, "stable").passed is passed
 
 
+def test_a_failed_check_names_its_disjoint_intervals(monkeypatch):
+    probes = iter([assemble.ThresholdEstimate(0.25, 0.125, 0.25, 6.0, False, one_sided=True),
+                   assemble.ThresholdEstimate(None, 0.25, 0.25, 6.0, False, ("counts stable",))])
+    monkeypatch.setattr(assemble, "threshold_probe", lambda config: next(probes))
+    check = assemble._invariance_check({"a": None, "b": None}, "stable")
+    assert check.passed is False
+    assert check.notes == ("b puts the bottom in (5.75, inf) and a in (-inf, 0.375): these "
+                           "intervals share no point",)
+
+
 def test_a_bottom_within_the_error_bar_of_the_window_top_is_undecided():
     # p = 1, flux 0: [1/4, oo) with the first channel level at 1/4 + (pi/32)^2;
     # the window tops at 0.255, less than one error bar above 1/4

@@ -835,13 +835,17 @@ BOUND_CFG = AB_CFG.replace("500,1000", "1000,2000").replace("zeta.s = 3.0\n", ""
         "numerics.domain_z = 6,8", "numerics.lambda_grid = 0.5,1.5,46"]),
     (["perturb-check"], ["geometry.y0 = 1.5", "magnetic.flux = 0", "numerics.grid = 400,800",
                          "numerics.domain_z = 6,8", "numerics.lambda_grid = 0.01,0.41,24"]),
+    (["essspec"], ["geometry.p = 0.25", "geometry.y0 = 2", "magnetic.flux = 1",
+                   "potential.poly = (1.0,-1.0)", "numerics.grid = 400,800",
+                   "numerics.domain_z = 8,16", "numerics.lambda_grid = 0.05,1.23,41"]),
 ], ids=["first-lambda", "near-domains", "near-domains-p-half", "bounds-across-variants",
-        "growth-near-the-top"])
+        "growth-near-the-top", "p-below-one"])
 def test_growth_that_only_bounds_the_bottom_agrees(cfg_path, capsys, commands, lines):
     # each exited 2 although the true bottom lies in every interval the counts
     # certify: growth from the first lambda or on domains less than a factor 2
-    # apart bounds the bottom from above only, and growth within an error bar
-    # of the window top does not contradict no growth
+    # apart or at p < 1 (where the channel potential stays above its limit
+    # across the domain) bounds the bottom from above only, and growth within
+    # an error bar of the window top does not contradict no growth
     text = BOUND_CFG
     for line in lines:
         text = with_line(text, line)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cusplab.model import (EndGeometry, MagneticData, Numerics, ProblemConfig,
                            RadialPotential, builtin_cross_section)
@@ -365,6 +365,14 @@ def _window_configs(draw):
 
 
 @given(_window_configs())
+# V = 5e-324 above a window top of 0: every ratio of the cut is negative, and
+# one underflows to -0.0
+@example((ProblemConfig(
+    geometry=EndGeometry(2, Fraction(1, 4), 1.0),
+    cross_section=builtin_cross_section("circle", length=1.0), degree=0,
+    magnetic=MagneticData(flux=(Fraction(0),)),
+    potential=RadialPotential(poly=((5e-324, 0.0),)),
+    numerics=Numerics(domains=(2.0, 4.0))), 0.0))
 @settings(max_examples=300, deadline=None)
 def test_mode_window_and_c_match_the_earlier_algorithms(case):
     config, lambda_max = case
