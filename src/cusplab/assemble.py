@@ -101,19 +101,41 @@ def _nested_groups(config, grid):
     return sorted(groups.values(), key=lambda group: group[-1][0])
 
 
-def _group_totals(ops, lambdas, grid, group):
-    """The executor: per-mode counts and weighted totals of one nested group.
+def _distinct_rows(ops):
+    """Each distinct operator of the modes `ops`, once: (rows, row_of, mult).
 
-    One `sturm.discretize_stack` call assembles every mode on the group's
-    longest domain, and one pass counts every domain of the group at its
-    interior node count.  Returns (counts (S, M, L), the longest domain's
-    settled mask (M, L), totals (S, L), stack).
+    rows holds (first mode, operator) per distinct operator, row_of the
+    row of each mode and mult the summed multiplicity of each row's modes.
+    Modes share an operator when their frozen dataclasses compare equal;
+    the only equal floats that are not identical are +-0, which give the
+    same sums, so a shared row is bit for bit each mode's own pencil.
     """
-    if not ops:
+    at, rows, row_of, mult = {}, [], [], []
+    for m, op in ops:
+        i = at.setdefault(op, len(rows))
+        if i == len(rows):
+            rows.append((m, op))
+            mult.append(0)
+        mult[i] += m.multiplicity
+        row_of.append(i)
+    return rows, row_of, np.array(mult, dtype=np.int64)
+
+
+def _group_totals(rows, mult, lambdas, grid, group):
+    """The executor: per-row counts and weighted totals of one nested group.
+
+    rows and mult as from `_distinct_rows`.  One `sturm.discretize_stack`
+    call assembles every distinct operator on the group's longest domain,
+    and one pass counts every domain of the group at its interior node
+    count; each row's counts enter the totals weighted by mult.  Returns
+    (counts (S, R, L), the longest domain's settled mask (R, L), totals
+    (S, L), stack).
+    """
+    if not rows:
         z = np.zeros((len(group), 0, len(lambdas)), dtype=np.int64)
         return z, np.zeros(z.shape[1:], dtype=bool), z.sum(axis=1), ([], None, None)
     domain, cells = group[-1]
-    stack = sturm.discretize_stack([op for _, op in ops], domain, cells)
+    stack = sturm.discretize_stack([op for _, op in rows], domain, cells)
     counts, settled = sturm.count_below_stack(*stack, lambdas,
                                               sizes=[cells - 1 for _, cells in group])
     # the threshold probe and the Weyl fit read these counts as monotone in
@@ -123,9 +145,8 @@ def _group_totals(ops, lambdas, grid, group):
         if dropped.size:
             k, i, _ = dropped[0]
             raise AssembleError(
-                f"internal error: counts decreased {what} for mode {ops[i][0].name} "
+                f"internal error: counts decreased {what} for mode {rows[i][0].name} "
                 f"at grid={grid}, domain={group[k + (axis == 0)][0]!r}")
-    mult = np.array([m.multiplicity for m, _ in ops], dtype=np.int64)
     return counts, settled[-1], (mult[:, None] * counts).sum(axis=1), stack
 
 
@@ -136,20 +157,24 @@ def global_counting(config: ProblemConfig, with_eigenvalues: bool = False) -> Sp
     is the finest combination, the last grid on the longest domain;
     `totals_by_combo` keeps all of them for stability assessment.  Every
     grid of `config` is counted, so a caller that reads only the finest
-    one passes `config.with_finest_grid()`.  Per grid, each group of
-    nested domains (`_nested_groups`) is assembled as one stack on its
-    longest domain and counted in one pass; the eigenvalue listing takes
-    its pencils from the finest stack's rows, and each `ModeResult`
-    carries the finest grid's counts and the longest domain's settled
-    mask.  If the analytic layer predicts essential spectrum the table is
-    labeled truncation-dependent: counts then grow with the domain and
-    carry no spectral meaning of their own.
+    one passes `config.with_finest_grid()`.  Each mode is mapped once to
+    its distinct operator (`_distinct_rows`): modes with equal operators,
+    such as m and -m - 2 mu on the circle when 2 mu is an integer, share
+    one row.  Per grid, each group of nested domains (`_nested_groups`)
+    is assembled as one stack of the distinct rows on its longest domain
+    and counted in one pass.  The eigenvalue listing runs once per row of
+    the finest stack, and each `ModeResult` carries its row's finest-grid
+    counts, the longest domain's settled mask and its own copy of the
+    row's eigenvalue list.  If the analytic layer predicts essential
+    spectrum the table is labeled truncation-dependent: counts then grow
+    with the domain and carry no spectral meaning of their own.
     """
     lambdas = config.numerics.lambdas()
     if not np.all(np.diff(lambdas) > 0):
         raise AssembleError("lambdas must be strictly increasing")
     prediction = classify(config)
     ops = _mode_operators(config, float(lambdas[-1]))
+    rows, row_of, mult = _distinct_rows(ops)
     grids = config.numerics.grids
     domains = config.numerics.domains
     gf = grids[-1]
@@ -157,7 +182,8 @@ def global_counting(config: ProblemConfig, with_eigenvalues: bool = False) -> Sp
     for g in grids:
         for group in _nested_groups(config, g):
             stack = None   # free the previous group's stack before assembling this one
-            counts, settled, group_totals, stack = _group_totals(ops, lambdas, g, group)
+            counts, settled, group_totals, stack = _group_totals(rows, mult, lambdas,
+                                                                 g, group)
             for (T, _), t in zip(group, group_totals):
                 totals[(g, T)] = t
     # the finest combo (gf, domains[-1]) closes the last group, so the loop
@@ -167,7 +193,7 @@ def global_counting(config: ProblemConfig, with_eigenvalues: bool = False) -> Sp
         np.array_equal(totals[(gf, domains[-1])], totals[(gf, domains[-2])]))
 
     mode_results = [ModeResult(mode=m, counts=counts[-1][i], settled=settled[i])
-                    for i, (m, _) in enumerate(ops)]
+                    for (m, _), i in zip(ops, row_of)]
     if with_eigenvalues:
         top = float(lambdas[-1])
         total_top = int(totals[(gf, domains[-1])][-1])
@@ -176,9 +202,12 @@ def global_counting(config: ProblemConfig, with_eigenvalues: bool = False) -> Sp
                 f"{total_top} eigenvalues below {top:g} exceed the listing cap "
                 f"({EIGEN_CAP}); lower the top of numerics.lambda_grid")
         diags, off, mass = stack
-        for res, diag in zip(mode_results, diags):
+        listed = []
+        for diag in diags:
             pen = sturm.TridiagonalPencil(diag=diag, offdiag=off, mass=mass)
-            res.eigenvalues = sturm.eigenvalues_below(pen, top, config.numerics.tol)
+            listed.append(sturm.eigenvalues_below(pen, top, config.numerics.tol))
+        for res, i in zip(mode_results, row_of):
+            res.eigenvalues = list(listed[i])
 
     notes = []
     if not prediction.is_pure_point:

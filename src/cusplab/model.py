@@ -252,20 +252,31 @@ class RadialPotential:
         return not self.poly and self.bump is None
 
 
-def potential_values(y, terms, bump):
+def potential_values(y, terms, bump, out=None, shared=None):
     """sum_j a_j y^(b_j) + bump(y), added left to right onto zero.
 
     Every radial potential is evaluated here, so one term order fixes the
-    rounding of every assembled pencil.
+    rounding of every assembled pencil.  The sum is written into `out`
+    when given.  `shared` is a dict that a caller keeps across potentials
+    at the same nodes y: it holds y^b under b and the bump's values under
+    the bump, so each is computed once.
     """
     import numpy as np
 
     y = np.asarray(y, dtype=float)
-    out = np.zeros_like(y)
+    values = {} if shared is None else shared
+    if out is None:
+        out = np.zeros_like(y)
+    else:
+        out[...] = 0.0
     for a, b in terms:
-        out += a * y**b
+        if b not in values:
+            values[b] = y**b
+        out += a * values[b]
     if bump is not None:
-        out += bump_values(y, bump)
+        if bump not in values:
+            values[bump] = bump_values(y, bump)
+        out += values[bump]
     return out
 
 

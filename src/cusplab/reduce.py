@@ -103,8 +103,9 @@ class RadialOperator:
     def w1(self, y):
         return np.asarray(y, dtype=float) ** self.stiffness_exponent
 
-    def q(self, y):
-        return potential_values(y, self.potential_terms, self.bump)
+    def q(self, y, out=None, shared=None):
+        """The potential q at radial nodes y (`model.potential_values`)."""
+        return potential_values(y, self.potential_terms, self.bump, out, shared)
 
     @property
     def p(self) -> float:
@@ -130,10 +131,10 @@ class CanonicalOperator:
     def y_of_z(self, z):
         return y_of_z(np.asarray(z, dtype=float), self.p, self.y0)
 
-    def q(self, y):
-        """The normal-form potential W at radial nodes y."""
+    def q(self, y, out=None, shared=None):
+        """The normal-form potential W at radial nodes y (`model.potential_values`)."""
         conj = ((self.conj_coeff, 2.0 * self.p - 2.0),)
-        return potential_values(y, conj + self.potential_terms, self.bump)
+        return potential_values(y, conj + self.potential_terms, self.bump, out, shared)
 
 
 # ---------------------------------------------------------------------------

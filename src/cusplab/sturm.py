@@ -6,8 +6,9 @@ in the stretched variable z (for p <= 1 the Liouville variable, for p > 1
 the finite arc-length variable).  The mass matrix is lumped, so the
 standard-form reduction stays tridiagonal and Sylvester inertia is exact.
 The modes of one config differ only in their potential terms, so
-`discretize_stack` builds the mesh, weights and lumped mass once and adds
-one diagonal row per mode; `discretize` is its one-operator case.
+`discretize_stack` builds the mesh, weights, lumped mass and each power
+of y once and adds one diagonal row per distinct operator; `discretize`
+is its one-operator case.
 
 Eigenvalue counts come from the LDL^T inertia of A - lambda B (a Sturm
 sequence) and eigenvalues from bisection on the counts.  Counts are
@@ -140,9 +141,16 @@ def discretize_stack(ops, length: float, cells: int):
     Dirichlet both ends; stiffness weights are evaluated at cell midpoints,
     the potential and the mass at the nodes.  A canonical operator has unit
     weights and is assembled in z, a weighted one in y.  Operators that
-    differ in anything but `potential_terms` are refused.  A potential row
-    that is not finite is refused by `reduce.domain_end` when the domain
-    ends past the largest float radius, else as an overflow.
+    differ in anything but `potential_terms` are refused.
+
+    Each distinct power y^b and the shared bump are evaluated once per
+    stack, at the interior nodes, and `model.potential_values` sums them
+    in its term order straight into each row, so a row is bit for bit the
+    one its operator's `q(y)` alone would give.  The potential at the two
+    end nodes enters no row but is evaluated too: a potential that is not
+    finite at any node is refused by `reduce.domain_end` when the domain
+    ends past the largest float radius, else as an overflow naming the
+    first bad node.
     """
     op = ops[0]
     t, y = mesh_for(op, length, cells)
@@ -164,15 +172,25 @@ def discretize_stack(ops, length: float, cells: int):
     mass = w0[1:-1] * lump
     if np.any(mass <= 0):
         raise SturmError("mass matrix must be strictly positive")
+    stiffness, density = k[:-1] + k[1:], w0[1:-1]
+    inner, ends = y[1:-1], y[[0, -1]]
+    at_inner, at_ends = {}, {}     # each power of y and the bump, once per stack
     diags = np.empty((len(ops), len(x) - 2))
     for row, o in zip(diags, ops):
+        # row = stiffness + q w0 lump, the potential summed into the row itself
         with np.errstate(over="ignore", invalid="ignore"):
-            q = o.q(y)
-        if not np.all(np.isfinite(q)):
+            o.q(inner, out=row, shared=at_inner)
+            finite = np.all(np.isfinite(row)) and np.all(np.isfinite(
+                o.q(ends, shared=at_ends)))
+        if not finite:
             # a domain that ends past the largest float gets domain_end's line
             domain_end(op.p, op.y0, length)
+            with np.errstate(over="ignore", invalid="ignore"):
+                q = o.q(y)
             _check_finite("the normal-form potential" if canonical else "the potential", q)
-        row[:] = k[:-1] + k[1:] + q[1:-1] * w0[1:-1] * lump
+        row *= density
+        row *= lump
+        row += stiffness
         _check_finite("the assembled stiffness", row)
     return diags, -k[1:-1], mass
 

@@ -6,14 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from cusplab import assemble, cli, sturm
+from cusplab import assemble, cli, reduce as red, sturm
 from cusplab.assemble import (AssembleError, cut_invariance_check,
                               global_counting, perturbation_stability_check,
                               threshold_probe, weyl_fit)
 from cusplab.criteria import LOG_LAW, POWER_HALF_P, POWER_N2
 from cusplab.model import (ConfigError, EndGeometry, MagneticData, Numerics,
                            ProblemConfig, RadialPotential, builtin_cross_section)
-from cusplab.reduce import CanonicalOperator
+from cusplab.reduce import CanonicalOperator, RadialOperator
 
 TWO_PI = 2 * math.pi
 
@@ -77,8 +77,10 @@ def test_eigenvalue_listing_and_cap():
 def test_eigenvalue_listing_reuses_the_finest_pencils(work):
     cfg = circle_cfg(flux="0.5", lam=(0.5, 8.0, 4), domains=(6.0, 8.0))
     rep = global_counting(cfg, with_eigenvalues=True)
-    # one stack per (grid, domain) combo, none again for the listing
-    assert work["stacks"] == [len(rep.modes)] * 4
+    # one stack per (grid, domain) combo, none again for the listing; at flux
+    # 1/2, m and -m-1 share an operator, so 6 modes take 3 rows
+    assert len(rep.modes) == 6 and _distinct_operators(cfg) == 3
+    assert work["stacks"] == [3] * 4
     cells = sturm.cells_for(1000, 8.0, 6.0)
     for r, (_, op) in zip(rep.modes, assemble._mode_operators(cfg, 8.0)):
         pen = sturm.discretize(op, 8.0, cells)
@@ -428,6 +430,68 @@ def test_form_sector_stack_rows_are_bit_identical_to_single_operator_pencils(p):
     _assert_stack_rows_are_the_single_pencils(cfg, 3.0, 300)
 
 
+BUMP = (2.5, 1.0, 5.0)
+# rows of one stack: no term (the nu = 0 row), one term, an exponent repeated
+# within a row, and, for the canonical stack, the conjugation exponent 2p - 2
+CANONICAL_TERMS = ((), ((0.7, 0.5),), ((0.7, 0.5), (1.0, 0.5)), ((2.0, 0.5), (-0.3, -1.5)))
+WEIGHTED_TERMS = ((), ((3.0, 4.0),), ((3.0, 4.0), (0.5, 4.0)), ((0.5, 1.0),))
+
+
+@pytest.mark.parametrize("bump", [None, BUMP], ids=["no-bump", "bump"])
+@pytest.mark.parametrize("op", [
+    CanonicalOperator(p=0.25, y0=1.5, z0=float(red.z_of_y(1.5, 0.25, 1.5)),
+                      conj_coeff=-0.1),
+    CanonicalOperator(p=1.0, y0=1.0, z0=0.0, conj_coeff=0.0),
+    RadialOperator(density_exponent=-4.0, stiffness_exponent=0.0, y0=1.0),
+], ids=["canonical-p1/4", "canonical-p1", "weighted-p2"])
+def test_stacked_potential_rows_are_the_per_row_assembly(op, bump):
+    terms = WEIGHTED_TERMS if isinstance(op, RadialOperator) else CANONICAL_TERMS
+    ops = [dataclasses.replace(op, potential_terms=t, bump=bump) for t in terms]
+    diags, off, mass = sturm.discretize_stack(ops, 3.0, 300)
+    for o, diag in zip(ops, diags):
+        ref_diag, ref_off, ref_mass = _reference_pencil(o, 3.0, 300)
+        assert diag.tobytes() == ref_diag.tobytes()
+        assert off.tobytes() == ref_off.tobytes() and mass.tobytes() == ref_mass.tobytes()
+
+
+def _first_bad_node(op, length, cells):
+    """The first node where the per-row potential op.q(y) is not finite."""
+    _, y = sturm.mesh_for(op, length, cells)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return int(np.flatnonzero(~np.isfinite(op.q(y)))[0])
+
+
+P1_FLAT = CanonicalOperator(p=1.0, y0=1.0, z0=0.0, conj_coeff=0.0)
+P2_WEIGHTED = RadialOperator(density_exponent=-4.0, stiffness_exponent=0.0, y0=1.0)
+
+
+@pytest.mark.parametrize("op, b, length, node, what", [
+    # y^2 = e^(2z) overflows from z = 354.9 on: at the last node of z <= 355
+    (P1_FLAT, 2.0, 355.0, 100, "the normal-form potential"),
+    (P1_FLAT, 2.0, 360.0, 99, "the normal-form potential"),
+    # y^355 overflows at y = e^2, the end of a p = 2 domain of length 2 only
+    (P2_WEIGHTED, 355.0, 2.0, 100, "the potential"),
+], ids=["p1-end-node", "p1-inner-node", "p2-end-node"])
+def test_a_potential_that_overflows_is_refused_at_its_first_bad_node(op, b, length, node,
+                                                                     what):
+    # the first row is finite everywhere; the second names its first bad node
+    ops = [op, dataclasses.replace(op, potential_terms=((1.0, b),))]
+    assert _first_bad_node(ops[1], length, 100) == node
+    with pytest.raises(sturm.SturmError) as got:
+        sturm.discretize_stack(ops, length, 100)
+    assert str(got.value) == (f"overflow while evaluating {what} (first bad entry {node}); "
+                              "shrink the domain or exponents")
+
+
+def test_a_potential_past_the_largest_float_radius_gets_the_domain_end_line():
+    ops = [P1_FLAT, dataclasses.replace(P1_FLAT, potential_terms=((1.0, 2.0),))]
+    with pytest.raises(red.ReduceError) as want:
+        red.domain_end(1.0, 1.0, 800.0)
+    with pytest.raises(red.ReduceError) as got:
+        sturm.discretize_stack(ops, 800.0, 100)
+    assert str(got.value) == str(want.value)
+
+
 @pytest.fixture
 def work(monkeypatch):
     """Record `sturm.count_below_stack` passes and `sturm.discretize_stack` rows."""
@@ -447,27 +511,85 @@ def work(monkeypatch):
     return calls
 
 
+def _distinct_operators(cfg):
+    """The distinct mode operators of cfg: the rows of each of its stacks."""
+    top = float(cfg.numerics.lambdas()[-1])
+    return len({op for _, op in assemble._mode_operators(cfg, top)})
+
+
+def _small_cfg(geometry, cross_section, degree=0):
+    return ProblemConfig(geometry=geometry, cross_section=cross_section, degree=degree,
+                         numerics=Numerics(grids=(200, 400), domains=(6.0, 12.0),
+                                           lambda_grid=(0.5, 8.0, 6)))
+
+
+@pytest.mark.parametrize("cfg, modes, rows", [
+    # m and -m - 2 mu have one cross-eigenvalue when 2 mu is an integer
+    (circle_cfg(flux="0.5", grids=(200, 400), domains=(6.0, 12.0), lam=(0.5, 8.0, 6)),
+     6, 3),
+    (circle_cfg(flux="0.375", grids=(200, 400), domains=(6.0, 12.0), lam=(0.5, 8.0, 6)),
+     6, 6),
+    # the sectors' operators differ by (n - 2k) p (2p - 1) y^(2p - 2)
+    (_small_cfg(EndGeometry(3, "1", 1.0), builtin_cross_section(
+        "table", volume=1.0, tables=[[(0.0, 1), (2.0, 1)], [(0.0, 2), (1.0, 2)],
+                                     [(0.0, 1)]]), degree=1), 2, 2),
+    # with no flux, the labels m and -m of a lattice torus share nu, and here
+    # (3,1) and (2,2) do too, so four of the 51 modes share one row
+    (_small_cfg(EndGeometry(3, "1", 1.0), builtin_cross_section(
+        "lattice_torus", dual_basis=((0.1, 0.0), (0.025, 0.125)))), 51, 25),
+], ids=["flux-1/2", "flux-3/8", "table-forms", "lattice-torus"])
+def test_modes_with_equal_operators_share_a_row(work, cfg, modes, rows):
+    rep = global_counting(cfg, with_eigenvalues=True)
+    assert len(rep.modes) == modes and _distinct_operators(cfg) == rows
+    assert work["stacks"] == [rows] * len(cfg.numerics.grids)   # the domains nest
+    # each mode reads what its own pencil gives, counted and listed alone
+    num, lambdas = cfg.numerics, cfg.numerics.lambdas()
+    ops = assemble._mode_operators(cfg, float(lambdas[-1]))
+    totals = {}
+    for g in num.grids:
+        for T in num.domains:
+            cells = sturm.cells_for(g, T, num.domains[0])
+            totals[(g, T)] = 0
+            for r, (m, op) in zip(rep.modes, ops):
+                pen = sturm.discretize(op, T, cells)
+                counts, settled = sturm.count_below_stack(pen.diag[None], pen.offdiag,
+                                                          pen.mass, lambdas)
+                totals[(g, T)] = totals[(g, T)] + m.multiplicity * counts[0]
+                if (g, T) == (num.grids[-1], num.domains[-1]):
+                    assert r.mode == m
+                    assert np.array_equal(r.counts, counts[0])
+                    assert np.array_equal(r.settled, settled[0])
+                    assert r.eigenvalues == sturm.eigenvalues_below(pen, float(lambdas[-1]),
+                                                                    num.tol)
+    assert all(np.array_equal(rep.totals_by_combo[c], totals[c]) for c in totals)
+    assert list(rep.totals_by_combo) == list(totals)
+    # modes that share a row still own their listings
+    assert len({id(r.eigenvalues) for r in rep.modes}) == modes
+    assert sum(len(r.eigenvalues) > 0 for r in rep.modes) > 1
+
+
 def test_nested_domains_take_one_assembly_and_one_pass_per_grid(work):
     cfg = circle_cfg(flux="0.5", y0=1.5, lam=(0.5, 30.0, 12))
     rep = global_counting(cfg)
-    assert len(rep.modes) > 1
+    assert len(rep.modes) == 8 and _distinct_operators(cfg) == 4
     # domains 8, 16, 32 at 500 and 1000 cells on the first: one width per grid
     assert work["passes"] == [(1999, [499, 999, 1999]), (3999, [999, 1999, 3999])]
-    assert work["stacks"] == [len(rep.modes)] * 2
+    assert work["stacks"] == [4] * 2
 
 
-@pytest.mark.parametrize("cfg", [
-    circle_cfg(p="2", flux="0", grids=(200, 400), domains=(2.0, 3.0, 4.0),
-               lam=(0.5, 6.0, 12)),
-    circle_cfg(flux="0.5", domains=(6.0, 8.0), lam=(0.5, 8.0, 4)),
+@pytest.mark.parametrize("cfg, modes, rows", [
+    (circle_cfg(p="2", flux="0", grids=(200, 400), domains=(2.0, 3.0, 4.0),
+                lam=(0.5, 6.0, 12)), 5, 3),
+    (circle_cfg(flux="0.5", domains=(6.0, 8.0), lam=(0.5, 8.0, 4)), 6, 3),
 ], ids=["p>1", "widths-differ"])
-def test_domains_that_do_not_nest_take_one_pass_per_combo(work, cfg):
+def test_domains_that_do_not_nest_take_one_pass_per_combo(work, cfg, modes, rows):
     rep = global_counting(cfg)
     num = cfg.numerics
     combos = len(num.grids) * len(num.domains)
     assert [sizes for _, sizes in work["passes"]] == [[n] for n, _ in work["passes"]]
     assert len(work["passes"]) == combos
-    assert work["stacks"] == [len(rep.modes)] * combos
+    assert len(rep.modes) == modes and _distinct_operators(cfg) == rows
+    assert work["stacks"] == [rows] * combos
 
 
 def test_partly_nested_domains_share_a_pass_and_stay_bracketed(work):
