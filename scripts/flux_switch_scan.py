@@ -16,7 +16,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from cusplab.assemble import threshold_probe
+from cusplab.assemble import threshold_probes
 from cusplab.criteria import classify
 from cusplab.selftest import probe_config
 
@@ -29,14 +29,13 @@ def main(argv=None) -> int:
     ap.add_argument("--csv", action="store_true", help="emit CSV instead of a table")
     args = ap.parse_args(argv)
 
-    rows = []
-    for i in range(args.steps + 1):
-        mu = Fraction(i, args.steps)
-        cfg = probe_config(flux=mu, p=args.p)
-        pred = classify(cfg)
-        est = threshold_probe(cfg)
-        rows.append((float(mu), pred.classification,
-                     pred.essential_bottom, est.value, est.error, est.no_growth))
+    fluxes = [Fraction(i, args.steps) for i in range(args.steps + 1)]
+    configs = [probe_config(flux=mu, p=args.p) for mu in fluxes]
+    preds = [classify(cfg) for cfg in configs]
+    # the configs share the numerics, so one stacked pass per nested group counts all
+    rows = [(float(mu), pred.classification, pred.essential_bottom,
+             est.value, est.error, est.no_growth)
+            for mu, pred, est in zip(fluxes, preds, threshold_probes(configs))]
 
     if args.csv:
         print("mu,classification,predicted_bottom,probe,probe_error,no_growth")

@@ -15,7 +15,8 @@ analytic layer predicts:
   when it lies in it, and `cut_invariance_check` /
   `perturbation_stability_check` pass when the intervals of the cut radii
   `config.check_y0`, or with and without the bump `config.check_bump`,
-  share a point.  An inconclusive probe leaves a verdict undecided (None).
+  share a point; `threshold_probes` counts their variants in one Sturm pass
+  per nested group.  An inconclusive probe leaves a verdict undecided (None).
 * `weyl_fit` fits the counting table against the predicted law and judges it.
 
 The layer returns data only; `cli` writes every report.  All aggregation
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import List, Optional
 
 import numpy as np
@@ -121,33 +123,122 @@ def _distinct_rows(ops):
     return rows, row_of, np.array(mult, dtype=np.int64)
 
 
-def _group_totals(rows, mult, lambdas, grid, group):
-    """The executor: per-row counts and weighted totals of one nested group.
+def _count_group(runs, lambdas, group):
+    """Count every run's rows of one nested group in one `sturm.count_below_stack`
+    call, with one off and mass row if the meshes are bit-equal, else one per
+    row; each run gets its counts (S, R, L) and the last domain's settled mask."""
+    stacks = [run.stack for run in runs if run.rows]
+    counts, settled = (np.zeros((len(group), 0, len(lambdas)), dtype=t) for t in (np.int64, bool))
+    if stacks:
+        diags = np.concatenate([s[0] for s in stacks]) if stacks[1:] else stacks[0][0]
+        off, mass = stacks[0][1:]
+        if any(not np.array_equal(s[k], stacks[0][k]) for s in stacks[1:] for k in (1, 2)):
+            off, mass = (np.concatenate([np.broadcast_to(s[k], (len(s[0]), len(s[k])))
+                                         for s in stacks]) for k in (1, 2))
+        counts, settled = sturm.count_below_stack(diags, off, mass, lambdas,
+                                                  sizes=[cells - 1 for _, cells in group])
+    at = np.cumsum([0] + [len(run.rows) for run in runs])
+    for run, i, j in zip(runs, at, at[1:]):
+        run.counts, run.settled = counts[:, i:j], settled[-1, i:j]
 
-    rows and mult as from `_distinct_rows`.  One `sturm.discretize_stack`
-    call assembles every distinct operator on the group's longest domain,
-    and one pass counts every domain of the group at its interior node
-    count; each row's counts enter the totals weighted by mult.  Returns
-    (counts (S, R, L), the longest domain's settled mask (R, L), totals
-    (S, L), stack).
-    """
-    if not rows:
-        z = np.zeros((len(group), 0, len(lambdas)), dtype=np.int64)
-        return z, np.zeros(z.shape[1:], dtype=bool), z.sum(axis=1), ([], None, None)
-    domain, cells = group[-1]
-    stack = sturm.discretize_stack([op for _, op in rows], domain, cells)
-    counts, settled = sturm.count_below_stack(*stack, lambdas,
-                                              sizes=[cells - 1 for _, cells in group])
-    # the threshold probe and the Weyl fit read these counts as monotone in
-    # lambda; Dirichlet bracketing keeps them monotone under domain growth
-    for what, axis in (("in lambda", 2), ("under domain growth", 0)):
-        dropped = np.argwhere(np.diff(counts, axis=axis) < 0)
-        if dropped.size:
-            k, i, _ = dropped[0]
+
+def _spectrum_reports(configs, with_eigenvalues: bool = False) -> List[SpectrumReport]:
+    """The executor: the `global_counting` report of each of `configs`, which
+    share `numerics` and p, so the lambda window and the nested groups.  Per
+    group, each config's distinct rows are assembled on its own mesh and all
+    are counted in one pass (`_count_group`); a lane's count and settled bit
+    depend on that lane alone, so each config reads what a pass of its own
+    would give.  A config that raises ends there with those after it, and its
+    refusal is raised once the configs before it are done."""
+    num, pf = configs[0].numerics, configs[0].geometry.pf
+    if any(c.numerics != num or c.geometry.pf != pf for c in configs):
+        raise AssembleError("internal error: stacked configs must share numerics and p")
+    lambdas = num.lambdas()
+    if not np.all(np.diff(lambdas) > 0):
+        raise AssembleError("lambdas must be strictly increasing")
+    runs, refusal = [SimpleNamespace(config=c, totals={}) for c in configs], None
+
+    def each(step):
+        nonlocal runs, refusal
+        for k, run in enumerate(runs):
+            try:
+                step(run)
+            except Exception as exc:    # kept to raise unchanged; run k and later ones end
+                runs, refusal = runs[:k], exc
+                return
+
+    def prepare(run):
+        run.prediction = classify(run.config)
+        run.ops = _mode_operators(run.config, float(lambdas[-1]))
+        run.rows, run.row_of, run.mult = _distinct_rows(run.ops)
+
+    def assemble_rows(run):
+        run.stack = None    # free its previous group's stack before assembling this one
+        run.stack = (sturm.discretize_stack([op for _, op in run.rows], *group[-1])
+                     if run.rows else ([], None, None))
+
+    def add_totals(run):
+        # the threshold probe and the Weyl fit read these counts as monotone
+        # in lambda; Dirichlet bracketing keeps them monotone under domain growth
+        for what, axis in (("in lambda", 2), ("under domain growth", 0)):
+            dropped = np.argwhere(np.diff(run.counts, axis=axis) < 0)
+            if dropped.size:
+                k, i, _ = dropped[0]
+                raise AssembleError(
+                    f"internal error: counts decreased {what} for mode {run.rows[i][0].name} "
+                    f"at grid={g}, domain={group[k + (axis == 0)][0]!r}")
+        for (T, _), t in zip(group, (run.mult[:, None] * run.counts).sum(axis=1)):
+            run.totals[(g, T)] = t
+
+    each(prepare)
+    for g in num.grids:
+        for group in _nested_groups(configs[0], g):
+            each(assemble_rows)
+            _count_group(runs, lambdas, group)
+            each(add_totals)
+    # the finest combo closes the last group: each run keeps its counts and stack
+    reports = []
+    each(lambda run: reports.append(_report(run, lambdas, with_eigenvalues)))
+    if refusal is not None:
+        raise refusal
+    return reports
+
+
+def _report(run, lambdas, with_eigenvalues):
+    """One config's `SpectrumReport` from its share of `_spectrum_reports`."""
+    config = run.config
+    grids, domains = config.numerics.grids, config.numerics.domains
+    gf = grids[-1]
+    totals = {(g, T): run.totals[(g, T)] for g in grids for T in domains}   # combo order
+    stable = len(domains) >= 2 and bool(
+        np.array_equal(totals[(gf, domains[-1])], totals[(gf, domains[-2])]))
+    mode_results = [ModeResult(mode=m, counts=run.counts[-1][i], settled=run.settled[i])
+                    for (m, _), i in zip(run.ops, run.row_of)]
+    if with_eigenvalues:
+        top = float(lambdas[-1])
+        total_top = int(totals[(gf, domains[-1])][-1])
+        if total_top > EIGEN_CAP:
             raise AssembleError(
-                f"internal error: counts decreased {what} for mode {rows[i][0].name} "
-                f"at grid={grid}, domain={group[k + (axis == 0)][0]!r}")
-    return counts, settled[-1], (mult[:, None] * counts).sum(axis=1), stack
+                f"{total_top} eigenvalues below {top:g} exceed the listing cap "
+                f"({EIGEN_CAP}); lower the top of numerics.lambda_grid")
+        diags, off, mass = run.stack
+        listed = [sturm.eigenvalues_below(sturm.TridiagonalPencil(diag, off, mass), top,
+                                          config.numerics.tol) for diag in diags]
+        for res, i in zip(mode_results, run.row_of):
+            res.eigenvalues = list(listed[i])
+
+    notes = []
+    if not run.prediction.is_pure_point:
+        notes.append("prediction has essential spectrum: counts are "
+                     "truncation-dependent and grow with the domain")
+    if config.degree >= 1:
+        notes.append("form counts cover the harmonic sectors only; the coexact "
+                     "tower is discrete and enters constants analytically")
+    return SpectrumReport(
+        lambda_grid=lambdas, modes=mode_results, totals_by_combo=totals,
+        stable=stable, prediction=run.prediction,
+        meta={"grids": grids, "domains": domains, "y0": config.geometry.y0},
+        notes=tuple(notes))
 
 
 def global_counting(config: ProblemConfig, with_eigenvalues: bool = False) -> SpectrumReport:
@@ -157,71 +248,17 @@ def global_counting(config: ProblemConfig, with_eigenvalues: bool = False) -> Sp
     is the finest combination, the last grid on the longest domain;
     `totals_by_combo` keeps all of them for stability assessment.  Every
     grid of `config` is counted, so a caller that reads only the finest
-    one passes `config.with_finest_grid()`.  Each mode is mapped once to
-    its distinct operator (`_distinct_rows`): modes with equal operators,
-    such as m and -m - 2 mu on the circle when 2 mu is an integer, share
-    one row.  Per grid, each group of nested domains (`_nested_groups`)
-    is assembled as one stack of the distinct rows on its longest domain
-    and counted in one pass.  The eigenvalue listing runs once per row of
-    the finest stack, and each `ModeResult` carries its row's finest-grid
-    counts, the longest domain's settled mask and its own copy of the
-    row's eigenvalue list.  If the analytic layer predicts essential
-    spectrum the table is labeled truncation-dependent: counts then grow
-    with the domain and carry no spectral meaning of their own.
+    one passes `config.with_finest_grid()`.  Modes with equal operators
+    share one row (`_distinct_rows`), and per grid each group of nested
+    domains (`_nested_groups`) is counted in one pass: this is the
+    one-config case of `_spectrum_reports`.  The eigenvalue listing runs
+    once per row of the finest stack, and each `ModeResult` carries its
+    row's finest-grid counts, the longest domain's settled mask and its
+    own copy of the row's eigenvalue list.  If the analytic layer predicts
+    essential spectrum the table is labeled truncation-dependent: counts
+    then grow with the domain and carry no spectral meaning of their own.
     """
-    lambdas = config.numerics.lambdas()
-    if not np.all(np.diff(lambdas) > 0):
-        raise AssembleError("lambdas must be strictly increasing")
-    prediction = classify(config)
-    ops = _mode_operators(config, float(lambdas[-1]))
-    rows, row_of, mult = _distinct_rows(ops)
-    grids = config.numerics.grids
-    domains = config.numerics.domains
-    gf = grids[-1]
-    totals = {}
-    for g in grids:
-        for group in _nested_groups(config, g):
-            stack = None   # free the previous group's stack before assembling this one
-            counts, settled, group_totals, stack = _group_totals(rows, mult, lambdas,
-                                                                 g, group)
-            for (T, _), t in zip(group, group_totals):
-                totals[(g, T)] = t
-    # the finest combo (gf, domains[-1]) closes the last group, so the loop
-    # leaves its counts, settled mask and stack (the listing's pencils)
-    totals = {(g, T): totals[(g, T)] for g in grids for T in domains}   # combo order
-    stable = len(domains) >= 2 and bool(
-        np.array_equal(totals[(gf, domains[-1])], totals[(gf, domains[-2])]))
-
-    mode_results = [ModeResult(mode=m, counts=counts[-1][i], settled=settled[i])
-                    for (m, _), i in zip(ops, row_of)]
-    if with_eigenvalues:
-        top = float(lambdas[-1])
-        total_top = int(totals[(gf, domains[-1])][-1])
-        if total_top > EIGEN_CAP:
-            raise AssembleError(
-                f"{total_top} eigenvalues below {top:g} exceed the listing cap "
-                f"({EIGEN_CAP}); lower the top of numerics.lambda_grid")
-        diags, off, mass = stack
-        listed = []
-        for diag in diags:
-            pen = sturm.TridiagonalPencil(diag=diag, offdiag=off, mass=mass)
-            listed.append(sturm.eigenvalues_below(pen, top, config.numerics.tol))
-        for res, i in zip(mode_results, row_of):
-            res.eigenvalues = list(listed[i])
-
-    notes = []
-    if not prediction.is_pure_point:
-        notes.append("prediction has essential spectrum: counts are "
-                     "truncation-dependent and grow with the domain")
-    if config.degree >= 1:
-        notes.append("form counts cover the harmonic sectors only; the coexact "
-                     "tower is discrete and enters constants analytically")
-    return SpectrumReport(
-        lambda_grid=lambdas, modes=mode_results, totals_by_combo=totals,
-        stable=stable, prediction=prediction,
-        meta={"grids": grids, "domains": domains,
-              "y0": config.geometry.y0},
-        notes=tuple(notes))
+    return _spectrum_reports([config], with_eigenvalues)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +335,21 @@ def threshold_probe(config: ProblemConfig) -> ThresholdEstimate:
     channel levels, and at p < 1 the channel potential stays above c.
     Other growth bounds the bottom from above, with a note.
     """
-    require_two_domains(config, "threshold probe")
+    return threshold_probes([config])[0]
+
+
+def threshold_probes(configs) -> List[ThresholdEstimate]:
+    """`threshold_probe` of each of `configs`, which share `numerics` and p;
+    their finest grids are counted together (`_spectrum_reports`)."""
+    require_two_domains(configs[0], "threshold probe")    # shared numerics
+    reports = _spectrum_reports([config.with_finest_grid() for config in configs])
+    return [_estimate(config, report) for config, report in zip(configs, reports)]
+
+
+def _estimate(config: ProblemConfig, report: SpectrumReport) -> ThresholdEstimate:
+    """`threshold_probe`'s judgement of config's finest-grid report."""
     num = config.numerics
     gf, (shorter, longest) = num.grids[-1], num.domains[-2:]
-    report = global_counting(config.with_finest_grid())
     lambdas, predicted = report.lambda_grid, report.prediction.essential_bottom
     step = float(np.max(np.diff(lambdas)))
     error = step + (math.pi / longest) ** 2     # grid resolution + detection floor
@@ -437,14 +485,14 @@ class CheckReport:
 
 
 def _invariance_check(variants: dict, stable_note: str) -> CheckReport:
-    """Probe each named config variant; the intervals their counts certify
-    (`ThresholdEstimate.interval`) must share a point.
+    """Probe the named config variants together; the intervals their counts
+    certify (`ThresholdEstimate.interval`) must share a point.
 
     passed is False, with a note, only when two conclusive intervals are disjoint.
     Otherwise an inconclusive probe makes it None, with a note naming it.
     A pass with no growth names the probes whose counts were not stable.
     """
-    probes = {name: threshold_probe(config) for name, config in variants.items()}
+    probes = dict(zip(variants, threshold_probes(list(variants.values()))))
     sure = {name: e.interval for name, e in probes.items() if not e.inconclusive}
     high = max(sure, key=lambda name: sure[name][0], default=None)   # highest lo
     low = min(sure, key=lambda name: sure[name][1], default=None)    # lowest hi

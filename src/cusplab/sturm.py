@@ -470,15 +470,16 @@ def count_below_many(pencil: TridiagonalPencil, lams) -> np.ndarray:
 
 
 def count_below_stack(diags, offs, masses, lams, sizes=None):
-    """Counts for a stack of pencils sharing one mesh: (M, L) integers.
+    """Counts for a stack of M pencils of one size: (M, L) integers.
 
-    Used by the mode loop: all modes of one (grid, domain) combination have
-    the same mesh, so the Sturm recurrence runs once over an (M, L) block.
-    With `sizes` (increasing leading-block sizes, see `_sturm_pass`) the
-    result is (S, M, L): the counts of every nested domain from one pass.
-    Returns (counts, settled) with `_sturm_pass`'s settled mask of the same
-    shape.  Exact pivot hits fall back to the per-pencil path on the leading
-    block of the checkpoint they break, and such a lane is open.
+    offs and masses are one row that every pencil shares (the modes of one
+    mesh) or one row per pencil (configs stacked on meshes that differ); the
+    Sturm recurrence runs once over the (M, L) block.  With `sizes`
+    (increasing leading-block sizes, see `_sturm_pass`) the result is
+    (S, M, L): the counts of every nested domain from one pass.  Returns
+    (counts, settled) with `_sturm_pass`'s settled mask of the same shape.
+    Exact pivot hits fall back to the per-pencil path on the leading block
+    of the checkpoint they break, and such a lane is open.
     """
     counts, broke, settled = _sturm_pass(diags, offs, masses, lams, sizes)
     settled &= ~broke

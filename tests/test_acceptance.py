@@ -92,9 +92,9 @@ def test_criterion_12_magnetic_schrodinger_margin():
 
 @pytest.mark.parametrize("index", [3, 4, 8, 10])
 def test_a_criterion_refuses_an_inconclusive_probe(monkeypatch, index):
-    real = assemble.threshold_probe
-    monkeypatch.setattr(assemble, "threshold_probe",
-                        lambda *args, **kw: replace(real(*args, **kw), inconclusive=True))
+    real = assemble.threshold_probes
+    monkeypatch.setattr(assemble, "threshold_probes", lambda configs: [
+        replace(est, inconclusive=True) for est in real(configs)])
     ok, _ = selftest.CRITERIA[index - 1][1]()
     assert not ok
 
@@ -109,10 +109,9 @@ def test_a_criterion_fails_when_the_essspec_verdict_does(monkeypatch, index):
 
 @pytest.mark.parametrize("index", [8, 10])
 def test_a_probe_without_growth_is_shown_not_raised(monkeypatch, index):
-    real = assemble.threshold_probe
-    monkeypatch.setattr(assemble, "threshold_probe",
-                        lambda config: replace(real(config), value=None,
-                                               notes=(assemble._COUNTS_STABLE,)))
+    real = assemble.threshold_probes
+    monkeypatch.setattr(assemble, "threshold_probes", lambda configs: [
+        replace(est, value=None, notes=(assemble._COUNTS_STABLE,)) for est in real(configs)])
     ok, detail = selftest.CRITERIA[index - 1][1]()
     assert not ok and "no growth" in detail
 

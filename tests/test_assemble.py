@@ -166,14 +166,16 @@ def test_variants_disagree_only_when_their_intervals_are_disjoint(monkeypatch, o
     # one-sided growth puts the bottom in (-oo, 0.375]
     probes = iter([assemble.ThresholdEstimate(0.25, 0.125, 0.25, 6.0, False, one_sided=True),
                    other])
-    monkeypatch.setattr(assemble, "threshold_probe", lambda config: next(probes))
+    monkeypatch.setattr(assemble, "threshold_probes",
+                        lambda configs: [next(probes) for _ in configs])
     assert assemble._invariance_check({"a": None, "b": None}, "stable").passed is passed
 
 
 def test_a_failed_check_names_its_disjoint_intervals(monkeypatch):
     probes = iter([assemble.ThresholdEstimate(0.25, 0.125, 0.25, 6.0, False, one_sided=True),
                    assemble.ThresholdEstimate(None, 0.25, 0.25, 6.0, False, ("counts stable",))])
-    monkeypatch.setattr(assemble, "threshold_probe", lambda config: next(probes))
+    monkeypatch.setattr(assemble, "threshold_probes",
+                        lambda configs: [next(probes) for _ in configs])
     check = assemble._invariance_check({"a": None, "b": None}, "stable")
     assert check.passed is False
     assert check.notes == ("b puts the bottom in (5.75, inf) and a in (-inf, 0.375): these "
@@ -610,10 +612,78 @@ def test_partly_nested_domains_share_a_pass_and_stay_bracketed(work):
 def test_the_threshold_verdicts_count_only_the_finest_grid(work, check, probes):
     cfg = circle_cfg(flux="0", y0=1.5, lam=(0.05, 1.0, 12))
     check(cfg)
-    # per probe, grid 1000 of (500, 1000): one assembly and one pass over its
-    # one nested group (8, 16, 32); nothing at 500 cells on the first domain
-    assert work["passes"] == [(3999, [999, 1999, 3999])] * probes
+    # grid 1000 of (500, 1000): one assembly per probe and one pass over the
+    # probes' one nested group (8, 16, 32); nothing at 500 cells on the first domain
+    assert work["passes"] == [(3999, [999, 1999, 3999])]
     assert len(work["stacks"]) == probes
+
+
+@pytest.mark.parametrize("configs, offs, rows", [
+    ([circle_cfg(flux="0"), circle_cfg(flux="0", y0=1.5)], [2], [True, True]),
+    ([circle_cfg(flux="0"), circle_cfg(flux="0").with_bump((2.5, 1.0, 5.0))], [1],
+     [True, True]),
+    ([circle_cfg(p="2", flux="0", y0=y0, grids=(200, 400), domains=(2.0, 3.0, 4.0),
+                 lam=(0.5, 6.0, 12)) for y0 in (1.0, 1.5)], [2] * 3, [True, True]),
+    # at flux 1/2 no mode reaches 0.5 from Y0 = 1.5, so that probe has no rows
+    ([circle_cfg(flux="0.5", y0=1.5), circle_cfg(flux="0.5")], [1], [False, True]),
+    # the k = 0 lanes of flux 0 stay open above 1/4, those of flux 1/2 settle
+    ([circle_cfg(flux="0.5"), circle_cfg(flux="0")], [1], [True, True]),
+], ids=["cut-radii", "bump", "p=2-cut-radii", "no-rows", "fluxes"])
+def test_stacked_probes_are_the_probes_one_by_one(monkeypatch, configs, offs, rows):
+    reports, passes = [], []
+    executor, count = assemble._spectrum_reports, sturm.count_below_stack
+
+    def recorded(configs, *args):
+        reports.append(executor(configs, *args))
+        return reports[-1]
+
+    def counted(diags, offs, *args, **kwargs):
+        passes.append(np.ndim(offs))
+        return count(diags, offs, *args, **kwargs)
+
+    monkeypatch.setattr(assemble, "_spectrum_reports", recorded)
+    monkeypatch.setattr(sturm, "count_below_stack", counted)
+    stacked = assemble.threshold_probes(configs)
+    # one pass per nested group, with one mesh per row only where the meshes differ
+    assert passes == offs
+    assert [bool(r.modes) for r in reports[0]] == rows
+    alone = [threshold_probe(c) for c in configs]
+    assert [dataclasses.asdict(e) for e in stacked] == [dataclasses.asdict(e) for e in alone]
+    for together, (apart,) in zip(reports[0], reports[1:]):
+        assert [r.mode for r in together.modes] == [r.mode for r in apart.modes]
+        for a, b in zip(together.modes, apart.modes):
+            assert np.array_equal(a.counts, b.counts) and np.array_equal(a.settled, b.settled)
+        assert list(together.totals_by_combo) == list(apart.totals_by_combo)
+        assert all(np.array_equal(t, apart.totals_by_combo[c])
+                   for c, t in together.totals_by_combo.items())
+
+
+@pytest.mark.parametrize("y0s", [(1.0, 1.5), (1.5, 1.0)])
+def test_stacked_probes_raise_the_refusal_of_the_first_variant(monkeypatch, y0s):
+    # Y0 = 1.5 refuses in its mode walk, before any assembly; Y0 = 1 refuses
+    # only at its last domain, which p = 2 counts in its own group
+    configs = [circle_cfg(p="2", flux="0", y0=y0, grids=(200, 400), domains=(2.0, 3.0, 4.0),
+                          lam=(0.5, 6.0, 12)) for y0 in y0s]
+    walk, assembly = red.enumerate_modes, sturm.discretize_stack
+
+    def refused_walk(config, lambda_max):
+        if config.geometry.y0 == 1.5:
+            raise red.ReduceError("the walk of Y0 = 1.5")
+        return walk(config, lambda_max)
+
+    def refused_assembly(ops, length, cells):
+        if ops[0].y0 == 1.0 and length == 4.0:
+            raise sturm.SturmError("the last domain of Y0 = 1")
+        return assembly(ops, length, cells)
+
+    monkeypatch.setattr(red, "enumerate_modes", refused_walk)
+    monkeypatch.setattr(sturm, "discretize_stack", refused_assembly)
+    with pytest.raises(ValueError) as alone:
+        for config in configs:
+            threshold_probe(config)
+    with pytest.raises(type(alone.value), match=str(alone.value)):
+        assemble.threshold_probes(configs)
+    assert str(alone.value).endswith(f"Y0 = {y0s[0]:g}")
 
 
 WEYL_CFG = """\

@@ -804,7 +804,8 @@ def _weyl_fit(consistent, notes=()):
 def test_exit_two_only_for_a_conclusive_mismatch(cfg_path, capsys, monkeypatch,
                                                  command, probes, code):
     calls = iter(probes)   # cut radii in order; base, then bumped
-    monkeypatch.setattr(assemble, "threshold_probe", lambda config: next(calls))
+    monkeypatch.setattr(assemble, "threshold_probes",
+                        lambda configs: [next(calls) for _ in configs])
     monkeypatch.setattr(assemble, "weyl_fit", lambda report: next(calls))
     y0s = ",".join(str(i + 1) for i in range(max(2, len(probes))))
     path = cfg_path(with_line(ESS_CFG, f"checks.y0 = {y0s}"))

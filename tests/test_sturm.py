@@ -590,6 +590,30 @@ def test_stack_checkpoints_fall_back_per_leading_block():
                 assert stacked[k, i].tolist() == [count_below(pen, lam) for lam in lams]
 
 
+def test_stacked_meshes_count_as_one_pass_per_mesh():
+    # two meshes, each row with its own off and mass; lambda = 1 hits the
+    # first pivot of the second mesh's first row exactly (2 - 1 * 2 = 0)
+    n, sizes = 8, [3, 8]
+    meshes = [(np.full((2, n), 3.0), np.full(n - 1, -0.5), np.ones(n)),
+              (np.full((2, n), 3.0), np.full(n - 1, -0.25), np.full(n, 2.0))]
+    meshes[1][0][0, 0] = 2.0
+    lams = np.array([0.5, 1.0, 2.0, 4.0])
+    diags = np.concatenate([d for d, _, _ in meshes])
+    offs = np.concatenate([np.tile(e, (2, 1)) for _, e, _ in meshes])
+    masses = np.concatenate([np.tile(m, (2, 1)) for _, _, m in meshes])
+    with mock.patch.object(sturm, "count_below", wraps=sturm.count_below) as slow:
+        counts, settled = count_below_stack(diags, offs, masses, lams, sizes=sizes)
+    assert slow.call_count == 2     # the hit lies behind both checkpoints
+    alone = [count_below_stack(*mesh, lams, sizes=sizes) for mesh in meshes]
+    assert np.array_equal(counts, np.concatenate([c for c, _ in alone], axis=1))
+    assert np.array_equal(settled, np.concatenate([s for _, s in alone], axis=1))
+    assert settled.any() and not settled[:, 2, 1].any()
+    for k, size in enumerate(sizes):
+        for i, (d, e, m) in enumerate(zip(diags, offs, masses)):
+            pen = TridiagonalPencil(diag=d[:size], offdiag=e[:size - 1], mass=m[:size])
+            assert counts[k, i].tolist() == [count_below(pen, lam) for lam in lams]
+
+
 @pytest.mark.parametrize("sizes", [[], [0, 3], [3, 3], [4, 2], [2, 7]])
 def test_checkpoints_must_increase_within_the_pencil(sizes):
     with pytest.raises(SturmError, match="checkpoints must increase within 1..6"):
