@@ -9,13 +9,11 @@ as the config format requires.  Each config runs through `essspec`,
 `cut-check` and `perturb-check` by `cusplab.cli.main`, in process, with
 JSON output.
 
-Every exit 2 is printed with its config.  One whose potential has a term
-a y^b with 0 <= b < 2p is flagged: `criteria` reads a potential only
-through its y^(2p) term, so such an exit 2 may be the prediction's fault.
-Every exit 1 must print exactly one stderr line, an error[inconclusive] or
-error[invalid] reason; a config error means the generator drew a config
-the format refuses.  The script exits 1 when an exit 1 breaks that rule or
-a report is not JSON, else 0; exit 2s are reported, not failed.
+Every exit 2 is printed with its config.  Every exit 1 must print exactly
+one stderr line, an error[inconclusive] or error[invalid] reason; a config
+error means the generator drew a config the format refuses.  The script
+exits 1 when an exit 1 breaks that rule or a report is not JSON, else 0;
+exit 2s are reported, not failed.
 
 Usage: python scripts/verdict_sweep.py [--configs N]
 """
@@ -61,13 +59,6 @@ def draw(rng) -> dict:
     return keys
 
 
-def below_two_p(keys) -> bool:
-    """The potential has a term a y^b with 0 <= b < 2p."""
-    two_p = 2 * float(keys["geometry.p"])
-    poly = keys.get("potential.poly")
-    return poly is not None and 0.0 <= float(poly.strip("()").split(",")[1]) < two_p
-
-
 def verdict(command, report) -> str:
     if command == "essspec":
         return (f"estimate {report['estimate']!r} +- {report['error']!r}, "
@@ -90,7 +81,6 @@ def main(argv=None) -> int:
 
     rng = random.Random(SEED)
     codes = {command: [0, 0, 0] for command in COMMANDS}
-    flagged = dict.fromkeys(COMMANDS, 0)
     broken = 0
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "sweep.cfg")
@@ -114,13 +104,9 @@ def main(argv=None) -> int:
                     print(f"{command} wrote a report that is not JSON | {shown}")
                     continue
                 if code == 2:
-                    flag = below_two_p(keys)
-                    flagged[command] += flag
-                    tag = " [potential term below y^(2p)]" if flag else ""
-                    print(f"{command} exit 2{tag}: {verdict(command, report)} | {shown}")
+                    print(f"{command} exit 2: {verdict(command, report)} | {shown}")
     for command, (ok, one, two) in codes.items():
-        print(f"{command}: exit 0/1/2 on {ok}/{one}/{two} of {args.configs} configs; "
-              f"{flagged[command]} exit 2s with a potential term below y^(2p)")
+        print(f"{command}: exit 0/1/2 on {ok}/{one}/{two} of {args.configs} configs")
     return 1 if broken else 0
 
 

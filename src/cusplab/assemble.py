@@ -421,10 +421,14 @@ def weyl_fit(report: SpectrumReport) -> WeylFit:
     `consistent` applies the WEYL_* gates to the exponent and, if predicted,
     the constant.  It is True for essential spectrum (the counts are
     truncation-dependent; the fit is informational) and None, with a note,
-    for a pure-point table that is not domain-stable.
+    for a pure-point table that is not domain-stable.  A prediction that
+    certifies no law (no exponent) is refused.
     """
     pred = report.prediction
     q = pred.weyl_exponent
+    if q is None:
+        raise AssembleError("the prediction certifies no counting law to fit; "
+                            "the criteria command notes why")
     lam = np.asarray(report.lambda_grid, dtype=float)
     ntot = np.asarray(report.n_total, dtype=float)
     pos = (ntot > 0) & (lam > 0)   # log lambda needs lambda > 0

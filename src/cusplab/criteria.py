@@ -16,6 +16,12 @@ h^k(M) != 0) and c1^2 (active when h^(k-1)(M) != 0).  For p < 1 every
 active branch starts at 0; for p > 1 (warped-product end) the spectrum is
 purely discrete.
 
+An electric potential V = sum a_j y^(b_j) enters through its limit at
+infinity, by the rule `reduce.far_field` that the numerics read too:
+V -> +oo confines every mode (pure point; with V0 = 0 no counting law is
+certified), a finite limit L shifts every threshold by L, and V -> -oo is
+outside the certified criteria.
+
 Counting asymptotics N(lambda) for pure-point problems:
 
     p > 1/n : C1 lambda^(n/2)
@@ -38,13 +44,13 @@ Gamma((1-p)/(2p)) / (2 sqrt(pi) Gamma(1/(2p))).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import zeta as zeta_mod
 from .model import CrossSection, MagneticData, ProblemConfig
-from .reduce import min_cross_eigenvalue
+from .reduce import far_field, min_cross_eigenvalue
 
 PURE_POINT = "pure_point"
 ESSENTIAL = "essential_from"
@@ -191,18 +197,6 @@ def magnetic_pure_point(magnetic: MagneticData, n: int, p) -> Prediction:
                              "essential spectrum survives",))
 
 
-def schrodinger_pure_point(v0_components: Sequence[tuple]) -> bool:
-    """Pure-point test from boundary potential data.
-
-    Each component of the cross-section contributes (min V0, V0 > 0
-    somewhere); the criterion needs V0 >= 0 everywhere and a strictly
-    positive point on every component.
-    """
-    if not v0_components:
-        return False
-    return all(vmin >= 0 and pos for vmin, pos in v0_components)
-
-
 def magnetic_schrodinger_bound(cross_section: CrossSection, flux) -> float:
     """Electric-potential margin c > 0 preserved by a non-integral flux.
 
@@ -238,7 +232,7 @@ def vol_end(n: int, p, y0: float, vol_m: float) -> float:
 
 @dataclass(frozen=True)
 class WeylConstants:
-    exponent: float              # the regime's law: N ~ constant * lambda^exponent
+    exponent: Optional[float]    # the regime's law: N ~ constant * lambda^exponent
     constant: Optional[float]    # its C1, C2 or C3
     c3_tail: Optional[float]
     notes: tuple
@@ -304,10 +298,13 @@ def weyl_constants(config: ProblemConfig) -> WeylConstants:
 def classify(config: ProblemConfig) -> Prediction:
     """Full analytic prediction for a validated config.
 
-    Precedence: a boundary potential that is somewhere positive (and nowhere
-    negative) certifies pure point for any degree and any magnetic data;
-    otherwise magnetic data decides degree 0 (with the |V0| < c margin for
-    non-integral flux); otherwise the form-threshold table applies.
+    The potential V decides first, by its limit at infinity
+    (`reduce.far_field`).  V -> +oo confines every mode, so the spectrum is
+    pure point for any degree and any magnetic data.  Otherwise magnetic
+    data decides degree 0 (with the |V0| < c margin for non-integral
+    flux), and the form-threshold table the rest; a finite limit L of V
+    shifts every threshold by L, and V -> -oo is outside the certified
+    criteria.
     """
     n = config.geometry.n
     p = config.geometry.p
@@ -315,32 +312,46 @@ def classify(config: ProblemConfig) -> Prediction:
     cs = config.cross_section
     notes = []
 
+    poly = config.potential.poly if config.potential is not None else ()
     v0 = config.potential.v0(p) if config.potential is not None else 0.0
+    limit = far_field(poly)
 
-    base = None
-    if config.potential is not None and schrodinger_pure_point([(v0, v0 > 0)]):
-        base = Prediction((), weyl_regime(n, p),
-                          notes=("pure point: boundary potential is nonnegative "
-                                 "and somewhere positive",))
-    elif k == 0 and config.magnetic is not None:
-        base = magnetic_pure_point(config.magnetic, n, p)
-        if base.is_pure_point and config.potential is not None:
-            c = min_cross_eigenvalue(cs, config.magnetic.flux)
+    magnetic = config.magnetic     # only ever set for degree 0
+    confined_below = limit == math.inf and not v0 > 0   # by a term below y^(2p) only
+    if limit == math.inf:
+        why = ("a potential term below y^(2p) grows to +oo and confines every mode"
+               if confined_below else
+               "boundary potential is nonnegative and somewhere positive")
+        base = Prediction((), weyl_regime(n, p), notes=("pure point: " + why,))
+    elif magnetic is not None and not magnetic.flux_is_integral:
+        # no zero mode: every mode has nu >= c, the margin of the potential
+        base = magnetic_pure_point(magnetic, n, p)
+        if config.potential is not None:
+            c = min_cross_eigenvalue(cs, magnetic.flux)
             if abs(v0) < c:
                 notes.append(f"boundary potential within the flux gap |V0| < {c:g}")
             else:
                 notes.append("boundary potential exceeds the flux gap; "
                              "classification reflects the potential-free operator")
-        if not base.is_pure_point and config.potential is not None and v0 != 0.0:
-            notes.append("nonzero boundary potential with integral flux is outside "
-                         "the certified criteria; thresholds shown are for V0 = 0")
     else:
-        base = thresholds_forms(n, k, p, cs.betti)
-        if config.potential is not None and v0 != 0.0 and not base.is_pure_point:
-            notes.append("nonzero boundary potential shifts thresholds; values "
-                         "shown are for the potential-free operator")
+        base = (magnetic_pure_point(magnetic, n, p) if magnetic is not None
+                else thresholds_forms(n, k, p, cs.betti))
+        if limit == -math.inf:
+            notes.append("a potential that falls to -oo at infinity is outside the "
+                         "certified criteria; the prediction shown is for the "
+                         "potential-free operator")
+        else:
+            # each threshold t becomes the limit of t + V, summed as
+            # `reduce.mode_threshold` sums the zero mode's
+            base = replace(base, thresholds=tuple(sorted(
+                {far_field(((t, 0.0),) + poly) for t in base.thresholds})))
+            if limit != 0.0:
+                notes.append(f"the potential tends to {limit!r} at infinity and "
+                             "shifts every threshold by it")
 
-    consts = weyl_constants(config)
+    consts = (WeylConstants(None, None, None, (
+        "the counting law is not certified when only a potential term below "
+        "y^(2p) confines the end",)) if confined_below else weyl_constants(config))
     notes.extend(consts.notes)
     if not base.is_pure_point:
         notes.append("counting constants describe the full-manifold asymptotics "
@@ -349,4 +360,3 @@ def classify(config: ProblemConfig) -> Prediction:
         thresholds=base.thresholds, weyl_regime=base.weyl_regime,
         weyl_exponent=consts.exponent, weyl_constant=consts.constant,
         c3_tail=consts.c3_tail, notes=base.notes + tuple(notes))
-

@@ -216,7 +216,9 @@ class RadialPotential:
     """Radial electric potential V(y) = sum_j a_j y^(b_j) + optional bump.
 
     The admissible class is bounded multiples of y^(2p); the coefficient of
-    y^(2p) is the boundary value V0 that decides the pure-point criteria.
+    y^(2p) is the boundary value V0.  What V does at infinity, and so what
+    it does to the spectrum, is decided by all its terms together
+    (`reduce.far_field`).
     The bump (center, width, height) is the usual smooth compactly supported
     mollifier on [center - width, center + width].
     """

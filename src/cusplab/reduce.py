@@ -31,6 +31,11 @@ closed-form: a mode reaches lambda on [Y0, Ymax] only if
 nu <= max (lambda - V(y)) / y^(2p), maximised over 4096 samples (with
 V = 0 the cut is lambda / Y0^(2p)); `domain_end` gives Ymax, here and to
 the p > 1 mesh, and refuses an end past the largest float.
+
+It also owns what a potential does at infinity.  `far_field` is the one
+rule: `mode_threshold` reads a mode's essential bottom from it,
+`enumerate_modes` refuses a mode whose potential falls to -oo, and
+`criteria.classify` predicts from it.
 """
 
 from __future__ import annotations
@@ -131,10 +136,14 @@ class CanonicalOperator:
     def y_of_z(self, z):
         return y_of_z(np.asarray(z, dtype=float), self.p, self.y0)
 
+    @property
+    def terms(self) -> tuple:
+        """The power terms (a, b) of W: the conjugation term, then q's."""
+        return ((self.conj_coeff, 2.0 * self.p - 2.0),) + self.potential_terms
+
     def q(self, y, out=None, shared=None):
         """The normal-form potential W at radial nodes y (`model.potential_values`)."""
-        conj = ((self.conj_coeff, 2.0 * self.p - 2.0),)
-        return potential_values(y, conj + self.potential_terms, self.bump, out, shared)
+        return potential_values(y, self.terms, self.bump, out, shared)
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +263,20 @@ def min_cross_eigenvalue(cross_section: CrossSection, flux) -> float:
         w = 2.0 * math.pi / cross_section.length
         lo = math.floor(-mu)
         return min((w * (m + mu)) ** 2 for m in (lo, lo + 1))
-    nearest = [round(-float(f)) for f in flux]
-    top = cross_eigenvalue(cross_section, nearest, flux)
+    return _lowest_mode(cross_section, flux).nu
+
+
+def _lowest_mode(cross_section: CrossSection, flux) -> ModeSpec:
+    """The function mode of least cross-eigenvalue: the first of every mode
+    up to the eigenvalue at the label nearest -mu (the first table entry)."""
+    if cross_section.kind == TABLE:
+        top = cross_section.tables[0][0][0]
+    else:
+        nearest = [round(-float(f)) for f in flux or (0,) * cross_section.dim]
+        top = cross_eigenvalue(cross_section, nearest, flux)
     # |nearest + mu| <= sqrt(d)/2, so the box is at most
     # sqrt(d) sigma_max / sigma_min + 1 labels a side and needs no cap
-    return _function_modes(cross_section, flux, top, math.inf)[0].nu
+    return _function_modes(cross_section, flux, top, math.inf)[0]
 
 
 def domain_end(p: float, y0: float, length: float) -> float:
@@ -321,8 +339,10 @@ def enumerate_modes(config: ProblemConfig, lambda_max: float) -> List[ModeSpec]:
     Every numeric command passes through here with the top of
     `numerics.lambda_grid` as lambda_max, so this is where data outside the
     modelled class is refused: magnetic data other than closed tangential
-    forms with a constant, pure-gauge radial coefficient, and a potential
-    on k-forms (the harmonic-sector operators carry none).
+    forms with a constant, pure-gauge radial coefficient, a potential on
+    k-forms (the harmonic-sector operators carry none), and a potential
+    that falls to -oo on the lowest mode (`far_field`), whether or not the
+    window lists it.
     """
     if lambda_max < 0:
         raise ReduceError(f"the top of numerics.lambda_grid must be >= 0, got {lambda_max!r}")
@@ -340,11 +360,26 @@ def enumerate_modes(config: ProblemConfig, lambda_max: float) -> List[ModeSpec]:
     if k == 0:
         flux = config.magnetic.flux if config.magnetic is not None else None
         if config.potential is None or config.potential.is_zero:
-            nu_max = lambda_max / geom.y0 ** (2.0 * geom.pf)
+            try:
+                nu_max = lambda_max / geom.y0 ** (2.0 * geom.pf)
+            except OverflowError:
+                raise ReduceError(f"Y0^(2p) at the cut radius Y0 = {geom.y0!r} exceeds "
+                                  "the largest float; lower geometry.y0 or checks.y0"
+                                  ) from None
         else:
             nu_max = _nu_reach(config, lambda_max)
-        return _function_modes(config.cross_section, flux, nu_max,
-                               config.numerics.mode_cap)
+        modes = _function_modes(config.cross_section, flux, nu_max,
+                                config.numerics.mode_cap)
+        poly = config.potential.poly if config.potential is not None else ()
+        if far_field(poly) == -math.inf:
+            # nu y^(2p) only lifts the far field, so the lowest mode falls if
+            # any mode does, listed in the window or not
+            low = _lowest_mode(config.cross_section, flux)
+            if far_field(((low.nu, 2.0 * geom.pf),) + poly) == -math.inf:
+                raise ReduceError(f"the potential of mode {low.name} falls to -oo as "
+                                  "y -> oo; a potential unbounded below is outside the "
+                                  "numerically modelled class")
+        return modes
     modes = []
     h_k = config.cross_section.betti_at(k)
     h_k1 = config.cross_section.betti_at(k - 1)
@@ -444,28 +479,39 @@ def liouville_transform(op: RadialOperator, p) -> CanonicalOperator:
         bump=op.bump)
 
 
+def far_field(terms) -> float:
+    """The limit of sum a_j y^(b_j) as y -> oo, for terms (a_j, b_j).
+
+    Like powers are summed first, in term order.  The highest power b > 0
+    whose summed coefficient is nonzero decides: +oo or -oo by its sign.
+    Without one, the limit is the summed coefficient of y^0 (0.0 if there
+    is none); powers b < 0 decay.
+    """
+    sums = {}
+    for a, b in terms:
+        sums[b] = sums.get(b, 0.0) + a
+    top = max((b for b, a in sums.items() if b > 0.0 and a != 0.0), default=None)
+    if top is not None:
+        return math.copysign(math.inf, sums[top])
+    return sums.get(0.0, 0.0)
+
+
 def mode_threshold(op: RadialOperator, p) -> Optional[float]:
     """Bottom of the essential spectrum of one radial operator, if any.
 
-    Confining modes (potential growing at infinity) and every p > 1
-    operator have empty essential spectrum (None).  Otherwise the
-    threshold is the limit of the normal-form potential W(z).
+    Every p > 1 operator has empty essential spectrum (None).  Otherwise the
+    threshold is the limit of the normal-form potential W(z) (`far_field`):
+    None for a confining mode, where W grows to +oo.  A W that falls to
+    -oo is refused.
     """
     pf = float(p)
     if pf > 1.0:
         return None
-    can = liouville_transform(op, pf)
-    lim = 0.0
-    if pf == 1.0:
-        lim += can.conj_coeff
-    for a, b in can.potential_terms:
-        if a == 0.0:
-            continue
-        if b > 0.0:
-            return None  # confining
-        if b == 0.0:
-            lim += a
-    return lim
+    limit = far_field(liouville_transform(op, pf).terms)
+    if limit == -math.inf:
+        raise ReduceError("the potential falls to -oo as y -> oo: the operator "
+                          "is not bounded below")
+    return None if limit == math.inf else limit
 
 
 def mode_operator(config: ProblemConfig, mode: ModeSpec) -> RadialOperator:

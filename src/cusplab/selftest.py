@@ -233,11 +233,15 @@ def criterion_11():
     mag2 = criteria.magnetic_pure_point(MagneticData(flux=("3",)), 2, 1)
     checks.append(("integral flux essential from 1/4",
                    not mag2.is_pure_point and mag2.essential_bottom == 0.25))
-    checks.append(("V0 > 0 pure point",
-                   criteria.schrodinger_pure_point([(1.0, True)]) is True))
-    checks.append(("V0 = 0 not", criteria.schrodinger_pure_point([(0.0, False)]) is False))
+    def potential_prediction(*poly):
+        return criteria.classify(_circle_config(flux="0", potential=RadialPotential(poly)))
+
+    checks.append(("V0 > 0 pure point", potential_prediction((1.0, 2.0)).is_pure_point))
+    # V0 = 0 with a limit 1/2 at infinity: the threshold 1/4 moves to 3/4
+    checks.append(("V0 = 0 not",
+                   potential_prediction((0.5, 0.0)).essential_bottom == 0.75))
     checks.append(("V0 min < 0 not",
-                   criteria.schrodinger_pure_point([(-0.1, True)]) is False))
+                   not potential_prediction((-0.1, 2.0)).is_pure_point))
     try:
         parse_config("\n".join([
             "geometry.n = 3", "geometry.p = 1",

@@ -159,7 +159,7 @@ def discretize_stack(ops, length: float, cells: int):
         raise SturmError("stacked operators may differ only in their potential terms")
     canonical = isinstance(op, CanonicalOperator)
     x = t if canonical else y
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         h = np.diff(x)
         if canonical:
             w1_mid, w0 = np.ones(len(x) - 1), np.ones(len(x))
@@ -167,8 +167,9 @@ def discretize_stack(ops, length: float, cells: int):
             w1_mid, w0 = op.w1(0.5 * (x[:-1] + x[1:])), op.w0(x)
             _check_finite("the stiffness weight", w1_mid)
             _check_finite("the density weight", w0)
+        # nodes that round together leave h = 0 and k = inf, both refused below
+        k = w1_mid / h
     lump = 0.5 * (h[:-1] + h[1:])
-    k = w1_mid / h
     mass = w0[1:-1] * lump
     if np.any(mass <= 0):
         raise SturmError("mass matrix must be strictly positive")

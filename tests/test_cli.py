@@ -538,6 +538,15 @@ def test_a_one_domain_study_is_refused_before_counting(cfg_path, capsys, monkeyp
                    "numerics.domain_z\n")
 
 
+def test_weyl_refuses_a_prediction_without_a_certified_law(cfg_path, capsys):
+    # only a term below y^(2p) confines the end: no regime's law is certified
+    text = with_line(with_line(PROBE_CFG, "potential.poly = (1.0,1.0)"),
+                     "numerics.lambda_grid = 10,100,8")
+    assert main(["weyl", "--config", cfg_path(text)]) == 1
+    assert capsys.readouterr() == ("", "error[invalid]: the prediction certifies no counting "
+                                       "law to fit; the criteria command notes why\n")
+
+
 def test_weyl_on_an_essential_spectrum_table_stays_informational(cfg_path, capsys):
     text = with_line(UNSETTLED_WEYL_CFG.replace("magnetic.flux = 0.5", "magnetic.flux = 0"),
                      "numerics.domain_z = 1,1.5")
@@ -855,6 +864,40 @@ def test_growth_that_only_bounds_the_bottom_agrees(cfg_path, capsys, commands, l
     assert capsys.readouterr()[1] == ""
 
 
+@pytest.mark.parametrize("poly, window, shown", [
+    ("(0.5,0)", "0.05,1.0,39", "essential spectrum: [0.75, oo)\n"),
+    ("(1.0,0.5)", "0.05,0.5,46", "classification: pure_point\n"),
+], ids=["limit-shifts-the-bottom", "term-below-y2p-confines"])
+def test_a_potential_term_below_y2p_is_predicted_from_its_far_field(cfg_path, capsys, poly,
+                                                                    window, shown):
+    # both exited 2 while criteria read a potential through its y^(2p) term only
+    text = with_line(with_line(with_line(BOUND_CFG, "magnetic.flux = 0"),
+                               f"potential.poly = {poly}"), f"numerics.lambda_grid = {window}")
+    path = cfg_path(text)
+    assert main(["criteria", "--config", path]) == 0
+    assert shown in capsys.readouterr().out
+    assert main(["essspec", "--config", path]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("text, poly", [
+    (PROBE_CFG, "(-1.0,0.5)"),
+    # 10 - y^0.01 stays above the window on every domain, so no mode is listed
+    (PROBE_CFG, "(10.0,0);(-1.0,0.01)"),
+    (TABLE_CFG, "(10.0,0);(-1.0,0.01)"),
+], ids=["listed", "below-the-window", "table-below-the-window"])
+def test_a_potential_that_falls_to_minus_infinity_is_refused_by_the_numerics(cfg_path, capsys,
+                                                                             text, poly):
+    path = cfg_path(with_line(text, f"potential.poly = {poly}"))
+    for command in ("reduce", "count", "essspec"):
+        assert main([command, "--config", path]) == 1
+        assert capsys.readouterr() == ("", (
+            "error[invalid]: the potential of mode m0 falls to -oo as y -> oo; a potential "
+            "unbounded below is outside the numerically modelled class\n"))
+    assert main(["criteria", "--config", path]) == 0
+    assert "outside the certified criteria" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("thresholds", [(0.4,), ()], ids=["shifted", "pure-point"])
 def test_a_wrong_prediction_still_exits_two(cfg_path, capsys, monkeypatch, thresholds):
     real = assemble.classify
@@ -893,7 +936,16 @@ DOMAIN_END = ("error[invalid]: a domain of length 800.0 ends past the largest fl
     ("count", LONG_POLY_CFG.replace("geometry.p = 2", "geometry.p = 1"), DOMAIN_END),
     ("reduce", NO_CUT_CFG, "error[invalid]: potential keeps every mode below the top of "
                            "numerics.lambda_grid; no finite mode cut exists\n"),
-], ids=["p2-flux", "p1-flux", "p2-poly", "p1-poly", "no-finite-cut"])
+    # Y0^(2p) = 1e400 overflows a float before any mode is listed
+    ("cut-check", with_line(LONG_CFG.replace("8,800", "8,16"), "checks.y0 = 1e100,1"),
+     "error[invalid]: Y0^(2p) at the cut radius Y0 = 1e+100 exceeds the largest float; "
+     "lower geometry.y0 or checks.y0\n"),
+    # at z ~ 2e50 the mesh nodes round together: zero cell widths, no warning
+    ("cut-check", with_line(with_line(LONG_CFG.replace("8,800", "2,3,700"),
+                                      "geometry.p = 0.5"), "checks.y0 = 1e100,1"),
+     "error[invalid]: mass matrix must be strictly positive\n"),
+], ids=["p2-flux", "p1-flux", "p2-poly", "p1-poly", "no-finite-cut", "p2-huge-cut",
+        "p-half-huge-cut"])
 def test_an_unrepresentable_window_is_one_error_line(cfg_path, capsys, command, text, err):
     assert main([command, "--config", cfg_path(text)]) == 1
     assert capsys.readouterr() == ("", err)

@@ -10,12 +10,13 @@ from hypothesis import given, settings, strategies as st
 from cusplab.cli import _prediction_dict
 from cusplab.criteria import (CriteriaError, classify, form_constants,
                               full_ellipticity_forms, magnetic_pure_point,
-                              magnetic_schrodinger_bound, schrodinger_pure_point,
+                              magnetic_schrodinger_bound,
                               thresholds_forms, vol_end, vol_sphere, weyl_constants,
                               weyl_regime, POWER_N2, LOG_LAW, POWER_HALF_P)
 from cusplab.model import (EndGeometry, MagneticData, ProblemConfig,
                            RadialPotential, builtin_cross_section)
-from cusplab.reduce import min_cross_eigenvalue
+from cusplab.reduce import (enumerate_modes, min_cross_eigenvalue, mode_operator,
+                            mode_threshold)
 
 TWO_PI = 2 * math.pi
 
@@ -123,12 +124,34 @@ def test_magnetic_classification_invariant_under_integer_shift(flux, e):
 
 
 def test_schrodinger_predicate_table():
-    assert schrodinger_pure_point([(1.0, True)]) is True
-    assert schrodinger_pure_point([(0.0, False)]) is False
-    assert schrodinger_pure_point([(-0.1, True)]) is False
-    # per-component: every component needs a positive point
-    assert schrodinger_pure_point([(0.0, True), (0.0, False)]) is False
-    assert schrodinger_pure_point([]) is False
+    def classified(*poly):
+        return classify(circle_cfg(1, flux="0", potential=RadialPotential(poly=poly)))
+
+    assert classified((1.0, 2.0)).is_pure_point
+    assert classified((0.0, 2.0)).thresholds == (0.25,)
+    falling = classified((-0.1, 2.0))
+    assert falling.thresholds == (0.25,)
+    assert any("outside the certified criteria" in note for note in falling.notes)
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 4), Fraction(1, 2), Fraction(1)])
+@pytest.mark.parametrize("flux", ["0", "2"])
+@pytest.mark.parametrize("poly", [
+    ((0.5, 0.0),),
+    ((0.1, 0.0), (0.3, 0.0), (-0.3, -1.0)),   # (1/4 + 0.1) + 0.3 != 1/4 + (0.1 + 0.3)
+    ((0.7, 0.0), (3.0, -0.5), (-0.1, 0.0)),
+])
+def test_the_predicted_bottom_is_the_zero_modes_threshold_bit_for_bit(p, flux, poly):
+    cfg = circle_cfg(p, flux=flux, potential=RadialPotential(poly=poly))
+    (zero,) = [m for m in enumerate_modes(cfg, 10.0) if m.nu == 0.0]
+    assert classify(cfg).essential_bottom == mode_threshold(mode_operator(cfg, zero), p)
+
+
+def test_a_term_below_y2p_that_confines_certifies_no_counting_law():
+    pred = classify(circle_cfg(Fraction(1, 4), potential=RadialPotential(poly=((1.0, 0.25),))))
+    assert pred.is_pure_point
+    assert pred.weyl_exponent is None and pred.weyl_constant is None and pred.c3_tail is None
+    assert any("not certified" in note for note in pred.notes)
 
 
 def test_magnetic_schrodinger_bound_enumeration_oracle():
@@ -275,7 +298,8 @@ def test_classify_scalar_essential():
     (Fraction(1, 4), POWER_HALF_P, 2.0, "C3"),
 ])
 def test_prediction_states_the_regime_law(p, regime, exponent, name):
-    pred = classify(circle_cfg(p, potential=RadialPotential(poly=((1.0, 0.5),))))
+    # a positive boundary potential V0 y^(2p) makes every regime pure point
+    pred = classify(circle_cfg(p, potential=RadialPotential(poly=((1.0, 2 * float(p)),))))
     assert pred.weyl_regime == regime
     assert pred.weyl_exponent == exponent
     assert pred.weyl_constant is not None

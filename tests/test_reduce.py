@@ -13,7 +13,7 @@ from cusplab.model import (EndGeometry, MagneticData, Numerics, ProblemConfig,
                            RadialPotential, builtin_cross_section)
 from cusplab.reduce import (ModeSpec, ReduceError, _nu_reach,
                             SECTOR_FORM_0, SECTOR_FORM_1, cross_eigenvalue,
-                            enumerate_modes,
+                            enumerate_modes, far_field,
                             harmonic_form_radial_operator, liouville_transform,
                             min_cross_eigenvalue, mode_threshold,
                             scalar_radial_operator, y_of_z, z_of_y)
@@ -326,6 +326,16 @@ def _oracle_modes(config, lambda_max):
     return modes
 
 
+def _falls(config, nu):
+    """nu y^(2p) + a y^b -> -oo, for the drawn potential's one term a y^b."""
+    if config.potential is None or not config.potential.poly:
+        return False
+    ((a, b),) = config.potential.poly
+    if b == 2.0 * config.geometry.pf:
+        return nu + a < 0.0
+    return nu == 0.0 and a < 0.0 and b > 0.0
+
+
 @st.composite
 def _window_configs(draw):
     """A cross-section with a rational flux, an end, a potential and a window top."""
@@ -382,15 +392,19 @@ def test_mode_window_and_c_match_the_earlier_algorithms(case):
         with pytest.raises(ReduceError):
             enumerate_modes(config, lambda_max)
         return
+    flux = config.magnetic.flux
+    lowest = _oracle_min_cross_eigenvalue(config.cross_section, flux)
+    assert min_cross_eigenvalue(config.cross_section, flux) == lowest
+    if _falls(config, want[0][1] if want else lowest):
+        with pytest.raises(ReduceError, match="falls to -oo"):
+            enumerate_modes(config, lambda_max)
+        return
     got = enumerate_modes(config, lambda_max)
     assert [(m.label, m.nu) for m in got] == want
     if config.potential is not None:
         # the closed form and the bisection agree on the cut to rounding
         cut = _oracle_nu_reach(config, lambda_max)
         assert _nu_reach(config, lambda_max) == pytest.approx(cut, rel=1e-12, abs=1e-12)
-    flux = config.magnetic.flux
-    assert (min_cross_eigenvalue(config.cross_section, flux)
-            == _oracle_min_cross_eigenvalue(config.cross_section, flux))
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +456,25 @@ def test_mode_threshold_cases():
     horn = scalar_radial_operator(
         ModeSpec(label=(0,), nu=0.0, multiplicity=1), EndGeometry(2, 2, 1.0))
     assert mode_threshold(horn, 2.0) is None
+    zero = ModeSpec(label=(0,), nu=0.0, multiplicity=1)
+    shifted = scalar_radial_operator(zero, geom, RadialPotential(poly=((0.5, 0.0),)))
+    assert mode_threshold(shifted, 1.0) == 0.75
+    falling = scalar_radial_operator(zero, geom, RadialPotential(poly=((-1.0, 0.5),)))
+    with pytest.raises(ReduceError, match="not bounded below"):
+        mode_threshold(falling, 1.0)
+
+
+@pytest.mark.parametrize("terms, limit", [
+    ((), 0.0),
+    (((0.5, 0.0), (-0.2, 0.0), (3.0, -1.0)), 0.3),
+    (((1.0, 0.5), (-5.0, 0.25)), math.inf),
+    (((-1.0, 0.5), (5.0, 0.0)), -math.inf),
+    # like powers are summed before the highest one decides
+    (((1.0, 2.0), (-1.0, 2.0), (-0.1, 1.0)), -math.inf),
+    (((1.0, 2.0), (-1.0, 2.0), (0.25, 0.0)), 0.25),
+])
+def test_far_field_is_decided_by_the_highest_surviving_power(terms, limit):
+    assert far_field(terms) == pytest.approx(limit)
 
 
 # ---------------------------------------------------------------------------
