@@ -85,24 +85,6 @@ def _mode_operators(config: ProblemConfig, lambda_max: float):
     return [(m, red.liouville_transform(op, p) if p <= 1.0 else op) for m, op in ops]
 
 
-def _nested_groups(config, grid):
-    """The planner: the domains of one grid, grouped so that their meshes nest.
-
-    A domain T gets cells_for(grid, T, T0) cells.  For p <= 1 its mesh is
-    z0 + (T/cells)*k (`sturm.mesh_for`), so two domains nest exactly when
-    their widths T/cells are the same double.  For p > 1 the mesh of T
-    spans [0, zmax(e^T)], so every domain is its own group.  Returns lists
-    of (domain, cells), each ascending, ordered by their longest domain.
-    """
-    domains = config.numerics.domains
-    groups = {}
-    for T in domains:
-        cells = sturm.cells_for(grid, T, domains[0])
-        groups.setdefault(T / cells if config.geometry.pf <= 1.0 else T, []).append(
-            (T, cells))
-    return sorted(groups.values(), key=lambda group: group[-1][0])
-
-
 def _distinct_rows(ops):
     """Each distinct operator of the modes `ops`, once: (rows, row_of, mult).
 
@@ -192,7 +174,7 @@ def _spectrum_reports(configs, with_eigenvalues: bool = False) -> List[SpectrumR
 
     each(prepare)
     for g in num.grids:
-        for group in _nested_groups(configs[0], g):
+        for group in red.nested_groups(num, pf, g):
             each(assemble_rows)
             _count_group(runs, lambdas, group)
             each(add_totals)
@@ -250,7 +232,7 @@ def global_counting(config: ProblemConfig, with_eigenvalues: bool = False) -> Sp
     grid of `config` is counted, so a caller that reads only the finest
     one passes `config.with_finest_grid()`.  Modes with equal operators
     share one row (`_distinct_rows`), and per grid each group of nested
-    domains (`_nested_groups`) is counted in one pass: this is the
+    domains (`reduce.nested_groups`) is counted in one pass: this is the
     one-config case of `_spectrum_reports`.  The eigenvalue listing runs
     once per row of the finest stack, and each `ModeResult` carries its
     row's finest-grid counts, the longest domain's settled mask and its

@@ -132,7 +132,8 @@ def _betti(betti: Sequence[int], j: int) -> int:
 def full_ellipticity_forms(n: int, k: int, betti: Sequence[int]) -> bool:
     """True iff degrees k and k-1 of the cross-section carry no cohomology.
 
-    `betti` lists h^0..h^(n-2) of the (n-1)-dimensional cross-section;
+    `betti` lists h^0..h^(n-1) of the (n-1)-dimensional cross-section,
+    e.g. (1, 1) for the circle at n = 2 and (1, 0, 0, 1) for S^3 at n = 4;
     degrees outside that range count as 0.
     """
     if not (0 <= k <= n):

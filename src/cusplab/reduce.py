@@ -23,14 +23,16 @@ stretched variable z (z = log y for p = 1, y^(1-p)/(1-p) for p < 1) as
 -d^2/dz^2 + W(z) with flat measure, which is what the discretizer prefers
 for p <= 1.
 
-This module owns the flux-twisted spectrum of M.  `enumerate_modes` lists
-the modes that can reach the top lambda of the window: circle and lattice
-torus labels come from one box walk, and `min_cross_eigenvalue` gives
-`criteria` the bottom c of the same spectrum by that walk.  The mode cut is
-closed-form: a mode reaches lambda on [Y0, Ymax] only if
-nu <= max (lambda - V(y)) / y^(2p), maximised over 4096 samples (with
-V = 0 the cut is lambda / Y0^(2p)); `domain_end` gives Ymax, here and to
-the p > 1 mesh, and refuses an end past the largest float.
+This module owns the flux-twisted spectrum of M and the meshes it is
+counted on.  `enumerate_modes` lists the modes that can reach the top
+lambda of the window: circle and lattice torus labels come from one box
+walk, and `min_cross_eigenvalue` gives `criteria` the bottom c of the same
+spectrum by that walk.  The mode cut is certified by the pencils that are
+counted: a mode reaches lambda on a mesh only if
+nu <= (lambda - V(y_i)) / y_i^(2p) at one of its interior nodes y_i, so
+the cut is the largest such ratio over the nodes of every mesh that
+`numerics` counts (`nested_groups`, `mesh_for`).  `domain_end` gives the
+radial end of a domain and refuses an end past the largest float.
 
 It also owns what a potential does at infinity.  `far_field` is the one
 rule: `mode_threshold` reads a mode's essential bottom from it,
@@ -128,13 +130,9 @@ class CanonicalOperator:
 
     p: float
     y0: float
-    z0: float
     conj_coeff: float
     potential_terms: tuple = ()
     bump: Optional[tuple] = None
-
-    def y_of_z(self, z):
-        return y_of_z(np.asarray(z, dtype=float), self.p, self.y0)
 
     @property
     def terms(self) -> tuple:
@@ -300,24 +298,87 @@ def domain_end(p: float, y0: float, length: float) -> float:
     return ymax
 
 
-def _nu_reach(config: ProblemConfig, lambda_max: float) -> float:
-    """Largest cross-eigenvalue whose mode can reach lambda_max.
+# ---------------------------------------------------------------------------
+# meshes
+# ---------------------------------------------------------------------------
 
-    The mode with cross-eigenvalue nu has the full potential
-    nu y^(2p) + V(y), which dips to lambda_max somewhere on the
-    computational domain exactly when nu <= (lambda_max - V(y)) / y^(2p)
-    there.  So the cut is, in closed form, the maximum of that ratio over
-    4096 geometric samples of [Y0, Ymax], and -1 when it is negative (no
+def cells_for(grid: int, domain: float, base_domain: float) -> int:
+    """Cells for a domain at fixed mesh width h = base_domain/grid."""
+    return max(4, int(round(grid * domain / base_domain)))
+
+
+def nested_groups(numerics, p: float, grid: int):
+    """The planner: the domains of one grid, grouped so that their meshes nest.
+
+    A domain T gets cells_for(grid, T, T0) cells.  For p <= 1 its mesh is
+    z0 + (T/cells)*k (`mesh_for`), so two domains nest exactly when their
+    widths T/cells are the same double.  For p > 1 the mesh of T spans
+    [0, zmax(e^T)], so every domain is its own group.  Returns lists of
+    (domain, cells), each ascending, ordered by their longest domain.
+    """
+    domains = numerics.domains
+    groups = {}
+    for T in domains:
+        cells = cells_for(grid, T, domains[0])
+        groups.setdefault(T / cells if p <= 1.0 else T, []).append((T, cells))
+    return sorted(groups.values(), key=lambda group: group[-1][0])
+
+
+def mesh_for(p: float, y0: float, length: float, cells: int):
+    """Mesh nodes of a domain of length `length` with `cells` cells.
+
+    Returns (t_nodes, y_nodes): t is the meshed variable, y the radial
+    coordinate at the same nodes.  For p <= 1, t is the Liouville variable
+    and the nodes are z0 + h*k for k = 0..cells, with z0 = z(Y0) and
+    h = length/cells rounded once.  Every node depends on z0, h and k only,
+    so a mesh with the same h is a prefix of this one; np.linspace(z0,
+    z0 + length) would step by ((z0 + length) - z0)/cells, which differs
+    from h in the last ulp whenever z0 != 0.  For p > 1, t is the arc
+    length on [0, zmax] with zmax = z(`domain_end`); zmax depends on
+    e^length, so meshes of different lengths never nest, and the end
+    points are pinned exactly instead.
+    """
+    if p <= 1.0:
+        t = float(z_of_y(y0, p, y0)) + (length / cells) * np.arange(cells + 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return t, y_of_z(t, p, y0)
+    ymax = domain_end(p, y0, length)
+    t = np.linspace(0.0, float(z_of_y(ymax, p, y0)), cells + 1)
+    y = y_of_z(t, p, y0)
+    y[0], y[-1] = y0, ymax
+    return t, y
+
+
+def _mode_cut(config: ProblemConfig, lambda_max: float) -> float:
+    """Largest cross-eigenvalue nu whose mode can reach lambda_max on a
+    mesh that `config.numerics` counts, certified at the mesh nodes.
+
+    A mode's pencil at lambda is K + diag((W - lambda) lump) in z for
+    p <= 1 and K + diag((q - lambda) w0 lump) in y for p > 1, with K the
+    Dirichlet stiffness, which is positive definite, and lump, w0 > 0.
+    Here q = nu y^(2p) + V, and W = q + A_c y^(2p-2) with A_c >= 0 for
+    every function mode at p <= 1.  So where q(y_i) >= lambda at every
+    interior node y_i the pencil is positive definite, and the mode has no
+    eigenvalue below lambda.  The cut is the largest (lambda - V(y_i)) /
+    y_i^(2p) over the interior nodes of each nested group's longest mesh
+    (the shorter meshes are its prefixes), and -1 when it is negative (no
     mode reaches the window).  A cut that is not finite or exceeds 1e18 is
     refused: the potential then holds every mode down.
     """
-    geom = config.geometry
-    ymax = domain_end(geom.pf, geom.y0, max(config.numerics.domains))
-    y = np.geomspace(geom.y0, max(ymax, geom.y0 * (1 + 1e-9)), 4096)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ratio = (lambda_max - config.potential(y)) / y ** (2.0 * geom.pf)
-    # fmax skips inf/inf, a sample where y^(2p) and V both overflow
-    cut = float(np.fmax.reduce(ratio))
+    geom, num = config.geometry, config.numerics
+    p, potential = geom.pf, config.potential or RadialPotential()
+    with np.errstate(over="ignore"):
+        if np.isinf(np.float64(geom.y0) ** (2.0 * p)):
+            raise ReduceError(f"Y0^(2p) at the cut radius Y0 = {geom.y0!r} exceeds "
+                              "the largest float; lower geometry.y0 or checks.y0")
+    cut = -math.inf
+    for grid in num.grids:
+        for group in nested_groups(num, p, grid):
+            y = mesh_for(p, geom.y0, *group[-1])[1][1:-1]
+            with np.errstate(over="ignore", invalid="ignore"):
+                ratio = (lambda_max - potential(y)) / y ** (2.0 * p)
+            # fmax skips nan, a node where y^(2p) and V both overflow
+            cut = float(np.fmax.reduce(ratio, initial=cut))
     if not cut <= 1e18:
         raise ReduceError("potential keeps every mode below the top of "
                           "numerics.lambda_grid; no finite mode cut exists")
@@ -326,15 +387,18 @@ def _nu_reach(config: ProblemConfig, lambda_max: float) -> float:
 
 
 def enumerate_modes(config: ProblemConfig, lambda_max: float) -> List[ModeSpec]:
-    """Every mode that can contribute spectrum at or below lambda_max.
+    """Every mode whose pencils can have an eigenvalue below lambda_max.
 
-    Soundness: a function mode with cross-eigenvalue nu is bounded below by
-    min over y of (nu y^(2p) + V(y)) >= nu Y0^(2p) + floor(V), because
-    y^(2p) is increasing and >= 1 on the end (this is why Y0 >= 1 is an
-    invariant).  Modes above the bound have no spectrum in the window and
-    are dropped; no mode below it is omitted.  For k >= 1 the two harmonic
-    sectors are returned (the coexact tower has compact resolvent and only
-    enters the counting constants analytically).
+    Soundness: a function mode is dropped only when its potential
+    nu y^(2p) + V(y) is at least lambda_max at every interior node of every
+    mesh that `config.numerics` counts (`_mode_cut`).  Each of its pencils
+    is then positive definite at lambda_max, so it has no eigenvalue below
+    it, and no mode that a counted pencil puts in the window is omitted.
+    The verdict commands pass `config.with_finest_grid()` and so cut at the
+    finest meshes; `count`, `spectrum` and the `reduce` command cut at
+    every grid.  For k >= 1 the two harmonic sectors are returned (the
+    coexact tower has compact resolvent and only enters the counting
+    constants analytically).
 
     Every numeric command passes through here with the top of
     `numerics.lambda_grid` as lambda_max, so this is where data outside the
@@ -359,16 +423,7 @@ def enumerate_modes(config: ProblemConfig, lambda_max: float) -> List[ModeSpec]:
                           "modelled class; only criteria classifies it")
     if k == 0:
         flux = config.magnetic.flux if config.magnetic is not None else None
-        if config.potential is None or config.potential.is_zero:
-            try:
-                nu_max = lambda_max / geom.y0 ** (2.0 * geom.pf)
-            except OverflowError:
-                raise ReduceError(f"Y0^(2p) at the cut radius Y0 = {geom.y0!r} exceeds "
-                                  "the largest float; lower geometry.y0 or checks.y0"
-                                  ) from None
-        else:
-            nu_max = _nu_reach(config, lambda_max)
-        modes = _function_modes(config.cross_section, flux, nu_max,
+        modes = _function_modes(config.cross_section, flux, _mode_cut(config, lambda_max),
                                 config.numerics.mode_cap)
         poly = config.potential.poly if config.potential is not None else ()
         if far_field(poly) == -math.inf:
@@ -473,7 +528,6 @@ def liouville_transform(op: RadialOperator, p) -> CanonicalOperator:
     return CanonicalOperator(
         p=pf,
         y0=op.y0,
-        z0=float(z_of_y(op.y0, pf, op.y0)),
         conj_coeff=conj,
         potential_terms=op.potential_terms,
         bump=op.bump)

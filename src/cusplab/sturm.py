@@ -30,14 +30,14 @@ bit-identical to one-level-per-pass bisection (see `eigenvalues_below`).
 
 Grid numbers mean mesh *cells*; a grid g on the base domain T0 fixes the
 mesh width h = T0/g, and larger domains keep h fixed by scaling the cell
-count.  For p <= 1 the nodes are z0 + h*k (`mesh_for`), so two domains
-whose widths T/cells are the same double nest by construction: the
-shorter pencil is, bit for bit, the leading block of the longer one.  The
-negative pivots among the first n LDL^T pivots count the eigenvalues of
-that n x n block (the Sturm sequence property), so one pass over the
-longest pencil gives every nested domain's counts at checkpoints
-(`count_below_stack(sizes=...)`).  For p > 1 the mesh spans [0, zmax]
-with zmax depending on e^T, so no two domains nest.
+count (`reduce.cells_for`).  For p <= 1 the nodes are z0 + h*k
+(`reduce.mesh_for`), so two domains whose widths T/cells are the same
+double nest by construction: the shorter pencil is, bit for bit, the
+leading block of the longer one.  The negative pivots among the first n
+LDL^T pivots count the eigenvalues of that n x n block (the Sturm sequence
+property), so one pass over the longest pencil gives every nested domain's
+counts at checkpoints (`count_below_stack(sizes=...)`).  For p > 1 the
+mesh spans [0, zmax] with zmax depending on e^T, so no two domains nest.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .reduce import CanonicalOperator, RadialOperator, domain_end, y_of_z, z_of_y
+from .reduce import CanonicalOperator, domain_end, mesh_for
 
 #: relative pivot-breakdown shift applied to lambda, as documented
 BREAKDOWN_SHIFT = 1e-14
@@ -91,57 +91,16 @@ def _check_finite(name, arr):
                          "shrink the domain or exponents")
 
 
-def _nested_nodes(z0: float, length: float, cells: int) -> np.ndarray:
-    """z0 + h*k for k = 0..cells with h = length/cells, rounded once.
-
-    Every node depends on z0, h and k only, so a mesh with the same z0 and
-    the same double h is a prefix of this one.  np.linspace(z0, z0 + length)
-    would step by ((z0 + length) - z0)/cells, which differs from h in the
-    last ulp whenever z0 != 0, and then the meshes no longer nest.
-    """
-    return z0 + (length / cells) * np.arange(cells + 1)
-
-
-def mesh_for(op, length: float, cells: int):
-    """Mesh nodes for one operator and domain length.
-
-    Returns (t_nodes, y_nodes): t is the meshed variable (z for canonical
-    and p <= 1 weighted operators, arc length for p > 1), y the radial
-    coordinate at the same nodes.  `length` is the z-length for p <= 1;
-    for p > 1 it truncates at `reduce.domain_end`.
-    """
-    if cells < 4:
-        raise SturmError("need at least 4 mesh cells (3 interior points)")
-    if isinstance(op, CanonicalOperator):
-        t = _nested_nodes(op.z0, length, cells)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return t, op.y_of_z(t)
-    if not isinstance(op, RadialOperator):
-        raise SturmError(f"cannot mesh {type(op).__name__}")
-    p = op.p
-    if p <= 1.0:
-        t = _nested_nodes(float(z_of_y(op.y0, p, op.y0)), length, cells)
-        y = y_of_z(t, p, op.y0)
-    else:
-        # zmax depends on e^length, so meshes of different lengths never
-        # nest; the end points are pinned exactly instead
-        ymax = domain_end(p, op.y0, length)
-        zmax = float(z_of_y(ymax, p, op.y0))
-        t = np.linspace(0.0, zmax, cells + 1)
-        y = y_of_z(t, p, op.y0)
-        y[0], y[-1] = op.y0, ymax
-    return t, y
-
-
 def discretize_stack(ops, length: float, cells: int):
     """P1 assembly of operators that differ only in their potential terms.
 
     Returns (diags (M, n), offdiag, mass): row m is the diagonal of ops[m]'s
-    pencil; the mesh, stiffness and lumped mass are built once and shared.
-    Dirichlet both ends; stiffness weights are evaluated at cell midpoints,
-    the potential and the mass at the nodes.  A canonical operator has unit
-    weights and is assembled in z, a weighted one in y.  Operators that
-    differ in anything but `potential_terms` are refused.
+    pencil; the mesh (`reduce.mesh_for`), stiffness and lumped mass are
+    built once and shared.  Dirichlet both ends; stiffness weights are
+    evaluated at cell midpoints, the potential and the mass at the nodes.
+    A canonical operator has unit weights and is assembled in z, a weighted
+    one in y.  Operators that differ in anything but `potential_terms` are
+    refused.
 
     Each distinct power y^b and the shared bump are evaluated once per
     stack, at the interior nodes, and `model.potential_values` sums them
@@ -153,7 +112,9 @@ def discretize_stack(ops, length: float, cells: int):
     first bad node.
     """
     op = ops[0]
-    t, y = mesh_for(op, length, cells)
+    if cells < 4:
+        raise SturmError("need at least 4 mesh cells (3 interior points)")
+    t, y = mesh_for(op.p, op.y0, length, cells)
     if any(type(o) is not type(op) or replace(o, potential_terms=op.potential_terms) != op
            for o in ops[1:]):
         raise SturmError("stacked operators may differ only in their potential terms")
@@ -613,9 +574,3 @@ def observed_order(values: Sequence[float], hs: Sequence[float]) -> Optional[flo
     if den == 0 or num == 0 or num / den <= 0:
         return None
     return float(math.log(num / den) / math.log(h2 / h3))
-
-
-def cells_for(grid: int, domain: float, base_domain: float) -> int:
-    """Cells for a domain at fixed mesh width h = base_domain/grid."""
-    return max(4, int(round(grid * domain / base_domain)))
-

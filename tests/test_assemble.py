@@ -81,7 +81,7 @@ def test_eigenvalue_listing_reuses_the_finest_pencils(work):
     # 1/2, m and -m-1 share an operator, so 6 modes take 3 rows
     assert len(rep.modes) == 6 and _distinct_operators(cfg) == 3
     assert work["stacks"] == [3] * 4
-    cells = sturm.cells_for(1000, 8.0, 6.0)
+    cells = red.cells_for(1000, 8.0, 6.0)
     for r, (_, op) in zip(rep.modes, assemble._mode_operators(cfg, 8.0)):
         pen = sturm.discretize(op, 8.0, cells)
         assert r.eigenvalues == sturm.eigenvalues_below(pen, 8.0, cfg.numerics.tol)
@@ -360,7 +360,7 @@ def test_shorter_domains_are_leading_blocks_and_one_pass_equals_per_combo_passes
     assert ops
     mult = np.array([m.multiplicity for m, _ in ops])
     for g in cfg.numerics.grids:
-        cells = {T: sturm.cells_for(g, T, 8.0) for T in cfg.numerics.domains}
+        cells = {T: red.cells_for(g, T, 8.0) for T in cfg.numerics.domains}
         assert len({T / c for T, c in cells.items()}) == 1     # one mesh width
         diags, off, mass = sturm.discretize_stack([op for _, op in ops], 16.0, cells[16.0])
         for T in (8.0, 12.0, 16.0):
@@ -384,7 +384,7 @@ def test_shorter_domains_are_leading_blocks_and_one_pass_equals_per_combo_passes
 def _reference_pencil(op, length, cells):
     """P1 assembly of one operator written out: k = w1(midpoints)/h,
     diag = k[:-1] + k[1:] + q w0 lump; the normal form in z with W = op.q(y(z))."""
-    t, y = sturm.mesh_for(op, length, cells)
+    t, y = red.mesh_for(op.p, op.y0, length, cells)
     if isinstance(op, CanonicalOperator):
         h, w1, w0, q = np.diff(t), np.ones(cells), np.ones(cells + 1), op.q(y)
     else:
@@ -441,9 +441,8 @@ WEIGHTED_TERMS = ((), ((3.0, 4.0),), ((3.0, 4.0), (0.5, 4.0)), ((0.5, 1.0),))
 
 @pytest.mark.parametrize("bump", [None, BUMP], ids=["no-bump", "bump"])
 @pytest.mark.parametrize("op", [
-    CanonicalOperator(p=0.25, y0=1.5, z0=float(red.z_of_y(1.5, 0.25, 1.5)),
-                      conj_coeff=-0.1),
-    CanonicalOperator(p=1.0, y0=1.0, z0=0.0, conj_coeff=0.0),
+    CanonicalOperator(p=0.25, y0=1.5, conj_coeff=-0.1),
+    CanonicalOperator(p=1.0, y0=1.0, conj_coeff=0.0),
     RadialOperator(density_exponent=-4.0, stiffness_exponent=0.0, y0=1.0),
 ], ids=["canonical-p1/4", "canonical-p1", "weighted-p2"])
 def test_stacked_potential_rows_are_the_per_row_assembly(op, bump):
@@ -458,12 +457,12 @@ def test_stacked_potential_rows_are_the_per_row_assembly(op, bump):
 
 def _first_bad_node(op, length, cells):
     """The first node where the per-row potential op.q(y) is not finite."""
-    _, y = sturm.mesh_for(op, length, cells)
+    _, y = red.mesh_for(op.p, op.y0, length, cells)
     with np.errstate(over="ignore", invalid="ignore"):
         return int(np.flatnonzero(~np.isfinite(op.q(y)))[0])
 
 
-P1_FLAT = CanonicalOperator(p=1.0, y0=1.0, z0=0.0, conj_coeff=0.0)
+P1_FLAT = CanonicalOperator(p=1.0, y0=1.0, conj_coeff=0.0)
 P2_WEIGHTED = RadialOperator(density_exponent=-4.0, stiffness_exponent=0.0, y0=1.0)
 
 
@@ -550,7 +549,7 @@ def test_modes_with_equal_operators_share_a_row(work, cfg, modes, rows):
     totals = {}
     for g in num.grids:
         for T in num.domains:
-            cells = sturm.cells_for(g, T, num.domains[0])
+            cells = red.cells_for(g, T, num.domains[0])
             totals[(g, T)] = 0
             for r, (m, op) in zip(rep.modes, ops):
                 pen = sturm.discretize(op, T, cells)

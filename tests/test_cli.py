@@ -378,12 +378,14 @@ def test_a_window_error_names_the_keys_that_clear_it(cfg_path, capsys, command, 
 
 
 #: configs on which reduce and count must enumerate the same modes: the
-#: potential goes through the sampled potential floor, the torus has form
-#: sectors
+#: potentials go through the node cut, the torus has form sectors.  The
+#: narrow bump is 0.004 wide and holds the node e^1.1 = 3.00417 of the
+#: grid-400 mesh, which pulls m-3 and m3 below 0.5.
 REDUCE_VS_COUNT = {
     "circle": PROBE_CFG,
     "circle-potential": PROBE_CFG + "potential.poly = (0.5,1.0);(-0.2,0)\n"
                                     "potential.bump = 2.5,1.0,5.0\n",
+    "narrow-bump": PROBE_CFG + "potential.bump = 3.0042,0.004,-1000.0\n",
     "torus-forms": with_line(TORUS_CFG.replace("magnetic.flux = 0.5,0.25\n", ""),
                              "degree = 1"),
 }
@@ -399,6 +401,8 @@ def test_reduce_lists_exactly_the_modes_count_reports(cfg_path, capsys, name):
     assert listed == counted
     if name.startswith("circle"):
         assert listed == ["m0", "m-1", "m1", "m-2", "m2"]
+    if name == "narrow-bump":
+        assert {"m-3", "m3"} <= set(listed)
 
 
 def test_selftest_takes_no_flags(tmp_path, capsys):

@@ -63,6 +63,9 @@ PROBE = ("numerics.grid = 200,400\nnumerics.domain_z = 8,16,32\n"
          "numerics.lambda_grid = 0.5,6,12\n")
 BELOW = PROBE.replace("0.5,6,12", "0.05,0.2,16")   # the window ends below 1/4
 LATTICE_WINDOW = PROBE.replace("0.5,6,12", "0.5,40,8")
+# the bump holds one node of the grid-400 mesh, e^1.1, and pulls m-3 and m3
+# into the window; every mode up to m10 reaches 6 at that node
+NARROW_BUMP = "potential.bump = 3.0042,0.004,-1000.0\n"
 WEYL = ("numerics.grid = 300,600\nnumerics.domain_z = 5,6\n"
         "numerics.lambda_grid = 100,1000,8\nnumerics.lambda_scale = log\n")
 
@@ -83,6 +86,7 @@ CASES = {
     "cut-check-default-y0": ("cut-check", ESSENTIAL + PROBE, ("json",), 0),
     "perturb-check-default-bump": ("perturb-check", ESSENTIAL + PROBE, ("json",), 0),
     "reduce-essential": ("reduce", ESSENTIAL + PROBE, ("csv", "json"), 0),
+    "reduce-narrow-bump": ("reduce", ESSENTIAL + PROBE + NARROW_BUMP, ("csv", "json"), 0),
     "count-pure-point": ("count", C1 + PROBE, ("text", "csv", "json"), 0),
     "spectrum-pure-point": ("spectrum", C1 + PROBE, ("json",), 0),
     # p = 1/4 walls every mode: the poly lanes all settle inside domain 32,

@@ -11,13 +11,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from cusplab.model import (EndGeometry, MagneticData, Numerics, ProblemConfig,
                            RadialPotential, builtin_cross_section)
-from cusplab.reduce import (ModeSpec, ReduceError, _nu_reach,
+from cusplab.reduce import (ModeSpec, ReduceError, _mode_cut, cells_for,
                             SECTOR_FORM_0, SECTOR_FORM_1, cross_eigenvalue,
                             enumerate_modes, far_field,
                             harmonic_form_radial_operator, liouville_transform,
-                            min_cross_eigenvalue, mode_threshold,
-                            scalar_radial_operator, y_of_z, z_of_y)
-from cusplab.sturm import TridiagonalPencil, discretize, eigenvalues_below
+                            mesh_for, min_cross_eigenvalue, mode_operator,
+                            mode_threshold, scalar_radial_operator, y_of_z, z_of_y)
+from cusplab.sturm import (TridiagonalPencil, count_below_stack, discretize,
+                           discretize_stack, eigenvalues_below)
 
 TWO_PI = 2 * math.pi
 
@@ -205,7 +206,9 @@ def test_table_cross_section_function_modes():
 def test_torus_mode_enumeration_counts():
     cfg = circle_cfg(n=3, degree=0,
                      cs=builtin_cross_section("square_torus", side=TWO_PI, dim=2))
-    modes = enumerate_modes(cfg, 4.0)
+    # the cut is 4.1 / y_1^2 > 4 at the first node y_1 = e^0.008, so the
+    # nu = 4 ring is in the window and nu = 5 is not
+    modes = enumerate_modes(cfg, 4.1)
     want = sorted((m1 * m1 + m2 * m2, (m1, m2))
                   for m1 in range(-2, 3) for m2 in range(-2, 3)
                   if m1 * m1 + m2 * m2 <= 4)
@@ -255,15 +258,23 @@ def _oracle_min_cross_eigenvalue(cs, flux):
 
 
 def _oracle_nu_reach(config, lambda_max):
-    geom = config.geometry
+    """The cut by bisection on the floor min (nu y^(2p) + V(y)) over every
+    interior node of every (grid, domain) mesh of the draw, each built
+    from its own cell count."""
+    geom, num = config.geometry, config.numerics
     p = geom.pf
-    tmax = max(config.numerics.domains)
-    if p > 1.0:
-        ymax = geom.y0 * math.exp(tmax)
-    else:
-        ymax = float(y_of_z(float(z_of_y(geom.y0, p, geom.y0)) + tmax, p, geom.y0))
-    y = np.geomspace(geom.y0, max(ymax, geom.y0 * (1 + 1e-9)), 4096)
-    v = config.potential(y)
+    nodes = []
+    for g in num.grids:
+        for T in num.domains:
+            cells = max(4, int(round(g * T / num.domains[0])))
+            if p > 1.0:
+                ymax = geom.y0 * math.exp(T)
+                t = np.linspace(0.0, float(z_of_y(ymax, p, geom.y0)), cells + 1)
+            else:
+                t = float(z_of_y(geom.y0, p, geom.y0)) + (T / cells) * np.arange(cells + 1)
+            nodes.append(y_of_z(t[1:-1], p, geom.y0))
+    y = np.concatenate(nodes)
+    v = config.potential(y) if config.potential is not None else np.zeros_like(y)
     ypow = y ** (2.0 * p)
 
     def floor(nu):
@@ -288,12 +299,9 @@ def _oracle_nu_reach(config, lambda_max):
 
 def _oracle_modes(config, lambda_max):
     """(label, nu) of every mode, by the per-kind branches."""
-    geom, cs, cap = config.geometry, config.cross_section, config.numerics.mode_cap
+    cs, cap = config.cross_section, config.numerics.mode_cap
     flux = config.magnetic.flux
-    if config.potential is None or config.potential.is_zero:
-        nu_max = lambda_max / geom.y0 ** (2.0 * geom.pf)
-    else:
-        nu_max = _oracle_nu_reach(config, lambda_max)
+    nu_max = _oracle_nu_reach(config, lambda_max)
     modes = []
     if cs.kind == "circle":
         mu = float(flux[0])
@@ -401,10 +409,51 @@ def test_mode_window_and_c_match_the_earlier_algorithms(case):
         return
     got = enumerate_modes(config, lambda_max)
     assert [(m.label, m.nu) for m in got] == want
-    if config.potential is not None:
-        # the closed form and the bisection agree on the cut to rounding
-        cut = _oracle_nu_reach(config, lambda_max)
-        assert _nu_reach(config, lambda_max) == pytest.approx(cut, rel=1e-12, abs=1e-12)
+    # the largest node ratio and the bisection agree on the cut to rounding
+    cut = _oracle_nu_reach(config, lambda_max)
+    assert _mode_cut(config, lambda_max) == pytest.approx(cut, rel=1e-12, abs=1e-12)
+
+
+@st.composite
+def _narrow_bumps(draw):
+    """A circle end with a bump narrower than the mesh, centred on a node of
+    the finest mesh, of either sign, and a window top."""
+    p = draw(st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2)]))
+    y0 = draw(st.sampled_from([1.0, 1.5]))
+    numerics = Numerics(grids=(200, 400), domains=(1.0, 2.0),
+                        lambda_grid=(0.1, draw(st.floats(0.5, 50.0)), 4))
+    _, y = mesh_for(float(p), y0, 2.0, cells_for(400, 2.0, 1.0))
+    center = float(y[draw(st.integers(1, len(y) - 2))])
+    width = center * draw(st.floats(1e-9, 1e-6))
+    height = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1e3, 2e4))
+    return ProblemConfig(
+        geometry=EndGeometry(2, p, y0),
+        cross_section=builtin_cross_section("circle", length=TWO_PI), degree=0,
+        magnetic=MagneticData(flux=(draw(st.fractions(0, 1, max_denominator=8)),)),
+        potential=RadialPotential(bump=(center, width, height)), numerics=numerics)
+
+
+@given(_narrow_bumps())
+@settings(max_examples=40, deadline=None)
+def test_every_mode_a_finest_pencil_puts_below_the_top_is_enumerated(config):
+    """Brute force: every label with nu <= (top - min V) / Y0^(2p), beyond
+    which q > top on the whole end, is assembled on the finest mesh and
+    counted at the window top (`sturm.count_below_stack`, the stacked
+    `count_below`); each one with a count is enumerated."""
+    geom, top = config.geometry, float(config.numerics.lambdas()[-1])
+    bound = (top - min(0.0, config.potential.bump[2])) / geom.y0 ** (2.0 * geom.pf)
+    mu = float(config.magnetic.flux[0])
+    reach = math.isqrt(int(bound)) + 2
+    modes = [ModeSpec(label=(m,), nu=nu, multiplicity=1)
+             for m in range(-reach, reach + 1)
+             if (nu := cross_eigenvalue(config.cross_section, (m,), (mu,))) <= bound]
+    ops = [mode_operator(config, m) for m in modes]
+    if geom.pf <= 1.0:
+        ops = [liouville_transform(op, geom.pf) for op in ops]
+    cells = cells_for(config.numerics.grids[-1], 2.0, 1.0)
+    counts, _ = count_below_stack(*discretize_stack(ops, 2.0, cells), np.array([top]))
+    reached = {m.label for m, c in zip(modes, counts[:, 0]) if c > 0}
+    assert reached <= {m.label for m in enumerate_modes(config, top)}
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +532,7 @@ def test_far_field_is_decided_by_the_highest_surviving_power(terms, limit):
 
 def _w(can, z):
     """The normal-form potential W at z."""
-    return can.q(can.y_of_z(z))
+    return can.q(y_of_z(z, can.p, can.y0))
 
 
 def test_liouville_constant_quarter():

@@ -10,14 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 from cusplab import assemble, sturm
 from cusplab.model import EndGeometry, MagneticData, Numerics, ProblemConfig, builtin_cross_section
-from cusplab.reduce import CanonicalOperator, RadialOperator
-from cusplab.sturm import (SturmError, TridiagonalPencil, cells_for, count_below,
+from cusplab.reduce import CanonicalOperator, RadialOperator, cells_for
+from cusplab.sturm import (SturmError, TridiagonalPencil, count_below,
                            count_below_many, count_below_stack, discretize,
                            discretize_stack, eigenvalues_below, gershgorin_lower,
                            observed_order, richardson)
 
 PI2 = math.pi * math.pi
-FLAT = CanonicalOperator(p=1.0, y0=1.0, z0=0.0, conj_coeff=0.0)
+FLAT = CanonicalOperator(p=1.0, y0=1.0, conj_coeff=0.0)
 
 
 def dense_spectrum(pen):
@@ -179,7 +179,7 @@ def test_richardson_and_order_on_unit_interval():
 
 def test_counts_grow_linearly_on_flat_channel():
     """Analytic law: N_T(lambda) = floor(T sqrt(lambda - 1/4) / pi)."""
-    op = CanonicalOperator(p=1.0, y0=1.0, z0=0.0, conj_coeff=0.25)
+    op = CanonicalOperator(p=1.0, y0=1.0, conj_coeff=0.25)
     lam = 1.0
     for T in (8.0, 16.0, 32.0):
         pen = discretize(op, T, cells_for(1000, T, 8.0))
