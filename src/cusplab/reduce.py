@@ -406,7 +406,9 @@ def enumerate_modes(config: ProblemConfig, lambda_max: float) -> List[ModeSpec]:
     forms with a constant, pure-gauge radial coefficient, a potential on
     k-forms (the harmonic-sector operators carry none), and a potential
     that falls to -oo on the lowest mode (`far_field`), whether or not the
-    window lists it.
+    window lists it.  A counted domain that ends past the largest float
+    radius is refused (`domain_end`) when a listed mode is not finite at
+    y = oo, the case in which `count` refuses it too.
     """
     if lambda_max < 0:
         raise ReduceError(f"the top of numerics.lambda_grid must be >= 0, got {lambda_max!r}")
@@ -434,6 +436,15 @@ def enumerate_modes(config: ProblemConfig, lambda_max: float) -> List[ModeSpec]:
                 raise ReduceError(f"the potential of mode {low.name} falls to -oo as "
                                   "y -> oo; a potential unbounded below is outside the "
                                   "numerically modelled class")
+        with np.errstate(over="ignore", invalid="ignore"):
+            far = float((config.potential or RadialPotential())(np.inf))
+        if modes and (modes[-1].nu > 0.0 or not math.isfinite(far)):
+            # a listed mode is not finite at y = oo, so the pencil rows of a
+            # mesh that ends there overflow: refuse as `count` does, first
+            # group first (`sturm.discretize_stack`)
+            for grid in config.numerics.grids:
+                for group in nested_groups(config.numerics, geom.pf, grid):
+                    domain_end(geom.pf, geom.y0, group[-1][0])
         return modes
     modes = []
     h_k = config.cross_section.betti_at(k)

@@ -16,17 +16,18 @@ integers computed by exact sign tests, so reports are bit-stable across
 runs.  One blocked, node-major kernel computes them all, bit-identical to
 the per-node LDL^T recurrence (see `_sturm_pass`); a block of a few lanes
 runs that recurrence on Python floats, a wide one on numpy rows, with the
-same IEEE operations in the same order.  A (pencil row, lambda)
-lane leaves the pass once the rest of its pencil is diagonally dominant,
+same IEEE operations in the same order.  A (pencil row, lambda) lane
+leaves the pass once the rest of its pencil is diagonally dominant,
 diag - lambda mass - rad > a few ulps of |diag| + |lambda| mass + rad with
 rad the Gershgorin radius, and its last pivot is at least the next
 off-diagonal: then no later pivot is negative or zero, so its count and
 breakdown bit are already final and stay bit-identical.  Past a mode's
 potential wall no eigenvalue can appear, and that is where most of the
-node x lane work lay.  A wider pass costs little more than a narrow one,
-so bisection runs as a multisection: each pass counts at several levels
-of every bracket's bisection tree at once, and the listing stays
-bit-identical to one-level-per-pass bisection (see `eigenvalues_below`).
+node x lane work lay.  Blocks double, so a pass stops O(log N) times to
+retire lanes, each by twice its certificate node.  A wider pass costs
+little more than a narrow one, so bisection runs as a multisection: each
+pass counts at several levels of every bracket's bisection tree at once,
+and the listing stays bit-identical to one-level-per-pass bisection.
 
 Grid numbers mean mesh *cells*; a grid g on the base domain T0 fixes the
 mesh width h = T0/g, and larger domains keep h fixed by scaling the cell
@@ -290,10 +291,9 @@ def _sturm_pass(diag, off, mass, lams, sizes=None):
     formed whole; per node only one divide and one subtract run,
     d_i = a_i - (e*e)_i / d_(i-1) with d_(-1) = inf: the IEEE operations of
     the per-node recurrence in its order, so counts are bit-identical to it.
-    Blocks end at every checkpoint, where the counts and mask are copied
-    out, and two nodes before every checkpoint.  Every caller discards the count of a
-    lane with a zero pivot, so no tiny replaces the zero; that lane's
-    inf/nan warnings are silenced.
+    Blocks end at every checkpoint, where the counts and masks are copied
+    out, and two nodes before it.  Callers discard the count of a lane with
+    a zero pivot, so no tiny replaces the zero; its inf/nan warnings are off.
 
     Scalar blocks.  A numpy node step costs two ufunc dispatches whatever
     its width, and since lanes retire most steps of a pass carry a few
@@ -327,11 +327,13 @@ def _sturm_pass(diag, off, mass, lams, sizes=None):
     start at or past c.  As a block starts at sizes[s] - 2 for every
     checkpoint, also one the pass reaches while working towards an earlier
     checkpoint, the lane is settled exactly when c <= N - 2, whatever the
-    block sizes and whichever lanes share the pass.  Blocks also end at each
-    lane's start node and, while its pivot is still below |e_s|, at
-    doubling distances past it, so a narrow pass does not run on in one
-    long block; blocks grow as lanes leave, and the pass ends when none is
-    left.  The margin is a few ulps of |diag| + |lambda| mass + rad, not of
+    block sizes and whichever lanes share the pass.  So the schedule moves
+    only where a lane is tested, never what it returns: a block from s ends
+    at max(2s, s + 1, the least start node of a live lane) unless the block
+    budget or a checkpoint boundary comes first.  A pass stops O(log N)
+    times for retirement, and a lane with certificate node c retires by
+    node 2c, at most twice as deep as it must; blocks grow as lanes leave.
+    The margin is a few ulps of |diag| + |lambda| mass + rad, not of
     lambda: on fine meshes the stiffness ~1/h dwarfs (q - lambda) h, so a
     margin relative to lambda can sit inside the rounding error of a_j.
     """
@@ -351,11 +353,10 @@ def _sturm_pass(diag, off, mass, lams, sizes=None):
     counts = np.zeros(start.size, dtype=np.int64)
     broke = np.zeros(start.size, dtype=bool)
     retired = np.full(start.size, last)     # the block start each lane left at
-    # the live lanes: lane k is (row k // L, lambda k % L), prev is its last
-    # pivot, and a block ends at its `check` node, where it is tested again
+    # the live lanes: lane k is (row k // L, lambda k % L), prev is its last pivot
     live = np.arange(start.size)
     row, lam = live // lams.size, lams[live % lams.size]
-    check, prev = start, np.full(start.size, np.inf)
+    prev = np.full(start.size, np.inf)
 
     def gather(x, nodes):       # a node-major slice, one column per live lane
         x = x[nodes]
@@ -370,12 +371,11 @@ def _sturm_pass(diag, off, mass, lams, sizes=None):
                 if due.any():
                     keep = ~due | (prev < np.abs(gather(off, s)))
                     retired[live[~keep]] = s
-                    check = np.where(check <= s, 2 * s - start + 1, check)
-                    live, row, lam, prev, start, check = (
-                        x[keep] for x in (live, row, lam, prev, start, check))
+                    live, row, lam, prev, start = (x[keep] for x in (live, row, lam, prev, start))
                     if not live.size:
                         break
-                end = min(stop, s + max(1, _BLOCK_BYTES // (8 * live.size)), int(check.min()),
+                end = min(stop, s + max(1, _BLOCK_BYTES // (8 * live.size)),
+                          max(2 * s, s + 1, int(start.min())),
                           *(k - 2 for k in stops if k - 2 > s))
                 a = gather(diag, slice(s, end)) - lam * gather(mass, slice(s, end))
                 e = gather(off, slice(s, end))

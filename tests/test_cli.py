@@ -938,6 +938,9 @@ DOMAIN_END = ("error[invalid]: a domain of length 800.0 ends past the largest fl
     ("count", LONG_CFG.replace("geometry.p = 2", "geometry.p = 1"), DOMAIN_END),
     ("reduce", LONG_POLY_CFG, DOMAIN_END),
     ("count", LONG_POLY_CFG.replace("geometry.p = 2", "geometry.p = 1"), DOMAIN_END),
+    # the listing refuses what the count would, before any mesh reaches a row
+    ("reduce", LONG_POLY_CFG.replace("geometry.p = 2", "geometry.p = 1"), DOMAIN_END),
+    ("reduce", LONG_CFG.replace("geometry.p = 2", "geometry.p = 1"), DOMAIN_END),
     ("reduce", NO_CUT_CFG, "error[invalid]: potential keeps every mode below the top of "
                            "numerics.lambda_grid; no finite mode cut exists\n"),
     # Y0^(2p) = 1e400 overflows a float before any mode is listed
@@ -948,11 +951,23 @@ DOMAIN_END = ("error[invalid]: a domain of length 800.0 ends past the largest fl
     ("cut-check", with_line(with_line(LONG_CFG.replace("8,800", "2,3,700"),
                                       "geometry.p = 0.5"), "checks.y0 = 1e100,1"),
      "error[invalid]: mass matrix must be strictly positive\n"),
-], ids=["p2-flux", "p1-flux", "p2-poly", "p1-poly", "no-finite-cut", "p2-huge-cut",
-        "p-half-huge-cut"])
+], ids=["p2-flux", "p1-flux", "p2-poly", "p1-poly", "p1-poly-reduce", "p1-flux-reduce",
+        "no-finite-cut", "p2-huge-cut", "p-half-huge-cut"])
 def test_an_unrepresentable_window_is_one_error_line(cfg_path, capsys, command, text, err):
     assert main([command, "--config", cfg_path(text)]) == 1
     assert capsys.readouterr() == ("", err)
+
+
+def test_a_p1_domain_past_the_largest_float_lists_and_counts_a_mode_finite_there(cfg_path,
+                                                                                capsys):
+    # below lambda = 1 only m0 is listed, and with no flux and no potential
+    # its Liouville potential is the constant 1/4, finite at y = oo
+    text = (LONG_CFG.replace("geometry.p = 2", "geometry.p = 1")
+            .replace("numerics.lambda_grid = 1,10,10", "numerics.lambda_grid = 0.1,0.5,4"))
+    assert main(["reduce", "--config", cfg_path(text)]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["m0,0.0,1,-2.0,0.0,0,0.25"]
+    assert main(["count", "--config", cfg_path(text)]) == 0
+    assert capsys.readouterr().out.endswith("0.5 127\n")
 
 
 def test_a_p1_domain_past_the_largest_float_counts_where_no_row_overflows(cfg_path, capsys):

@@ -672,7 +672,7 @@ def test_retiring_kernel_matches_reference_on_walled_pencils(inputs, block_bytes
 @given(walled_inputs(), st.data())
 @settings(max_examples=100, deadline=None)
 def test_checkpoints_around_retirement_match_the_reference(inputs, data):
-    # a lane retires at its start node or at most a few nodes past it, so
+    # a lane certifies at its start node or at most a few nodes past it, so
     # checkpoints just before, at and after the start nodes straddle it
     diag, off, mass, lams = inputs
     n = diag.shape[-1]
@@ -745,13 +745,46 @@ def test_a_lane_is_settled_by_its_own_certificate_node(inputs, data):
 
 def test_a_lane_settles_at_a_checkpoint_whose_node_m_minus_2_precedes_the_one_before():
     # rows 1.. are dominant, so the lane starts at node 1; its pivots 0.3,
-    # -1.28, 2.83 first reach |e| = 1 at c = 3, which is no check node of the
-    # lane.  The pass reaches node 3 on its way to checkpoint 4, and
-    # checkpoint 5 must still see the lane settled (3 <= 5 - 2)
+    # -1.28, 2.83 first reach |e| = 1 at c = 3, where a block from node 2
+    # would double to 4.  The pass stops at node 3 on its way to checkpoint
+    # 4, and checkpoint 5 must still see the lane settled (3 <= 5 - 2)
     diag = np.array([0.3] + [2.05] * 7)
     off, mass, lams = np.full(7, -1.0), np.ones(8), np.zeros(1)
     assert _certificate_nodes(diag[None], off, mass, lams).tolist() == [[3]]
     assert sturm._sturm_pass(diag, off, mass, lams, [4, 5])[2].tolist() == [[False], [True]]
+
+
+def _deep_lane(n):
+    """One lane (lambda = 0) that starts at node 30 and certifies at node 38.
+
+    Rows 0..28 are decoupled with diag -1; row 29 has pivot 1 - 7 delta
+    against |e_30| = 1, and rows 30.. are 2 + delta with e = -1, dominant by
+    delta.  Each node past 30 lifts d/|e| by about delta, so d_(c-1) >= |e_c|
+    first at c = 38, whatever n is."""
+    delta = 2.0**-20
+    diag = np.full(n, 2.0 + delta)
+    diag[:30] = -1.0
+    diag[29] = 1.0 - 7.0 * delta
+    off = np.full(n - 1, -1.0)
+    off[:29] = 0.0
+    return diag, off, np.ones(n), np.zeros(1)
+
+
+@pytest.mark.parametrize("n, settled", [(40, True), (39, False)], ids=["c=N-2", "c=N-1"])
+def test_a_block_doubling_past_a_deep_start_stops_at_the_checkpoint_node_n_minus_2(n, settled):
+    # the lane is due at its start node 30 but certifies only at c = 38; a
+    # block from 30 would double to 60, past N, unless it ends at N - 2
+    diag, off, mass, lams = _deep_lane(n)
+    assert sturm._dominance_starts(diag, off, mass, lams).tolist() == [[30]]
+    assert _certificate_nodes(diag[None], off, mass, lams).tolist() == [[38]]
+    for block_bytes in (8, 256, sturm._BLOCK_BYTES):
+        with mock.patch.object(sturm, "_BLOCK_BYTES", block_bytes):
+            assert_matches_reference(diag, off, mass, lams)
+            assert pass_at_each_scalar_width(diag, off, mass, lams)[2].tolist() == [settled]
+            sizes = [1, 29, 30, 31, 37, n - 1, n]
+            assert_checkpoints_match_reference(diag, off, mass, lams, sizes)
+            got = pass_at_each_scalar_width(diag, off, mass, lams, sizes)[2]
+            assert got[:, 0].tolist() == [38 <= m - 2 for m in sizes]
 
 
 @given(walled_inputs())
@@ -829,16 +862,21 @@ def test_every_lane_retires_in_the_first_block():
     assert_checkpoints_match_reference(diags, off, mass, lams, [1, 3, 4, n])
 
 
-def _locate_stack(flux):
-    """The finest `spectrum-locate` stack: p = 1 on the circle, grid 2000
-    on domain 32 (h = 1/250), one row per mode below lambda = 6."""
+def _locate_config(flux):
+    """The `spectrum-locate` config: p = 1 on the circle, grids 1000,2000 on
+    domains 8,16,32, lambda 0.5..6 (12 points), tol 1e-8."""
     circle = builtin_cross_section("circle", length=2 * math.pi)
-    config = ProblemConfig(
+    return ProblemConfig(
         geometry=EndGeometry(2, "1", 1.0), cross_section=circle,
         magnetic=MagneticData(flux=(flux,)),
         numerics=Numerics(grids=(1000, 2000), domains=(8.0, 16.0, 32.0),
                           lambda_grid=(0.5, 6.0, 12)))
-    ops = assemble._mode_operators(config, 6.0)
+
+
+def _locate_stack(flux):
+    """The finest `spectrum-locate` stack: grid 2000 on domain 32 (h = 1/250),
+    one row per mode below lambda = 6."""
+    ops = assemble._mode_operators(_locate_config(flux), 6.0)
     return [m.name for m, _ in ops], discretize_stack([op for _, op in ops], 32.0,
                                                       cells_for(2000, 32.0, 8.0))
 
@@ -869,3 +907,22 @@ def test_one_live_lane_never_takes_the_vector_path(monkeypatch):
     assert vector.call_count == 0
     assert all(np.array_equal(x, y) for x, y in zip(got, want))
     assert got[0].tolist() == [[1]]
+
+
+def test_the_spectrum_locate_passes_stop_for_retirement_a_few_times_each(monkeypatch):
+    # two stacked counting passes (one per grid) and six multisection tree
+    # passes; a block from node s runs to 2s at least, so each pass stops
+    # O(log N) times for retirement (a block ending at every lane's start
+    # node would make 342 blocks here, in 5,113 node steps)
+    passes, stacked, trees = (mock.Mock(wraps=f) for f in (
+        sturm._sturm_pass, sturm.count_below_stack, sturm.count_below_many))
+    blocks = [mock.Mock(wraps=f) for f in (sturm._vector_block, sturm._scalar_block)]
+    for name, m in zip(("_sturm_pass", "count_below_stack", "count_below_many",
+                        "_vector_block", "_scalar_block"), (passes, stacked, trees, *blocks)):
+        monkeypatch.setattr(sturm, name, m)
+    report = assemble.global_counting(_locate_config("0.5"), with_eigenvalues=True)
+    assert report.modes[0].eigenvalues == report.modes[1].eigenvalues == [4.665218848500144]
+    assert (passes.call_count, stacked.call_count, trees.call_count) == (8, 2, 6)
+    calls = [c.args[0] for m in blocks for c in m.call_args_list]
+    assert len(calls) <= 60
+    assert sum(len(a) for a in calls) <= 6400
