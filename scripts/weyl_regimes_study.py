@@ -15,15 +15,14 @@ import argparse
 import sys
 import time
 
-from cusplab.assemble import global_counting, weyl_fit
+from cusplab.assemble import weyl_study
 from cusplab.selftest import WEYL_EXPERIMENTS
 
 
 def run_one(name: str) -> None:
     cfg = WEYL_EXPERIMENTS[name]
     t0 = time.time()
-    rep = global_counting(cfg.with_finest_grid())   # what the fit reads
-    fit = weyl_fit(rep)
+    rep, fit = weyl_study(cfg)
     pred = rep.prediction
     const = pred.weyl_constant
     print(f"--- {name}: p = {cfg.geometry.p}, regime {pred.weyl_regime}")

@@ -17,9 +17,11 @@ analytic layer predicts:
   `config.check_y0`, or with and without the bump `config.check_bump`,
   share a point; `threshold_probes` counts their variants in one Sturm pass
   per nested group.  An inconclusive probe leaves a verdict undecided (None).
-* `weyl_fit` fits the counting table against the predicted law and judges it.
+* `weyl_fit` fits the counting table against the predicted law and judges
+  it, and `weyl_study` is the whole `weyl` study.
 
-The layer returns data only; `cli` writes every report.  All aggregation
+Each study's rules live here: `cli`, `selftest` and scripts/ call one
+function per study and format what it returns.  All aggregation
 is deterministic: modes are processed in their enumerated order and counts
 are integers, so reports are identical from run to run.
 """
@@ -283,7 +285,7 @@ class ThresholdEstimate:
         return lo <= c <= hi
 
 
-def require_two_domains(config: ProblemConfig, study: str) -> None:
+def _require_two_domains(config: ProblemConfig, study: str) -> None:
     """Refuse, before counting, a study of the two longest domains of one."""
     if len(config.numerics.domains) < 2:
         raise AssembleError(f"{study} needs at least 2 domain lengths in numerics.domain_z")
@@ -323,7 +325,7 @@ def threshold_probe(config: ProblemConfig) -> ThresholdEstimate:
 def threshold_probes(configs) -> List[ThresholdEstimate]:
     """`threshold_probe` of each of `configs`, which share `numerics` and p;
     their finest grids are counted together (`_spectrum_reports`)."""
-    require_two_domains(configs[0], "threshold probe")    # shared numerics
+    _require_two_domains(configs[0], "threshold probe")    # shared numerics
     reports = _spectrum_reports([config.with_finest_grid() for config in configs])
     return [_estimate(config, report) for config, report in zip(configs, reports)]
 
@@ -401,10 +403,10 @@ def weyl_fit(report: SpectrumReport) -> WeylFit:
     desk scale, and C2 is the reported slope.
 
     `consistent` applies the WEYL_* gates to the exponent and, if predicted,
-    the constant.  It is True for essential spectrum (the counts are
-    truncation-dependent; the fit is informational) and None, with a note,
-    for a pure-point table that is not domain-stable.  A prediction that
-    certifies no law (no exponent) is refused.
+    to the constant, certified as [C, C + `c3_tail`].  It is True for
+    essential spectrum (the counts are truncation-dependent; the fit is
+    informational) and None, with a note, for a pure-point table that is
+    not domain-stable.  A prediction that certifies no law is refused.
     """
     pred = report.prediction
     q = pred.weyl_exponent
@@ -451,12 +453,23 @@ def weyl_fit(report: SpectrumReport) -> WeylFit:
         consistent, notes = None, ("counting table is not domain-stable: the two longest "
                                    "domains count differently",)
     else:
-        consistent = (abs(exponent - q) <= WEYL_EXPONENT_TOL
-                      and (const is None or abs(constant / const - 1.0) <= WEYL_CONSTANT_RTOL))
+        # a fit within r of some point of [C, C + tail] agrees
+        r, tail = WEYL_CONSTANT_RTOL, pred.c3_tail or 0.0
+        consistent = abs(exponent - q) <= WEYL_EXPONENT_TOL and (
+            const is None
+            or constant / const - 1.0 >= -r and constant / (const + tail) - 1.0 <= r)
     return WeylFit(exponent=exponent, constant=constant, quality=quality,
                    lambda_range=(float(lam[0]), float(lam[-1])),
                    n_range=(int(ntot[0]), int(ntot[-1])), model=model,
                    consistent=consistent, notes=notes)
+
+
+def weyl_study(config: ProblemConfig) -> tuple:
+    """(finest-grid `SpectrumReport`, `weyl_fit`) of config; a one-domain
+    study is refused before counting, and the fit reads no other grid."""
+    _require_two_domains(config, "weyl")
+    report = global_counting(config.with_finest_grid())
+    return report, weyl_fit(report)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,9 @@ Subcommands and the formats each writes (the first is the default):
 Every command but selftest takes --config PATH (required), --format and
 --out PATH; selftest takes no flags.  This module writes every report: the
 layers below it return data only.  The numerics come from the config
-alone, so a report can be rebuilt from its config.  Every numeric command,
-reduce included, works up to the top of numerics.lambda_grid.
+alone, so a report can be rebuilt from its config.  Every numeric command
+works up to the top of numerics.lambda_grid: reduce lists the modes of
+count's report, so it costs one count and refuses what count refuses.
 
 Exit codes: 0 success, 1 configuration/usage error or an inconclusive
 comparison (the report is written, then one error[inconclusive] line; for
@@ -190,7 +191,7 @@ def cmd_reduce(args):
     config = _load_config(args)
     p = config.geometry.p
     records = []
-    for m in red.enumerate_modes(config, float(config.numerics.lambdas()[-1])):
+    for m in (r.mode for r in assemble.global_counting(config).modes):
         op = red.mode_operator(config, m)
         terms = "+".join(f"{a!r}*y^{b!r}" for a, b in op.potential_terms) or "0"
         if op.bump is not None:
@@ -247,11 +248,7 @@ def cmd_essspec(args):
 
 
 def cmd_weyl(args):
-    config = _load_config(args)
-    assemble.require_two_domains(config, "weyl")
-    # the fit and the stability flag read the finest grid only
-    report = assemble.global_counting(config.with_finest_grid())
-    fit = assemble.weyl_fit(report)
+    report, fit = assemble.weyl_study(_load_config(args))
     pred = report.prediction
     payload = {
         "regime": pred.weyl_regime, "model": fit.model,

@@ -49,7 +49,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import zeta as zeta_mod
-from .model import CrossSection, MagneticData, ProblemConfig
+from .model import CrossSection, MagneticData, ProblemConfig, betti_number
 from .reduce import far_field, min_cross_eigenvalue
 
 PURE_POINT = "pure_point"
@@ -124,11 +124,6 @@ def form_constants(n: int, k: int, p) -> tuple:
     return c0, c1
 
 
-def _betti(betti: Sequence[int], j: int) -> int:
-    """h^j of the cross-section; degrees outside the list count as 0."""
-    return betti[j] if 0 <= j < len(betti) else 0
-
-
 def full_ellipticity_forms(n: int, k: int, betti: Sequence[int]) -> bool:
     """True iff degrees k and k-1 of the cross-section carry no cohomology.
 
@@ -138,7 +133,7 @@ def full_ellipticity_forms(n: int, k: int, betti: Sequence[int]) -> bool:
     """
     if not (0 <= k <= n):
         raise CriteriaError(f"degree k = {k} out of range 0..{n}")
-    return _betti(betti, k) == 0 and _betti(betti, k - 1) == 0
+    return betti_number(betti, k) == 0 and betti_number(betti, k - 1) == 0
 
 
 def thresholds_forms(n: int, k: int, p, betti: Sequence[int]) -> Prediction:
@@ -160,9 +155,9 @@ def thresholds_forms(n: int, k: int, p, betti: Sequence[int]) -> Prediction:
                           notes=("p < 1: every active harmonic branch starts at 0",))
     c0, c1 = form_constants(n, k, p)
     thresholds = set()
-    if _betti(betti, k) != 0:
+    if betti_number(betti, k) != 0:
         thresholds.add(c0 * c0)
-    if _betti(betti, k - 1) != 0:
+    if betti_number(betti, k - 1) != 0:
         thresholds.add(c1 * c1)
     return Prediction(tuple(sorted(thresholds)), regime,
                       notes=("p = 1: thresholds are the squared harmonic-sector "

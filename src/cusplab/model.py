@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 
 class ConfigError(ValueError):
@@ -64,6 +64,11 @@ TORUS = "lattice_torus"
 TABLE = "table"
 
 
+def betti_number(betti: Sequence[int], j: int) -> int:
+    """h^j of the Betti numbers (h^0, h^1, ...); degrees outside them count as 0."""
+    return betti[j] if 0 <= j < len(betti) else 0
+
+
 @dataclass(frozen=True)
 class CrossSection:
     """Spectral model of the closed (n-1)-manifold M.
@@ -105,15 +110,9 @@ class CrossSection:
                 if eigs != sorted(eigs):
                     raise ConfigError(f"invariant violated: degree-{j} eigenvalue table must be sorted")
 
-    def betti_at(self, j: int) -> int:
-        """h^j(M), with degrees outside 0..dim counting as 0."""
-        if 0 <= j <= self.dim:
-            return self.betti[j]
-        return 0
-
     @property
     def b1(self) -> int:
-        return self.betti_at(1)
+        return betti_number(self.betti, 1)
 
 
 def _det(rows) -> float:
@@ -394,11 +393,11 @@ class ProblemConfig:
         # forces h^1(M) = 0 (Poincare duality plus the long exact sequence of
         # the pair), so the combination below cannot describe any manifold.
         if (n == 3 and self.orientable is True and self.h1_x == 0
-                and cs.betti_at(1) != 0):
+                and cs.b1 != 0):
             raise ConfigError(
                 "inconsistent topology: dim X = 3 with X orientable and "
                 "H1(X) = 0 forces h1(M) = 0, but the cross-section has "
-                f"h1 = {cs.betti_at(1)}; these assumptions cannot be "
+                f"h1 = {cs.b1}; these assumptions cannot be "
                 "simultaneously fulfilled")
 
     def with_y0(self, y0: float) -> "ProblemConfig":

@@ -49,8 +49,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .model import (CIRCLE, TABLE, CrossSection, EndGeometry,
-                    ProblemConfig, RadialPotential, potential_values)
+from .model import (CIRCLE, TABLE, CrossSection, EndGeometry, ProblemConfig,
+                    RadialPotential, betti_number, potential_values)
 
 SECTOR_FUNCTION = "function"
 SECTOR_FORM_0 = "form_harmonic_0"
@@ -376,14 +376,16 @@ def _mode_cut(config: ProblemConfig, lambda_max: float) -> float:
         for group in nested_groups(num, p, grid):
             y = mesh_for(p, geom.y0, *group[-1])[1][1:-1]
             with np.errstate(over="ignore", invalid="ignore"):
-                ratio = (lambda_max - potential(y)) / y ** (2.0 * p)
+                gap = lambda_max - potential(y)
+                # a negative gap is -1, not a ratio that may underflow to -0.0,
+                # which fmax need not order below an exact 0.0
+                ratio = np.where(gap < 0.0, -1.0, gap / y ** (2.0 * p))
             # fmax skips nan, a node where y^(2p) and V both overflow
             cut = float(np.fmax.reduce(ratio, initial=cut))
     if not cut <= 1e18:
         raise ReduceError("potential keeps every mode below the top of "
                           "numerics.lambda_grid; no finite mode cut exists")
-    # -0.0 is a negative ratio that underflowed: no mode reaches the window
-    return cut if math.copysign(1.0, cut) > 0.0 else -1.0
+    return max(cut, -1.0)
 
 
 def enumerate_modes(config: ProblemConfig, lambda_max: float) -> List[ModeSpec]:
@@ -406,9 +408,9 @@ def enumerate_modes(config: ProblemConfig, lambda_max: float) -> List[ModeSpec]:
     forms with a constant, pure-gauge radial coefficient, a potential on
     k-forms (the harmonic-sector operators carry none), and a potential
     that falls to -oo on the lowest mode (`far_field`), whether or not the
-    window lists it.  A counted domain that ends past the largest float
-    radius is refused (`domain_end`) when a listed mode is not finite at
-    y = oo, the case in which `count` refuses it too.
+    window lists it.  Refusals of the counted meshes themselves, such as a
+    domain that ends past the largest float radius, are `sturm`'s: the
+    `reduce` command lists the modes of `count`'s own report.
     """
     if lambda_max < 0:
         raise ReduceError(f"the top of numerics.lambda_grid must be >= 0, got {lambda_max!r}")
@@ -436,19 +438,10 @@ def enumerate_modes(config: ProblemConfig, lambda_max: float) -> List[ModeSpec]:
                 raise ReduceError(f"the potential of mode {low.name} falls to -oo as "
                                   "y -> oo; a potential unbounded below is outside the "
                                   "numerically modelled class")
-        with np.errstate(over="ignore", invalid="ignore"):
-            far = float((config.potential or RadialPotential())(np.inf))
-        if modes and (modes[-1].nu > 0.0 or not math.isfinite(far)):
-            # a listed mode is not finite at y = oo, so the pencil rows of a
-            # mesh that ends there overflow: refuse as `count` does, first
-            # group first (`sturm.discretize_stack`)
-            for grid in config.numerics.grids:
-                for group in nested_groups(config.numerics, geom.pf, grid):
-                    domain_end(geom.pf, geom.y0, group[-1][0])
         return modes
     modes = []
-    h_k = config.cross_section.betti_at(k)
-    h_k1 = config.cross_section.betti_at(k - 1)
+    h_k = betti_number(config.cross_section.betti, k)
+    h_k1 = betti_number(config.cross_section.betti, k - 1)
     if h_k > 0:
         modes.append(ModeSpec(label=(0,), nu=0.0, multiplicity=h_k,
                               sector=SECTOR_FORM_0))

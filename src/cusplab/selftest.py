@@ -139,12 +139,10 @@ WEYL_EXPERIMENTS = {
 
 
 def _weyl_run(name):
-    """Counting table, Weyl fit and predicted constant of a Weyl experiment.
-
-    Like `cusplab weyl`, it counts the finest grid only: the fit and the
-    stability flag read nothing else."""
-    rep = assemble.global_counting(WEYL_EXPERIMENTS[name].with_finest_grid())
-    return rep, assemble.weyl_fit(rep), rep.prediction.weyl_constant
+    """Counting table, Weyl fit and predicted constant of a Weyl experiment,
+    from the study `cusplab weyl` runs (`assemble.weyl_study`)."""
+    rep, fit = assemble.weyl_study(WEYL_EXPERIMENTS[name])
+    return rep, fit, rep.prediction.weyl_constant
 
 
 def criterion_5():

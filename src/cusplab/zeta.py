@@ -6,12 +6,14 @@ modes contribute shift^(-s).  Sums are evaluated by direct block summation
 with an integral-comparison tail bound, so every returned value carries an
 explicit certificate:  true value in [value, value + tail].
 
-The summation targets tail <= 1e-12 * value and reaches it for every
-argument the counting constants need (s - abscissa >= 1/2 there).  Close
-to the convergence abscissa the target may be unreachable by direct
-summation within the term budget; the result is then still correct, with
-the honestly larger tail recorded, and callers decide whether it is sharp
-enough.
+The summation targets tail <= 1e-12 * value within a term budget, but the
+tail falls only like R^(d - 2s) in the summation radius R, so near the
+abscissa d/2 the target is missed.  The C3 argument s = (1/p - 1)/2 lies
+(1/p - n)/2 above it, below 1/2 for 1/(n + 1) < p < 1/n: the tail is 11%
+of the value on the square 2-torus of side 2 pi at n = 3, p = 0.3, and
+1.1% on the unit 3-torus at n = 4, p = 0.2.  Only [value, value + tail]
+is certified; `assemble.weyl_fit` reads all of it.  ROADMAP item 20
+sharpens this.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ from cusplab import assemble, cli, reduce as red, sturm
 from cusplab.assemble import (AssembleError, cut_invariance_check,
                               global_counting, perturbation_stability_check,
                               threshold_probe, weyl_fit)
-from cusplab.criteria import LOG_LAW, POWER_HALF_P, POWER_N2
+from cusplab.criteria import LOG_LAW, POWER_HALF_P, POWER_N2, Prediction
 from cusplab.model import (ConfigError, EndGeometry, MagneticData, Numerics,
                            ProblemConfig, RadialPotential, builtin_cross_section)
 from cusplab.reduce import CanonicalOperator, RadialOperator
@@ -267,6 +267,33 @@ def test_weyl_verdict_is_undecided_on_a_domain_unstable_pure_point_table():
     # with essential spectrum the fit is informational whatever the table
     ess = dataclasses.replace(rep.prediction, thresholds=(0.25,))
     assert weyl_fit(dataclasses.replace(rep, prediction=ess)).consistent is True
+
+
+# criteria's C3 of a square 2-torus at n = 3, p = 0.3 and its certified tail:
+# the true C3 lies in [C3, C3 + tail], 11% wide
+TORUS_C3, TORUS_C3_TAIL = 5.898922278416871, 0.6574493187928422
+
+
+@pytest.mark.parametrize("constant, tail, consistent", [
+    (7.5, TORUS_C3_TAIL, True),     # within 20% of C3 + tail, not of C3
+    (7.5, None, False),
+    (7.5, 0.0, False),
+    (8.0, TORUS_C3_TAIL, False),    # above (C3 + tail) * 1.2
+    (4.8, TORUS_C3_TAIL, True),
+    (4.6, TORUS_C3_TAIL, False),    # below C3 * 0.8
+])
+def test_the_weyl_constant_gate_reads_the_certified_c3_interval(constant, tail, consistent):
+    q = 1.0 / (2.0 * 0.3)
+    lam = np.geomspace(10.0, 1000.0, 16)
+    rep = assemble.SpectrumReport(
+        lambda_grid=lam, modes=[],
+        totals_by_combo={(400, 8.0): np.rint(constant * lam**q).astype(np.int64)},
+        stable=True, prediction=Prediction((), POWER_HALF_P, q, TORUS_C3, tail),
+        meta={"grids": (400,), "domains": (8.0,)})
+    fit = weyl_fit(rep)
+    assert fit.exponent == pytest.approx(q, abs=1e-3)
+    assert fit.constant == pytest.approx(constant, rel=1e-3)
+    assert fit.consistent is consistent
 
 
 def test_cut_invariance_passes_for_essential_case():

@@ -930,6 +930,15 @@ NO_CUT_CFG = (AB_CFG.replace("500,1000", "200,400").replace("8,16,32", "8,16")
               + "potential.poly = (-1e300,2.0)\n")
 DOMAIN_END = ("error[invalid]: a domain of length 800.0 ends past the largest float "
               "radius; shorten numerics.domain_z\n")
+# domains that end below the largest float radius, where a pencil row overflows
+P1_OVERFLOW_CFG = with_line(with_line(LONG_CFG, "geometry.p = 1"), "numerics.domain_z = 8,360")
+P2_OVERFLOW_CFG = with_line(with_line(LONG_CFG, "magnetic.flux = 0.5"),
+                            "numerics.domain_z = 8,200")
+
+
+def _overflow(what, entry):
+    return (f"error[invalid]: overflow while evaluating the {what} (first bad entry "
+            f"{entry}); shrink the domain or exponents\n")
 
 
 @pytest.mark.parametrize("command, text, err", [
@@ -943,6 +952,12 @@ DOMAIN_END = ("error[invalid]: a domain of length 800.0 ends past the largest fl
     ("reduce", LONG_CFG.replace("geometry.p = 2", "geometry.p = 1"), DOMAIN_END),
     ("reduce", NO_CUT_CFG, "error[invalid]: potential keeps every mode below the top of "
                            "numerics.lambda_grid; no finite mode cut exists\n"),
+    # reduce lists the modes of count's own report, so it refuses with count's line
+    *((command, text, err) for text, err in (
+        (with_line(P1_OVERFLOW_CFG, "magnetic.flux = 0.5"),
+         _overflow("normal-form potential", 8873)),
+        (P1_OVERFLOW_CFG, _overflow("normal-form potential", 8873)),
+        (P2_OVERFLOW_CFG, _overflow("potential", 5000))) for command in ("reduce", "count")),
     # Y0^(2p) = 1e400 overflows a float before any mode is listed
     ("cut-check", with_line(LONG_CFG.replace("8,800", "8,16"), "checks.y0 = 1e100,1"),
      "error[invalid]: Y0^(2p) at the cut radius Y0 = 1e+100 exceeds the largest float; "
@@ -952,7 +967,9 @@ DOMAIN_END = ("error[invalid]: a domain of length 800.0 ends past the largest fl
                                       "geometry.p = 0.5"), "checks.y0 = 1e100,1"),
      "error[invalid]: mass matrix must be strictly positive\n"),
 ], ids=["p2-flux", "p1-flux", "p2-poly", "p1-poly", "p1-poly-reduce", "p1-flux-reduce",
-        "no-finite-cut", "p2-huge-cut", "p-half-huge-cut"])
+        "no-finite-cut", "p1-half-flux-overflow-reduce", "p1-half-flux-overflow-count",
+        "p1-overflow-reduce", "p1-overflow-count", "p2-overflow-reduce", "p2-overflow-count",
+        "p2-huge-cut", "p-half-huge-cut"])
 def test_an_unrepresentable_window_is_one_error_line(cfg_path, capsys, command, text, err):
     assert main([command, "--config", cfg_path(text)]) == 1
     assert capsys.readouterr() == ("", err)

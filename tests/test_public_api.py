@@ -57,5 +57,5 @@ def test_the_scan_sees_the_package_and_its_callers():
     # a guard that parses nothing would pass vacuously
     refs = _references()
     assert "parse_config" in refs and "global_counting" in refs
-    assert any(path.startswith("scripts/") for path in refs["global_counting"])
+    assert any(path.startswith("scripts/") for path in refs["weyl_study"])
     assert len(PROGRAM) >= 10

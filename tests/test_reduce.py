@@ -391,6 +391,15 @@ def _window_configs(draw):
     magnetic=MagneticData(flux=(Fraction(0),)),
     potential=RadialPotential(poly=((5e-324, 0.0),)),
     numerics=Numerics(domains=(2.0, 4.0))), 0.0))
+# V = 5e-324 y^(1/4) at a window top of 5e-324: V rounds to the top at the
+# nodes near y0, an exact ratio 0.0 that lists m0, and above it further out,
+# where the negative ratios underflow to -0.0
+@example((ProblemConfig(
+    geometry=EndGeometry(2, Fraction(1, 4), 1.0),
+    cross_section=builtin_cross_section("circle", length=1.0), degree=0,
+    magnetic=MagneticData(flux=(Fraction(0),)),
+    potential=RadialPotential(poly=((5e-324, 0.25),)),
+    numerics=Numerics(domains=(2.0, 4.0))), 5e-324))
 @settings(max_examples=300, deadline=None)
 def test_mode_window_and_c_match_the_earlier_algorithms(case):
     config, lambda_max = case
