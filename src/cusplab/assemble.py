@@ -82,9 +82,8 @@ def _mode_operators(config: ProblemConfig, lambda_max: float):
     p <= 1, else the weighted operator.  The targets differ only in their
     potential terms, so `sturm.discretize_stack` assembles them together.
     """
-    p = config.geometry.pf
     ops = [(m, red.mode_operator(config, m)) for m in red.enumerate_modes(config, lambda_max)]
-    return [(m, red.liouville_transform(op, p) if p <= 1.0 else op) for m, op in ops]
+    return [(m, red.liouville_transform(op) if op.p <= 1.0 else op) for m, op in ops]
 
 
 def _distinct_rows(ops):
@@ -132,60 +131,41 @@ def _spectrum_reports(configs, with_eigenvalues: bool = False) -> List[SpectrumR
     group, each config's distinct rows are assembled on its own mesh and all
     are counted in one pass (`_count_group`); a lane's count and settled bit
     depend on that lane alone, so each config reads what a pass of its own
-    would give.  A config that raises ends there with those after it, and its
-    refusal is raised once the configs before it are done."""
+    would give.  The first error of any config ends the run."""
     num, pf = configs[0].numerics, configs[0].geometry.pf
     if any(c.numerics != num or c.geometry.pf != pf for c in configs):
         raise AssembleError("internal error: stacked configs must share numerics and p")
     lambdas = num.lambdas()
     if not np.all(np.diff(lambdas) > 0):
         raise AssembleError("lambdas must be strictly increasing")
-    runs, refusal = [SimpleNamespace(config=c, totals={}) for c in configs], None
-
-    def each(step):
-        nonlocal runs, refusal
-        for k, run in enumerate(runs):
-            try:
-                step(run)
-            except Exception as exc:    # kept to raise unchanged; run k and later ones end
-                runs, refusal = runs[:k], exc
-                return
-
-    def prepare(run):
-        run.prediction = classify(run.config)
-        run.ops = _mode_operators(run.config, float(lambdas[-1]))
+    runs = []
+    for config in configs:
+        run = SimpleNamespace(config=config, totals={}, prediction=classify(config))
+        run.ops = _mode_operators(config, float(lambdas[-1]))
         run.rows, run.row_of, run.mult = _distinct_rows(run.ops)
-
-    def assemble_rows(run):
-        run.stack = None    # free its previous group's stack before assembling this one
-        run.stack = (sturm.discretize_stack([op for _, op in run.rows], *group[-1])
-                     if run.rows else ([], None, None))
-
-    def add_totals(run):
-        # the threshold probe and the Weyl fit read these counts as monotone
-        # in lambda; Dirichlet bracketing keeps them monotone under domain growth
-        for what, axis in (("in lambda", 2), ("under domain growth", 0)):
-            dropped = np.argwhere(np.diff(run.counts, axis=axis) < 0)
-            if dropped.size:
-                k, i, _ = dropped[0]
-                raise AssembleError(
-                    f"internal error: counts decreased {what} for mode {run.rows[i][0].name} "
-                    f"at grid={g}, domain={group[k + (axis == 0)][0]!r}")
-        for (T, _), t in zip(group, (run.mult[:, None] * run.counts).sum(axis=1)):
-            run.totals[(g, T)] = t
-
-    each(prepare)
+        runs.append(run)
     for g in num.grids:
         for group in red.nested_groups(num, pf, g):
-            each(assemble_rows)
+            for run in runs:
+                run.stack = None    # free its previous group's stack before assembling this one
+                run.stack = (sturm.discretize_stack([op for _, op in run.rows], *group[-1])
+                             if run.rows else ([], None, None))
             _count_group(runs, lambdas, group)
-            each(add_totals)
+            for run in runs:
+                # the threshold probe and the Weyl fit read these counts as monotone
+                # in lambda; Dirichlet bracketing keeps them monotone under domain growth
+                for what, axis in (("in lambda", 2), ("under domain growth", 0)):
+                    dropped = np.argwhere(np.diff(run.counts, axis=axis) < 0)
+                    if dropped.size:
+                        k, i, _ = dropped[0]
+                        raise AssembleError(
+                            f"internal error: counts decreased {what} for mode "
+                            f"{run.rows[i][0].name} at grid={g}, "
+                            f"domain={group[k + (axis == 0)][0]!r}")
+                for (T, _), t in zip(group, (run.mult[:, None] * run.counts).sum(axis=1)):
+                    run.totals[(g, T)] = t
     # the finest combo closes the last group: each run keeps its counts and stack
-    reports = []
-    each(lambda run: reports.append(_report(run, lambdas, with_eigenvalues)))
-    if refusal is not None:
-        raise refusal
-    return reports
+    return [_report(run, lambdas, with_eigenvalues) for run in runs]
 
 
 def _report(run, lambdas, with_eigenvalues):
@@ -324,9 +304,17 @@ def threshold_probe(config: ProblemConfig) -> ThresholdEstimate:
 
 def threshold_probes(configs) -> List[ThresholdEstimate]:
     """`threshold_probe` of each of `configs`, which share `numerics` and p;
-    their finest grids are counted together (`_spectrum_reports`)."""
+    their finest grids are counted together (`_spectrum_reports`).  If that
+    raises, they are counted again one at a time in order, so the error
+    raised is the first config's own."""
     _require_two_domains(configs[0], "threshold probe")    # shared numerics
-    reports = _spectrum_reports([config.with_finest_grid() for config in configs])
+    finest = [config.with_finest_grid() for config in configs]
+    try:
+        reports = _spectrum_reports(finest)
+    except Exception:
+        if len(finest) == 1:
+            raise
+        reports = [_spectrum_reports([config])[0] for config in finest]
     return [_estimate(config, report) for config, report in zip(configs, reports)]
 
 
@@ -354,7 +342,7 @@ def _estimate(config: ProblemConfig, report: SpectrumReport) -> ThresholdEstimat
     for r in report.modes:
         at = first + np.flatnonzero(~r.settled[first:])
         if at.size:
-            c = red.mode_threshold(red.mode_operator(config, r.mode), config.geometry.p)
+            c = red.mode_threshold(red.mode_operator(config, r.mode))
             open_lanes += [(float(lambdas[j]), r.mode.name, c) for j in at]
     if not open_lanes:
         return estimate(None, False, (

@@ -189,7 +189,6 @@ REDUCE_COLUMNS = ("mode", "nu", "multiplicity", "density_exp", "stiffness_exp",
 
 def cmd_reduce(args):
     config = _load_config(args)
-    p = config.geometry.p
     records = []
     for m in (r.mode for r in assemble.global_counting(config).modes):
         op = red.mode_operator(config, m)
@@ -198,7 +197,7 @@ def cmd_reduce(args):
             terms += f"+bump{op.bump!r}".replace(" ", "")
         records.append(dict(zip(REDUCE_COLUMNS, (
             m.name, m.nu, m.multiplicity, op.density_exponent,
-            op.stiffness_exponent, terms, red.mode_threshold(op, p)))))
+            op.stiffness_exponent, terms, red.mode_threshold(op)))))
     _emit(args, records, None, REDUCE_COLUMNS, records)
     return EXIT_OK
 

@@ -95,11 +95,13 @@ class RadialOperator:
     measure w0 dy, with power weights w0 = y^density_exponent,
     w1 = y^stiffness_exponent and potential (relative to the measure)
     q(y) = sum a_j y^(b_j) + bump.  The operator is the Friedrichs
-    extension of this form on compactly supported smooth functions.
+    extension of this form on compactly supported smooth functions.  Its
+    meshes are built at p, the end's exponent (`EndGeometry.pf`).
     """
 
     density_exponent: float
     stiffness_exponent: float
+    p: float
     potential_terms: tuple = ()
     bump: Optional[tuple] = None
     y0: float = 1.0
@@ -113,11 +115,6 @@ class RadialOperator:
     def q(self, y, out=None, shared=None):
         """The potential q at radial nodes y (`model.potential_values`)."""
         return potential_values(y, self.potential_terms, self.bump, out, shared)
-
-    @property
-    def p(self) -> float:
-        """The exponent p of the end's metric, read off the weights."""
-        return 0.5 * (self.stiffness_exponent - self.density_exponent)
 
 
 @dataclass(frozen=True)
@@ -476,6 +473,7 @@ def scalar_radial_operator(mode: ModeSpec, geometry: EndGeometry,
     return RadialOperator(
         density_exponent=-n * p,
         stiffness_exponent=(2.0 - n) * p,
+        p=p,
         potential_terms=tuple(terms),
         bump=bump,
         y0=geometry.y0)
@@ -504,11 +502,12 @@ def harmonic_form_radial_operator(n: int, k: int, p, sector: int,
     return RadialOperator(
         density_exponent=(2 * k - n) * pf,
         stiffness_exponent=(2 * k + 2 - n) * pf,
+        p=pf,
         potential_terms=terms,
         y0=float(y0))
 
 
-def liouville_transform(op: RadialOperator, p) -> CanonicalOperator:
+def liouville_transform(op: RadialOperator) -> CanonicalOperator:
     """Normal form -d^2/dz^2 + W(z) of a power-weight radial operator.
 
     Substituting dz = sqrt(w0/w1) dy (= y^(-p) dy for every operator built
@@ -520,17 +519,16 @@ def liouville_transform(op: RadialOperator, p) -> CanonicalOperator:
     The spectrum is preserved exactly; p > 1 is rejected (there the direct
     weighted discretization on the finite-length variable is used instead).
     """
-    pf = float(p)
-    if pf > 1.0:
+    if op.p > 1.0:
         raise ReduceError("Liouville normal form unsupported for p > 1; "
                           "use the direct weighted discretization")
     gap = op.stiffness_exponent - op.density_exponent
-    if abs(gap - 2.0 * pf) > 1e-10:
+    if abs(gap - 2.0 * op.p) > 1e-10:
         raise ReduceError("operator weights are inconsistent with exponent p")
     c_half = 0.5 * (op.density_exponent + op.stiffness_exponent) / 2.0
-    conj = c_half * (c_half + pf - 1.0)
+    conj = c_half * (c_half + op.p - 1.0)
     return CanonicalOperator(
-        p=pf,
+        p=op.p,
         y0=op.y0,
         conj_coeff=conj,
         potential_terms=op.potential_terms,
@@ -554,7 +552,7 @@ def far_field(terms) -> float:
     return sums.get(0.0, 0.0)
 
 
-def mode_threshold(op: RadialOperator, p) -> Optional[float]:
+def mode_threshold(op: RadialOperator) -> Optional[float]:
     """Bottom of the essential spectrum of one radial operator, if any.
 
     Every p > 1 operator has empty essential spectrum (None).  Otherwise the
@@ -562,10 +560,9 @@ def mode_threshold(op: RadialOperator, p) -> Optional[float]:
     None for a confining mode, where W grows to +oo.  A W that falls to
     -oo is refused.
     """
-    pf = float(p)
-    if pf > 1.0:
+    if op.p > 1.0:
         return None
-    limit = far_field(liouville_transform(op, pf).terms)
+    limit = far_field(liouville_transform(op).terms)
     if limit == -math.inf:
         raise ReduceError("the potential falls to -oo as y -> oo: the operator "
                           "is not bounded below")

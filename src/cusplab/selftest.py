@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import assemble, criteria, reduce as red, sturm, zeta
+from . import assemble, criteria, reduce as red, sturm
 from .model import (EndGeometry, MagneticData, Numerics, ProblemConfig,
                     RadialPotential, builtin_cross_section, parse_config,
                     ConfigError)

@@ -8,7 +8,8 @@ standard-form reduction stays tridiagonal and Sylvester inertia is exact.
 The modes of one config differ only in their potential terms, so
 `discretize_stack` builds the mesh, weights, lumped mass and each power
 of y once and adds one diagonal row per distinct operator; `discretize`
-is its one-operator case.
+is its one-operator case.  Operators carry their config's p, so the mesh
+is bit for bit the one `reduce` certified the mode cut on.
 
 Eigenvalue counts come from the LDL^T inertia of A - lambda B (a Sturm
 sequence) and eigenvalues from bisection on the counts.  Counts are
@@ -28,6 +29,9 @@ retire lanes, each by twice its certificate node.  A wider pass costs
 little more than a narrow one, so bisection runs as a multisection: each
 pass counts at several levels of every bracket's bisection tree at once,
 and the listing stays bit-identical to one-level-per-pass bisection.
+A lane that hits an exact zero pivot is re-counted by one rule
+(`_recount`): one more pass at lambda shifted down by BREAKDOWN_SHIFT
+times the scale of the block it broke in.
 
 Grid numbers mean mesh *cells*; a grid g on the base domain T0 fixes the
 mesh width h = T0/g, and larger domains keep h fixed by scaling the cell
@@ -394,22 +398,27 @@ def _sturm_pass(diag, off, mass, lams, sizes=None):
     return tuple(np.stack(arrs).reshape(shape) for arrs in zip(*snapshots))
 
 
-def _scale(pencil: TridiagonalPencil, lam: float) -> float:
-    s = float(np.max(np.abs(pencil.diag)))
-    if len(pencil.offdiag):
-        s += 2.0 * float(np.max(np.abs(pencil.offdiag)))
-    s += abs(lam) * float(np.max(pencil.mass))
-    return max(s, 1.0)
+def _recount(diag, off, mass, lam: float) -> int:
+    """The count at lam of a lane that broke on the pencil (or leading block)
+    diag, off, mass: one pass at lam shifted down by BREAKDOWN_SHIFT times
+    its scale, the pivot shift of Barth, Martin & Wilkinson (1967).  A
+    second hit raises rather than return a count that may be wrong."""
+    scale = (float(np.max(np.abs(diag))) + 2.0 * float(np.max(np.abs(off), initial=0.0))
+             + abs(lam) * float(np.max(mass)))
+    shifted = lam - BREAKDOWN_SHIFT * max(scale, 1.0)
+    count, again, _ = _sturm_pass(diag, off, mass, np.array([shifted]))
+    if again[0]:
+        raise SturmError(f"pivot breakdown at lambda = {lam!r} persists at the "
+                         f"shifted lambda = {shifted!r}")
+    return int(count[0])
 
 
 def count_below(pencil: TridiagonalPencil, lam: float) -> int:
     """Number of generalized eigenvalues strictly below lambda.
 
     Exact for the discrete pencil by Sylvester inertia.  An exact pivot hit
-    (lambda on a Ritz value of a leading minor) is resolved by re-counting
-    at lambda shifted down by 1e-14 * scale; the shift is recorded on the
-    pencil's breakdown counter.  A second hit at the shifted lambda raises
-    SturmError rather than return a count that may be wrong.
+    (lambda on a Ritz value of a leading minor) is re-counted at a shifted
+    lambda (`_recount`) and recorded on the pencil's breakdown counter.
     """
     counts = count_below_many(pencil, np.array([lam]))
     return int(counts[0])
@@ -419,15 +428,8 @@ def count_below_many(pencil: TridiagonalPencil, lams) -> np.ndarray:
     lams = np.asarray(lams, dtype=float)
     counts, broke, _ = _sturm_pass(pencil.diag, pencil.offdiag, pencil.mass, lams)
     for j in np.nonzero(broke)[0]:
-        lam = float(lams[j])
-        shifted = lam - BREAKDOWN_SHIFT * _scale(pencil, lam)
-        c, again, _ = _sturm_pass(pencil.diag, pencil.offdiag, pencil.mass,
-                                  np.array([shifted]))
         pencil.breakdowns += 1
-        if again[0]:
-            raise SturmError(f"pivot breakdown at lambda = {lam!r} persists at the "
-                             f"shifted lambda = {shifted!r}")
-        counts[j] = c[0]
+        counts[j] = _recount(pencil.diag, pencil.offdiag, pencil.mass, float(lams[j]))
     return counts
 
 
@@ -440,21 +442,19 @@ def count_below_stack(diags, offs, masses, lams, sizes=None):
     (increasing leading-block sizes, see `_sturm_pass`) the result is
     (S, M, L): the counts of every nested domain from one pass.  Returns
     (counts, settled) with `_sturm_pass`'s settled mask of the same shape.
-    Exact pivot hits fall back to the per-pencil path on the leading block
-    of the checkpoint they break, and such a lane is open.
+    A lane with an exact pivot hit is re-counted on the leading block of
+    the checkpoint it broke at, in one more pass (`_recount`), and is open.
     """
     counts, broke, settled = _sturm_pass(diags, offs, masses, lams, sizes)
     settled &= ~broke
-    if not broke.any():
-        return counts, settled
     offs = np.broadcast_to(offs, diags.shape[:-1] + np.shape(offs)[-1:])
     masses = np.broadcast_to(masses, diags.shape)
     stops = (diags.shape[-1],) if sizes is None else tuple(sizes)
     by_stop = counts.reshape((len(stops),) + broke.shape[-2:])
     for k, i, j in zip(*np.nonzero(broke.reshape(by_stop.shape))):
         n = stops[k]
-        pencil = TridiagonalPencil(diags[i, :n], offs[i, :n - 1], masses[i, :n])
-        by_stop[k, i, j] = count_below(pencil, float(lams[j]))
+        by_stop[k, i, j] = _recount(diags[i, :n], offs[i, :n - 1], masses[i, :n],
+                                    float(lams[j]))
     return by_stop.reshape(counts.shape), settled
 
 

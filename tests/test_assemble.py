@@ -470,7 +470,7 @@ WEIGHTED_TERMS = ((), ((3.0, 4.0),), ((3.0, 4.0), (0.5, 4.0)), ((0.5, 1.0),))
 @pytest.mark.parametrize("op", [
     CanonicalOperator(p=0.25, y0=1.5, conj_coeff=-0.1),
     CanonicalOperator(p=1.0, y0=1.0, conj_coeff=0.0),
-    RadialOperator(density_exponent=-4.0, stiffness_exponent=0.0, y0=1.0),
+    RadialOperator(density_exponent=-4.0, stiffness_exponent=0.0, p=2.0, y0=1.0),
 ], ids=["canonical-p1/4", "canonical-p1", "weighted-p2"])
 def test_stacked_potential_rows_are_the_per_row_assembly(op, bump):
     terms = WEIGHTED_TERMS if isinstance(op, RadialOperator) else CANONICAL_TERMS
@@ -482,6 +482,35 @@ def test_stacked_potential_rows_are_the_per_row_assembly(op, bump):
         assert off.tobytes() == ref_off.tobytes() and mass.tobytes() == ref_mass.tobytes()
 
 
+@pytest.mark.parametrize("degree", [0, 2], ids=["functions", "2-forms"])
+@pytest.mark.parametrize("p", ["1.3", "1.7"])
+def test_p_above_one_pencils_are_meshed_at_the_configs_p(monkeypatch, p, degree):
+    """At n = 3 the weight exponents do not give p back exactly (at p = 1.3,
+    0.5 (-p - (-3p)) = 1.3000000000000003), so every pencil must be meshed at
+    the config's own p: for function modes on the nodes that `_mode_cut`
+    certified, bit for bit (796 of the 1001 nodes of length 3 differ)."""
+    meshes, mesh_for = {"certified": set(), "counted": set()}, red.mesh_for
+
+    def recording(kind):
+        def recorded(pm, y0, length, cells):
+            t, y = mesh_for(pm, y0, length, cells)
+            meshes[kind].add((pm, length, cells, y.tobytes()))
+            return t, y
+        return recorded
+
+    monkeypatch.setattr(red, "mesh_for", recording("certified"))
+    monkeypatch.setattr(sturm, "mesh_for", recording("counted"))
+    config = ProblemConfig(
+        geometry=EndGeometry(3, p, 1.0), degree=degree,
+        cross_section=builtin_cross_section("square_torus", side=TWO_PI, dim=2),
+        numerics=Numerics(grids=(250, 500), domains=(1.5, 3.0), lambda_grid=(0.5, 5.0, 4)))
+    assert global_counting(config).modes
+    assert {(pm, cells) for pm, _, cells, _ in meshes["counted"]} == {
+        (config.geometry.pf, cells) for cells in (250, 500, 1000)}
+    if degree == 0:
+        assert meshes["counted"] == meshes["certified"]
+
+
 def _first_bad_node(op, length, cells):
     """The first node where the per-row potential op.q(y) is not finite."""
     _, y = red.mesh_for(op.p, op.y0, length, cells)
@@ -490,7 +519,7 @@ def _first_bad_node(op, length, cells):
 
 
 P1_FLAT = CanonicalOperator(p=1.0, y0=1.0, conj_coeff=0.0)
-P2_WEIGHTED = RadialOperator(density_exponent=-4.0, stiffness_exponent=0.0, y0=1.0)
+P2_WEIGHTED = RadialOperator(density_exponent=-4.0, stiffness_exponent=0.0, p=2.0, y0=1.0)
 
 
 @pytest.mark.parametrize("op, b, length, node, what", [

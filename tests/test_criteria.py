@@ -144,7 +144,7 @@ def test_schrodinger_predicate_table():
 def test_the_predicted_bottom_is_the_zero_modes_threshold_bit_for_bit(p, flux, poly):
     cfg = circle_cfg(p, flux=flux, potential=RadialPotential(poly=poly))
     (zero,) = [m for m in enumerate_modes(cfg, 10.0) if m.nu == 0.0]
-    assert classify(cfg).essential_bottom == mode_threshold(mode_operator(cfg, zero), p)
+    assert classify(cfg).essential_bottom == mode_threshold(mode_operator(cfg, zero))
 
 
 def test_a_term_below_y2p_that_confines_certifies_no_counting_law():

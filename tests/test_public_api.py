@@ -1,4 +1,5 @@
-"""Every public function and class of the package has a caller in the program.
+"""Every public function and class of the package has a caller in the program,
+and every name the program imports is used.
 
 A caller is a reference by name (a call, an attribute or an import) from
 src/cusplab, scripts/ or perfbench/.  The definition itself, the package's
@@ -59,3 +60,29 @@ def test_the_scan_sees_the_package_and_its_callers():
     assert "parse_config" in refs and "global_counting" in refs
     assert any(path.startswith("scripts/") for path in refs["weyl_study"])
     assert len(PROGRAM) >= 10
+
+
+def _unused_imports(path):
+    """`path:line name` of each name the module imports and never loads; a
+    name in `__all__` is used (the package re-exports it)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name.partition(".")[0], node.lineno)
+                            for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((a.asname or a.name, node.lineno) for a in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return [f"{path.relative_to(ROOT).as_posix()}:{line} {name}"
+            for name, line in imported.items() if name not in used]
+
+
+def test_every_imported_name_is_used():
+    modules = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    assert len(modules) >= 10     # a scan that parses nothing would pass vacuously
+    assert [hit for path in modules for hit in _unused_imports(path)] == []

@@ -52,7 +52,7 @@ def test_count_below_gershgorin_floor():
 
 def test_weighted_pencil_matches_flat_channel():
     """w1 = 1, w0 = y^-2 on (1, e^T): eigenvalues 1/4 + (k pi / T)^2."""
-    op = RadialOperator(density_exponent=-2.0, stiffness_exponent=0.0, y0=1.0)
+    op = RadialOperator(density_exponent=-2.0, stiffness_exponent=0.0, p=1.0, y0=1.0)
     T = 8.0
     pen = discretize(op, T, 4000)
     got = eigenvalues_below(pen, 1.0, 1e-10)
@@ -65,7 +65,7 @@ def test_small_grid_rejected():
         discretize(FLAT, 1.0, 3)
 
 
-WEIGHTED = RadialOperator(density_exponent=-2.0, stiffness_exponent=0.0,
+WEIGHTED = RadialOperator(density_exponent=-2.0, stiffness_exponent=0.0, p=1.0,
                           potential_terms=((1.0, 2.0),), y0=1.0)
 
 
@@ -86,7 +86,7 @@ def test_stack_refuses_operators_that_differ_beyond_the_potential(first, other):
 
 
 def test_overflow_names_the_term():
-    op = RadialOperator(density_exponent=0.0, stiffness_exponent=1600.0, y0=1.0)
+    op = RadialOperator(density_exponent=0.0, stiffness_exponent=1600.0, p=800.0, y0=1.0)
     with pytest.raises(SturmError, match="overflow"):
         discretize(op, 8.0, 100)
 
@@ -579,10 +579,14 @@ def test_stack_checkpoints_fall_back_per_leading_block():
     diags[1, 4] = 1.0         # lambda = 1 hits a pivot of row 1 at node 4 only
     lams = np.array([0.5, 1.0, 2.0])
     for offs in (off, np.tile(off, (3, 1))):
-        with mock.patch.object(sturm, "count_below", wraps=sturm.count_below) as slow:
+        with mock.patch.object(sturm, "_sturm_pass", wraps=sturm._sturm_pass) as kernel:
             stacked, _ = count_below_stack(diags, offs, mass, lams, sizes=[3, 5, n])
-        # the hit lies behind checkpoint 3 and before 5 and n: two re-counts
-        assert slow.call_count == 2
+        # the hit lies behind checkpoint 3 and before 5 and n: two re-counts,
+        # one pass each, over row 1's leading blocks at a lambda shifted below 1
+        assert kernel.call_count == 3
+        recounts = [call.args for call in kernel.call_args_list[1:]]
+        assert [d.tolist() for d, *_ in recounts] == [diags[1, :5].tolist(), diags[1].tolist()]
+        assert all(0.0 < 1.0 - float(lam[0]) < 1e-12 for *_, lam in recounts)
         for k, size in enumerate([3, 5, n]):
             for i in range(3):
                 pen = TridiagonalPencil(diag=diags[i, :size], offdiag=off[:size - 1],
@@ -601,9 +605,14 @@ def test_stacked_meshes_count_as_one_pass_per_mesh():
     diags = np.concatenate([d for d, _, _ in meshes])
     offs = np.concatenate([np.tile(e, (2, 1)) for _, e, _ in meshes])
     masses = np.concatenate([np.tile(m, (2, 1)) for _, _, m in meshes])
-    with mock.patch.object(sturm, "count_below", wraps=sturm.count_below) as slow:
+    with mock.patch.object(sturm, "_sturm_pass", wraps=sturm._sturm_pass) as kernel:
         counts, settled = count_below_stack(diags, offs, masses, lams, sizes=sizes)
-    assert slow.call_count == 2     # the hit lies behind both checkpoints
+    # the hit lies behind both checkpoints: two re-counts, one pass each, over
+    # row 2's leading blocks at a lambda shifted below 1
+    assert kernel.call_count == 3
+    recounts = [call.args for call in kernel.call_args_list[1:]]
+    assert [d.tolist() for d, *_ in recounts] == [diags[2, :3].tolist(), diags[2].tolist()]
+    assert all(0.0 < 1.0 - float(lam[0]) < 1e-12 for *_, lam in recounts)
     alone = [count_below_stack(*mesh, lams, sizes=sizes) for mesh in meshes]
     assert np.array_equal(counts, np.concatenate([c for c, _ in alone], axis=1))
     assert np.array_equal(settled, np.concatenate([s for _, s in alone], axis=1))
