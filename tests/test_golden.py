@@ -66,6 +66,11 @@ LATTICE_WINDOW = PROBE.replace("0.5,6,12", "0.5,40,8")
 # the bump holds one node of the grid-400 mesh, e^1.1, and pulls m-3 and m3
 # into the window; every mode up to m10 reaches 6 at that node
 NARROW_BUMP = "potential.bump = 3.0042,0.004,-1000.0\n"
+# p = 2 is assembled in y on the finite arc length, not in normal form
+P2_FLUX = CIRCLE + "geometry.p = 2\nmagnetic.flux = 0.25\n"
+P2_FORMS = TORUS_FORMS.replace("geometry.p = 1", "geometry.p = 2")
+P2_PROBE = ("numerics.grid = 200,400\nnumerics.domain_z = 2,3\n"
+            "numerics.lambda_grid = 0.5,20,8\n")
 WEYL = ("numerics.grid = 300,600\nnumerics.domain_z = 5,6\n"
         "numerics.lambda_grid = 100,1000,8\nnumerics.lambda_scale = log\n")
 
@@ -99,6 +104,14 @@ CASES = {
     "reduce-lattice-torus": ("reduce", LATTICE + LATTICE_WINDOW, ("csv", "json"), 0),
     "criteria-lattice-torus-gap": ("criteria", LATTICE + "potential.poly = (-0.1,2.0)\n",
                                    ("text", "json"), 0),
+    "spectrum-p2-flux": ("spectrum", P2_FLUX + P2_PROBE, ("json",), 0),
+    # the harmonic sectors h0 and h1 of 1-forms on the 3-torus
+    "count-torus-forms": ("count", TORUS_FORMS + PROBE, ("text", "csv", "json"), 0),
+    "spectrum-torus-forms": ("spectrum", TORUS_FORMS + PROBE, ("json",), 0),
+    "essspec-torus-forms": ("essspec", TORUS_FORMS + PROBE, ("json",), 0),
+    "spectrum-p2-torus-forms": ("spectrum", P2_FORMS + P2_PROBE, ("json",), 0),
+    # p > 1 has no essential spectrum to locate: one error[inconclusive] line
+    "essspec-p2-torus-forms": ("essspec", P2_FORMS + P2_PROBE, ("json",), 1),
 }
 
 RUNS = [(case, fmt) for case, (_, _, formats, _) in CASES.items() for fmt in formats]
