@@ -78,12 +78,10 @@ class SpectrumReport:
 
 
 def _mode_operators(config: ProblemConfig, lambda_max: float):
-    """Each mode with its discretization target: the Liouville form for
-    p <= 1, else the weighted operator.  The targets differ only in their
-    potential terms, so `sturm.discretize_stack` assembles them together.
-    """
-    ops = [(m, red.mode_operator(config, m)) for m in red.enumerate_modes(config, lambda_max)]
-    return [(m, red.liouville_transform(op) if op.p <= 1.0 else op) for m, op in ops]
+    """Each mode with its radial operator.  The operators differ only in
+    their potential terms, so `sturm.discretize_stack` assembles them
+    together."""
+    return [(m, red.mode_operator(config, m)) for m in red.enumerate_modes(config, lambda_max)]
 
 
 def _distinct_rows(ops):

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
+import numpy as np
+
 
 class ConfigError(ValueError):
     """Rejected configuration.  Message names the violated invariant."""
@@ -245,9 +247,6 @@ class RadialPotential:
         two_p = 2 * float(p)
         return sum(a for a, b in self.poly if abs(b - two_p) <= 1e-12)
 
-    def __call__(self, y):
-        return potential_values(y, self.poly, self.bump)
-
     @property
     def is_zero(self) -> bool:
         return not self.poly and self.bump is None
@@ -262,8 +261,6 @@ def potential_values(y, terms, bump, out=None, shared=None):
     at the same nodes y: it holds y^b under b and the bump's values under
     the bump, so each is computed once.
     """
-    import numpy as np
-
     y = np.asarray(y, dtype=float)
     values = {} if shared is None else shared
     if out is None:
@@ -283,8 +280,6 @@ def potential_values(y, terms, bump, out=None, shared=None):
 
 def bump_values(y, bump):
     """Smooth bump h * exp(1 - 1/(1-t^2)), t = (y-c)/w, supported on |t| < 1."""
-    import numpy as np
-
     c, w, h = bump
     y = np.asarray(y, dtype=float)
     t = (y - c) / w
@@ -336,8 +331,6 @@ class Numerics:
             raise ConfigError("invariant violated: log lambda grid needs lo > 0")
 
     def lambdas(self):
-        import numpy as np
-
         lo, hi, cnt = self.lambda_grid
         if self.lambda_scale == "log":
             return np.geomspace(lo, hi, cnt)

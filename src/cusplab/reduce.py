@@ -1,27 +1,20 @@
 """Separation of variables: cross-section modes and radial operators.
 
 On the end [Y0, oo) x M the Laplacian splits over eigenmodes of the
-(flux-twisted) cross-section Laplacian.  A function mode with
-cross-eigenvalue nu produces the weighted Sturm-Liouville form
+(flux-twisted) cross-section Laplacian.  Functions and k-forms give one
+weighted Sturm-Liouville family, mode by mode: in degree k (k = 0 for
+functions) it acts on L^2(y^((2k-n)p) dy) with stiffness weight
+y^((2k+2-n)p), and `mode_operator` builds every mode's `RadialOperator`
+from that one formula.  In degree k >= 1 only the two harmonic sectors
+can reach down to the essential spectrum.  The coupled high-frequency
+tower has compact resolvent and is deliberately not built; its counting
+content is carried analytically by the binomial factor in the C1
+constant.
 
-    Q(f) = Int (|f'|^2 + nu |f|^2) y^((2-n)p) dy + Int V |f|^2 y^(-np) dy
-
-on L^2(y^(-np) dy).  In form degree k only the two harmonic sectors can
-reach down to the essential spectrum; in y-coordinates both live on
-L^2(y^((2k-n)p) dy) with stiffness weight y^((2k+2-n)p), sector 0 with no
-zero-order term and sector 1 with the extra potential
-
-    (n - 2k) p (2p - 1) y^(2p - 2)
-
-(the difference c1^2 - c0^2 of the sector constants, times y^(2p-2)).
-The coupled high-frequency tower has compact resolvent and is deliberately
-not built; its counting content is carried analytically by the binomial
-factor in the C1 constant.
-
-`liouville_transform` rewrites any of these power-weight operators in the
-stretched variable z (z = log y for p = 1, y^(1-p)/(1-p) for p < 1) as
--d^2/dz^2 + W(z) with flat measure, which is what the discretizer prefers
-for p <= 1.
+`liouville_transform` gives the power terms of the normal form
+-d^2/dz^2 + W(z) with flat measure in the stretched variable z (z = log y
+for p = 1, y^(1-p)/(1-p) for p < 1); `sturm` assembles p <= 1 operators
+in it, and `mode_threshold` reads a mode's essential bottom from it.
 
 This module owns the flux-twisted spectrum of M and the meshes it is
 counted on.  `enumerate_modes` lists the modes that can reach the top
@@ -49,8 +42,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .model import (CIRCLE, TABLE, CrossSection, EndGeometry, ProblemConfig,
-                    RadialPotential, betti_number, potential_values)
+from .model import (CIRCLE, TABLE, CrossSection, ProblemConfig, RadialPotential,
+                    betti_number, potential_values)
 
 SECTOR_FUNCTION = "function"
 SECTOR_FORM_0 = "form_harmonic_0"
@@ -94,9 +87,11 @@ class RadialOperator:
     Quadratic form  Q(f) = Int w1 |f'|^2 dy + Int q w0 |f|^2 dy  against the
     measure w0 dy, with power weights w0 = y^density_exponent,
     w1 = y^stiffness_exponent and potential (relative to the measure)
-    q(y) = sum a_j y^(b_j) + bump.  The operator is the Friedrichs
-    extension of this form on compactly supported smooth functions.  Its
-    meshes are built at p, the end's exponent (`EndGeometry.pf`).
+    q(y) = sum a_j y^(b_j) + bump (`model.potential_values`).  The operator
+    is the Friedrichs extension of this form on compactly supported smooth
+    functions.  Its meshes are built at p, the end's exponent
+    (`EndGeometry.pf`); for p <= 1 it is assembled in its normal form
+    (`liouville_transform`).
     """
 
     density_exponent: float
@@ -105,40 +100,6 @@ class RadialOperator:
     potential_terms: tuple = ()
     bump: Optional[tuple] = None
     y0: float = 1.0
-
-    def w0(self, y):
-        return np.asarray(y, dtype=float) ** self.density_exponent
-
-    def w1(self, y):
-        return np.asarray(y, dtype=float) ** self.stiffness_exponent
-
-    def q(self, y, out=None, shared=None):
-        """The potential q at radial nodes y (`model.potential_values`)."""
-        return potential_values(y, self.potential_terms, self.bump, out, shared)
-
-
-@dataclass(frozen=True)
-class CanonicalOperator:
-    """-d^2/dz^2 + W(z) on [z0, oo) with flat measure (Liouville form).
-
-    W(z) = q(y(z)) + A_c y(z)^(2p-2) where A_c collects the conjugation
-    terms of the normal-form substitution; see `liouville_transform`.
-    """
-
-    p: float
-    y0: float
-    conj_coeff: float
-    potential_terms: tuple = ()
-    bump: Optional[tuple] = None
-
-    @property
-    def terms(self) -> tuple:
-        """The power terms (a, b) of W: the conjugation term, then q's."""
-        return ((self.conj_coeff, 2.0 * self.p - 2.0),) + self.potential_terms
-
-    def q(self, y, out=None, shared=None):
-        """The normal-form potential W at radial nodes y (`model.potential_values`)."""
-        return potential_values(y, self.terms, self.bump, out, shared)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +334,7 @@ def _mode_cut(config: ProblemConfig, lambda_max: float) -> float:
         for group in nested_groups(num, p, grid):
             y = mesh_for(p, geom.y0, *group[-1])[1][1:-1]
             with np.errstate(over="ignore", invalid="ignore"):
-                gap = lambda_max - potential(y)
+                gap = lambda_max - potential_values(y, potential.poly, potential.bump)
                 # a negative gap is -1, not a ratio that may underflow to -0.0,
                 # which fmax need not order below an exact 0.0
                 ratio = np.where(gap < 0.0, -1.0, gap / y ** (2.0 * p))
@@ -452,72 +413,57 @@ def enumerate_modes(config: ProblemConfig, lambda_max: float) -> List[ModeSpec]:
 # radial operators
 # ---------------------------------------------------------------------------
 
-def scalar_radial_operator(mode: ModeSpec, geometry: EndGeometry,
-                           potential: Optional[RadialPotential] = None) -> RadialOperator:
-    """Radial operator of a function mode with cross-eigenvalue nu.
+def mode_operator(config: ProblemConfig, mode: ModeSpec) -> RadialOperator:
+    """The radial operator of one enumerated mode, from the degree-k formula.
 
-    Measure weight y^(-np), stiffness weight y^((2-n)p), potential
-    q = nu y^(2p) + V(y); the quadratic form is the restriction of the
-    Dirichlet energy of the warped metric to the mode.
+    In form degree k (k = 0 for functions) every mode acts in
+    L^2(y^((2k-n)p) dy) with stiffness weight y^((2k+2-n)p): the Dirichlet
+    energy of the warped metric restricted to the mode.  A function mode
+    with cross-eigenvalue nu has
+
+        Q(f) = Int (|f'|^2 + nu |f|^2) y^((2-n)p) dy + Int V |f|^2 y^(-np) dy,
+
+    so q = nu y^(2p) + V(y), the bump included.  Of the degree-k modes only
+    the two harmonic sectors (nu = 0) can reach down to the essential
+    spectrum.  Expanding their factorized form (a first-order operator
+    built from the sector constant c0, plus the sector constant squared)
+    leaves sector 0 with no zero-order term and sector 1 with
+    (c1^2 - c0^2) y^(2p-2), where
+
+        kappa = c1^2 - c0^2 = (n - 2k) p (2p - 1).
+
+    A potential on k >= 1 forms is refused by `enumerate_modes`.
     """
-    if mode.sector != SECTOR_FUNCTION:
-        raise ReduceError("scalar operator is defined for function modes only")
-    n, p = geometry.n, geometry.pf
-    terms = []
-    if mode.nu != 0.0:
-        terms.append((mode.nu, 2.0 * p))
-    bump = None
-    if potential is not None:
-        terms.extend(potential.poly)
-        bump = potential.bump
-    return RadialOperator(
-        density_exponent=-n * p,
-        stiffness_exponent=(2.0 - n) * p,
-        p=p,
-        potential_terms=tuple(terms),
-        bump=bump,
-        y0=geometry.y0)
-
-
-def harmonic_form_radial_operator(n: int, k: int, p, sector: int,
-                                  y0: float = 1.0) -> RadialOperator:
-    """Radial operator of a degree-k harmonic sector (sector 0 or 1).
-
-    Both sectors act in L^2(y^((2k-n)p) dy) with stiffness weight
-    y^((2k+2-n)p).  Expanding the factorized form (first-order operator
-    built from c0, plus the sector constant squared) leaves sector 0 with
-    no zero-order term and sector 1 with (c1^2 - c0^2) y^(2p-2), where
-    c1^2 - c0^2 = (n - 2k) p (2p - 1).
-    """
-    if not (0 <= k <= n):
-        raise ReduceError(f"degree k = {k} out of range 0..{n}")
-    if sector not in (0, 1):
-        raise ReduceError("sector must be 0 or 1")
-    pf = float(p)
-    terms = ()
-    if sector == 1:
-        kappa = (n - 2 * k) * pf * (2.0 * pf - 1.0)
+    n, k, p = config.geometry.n, config.degree, config.geometry.pf
+    terms = [(mode.nu, 2.0 * p)] if mode.nu != 0.0 else []
+    if mode.sector == SECTOR_FORM_1:
+        kappa = (n - 2 * k) * p * (2.0 * p - 1.0)
         if kappa != 0.0:
-            terms = ((kappa, 2.0 * pf - 2.0),)
+            terms.append((kappa, 2.0 * p - 2.0))
+    potential = config.potential or RadialPotential()
     return RadialOperator(
-        density_exponent=(2 * k - n) * pf,
-        stiffness_exponent=(2 * k + 2 - n) * pf,
-        p=pf,
-        potential_terms=terms,
-        y0=float(y0))
+        density_exponent=(2 * k - n) * p,
+        stiffness_exponent=(2 * k + 2 - n) * p,
+        p=p,
+        potential_terms=tuple(terms) + potential.poly,
+        bump=potential.bump,
+        y0=config.geometry.y0)
 
 
-def liouville_transform(op: RadialOperator) -> CanonicalOperator:
-    """Normal form -d^2/dz^2 + W(z) of a power-weight radial operator.
+def liouville_transform(op: RadialOperator) -> tuple:
+    """The power terms (a, b) of the normal form -d^2/dz^2 + W(z) of op.
 
     Substituting dz = sqrt(w0/w1) dy (= y^(-p) dy for every operator built
-    by this module) and renormalizing by m = sqrt(w0 w1) gives
-    W(z) = q(y(z)) + A_c y^(2p-2) with the conjugation coefficient
+    by `mode_operator`) and renormalizing by m = sqrt(w0 w1) gives flat
+    measure and W(z) = q(y(z)) + A_c y^(2p-2) with the conjugation
+    coefficient
 
         A_c = (c/2) (c/2 + p - 1),   c = (density_exp + stiffness_exp)/2.
 
-    The spectrum is preserved exactly; p > 1 is rejected (there the direct
-    weighted discretization on the finite-length variable is used instead).
+    Returns the conjugation term first, then q's terms; q's bump is op's.
+    The spectrum is preserved exactly (the Liouville transformation).  p > 1
+    is rejected: there the operator is assembled with its weights on the
+    finite arc-length variable instead.
     """
     if op.p > 1.0:
         raise ReduceError("Liouville normal form unsupported for p > 1; "
@@ -527,12 +473,7 @@ def liouville_transform(op: RadialOperator) -> CanonicalOperator:
         raise ReduceError("operator weights are inconsistent with exponent p")
     c_half = 0.5 * (op.density_exponent + op.stiffness_exponent) / 2.0
     conj = c_half * (c_half + op.p - 1.0)
-    return CanonicalOperator(
-        p=op.p,
-        y0=op.y0,
-        conj_coeff=conj,
-        potential_terms=op.potential_terms,
-        bump=op.bump)
+    return ((conj, 2.0 * op.p - 2.0),) + op.potential_terms
 
 
 def far_field(terms) -> float:
@@ -562,18 +503,9 @@ def mode_threshold(op: RadialOperator) -> Optional[float]:
     """
     if op.p > 1.0:
         return None
-    limit = far_field(liouville_transform(op).terms)
+    limit = far_field(liouville_transform(op))
     if limit == -math.inf:
         raise ReduceError("the potential falls to -oo as y -> oo: the operator "
                           "is not bounded below")
     return None if limit == math.inf else limit
 
-
-def mode_operator(config: ProblemConfig, mode: ModeSpec) -> RadialOperator:
-    """The radial operator attached to one enumerated mode."""
-    if mode.sector == SECTOR_FUNCTION:
-        return scalar_radial_operator(mode, config.geometry, config.potential)
-    sector = 0 if mode.sector == SECTOR_FORM_0 else 1
-    k = config.degree
-    return harmonic_form_radial_operator(config.geometry.n, k, config.geometry.p,
-                                         sector, y0=config.geometry.y0)

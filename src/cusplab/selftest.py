@@ -37,7 +37,7 @@ def _circle_config(p="1", flux=None, potential=None, numerics=None, y0=1.0):
 
 def criterion_1():
     """Dirichlet string: Richardson eigenvalues within 1e-6, order >= 1.9."""
-    op = red.CanonicalOperator(p=1.0, y0=1.0, conj_coeff=0.0)
+    op = red.RadialOperator(density_exponent=-1.0, stiffness_exponent=1.0, p=1.0)
     cells = (500, 1000, 2000)
     hs = [1.0 / c for c in cells]
     eigs = {c: sturm.eigenvalues_below(sturm.discretize(op, 1.0, c), 50.0, 1e-10)

@@ -1,10 +1,13 @@
 """Discretization and spectral slicing for the radial operators.
 
-A RadialOperator or CanonicalOperator is assembled into a symmetric
-tridiagonal pencil (A, B) by P1 finite elements on a mesh that is uniform
-in the stretched variable z (for p <= 1 the Liouville variable, for p > 1
-the finite arc-length variable).  The mass matrix is lumped, so the
-standard-form reduction stays tridiagonal and Sylvester inertia is exact.
+A `reduce.RadialOperator` is assembled into a symmetric tridiagonal
+pencil (A, B) by P1 finite elements on a mesh that is uniform in the
+stretched variable z (for p <= 1 the Liouville variable, for p > 1 the
+finite arc-length variable).  For p <= 1 this is where the operator's
+normal form is taken: it is assembled in z with unit weights and the
+potential of `reduce.liouville_transform`; for p > 1 it is assembled in y
+with its power weights.  The mass matrix is lumped, so the standard-form
+reduction stays tridiagonal and Sylvester inertia is exact.
 The modes of one config differ only in their potential terms, so
 `discretize_stack` builds the mesh, weights, lumped mass and each power
 of y once and adds one diagonal row per distinct operator; `discretize`
@@ -54,7 +57,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .reduce import CanonicalOperator, domain_end, mesh_for
+from . import reduce as red
+from .model import potential_values
 
 #: relative pivot-breakdown shift applied to lambda, as documented
 BREAKDOWN_SHIFT = 1e-14
@@ -103,15 +107,17 @@ def discretize_stack(ops, length: float, cells: int):
     pencil; the mesh (`reduce.mesh_for`), stiffness and lumped mass are
     built once and shared.  Dirichlet both ends; stiffness weights are
     evaluated at cell midpoints, the potential and the mass at the nodes.
-    A canonical operator has unit weights and is assembled in z, a weighted
-    one in y.  Operators that differ in anything but `potential_terms` are
+    At p <= 1 the operators are assembled in z with unit weights and the
+    terms of their normal forms (`reduce.liouville_transform`, which
+    refuses weights that disagree with p), at p > 1 in y with their power
+    weights.  Operators that differ in anything but `potential_terms` are
     refused.
 
     Each distinct power y^b and the shared bump are evaluated once per
     stack, at the interior nodes, and `model.potential_values` sums them
     in its term order straight into each row, so a row is bit for bit the
-    one its operator's `q(y)` alone would give.  The potential at the two
-    end nodes enters no row but is evaluated too: a potential that is not
+    one its potential alone would give.  The potential at the two end
+    nodes enters no row but is evaluated too: a potential that is not
     finite at any node is refused by `reduce.domain_end` when the domain
     ends past the largest float radius, else as an overflow naming the
     first bad node.
@@ -119,18 +125,18 @@ def discretize_stack(ops, length: float, cells: int):
     op = ops[0]
     if cells < 4:
         raise SturmError("need at least 4 mesh cells (3 interior points)")
-    t, y = mesh_for(op.p, op.y0, length, cells)
-    if any(type(o) is not type(op) or replace(o, potential_terms=op.potential_terms) != op
-           for o in ops[1:]):
+    t, y = red.mesh_for(op.p, op.y0, length, cells)
+    if any(replace(o, potential_terms=op.potential_terms) != op for o in ops[1:]):
         raise SturmError("stacked operators may differ only in their potential terms")
-    canonical = isinstance(op, CanonicalOperator)
-    x = t if canonical else y
+    normal = op.p <= 1.0
+    x = t if normal else y
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         h = np.diff(x)
-        if canonical:
+        if normal:
             w1_mid, w0 = np.ones(len(x) - 1), np.ones(len(x))
         else:
-            w1_mid, w0 = op.w1(0.5 * (x[:-1] + x[1:])), op.w0(x)
+            w1_mid = (0.5 * (x[:-1] + x[1:])) ** op.stiffness_exponent
+            w0 = x ** op.density_exponent
             _check_finite("the stiffness weight", w1_mid)
             _check_finite("the density weight", w0)
         # nodes that round together leave h = 0 and k = inf, both refused below
@@ -144,17 +150,18 @@ def discretize_stack(ops, length: float, cells: int):
     at_inner, at_ends = {}, {}     # each power of y and the bump, once per stack
     diags = np.empty((len(ops), len(x) - 2))
     for row, o in zip(diags, ops):
+        terms = red.liouville_transform(o) if normal else o.potential_terms
         # row = stiffness + q w0 lump, the potential summed into the row itself
         with np.errstate(over="ignore", invalid="ignore"):
-            o.q(inner, out=row, shared=at_inner)
+            potential_values(inner, terms, o.bump, row, at_inner)
             finite = np.all(np.isfinite(row)) and np.all(np.isfinite(
-                o.q(ends, shared=at_ends)))
+                potential_values(ends, terms, o.bump, shared=at_ends)))
         if not finite:
             # a domain that ends past the largest float gets domain_end's line
-            domain_end(op.p, op.y0, length)
+            red.domain_end(op.p, op.y0, length)
             with np.errstate(over="ignore", invalid="ignore"):
-                q = o.q(y)
-            _check_finite("the normal-form potential" if canonical else "the potential", q)
+                q = potential_values(y, terms, o.bump)
+            _check_finite("the normal-form potential" if normal else "the potential", q)
         row *= density
         row *= lump
         row += stiffness

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from cusplab.assemble import (AssembleError, cut_invariance_check,
                               threshold_probe, weyl_fit)
 from cusplab.criteria import LOG_LAW, POWER_HALF_P, POWER_N2, Prediction
 from cusplab.model import (ConfigError, EndGeometry, MagneticData, Numerics,
-                           ProblemConfig, RadialPotential, builtin_cross_section)
-from cusplab.reduce import CanonicalOperator, RadialOperator
+                           ProblemConfig, RadialPotential, builtin_cross_section,
+                           potential_values)
+from cusplab.reduce import RadialOperator
 
 TWO_PI = 2 * math.pi
 
@@ -410,12 +412,20 @@ def test_shorter_domains_are_leading_blocks_and_one_pass_equals_per_combo_passes
 
 def _reference_pencil(op, length, cells):
     """P1 assembly of one operator written out: k = w1(midpoints)/h,
-    diag = k[:-1] + k[1:] + q w0 lump; the normal form in z with W = op.q(y(z))."""
+    diag = k[:-1] + k[1:] + q w0 lump.  At p <= 1 it is the normal form in z
+    with unit weights and W = A_c y^(2p-2) + q, A_c = (c/2)(c/2 + p - 1) with
+    c = (density_exp + stiffness_exp)/2; at p > 1 it is in y with w0 = y^density_exp
+    and w1 = y^stiffness_exp."""
     t, y = red.mesh_for(op.p, op.y0, length, cells)
-    if isinstance(op, CanonicalOperator):
-        h, w1, w0, q = np.diff(t), np.ones(cells), np.ones(cells + 1), op.q(y)
+    if op.p <= 1.0:
+        c_half = 0.5 * (op.density_exponent + op.stiffness_exponent) / 2.0
+        terms = ((c_half * (c_half + op.p - 1.0), 2.0 * op.p - 2.0),) + op.potential_terms
+        h, w1, w0 = np.diff(t), np.ones(cells), np.ones(cells + 1)
     else:
-        h, w1, w0, q = np.diff(y), op.w1(0.5 * (y[:-1] + y[1:])), op.w0(y), op.q(y)
+        terms = op.potential_terms
+        h = np.diff(y)
+        w1, w0 = (0.5 * (y[:-1] + y[1:])) ** op.stiffness_exponent, y ** op.density_exponent
+    q = potential_values(y, terms, op.bump)
     lump = 0.5 * (h[:-1] + h[1:])
     k = w1 / h
     return k[:-1] + k[1:] + q[1:-1] * w0[1:-1] * lump, -k[1:-1], w0[1:-1] * lump
@@ -461,19 +471,19 @@ def test_form_sector_stack_rows_are_bit_identical_to_single_operator_pencils(p):
 
 BUMP = (2.5, 1.0, 5.0)
 # rows of one stack: no term (the nu = 0 row), one term, an exponent repeated
-# within a row, and, for the canonical stack, the conjugation exponent 2p - 2
-CANONICAL_TERMS = ((), ((0.7, 0.5),), ((0.7, 0.5), (1.0, 0.5)), ((2.0, 0.5), (-0.3, -1.5)))
+# within a row, and, for the normal-form stack, the conjugation exponent 2p - 2
+NORMAL_TERMS = ((), ((0.7, 0.5),), ((0.7, 0.5), (1.0, 0.5)), ((2.0, 0.5), (-0.3, -1.5)))
 WEIGHTED_TERMS = ((), ((3.0, 4.0),), ((3.0, 4.0), (0.5, 4.0)), ((0.5, 1.0),))
 
 
 @pytest.mark.parametrize("bump", [None, BUMP], ids=["no-bump", "bump"])
 @pytest.mark.parametrize("op", [
-    CanonicalOperator(p=0.25, y0=1.5, conj_coeff=-0.1),
-    CanonicalOperator(p=1.0, y0=1.0, conj_coeff=0.0),
+    RadialOperator(density_exponent=-0.5, stiffness_exponent=0.0, p=0.25, y0=1.5),
+    RadialOperator(density_exponent=-1.0, stiffness_exponent=1.0, p=1.0, y0=1.0),
     RadialOperator(density_exponent=-4.0, stiffness_exponent=0.0, p=2.0, y0=1.0),
-], ids=["canonical-p1/4", "canonical-p1", "weighted-p2"])
+], ids=["normal-p1/4", "normal-p1", "weighted-p2"])
 def test_stacked_potential_rows_are_the_per_row_assembly(op, bump):
-    terms = WEIGHTED_TERMS if isinstance(op, RadialOperator) else CANONICAL_TERMS
+    terms = WEIGHTED_TERMS if op.p > 1.0 else NORMAL_TERMS
     ops = [dataclasses.replace(op, potential_terms=t, bump=bump) for t in terms]
     diags, off, mass = sturm.discretize_stack(ops, 3.0, 300)
     for o, diag in zip(ops, diags):
@@ -491,15 +501,15 @@ def test_p_above_one_pencils_are_meshed_at_the_configs_p(monkeypatch, p, degree)
     certified, bit for bit (796 of the 1001 nodes of length 3 differ)."""
     meshes, mesh_for = {"certified": set(), "counted": set()}, red.mesh_for
 
-    def recording(kind):
-        def recorded(pm, y0, length, cells):
-            t, y = mesh_for(pm, y0, length, cells)
-            meshes[kind].add((pm, length, cells, y.tobytes()))
-            return t, y
-        return recorded
+    def recorded(pm, y0, length, cells):
+        t, y = mesh_for(pm, y0, length, cells)
+        # the assembly counts a mesh, the mode cut certifies one
+        caller = sys._getframe(1).f_globals["__name__"]
+        kind = "counted" if caller == sturm.__name__ else "certified"
+        meshes[kind].add((pm, length, cells, y.tobytes()))
+        return t, y
 
-    monkeypatch.setattr(red, "mesh_for", recording("certified"))
-    monkeypatch.setattr(sturm, "mesh_for", recording("counted"))
+    monkeypatch.setattr(red, "mesh_for", recorded)
     config = ProblemConfig(
         geometry=EndGeometry(3, p, 1.0), degree=degree,
         cross_section=builtin_cross_section("square_torus", side=TWO_PI, dim=2),
@@ -512,13 +522,15 @@ def test_p_above_one_pencils_are_meshed_at_the_configs_p(monkeypatch, p, degree)
 
 
 def _first_bad_node(op, length, cells):
-    """The first node where the per-row potential op.q(y) is not finite."""
+    """The first node where the row's potential, at p <= 1 the normal form's,
+    is not finite."""
     _, y = red.mesh_for(op.p, op.y0, length, cells)
+    terms = red.liouville_transform(op) if op.p <= 1.0 else op.potential_terms
     with np.errstate(over="ignore", invalid="ignore"):
-        return int(np.flatnonzero(~np.isfinite(op.q(y)))[0])
+        return int(np.flatnonzero(~np.isfinite(potential_values(y, terms, op.bump)))[0])
 
 
-P1_FLAT = CanonicalOperator(p=1.0, y0=1.0, conj_coeff=0.0)
+P1_FLAT = RadialOperator(density_exponent=-1.0, stiffness_exponent=1.0, p=1.0, y0=1.0)
 P2_WEIGHTED = RadialOperator(density_exponent=-4.0, stiffness_exponent=0.0, p=2.0, y0=1.0)
 
 
@@ -594,7 +606,10 @@ def _small_cfg(geometry, cross_section, degree=0):
     # (3,1) and (2,2) do too, so four of the 51 modes share one row
     (_small_cfg(EndGeometry(3, "1", 1.0), builtin_cross_section(
         "lattice_torus", dual_basis=((0.1, 0.0), (0.025, 0.125)))), 51, 25),
-], ids=["flux-1/2", "flux-3/8", "table-forms", "lattice-torus"])
+    # kappa = (n - 2k) p (2p - 1) = 0 at n = 2k: the two sectors are one operator
+    (_small_cfg(EndGeometry(4, "1/2", 1.0), builtin_cross_section(
+        "square_torus", side=TWO_PI, dim=3), degree=2), 2, 1),
+], ids=["flux-1/2", "flux-3/8", "table-forms", "lattice-torus", "middle-degree-forms"])
 def test_modes_with_equal_operators_share_a_row(work, cfg, modes, rows):
     rep = global_counting(cfg, with_eigenvalues=True)
     assert len(rep.modes) == modes and _distinct_operators(cfg) == rows
@@ -763,3 +778,14 @@ def test_weyl_counts_only_the_finest_grid(work, tmp_path, capsys):
     # domains 5 and 6 at 600 and 720 cells nest: one assembly and one pass
     assert work["passes"] == [(719, [599, 719])]
     assert len(work["stacks"]) == 1
+
+
+def test_middle_degree_sectors_share_one_row_of_both_multiplicities():
+    """At n = 4, k = 2 on the 3-torus kappa = 0, so h0 and h1 are one operator
+    and one stack row of multiplicity h^2 + h^1 = 3 + 3."""
+    cfg = _small_cfg(EndGeometry(4, "1/2", 1.0),
+                     builtin_cross_section("square_torus", side=TWO_PI, dim=3), degree=2)
+    ops = assemble._mode_operators(cfg, 8.0)
+    assert [m.name for m, _ in ops] == ["h0", "h1"] and ops[0][1] == ops[1][1]
+    rows, row_of, mult = assemble._distinct_rows(ops)
+    assert len(rows) == 1 and row_of == [0, 0] and mult.tolist() == [6]

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 
 from cusplab import assemble, cli, sturm
+from cusplab import reduce as red
 from cusplab.model import (EndGeometry, MagneticData, Numerics, ProblemConfig,
                            builtin_cross_section)
 
@@ -95,6 +96,36 @@ def test_counting_passes_go_through_the_traced_stack_count(monkeypatch):
                               lambda_grid=(0.5, 6.0, 12)))
         assemble.global_counting(config)
     assert passes and all(passes)
+
+
+def test_counting_reaches_the_operator_layer_through_the_traced_attributes(monkeypatch):
+    """The tracer times `reduce.operator_s` at `reduce.mode_operator` and
+    `reduce.liouville_transform`.  At p <= 1 the normal forms are taken inside
+    `sturm.discretize_stack`, so it must look `liouville_transform` up on the
+    `reduce` module at call time; a name bound at import would go untimed."""
+    calls = {"mode_operator": 0, "liouville_transform": 0}
+
+    def counting(name):
+        original = getattr(red, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(red, name, counting(name))
+    for p in ("1", "1/2"):
+        config = ProblemConfig(
+            geometry=EndGeometry(2, p, 1.0),
+            cross_section=builtin_cross_section("circle", length=2 * math.pi),
+            magnetic=MagneticData(flux=("0.5",)),
+            numerics=Numerics(grids=(200, 400), domains=(6.0, 8.0),
+                              lambda_grid=(0.5, 6.0, 12)))
+        before = dict(calls)
+        modes = assemble.global_counting(config).modes
+        assert modes and calls["mode_operator"] - before["mode_operator"] == len(modes)
+        assert calls["liouville_transform"] > before["liouville_transform"]
 
 
 def test_cli_accepts_the_benchmark_argv():

@@ -10,13 +10,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cusplab.model import (EndGeometry, MagneticData, Numerics, ProblemConfig,
-                           RadialPotential, builtin_cross_section)
+                           RadialPotential, builtin_cross_section, potential_values)
 from cusplab.reduce import (ModeSpec, ReduceError, _mode_cut, cells_for,
-                            SECTOR_FORM_0, SECTOR_FORM_1, cross_eigenvalue,
-                            enumerate_modes, far_field,
-                            harmonic_form_radial_operator, liouville_transform,
-                            mesh_for, min_cross_eigenvalue, mode_operator,
-                            mode_threshold, scalar_radial_operator, y_of_z, z_of_y)
+                            SECTOR_FORM_0, SECTOR_FORM_1, SECTOR_FUNCTION,
+                            cross_eigenvalue, enumerate_modes, far_field,
+                            liouville_transform, mesh_for, min_cross_eigenvalue,
+                            mode_operator, mode_threshold, y_of_z, z_of_y)
 from cusplab.sturm import (TridiagonalPencil, count_below_stack, discretize,
                            discretize_stack, eigenvalues_below)
 
@@ -32,6 +31,15 @@ def circle_cfg(p="1", flux=None, lam_grid=(0.05, 0.5, 10), y0=1.0,
         magnetic=MagneticData(flux=flux) if flux is not None else None,
         potential=potential,
         numerics=Numerics(lambda_grid=lam_grid))
+
+
+def _op(p="1", nu=0.0, potential=None, n=2, degree=0, sector=SECTOR_FUNCTION):
+    """`mode_operator` of one mode on the end of exponent p over the (n-1)-torus."""
+    cs = builtin_cross_section("square_torus", side=TWO_PI, dim=n - 1)
+    mode = ModeSpec(label=(1,) if sector == SECTOR_FORM_1 else (0,), nu=nu,
+                    multiplicity=1, sector=sector)
+    return mode_operator(circle_cfg(p=p, potential=potential, n=n, degree=degree, cs=cs),
+                         mode)
 
 
 # ---------------------------------------------------------------------------
@@ -185,12 +193,10 @@ def test_enumerate_form_sectors_empty_when_betti_vanish():
 def test_excluded_mode_cannot_reach_the_window():
     """Cutoff soundness: the first excluded mode's lowest Dirichlet
     eigenvalue exceeds lambda_max on every truncation."""
-    geom = EndGeometry(2, 1, 1.0)
     assert enumerate_modes(circle_cfg(flux=("0.5",)), 0.2) == []
-    op = scalar_radial_operator(ModeSpec(label=(0,), nu=0.25, multiplicity=1), geom)
-    can = liouville_transform(op)
+    op = _op(nu=0.25)
     for T in (8.0, 16.0, 32.0):
-        pen = discretize(can, T, 1500)
+        pen = discretize(op, T, 1500)
         lowest = eigenvalues_below(pen, 50.0, 1e-9)[0]
         assert lowest > 0.2
 
@@ -274,7 +280,8 @@ def _oracle_nu_reach(config, lambda_max):
                 t = float(z_of_y(geom.y0, p, geom.y0)) + (T / cells) * np.arange(cells + 1)
             nodes.append(y_of_z(t[1:-1], p, geom.y0))
     y = np.concatenate(nodes)
-    v = config.potential(y) if config.potential is not None else np.zeros_like(y)
+    pot = config.potential or RadialPotential()
+    v = potential_values(y, pot.poly, pot.bump)
     ypow = y ** (2.0 * p)
 
     def floor(nu):
@@ -464,8 +471,6 @@ def test_every_mode_a_finest_pencil_puts_below_the_top_is_enumerated(config):
              for m in range(-reach, reach + 1)
              if (nu := cross_eigenvalue(config.cross_section, (m,), (mu,))) <= bound]
     ops = [mode_operator(config, m) for m in modes]
-    if geom.pf <= 1.0:
-        ops = [liouville_transform(op) for op in ops]
     cells = cells_for(config.numerics.grids[-1], 2.0, 1.0)
     reached = set()
     if ops:     # an empty stack has no mesh to assemble
@@ -478,55 +483,70 @@ def test_every_mode_a_finest_pencil_puts_below_the_top_is_enumerated(config):
 # radial operators
 # ---------------------------------------------------------------------------
 
-def test_scalar_operator_exponents():
-    geom = EndGeometry(3, "0.5", 1.0)
-    op = scalar_radial_operator(ModeSpec(label=(0,), nu=0.0, multiplicity=1), geom)
+def test_function_mode_exponents():
+    op = _op(p="0.5", n=3)
     assert op.density_exponent == -1.5
     assert op.stiffness_exponent == -0.5
 
 
-def test_scalar_operator_potential_terms():
-    geom = EndGeometry(2, 1, 1.0)
+def test_function_mode_potential_terms():
     pot = RadialPotential(poly=((0.5, 0.0),))
-    op = scalar_radial_operator(ModeSpec(label=(1,), nu=0.25, multiplicity=1),
-                                geom, pot)
+    op = _op(nu=0.25, potential=pot)
     assert op.potential_terms == ((0.25, 2.0), (0.5, 0.0))
-    assert op.q(np.array([2.0]))[0] == pytest.approx(0.25 * 4.0 + 0.5)
+    q = potential_values(np.array([2.0]), op.potential_terms, op.bump)
+    assert q[0] == pytest.approx(0.25 * 4.0 + 0.5)
 
 
-def test_scalar_and_form_sector0_agree_at_degree_zero():
-    geom = EndGeometry(2, 1, 1.0)
-    sc = scalar_radial_operator(ModeSpec(label=(0,), nu=0.0, multiplicity=1), geom)
-    fo = harmonic_form_radial_operator(2, 0, 1, 0)
-    pen_s = discretize(sc, 8.0, 200)
-    pen_f = discretize(fo, 8.0, 200)
-    assert np.allclose(pen_s.diag, pen_f.diag, rtol=1e-14)
-    assert np.allclose(pen_s.offdiag, pen_f.offdiag, rtol=1e-14)
-    assert np.allclose(pen_s.mass, pen_f.mass, rtol=1e-14)
+def test_function_mode_and_form_sector0_agree_at_degree_zero():
+    fn, form = _op(), _op(sector=SECTOR_FORM_0)
+    assert fn == form
+    pen_s, pen_f = discretize(fn, 8.0, 200), discretize(form, 8.0, 200)
+    assert np.array_equal(pen_s.diag, pen_f.diag)
+    assert np.array_equal(pen_s.offdiag, pen_f.offdiag)
+    assert np.array_equal(pen_s.mass, pen_f.mass)
+
+
+@pytest.mark.parametrize("n, k, p", [(3, 1, "1"), (3, 1, "2"), (3, 2, "1/4"), (4, 1, "1/2"),
+                                     (5, 1, "3/2")])
+def test_form_sector_weights_and_extra_potential(n, k, p):
+    """Both sectors act in L^2(y^((2k-n)p) dy) with stiffness y^((2k+2-n)p);
+    sector 1 alone carries kappa y^(2p-2), kappa = (n - 2k) p (2p - 1)."""
+    pf = float(Fraction(p))
+    s0, s1 = (_op(p=p, n=n, degree=k, sector=s) for s in (SECTOR_FORM_0, SECTOR_FORM_1))
+    for op in (s0, s1):
+        assert op.density_exponent == (2 * k - n) * pf
+        assert op.stiffness_exponent == (2 * k + 2 - n) * pf
+        assert op.p == pf and op.bump is None
+    assert s0.potential_terms == ()
+    kappa = (n - 2 * k) * pf * (2.0 * pf - 1.0)
+    assert s1.potential_terms == (((kappa, 2.0 * pf - 2.0),) if kappa else ())
+
+
+@pytest.mark.parametrize("p", ["1/4", "1/2", "1", "2"])
+def test_middle_degree_sectors_are_one_operator(p):
+    """kappa = 0 at n = 2k: on the 3-torus the 2-form sectors h0 and h1 have
+    equal operators, and multiplicities h^2 = h^1 = 3."""
+    cfg = circle_cfg(p=p, n=4, degree=2,
+                     cs=builtin_cross_section("square_torus", side=TWO_PI, dim=3))
+    h0, h1 = enumerate_modes(cfg, 5.0)
+    assert (h0.multiplicity, h1.multiplicity) == (3, 3)
+    assert mode_operator(cfg, h0) == mode_operator(cfg, h1)
 
 
 def test_form_sector_thresholds_n3_k1():
-    s0 = harmonic_form_radial_operator(3, 1, 1, 0)
-    s1 = harmonic_form_radial_operator(3, 1, 1, 1)
+    s0 = _op(n=3, degree=1, sector=SECTOR_FORM_0)
+    s1 = _op(n=3, degree=1, sector=SECTOR_FORM_1)
     assert mode_threshold(s0) == 0.0
     assert mode_threshold(s1) == 1.0
 
 
 def test_mode_threshold_cases():
-    geom = EndGeometry(2, 1, 1.0)
-    confining = scalar_radial_operator(
-        ModeSpec(label=(1,), nu=1.0, multiplicity=1), geom)
-    assert mode_threshold(confining) is None
-    low = scalar_radial_operator(
-        ModeSpec(label=(0,), nu=0.0, multiplicity=1), EndGeometry(2, "0.5", 1.0))
-    assert mode_threshold(low) == 0.0
-    horn = scalar_radial_operator(
-        ModeSpec(label=(0,), nu=0.0, multiplicity=1), EndGeometry(2, 2, 1.0))
-    assert mode_threshold(horn) is None
-    zero = ModeSpec(label=(0,), nu=0.0, multiplicity=1)
-    shifted = scalar_radial_operator(zero, geom, RadialPotential(poly=((0.5, 0.0),)))
+    assert mode_threshold(_op(nu=1.0)) is None              # confining
+    assert mode_threshold(_op(p="0.5")) == 0.0
+    assert mode_threshold(_op(p="2")) is None               # horn
+    shifted = _op(potential=RadialPotential(poly=((0.5, 0.0),)))
     assert mode_threshold(shifted) == 0.75
-    falling = scalar_radial_operator(zero, geom, RadialPotential(poly=((-1.0, 0.5),)))
+    falling = _op(potential=RadialPotential(poly=((-1.0, 0.5),)))
     with pytest.raises(ReduceError, match="not bounded below"):
         mode_threshold(falling)
 
@@ -548,55 +568,62 @@ def test_far_field_is_decided_by_the_highest_surviving_power(terms, limit):
 # Liouville normal form
 # ---------------------------------------------------------------------------
 
-def _w(can, z):
-    """The normal-form potential W at z."""
-    return can.q(y_of_z(z, can.p, can.y0))
+def _w(op, z):
+    """The normal-form potential W of op at z."""
+    return potential_values(y_of_z(z, op.p, op.y0), liouville_transform(op), op.bump)
+
+
+def test_liouville_terms_are_the_conjugation_term_then_q():
+    op = _op(nu=0.25, potential=RadialPotential(poly=((0.5, 0.0),)))
+    # n = 2, p = 1: c = -1, A_c = (c/2)(c/2 + p - 1) = 1/4
+    assert liouville_transform(op) == ((0.25, 0.0), (0.25, 2.0), (0.5, 0.0))
 
 
 def test_liouville_constant_quarter():
-    geom = EndGeometry(2, 1, 1.0)
-    op = scalar_radial_operator(ModeSpec(label=(0,), nu=0.0, multiplicity=1), geom)
-    can = liouville_transform(op)
     z = np.linspace(0.0, 30.0, 100)
-    assert np.allclose(_w(can, z), 0.25, atol=1e-14)
+    assert np.allclose(_w(_op(), z), 0.25, atol=1e-14)
 
 
 def test_liouville_potential_decays_for_p_below_one():
-    geom = EndGeometry(2, "0.5", 1.0)
-    op = scalar_radial_operator(ModeSpec(label=(0,), nu=0.0, multiplicity=1), geom)
-    can = liouville_transform(op)
+    op = _op(p="0.5")
     z = np.array([10.0, 100.0, 1000.0])
-    w = _w(can, z)
-    assert np.all(np.abs(w) < np.abs(_w(can, np.array([3.0]))))
+    w = _w(op, z)
+    assert np.all(np.abs(w) < np.abs(_w(op, np.array([3.0]))))
     assert abs(w[-1]) < 1e-5
 
 
 def test_liouville_exponential_wall():
-    geom = EndGeometry(2, 1, 1.0)
-    op = scalar_radial_operator(ModeSpec(label=(1,), nu=1.0, multiplicity=1), geom)
-    can = liouville_transform(op)
     z = np.array([0.0, 1.0, 2.0])
-    assert np.allclose(_w(can, z), np.exp(2 * z) + 0.25, rtol=1e-14)
+    assert np.allclose(_w(_op(nu=1.0), z), np.exp(2 * z) + 0.25, rtol=1e-14)
 
 
 def test_liouville_rejects_p_above_one():
-    op = harmonic_form_radial_operator(2, 0, 2, 0)
     with pytest.raises(ReduceError, match="p > 1"):
-        liouville_transform(op)
+        liouville_transform(_op(p="2"))
+
+
+def _weighted_pencil(op, T, cells):
+    """P1 assembly of op in y with its power weights, on the z-graded mesh."""
+    _, y = mesh_for(op.p, op.y0, T, cells)
+    h = np.diff(y)
+    k = (0.5 * (y[:-1] + y[1:])) ** op.stiffness_exponent / h
+    lump = 0.5 * (h[:-1] + h[1:])
+    w0 = y[1:-1] ** op.density_exponent
+    q = potential_values(y[1:-1], op.potential_terms, op.bump)
+    return TridiagonalPencil(diag=k[:-1] + k[1:] + q * w0 * lump, offdiag=-k[1:-1],
+                             mass=w0 * lump)
 
 
 @pytest.mark.parametrize("p,nu", [("1", 0.25), ("0.5", 1.0)])
 def test_liouville_cross_check_eigenvalues(p, nu):
-    """Weighted z-graded discretization and the canonical form agree below a
+    """Weighted z-graded discretization and the normal form agree below a
     fixed lambda, with the gap shrinking under refinement."""
-    geom = EndGeometry(2, p, 1.0)
-    op = scalar_radial_operator(ModeSpec(label=(0,), nu=nu, multiplicity=1), geom)
-    can = liouville_transform(op)
+    op = _op(p=p, nu=nu)
     lam, T = (10.0, 10.0)
     gaps = []
     for cells in (250, 500, 1000):
-        ew = eigenvalues_below(discretize(op, T, cells), lam, 1e-10)
-        ec = eigenvalues_below(discretize(can, T, cells), lam, 1e-10)
+        ew = eigenvalues_below(_weighted_pencil(op, T, cells), lam, 1e-10)
+        ec = eigenvalues_below(discretize(op, T, cells), lam, 1e-10)
         assert len(ew) == len(ec) and len(ew) >= 1
         gaps.append(max(abs(a - b) for a, b in zip(ew, ec)))
     assert gaps[-1] <= 5e-3

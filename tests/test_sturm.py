@@ -10,14 +10,17 @@ from hypothesis import given, settings, strategies as st
 
 from cusplab import assemble, sturm
 from cusplab.model import EndGeometry, MagneticData, Numerics, ProblemConfig, builtin_cross_section
-from cusplab.reduce import CanonicalOperator, RadialOperator, cells_for
+from cusplab.reduce import RadialOperator, ReduceError, cells_for
 from cusplab.sturm import (SturmError, TridiagonalPencil, count_below,
                            count_below_many, count_below_stack, discretize,
                            discretize_stack, eigenvalues_below, gershgorin_lower,
                            observed_order, richardson)
 
 PI2 = math.pi * math.pi
-FLAT = CanonicalOperator(p=1.0, y0=1.0, conj_coeff=0.0)
+# at p = 1 these weights give no conjugation term: -d^2/dz^2 on (0, T)
+FLAT = RadialOperator(density_exponent=-1.0, stiffness_exponent=1.0, p=1.0)
+# w1 = 1, w0 = y^-2: the normal form is -d^2/dz^2 + 1/4
+CHANNEL = RadialOperator(density_exponent=-2.0, stiffness_exponent=0.0, p=1.0)
 
 
 def dense_spectrum(pen):
@@ -51,10 +54,10 @@ def test_count_below_gershgorin_floor():
 
 
 def test_weighted_pencil_matches_flat_channel():
-    """w1 = 1, w0 = y^-2 on (1, e^T): eigenvalues 1/4 + (k pi / T)^2."""
-    op = RadialOperator(density_exponent=-2.0, stiffness_exponent=0.0, p=1.0, y0=1.0)
+    """w1 = 1, w0 = y^-2 on (1, e^T), assembled in its normal form:
+    eigenvalues 1/4 + (k pi / T)^2."""
     T = 8.0
-    pen = discretize(op, T, 4000)
+    pen = discretize(CHANNEL, T, 4000)
     got = eigenvalues_below(pen, 1.0, 1e-10)
     want = [0.25 + (k * math.pi / T) ** 2 for k in range(1, len(got) + 1)]
     assert np.allclose(got, want, atol=2e-4)
@@ -75,14 +78,25 @@ WEIGHTED = RadialOperator(density_exponent=-2.0, stiffness_exponent=0.0, p=1.0,
     (WEIGHTED, replace(WEIGHTED, y0=1.5)),
     (WEIGHTED, replace(WEIGHTED, bump=(2.5, 1.0, 5.0))),
     (FLAT, replace(FLAT, y0=1.5)),
-    (FLAT, replace(FLAT, conj_coeff=0.25)),
+    (FLAT, replace(FLAT, p=0.5, density_exponent=-0.5, stiffness_exponent=0.5)),
     (FLAT, replace(FLAT, bump=(2.5, 1.0, 5.0))),
-    (FLAT, WEIGHTED),
-], ids=["density", "stiffness", "y0", "bump", "canonical-y0", "canonical-conj",
-        "canonical-bump", "mixed"])
+    (FLAT, CHANNEL),
+], ids=["density", "stiffness", "y0", "bump", "flat-y0", "flat-p", "flat-bump",
+        "flat-channel"])
 def test_stack_refuses_operators_that_differ_beyond_the_potential(first, other):
     with pytest.raises(SturmError, match="differ only in their potential terms"):
         discretize_stack([first, first, other], 4.0, 40)
+
+
+@pytest.mark.parametrize("op", [
+    RadialOperator(density_exponent=-2.0, stiffness_exponent=1.0, p=1.0),
+    RadialOperator(density_exponent=-1.0, stiffness_exponent=0.0, p=0.25),
+], ids=["p1", "p0.25"])
+def test_normal_form_refuses_weights_that_disagree_with_p(op):
+    """At p <= 1 the pencil is the normal form's, which needs
+    stiffness - density = 2p."""
+    with pytest.raises(ReduceError, match="inconsistent with exponent p"):
+        discretize(op, 4.0, 40)
 
 
 def test_overflow_names_the_term():
@@ -179,10 +193,9 @@ def test_richardson_and_order_on_unit_interval():
 
 def test_counts_grow_linearly_on_flat_channel():
     """Analytic law: N_T(lambda) = floor(T sqrt(lambda - 1/4) / pi)."""
-    op = CanonicalOperator(p=1.0, y0=1.0, conj_coeff=0.25)
     lam = 1.0
     for T in (8.0, 16.0, 32.0):
-        pen = discretize(op, T, cells_for(1000, T, 8.0))
+        pen = discretize(CHANNEL, T, cells_for(1000, T, 8.0))
         want = math.floor(T * math.sqrt(lam - 0.25) / math.pi)
         assert abs(count_below(pen, lam) - want) <= 1
 
