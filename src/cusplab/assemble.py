@@ -452,7 +452,13 @@ def weyl_fit(report: SpectrumReport) -> WeylFit:
 
 def weyl_study(config: ProblemConfig) -> tuple:
     """(finest-grid `SpectrumReport`, `weyl_fit`) of config; a one-domain
-    study is refused before counting, and the fit reads no other grid."""
+    study and k-forms are refused before counting, and the fit reads no
+    other grid."""
+    if config.degree >= 1:
+        raise AssembleError(
+            f"weyl on {config.degree}-forms is refused: form counts cover the harmonic "
+            "sectors only, so the counting law cannot be judged until the coexact "
+            "tower is counted")
     _require_two_domains(config, "weyl")
     report = global_counting(config.with_finest_grid())
     return report, weyl_fit(report)
@@ -508,7 +514,15 @@ def cut_invariance_check(config: ProblemConfig) -> CheckReport:
 
 
 def perturbation_stability_check(config: ProblemConfig) -> CheckReport:
-    """Threshold estimates with and without the bump `config.check_bump` must agree."""
+    """Threshold estimates with and without the bump `config.check_bump` must agree.
+
+    The bump is a potential, so k-forms are refused before counting.
+    """
+    if config.degree >= 1:
+        raise AssembleError(
+            f"perturb-check on {config.degree}-forms is refused: its bump perturbation "
+            "(checks.bump) is a potential, and potentials on k-forms are outside the "
+            "numerically modelled class")
     return _invariance_check(
         {"base": config, "bumped": config.with_bump(config.check_bump)},
         "discrete spectrum with and without the bump: counts stable")

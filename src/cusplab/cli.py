@@ -140,6 +140,12 @@ def _prediction_text(pred) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _report_text(report) -> str:
+    """The prediction's text, then one note line per note of the report."""
+    return _prediction_text(report.prediction) + "".join(
+        f"note: {note}\n" for note in report.notes)
+
+
 def _prediction_dict(pred) -> dict:
     return {
         "classification": pred.classification,
@@ -208,7 +214,7 @@ def cmd_count(args):
     rows = [dict(zip(columns, [float(lam), int(report.n_total[i])]
                      + [int(r.counts[i]) for r in report.modes]))
             for i, lam in enumerate(report.lambda_grid)]
-    text = (_prediction_text(report.prediction)
+    text = (_report_text(report)
             + f"stable across domains: {report.stable}\n"
             + "# lambda  N\n" + "".join(f"{r['lambda']!r} {r['N_total']}\n" for r in rows))
     _emit(args, _report_dict(report), text, columns, rows)
@@ -219,7 +225,7 @@ def cmd_spectrum(args):
     report = assemble.global_counting(_load_config(args), with_eigenvalues=True)
     rows = [{"mode": r.mode.name, "multiplicity": r.mode.multiplicity, "eigenvalue": ev}
             for r in report.modes for ev in (r.eigenvalues or [])]
-    lines = [_prediction_text(report.prediction)]
+    lines = [_report_text(report)]
     for r in report.modes:
         evs = ", ".join(f"{ev:.8g}" for ev in (r.eigenvalues or []))
         lines.append(f"mode {r.mode.name} (nu={r.mode.nu:.6g}, "
@@ -268,7 +274,7 @@ def cmd_zeta(args):
     config = _load_config(args)
     if config.zeta_s is None:
         raise ConfigError("zeta subcommand needs zeta.s in the config")
-    res = zeta.form_zeta(config.cross_section, config.degree, config.zeta_s,
+    res = zeta.form_zeta(config.cross_section, (config.degree,), config.zeta_s,
                          config.zeta_shift)
     payload = {"s": config.zeta_s, "shift": config.zeta_shift,
                "degree": config.degree, "value": res.value,

@@ -274,10 +274,8 @@ def weyl_constants(config: ProblemConfig) -> WeylConstants:
             else:
                 pref = (math.gamma((1.0 - pf) / (2.0 * pf))
                         / (2.0 * math.sqrt(math.pi) * math.gamma(1.0 / (2.0 * pf))))
-                zk = zeta_mod.form_zeta(cs, k, s_half, shift)
-                zk1 = zeta_mod.form_zeta(cs, k - 1, s_half, shift)
-                constant = pref * (zk.value + zk1.value)
-                c3_tail = pref * (zk.tail + zk1.tail)
+                z = zeta_mod.form_zeta(cs, (k - 1, k), s_half, shift)
+                constant, c3_tail = pref * z.value, pref * z.tail
                 if shift > 0:
                     notes.append("C3 uses the boundary-potential-shifted cross "
                                  "spectrum (derived interpretation)")

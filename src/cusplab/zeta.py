@@ -2,18 +2,15 @@
 
 The primed sum runs over the positive spectrum (zero modes excluded); a
 non-negative `shift` turns D into D + shift, in which case formerly-zero
-modes contribute shift^(-s).  Sums are evaluated by direct block summation
-with an integral-comparison tail bound, so every returned value carries an
-explicit certificate:  true value in [value, value + tail].
+modes contribute shift^(-s).  Every value carries an explicit certificate,
+true value in [value, value + tail], and `assemble.weyl_fit` reads all of it.
 
-The summation targets tail <= 1e-12 * value within a term budget, but the
-tail falls only like R^(d - 2s) in the summation radius R, so near the
-abscissa d/2 the target is missed.  The C3 argument s = (1/p - 1)/2 lies
-(1/p - n)/2 above it, below 1/2 for 1/(n + 1) < p < 1/n: the tail is 11%
-of the value on the square 2-torus of side 2 pi at n = 3, p = 0.3, and
-1.1% on the unit 3-torus at n = 4, p = 0.2.  Only [value, value + tail]
-is certified; `assemble.weyl_fit` reads all of it.  ROADMAP item 20
-sharpens this.
+Circles (and one-dimensional lattices) bound their tail in closed form and
+always meet tail <= REL_TOL * value.  Lattices keep their shell caps: their
+integral-test tail falls only like R^(d - 2s) in the radius R, so near the
+abscissa d/2, where the C3 argument s = (1/p - 1)/2 lies for 1/(n + 1) < p
+< 1/n, they miss it: the tail is 11% of the value on the square 2-torus of
+side 2 pi at n = 3, p = 0.3, and 1.1% on the unit 3-torus at n = 4, p = 0.2.
 """
 
 from __future__ import annotations
@@ -22,14 +19,12 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .model import CIRCLE, TORUS, CrossSection
+from .model import CIRCLE, TABLE, CrossSection
 
 #: target relative size of the certified tail
 REL_TOL = 1e-12
-#: most terms `circle_zeta` sums, and most sup-norm shells `lattice_zeta`
-#: visits in dimension 2 and in dimension >= 3; these keep the loops
-#: affordable, and a loop cut short still reports an honest tail
-CIRCLE_MAX_TERMS = 20_000_000
+#: most sup-norm shells `lattice_zeta` visits in dimension 2 and in dimension
+#: >= 3, to keep the loops affordable; a loop cut short reports an honest tail
 LATTICE_MAX_RADIUS_2D = 4000
 LATTICE_MAX_RADIUS = 300
 
@@ -56,29 +51,37 @@ def _check_args(s, shift, abscissa, what):
 def circle_zeta(length: float, s: float, shift: float = 0.0) -> ZetaResult:
     """sum over m in Z of ((2 pi m / L)^2 + shift)^(-s), zero modes excluded.
 
-    Convergence needs s > 1/2.  The tail beyond |m| > M is bounded by the
-    integral test:  2 (L/2 pi)^(2s) M^(1-2s) / (2s-1).
+    Convergence needs s > 1/2.  f(x) = (w x^2 + shift)^(-s), w = (2 pi / L)^2,
+    is convex where (2s+1) w x^2 >= shift; from there the terms |m| <= M are
+    summed, and Hermite-Hadamard with 1 - s u <= (1+u)^(-s) <= 1 bounds the
+    rest, with W(x) = w^(-s) x^(1-2s) / (2s-1):
+
+        W(M+1) - s shift w^(-s-1) (M+1)^(-1-2s) / (2s+1) + f(M+1) / 2
+            <= sum_{m > M} f(m) <= W(M + 1/2).
+
+    `value` adds the lower end on both sides and `tail` is twice the width;
+    M doubles until tail <= REL_TOL * value.
     """
     _check_args(s, shift, 0.5, "circle zeta")
     if length <= 0:
         raise ZetaError("circle length must be > 0")
     w = (2.0 * math.pi / length) ** 2
     total = shift ** (-s) if shift > 0 else 0.0
-    terms = 1 if shift > 0 else 0
-    m_done = 0
-    block = 4096
-    tail = math.inf
-    while m_done < CIRCLE_MAX_TERMS:
-        hi = min(m_done + block, CIRCLE_MAX_TERMS)
-        ms = np.arange(m_done + 1, hi + 1, dtype=float)
+    m_done, m = 0, max(1, math.ceil(math.sqrt(shift / ((2.0 * s + 1.0) * w))))
+    while True:
+        ms = np.arange(m_done + 1, m + 1, dtype=float)
         total += 2.0 * float(np.sum((w * ms * ms + shift) ** (-s)))
-        terms += 2 * len(ms)
-        m_done = hi
-        tail = 2.0 * w ** (-s) * m_done ** (1.0 - 2.0 * s) / (2.0 * s - 1.0)
-        if tail <= REL_TOL * total:
-            break
-        block = min(block * 2, 1 << 21)
-    return ZetaResult(value=total, tail=tail, terms=terms)
+        x = m + 1.0
+        far = w ** (-s) * x ** (1.0 - 2.0 * s) / (2.0 * s - 1.0)          # W(M+1)
+        near = far * math.expm1((1.0 - 2.0 * s) * math.log1p(-0.5 / x))  # W(M+1/2) - W(M+1)
+        bend = s * shift * w ** (-s - 1.0) * x ** (-1.0 - 2.0 * s) / (2.0 * s + 1.0)
+        half = 0.5 * (w * x * x + shift) ** (-s)
+        value = total + 2.0 * (far - bend + half)
+        # near + bend - half cancels: 32 ulps of its parts outweigh its roundings
+        tail = 2.0 * (near + bend - half + 32 * math.ulp(1.0) * (near + bend + half))
+        if not tail > REL_TOL * value:      # a nan from s = inf stops here too
+            return ZetaResult(value=value, tail=tail, terms=2 * m + (1 if shift > 0 else 0))
+        m_done, m = m, 2 * m
 
 
 def _shell(r: int, d: int) -> np.ndarray:
@@ -117,8 +120,7 @@ def lattice_zeta(dual_basis, s: float, shift: float = 0.0) -> ZetaResult:
     sigma_min = float(np.linalg.svd(basis, compute_uv=False)[-1])
     if sigma_min <= 0:
         raise ZetaError("degenerate lattice: dual basis has determinant 0")
-    if d == 1:
-        # one-dimensional lattices are circles: reuse the block summation
+    if d == 1:      # a one-dimensional lattice is a circle
         return circle_zeta(2.0 * math.pi / abs(float(basis[0, 0])), s, shift)
     max_radius = LATTICE_MAX_RADIUS_2D if d == 2 else LATTICE_MAX_RADIUS
 
@@ -156,23 +158,23 @@ def table_zeta(table, s: float, shift: float = 0.0) -> ZetaResult:
     return ZetaResult(value=total, tail=0.0, terms=terms)
 
 
-def form_zeta(cross_section: CrossSection, degree: int, s: float,
+def form_zeta(cross_section: CrossSection, degrees, s: float,
               shift: float = 0.0) -> ZetaResult:
-    """Zeta of the degree-`degree` form Laplacian on the cross-section.
+    """Zeta of the form Laplacians of `degrees` on the cross-section, summed.
 
-    Degrees outside 0..dim have empty spectrum and contribute 0.  On a flat
-    torus the form Laplacian acts diagonally on constant-coefficient frames,
-    so the degree-j zeta is binom(dim, j) times the function zeta; on the
-    circle degrees 0 and 1 share the function spectrum.
+    Degrees outside 0..dim contribute 0.  A flat torus's form Laplacian acts
+    diagonally on constant frames, so its (and a circle's) degree-j zeta is
+    binom(dim, j) times the function zeta, which is summed once.
     """
     dim = cross_section.dim
-    if degree < 0 or degree > dim:
-        return ZetaResult(value=0.0, tail=0.0, terms=0)
-    if cross_section.kind == CIRCLE:
-        return circle_zeta(cross_section.length, s, shift)
-    if cross_section.kind == TORUS:
-        base = lattice_zeta(cross_section.dual_basis, s, shift)
-        mult = math.comb(dim, degree)
-        return ZetaResult(value=mult * base.value, tail=mult * base.tail,
-                          terms=mult * base.terms)
-    return table_zeta(cross_section.tables[degree], s, shift)
+    degrees = [j for j in degrees if 0 <= j <= dim]
+    parts = []     # (multiplicity, zeta) per degree, added in order
+    if cross_section.kind == TABLE:
+        parts = [(1, table_zeta(cross_section.tables[j], s, shift)) for j in degrees]
+    elif degrees:
+        base = (circle_zeta(cross_section.length, s, shift) if cross_section.kind == CIRCLE
+                else lattice_zeta(cross_section.dual_basis, s, shift))
+        parts = [(math.comb(dim, j), base) for j in degrees]
+    return ZetaResult(value=sum((c * z.value for c, z in parts), 0.0),
+                      tail=sum((c * z.tail for c, z in parts), 0.0),
+                      terms=sum(c * z.terms for c, z in parts))

@@ -452,22 +452,42 @@ FORMS_POTENTIAL_CFG = (TORUS_CFG.replace("degree = 0", "degree = 1")
                        .replace("0.5,6,4", "0.005,1.3,40"))
 
 
-@pytest.mark.parametrize("command, text", [
-    ("essspec", FORMS_POTENTIAL_CFG),
-    ("reduce", FORMS_POTENTIAL_CFG),
-    ("perturb-check", FORMS_POTENTIAL_CFG),
-    # the perturbation bump is itself a potential on 1-forms
-    ("perturb-check", FORMS_POTENTIAL_CFG.replace("potential.poly = (1.0,2.0)\n", "")),
-], ids=["essspec", "reduce", "perturb-check", "perturb-check-bump-only"])
+@pytest.mark.parametrize("command", ["essspec", "reduce"])
 def test_a_potential_on_forms_is_refused_by_the_numeric_commands(cfg_path, capsys,
-                                                                 command, text):
-    path = cfg_path(text)
+                                                                 command):
+    path = cfg_path(FORMS_POTENTIAL_CFG)
     assert main([command, "--config", path]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err == ("error[invalid]: a potential on 1-forms is outside the numerically "
                    "modelled class; only criteria classifies it\n")
     assert main(["criteria", "--config", path]) == 0
+
+
+@pytest.mark.parametrize("text", [
+    FORMS_POTENTIAL_CFG,
+    FORMS_POTENTIAL_CFG.replace("potential.poly = (1.0,2.0)\n", ""),
+], ids=["with-potential", "bump-only"])
+def test_perturb_check_on_forms_names_its_own_bump(cfg_path, capsys, text):
+    # the check adds checks.bump, a potential, whether or not the config sets one
+    assert main(["perturb-check", "--config", cfg_path(text)]) == 1
+    assert capsys.readouterr() == ("", (
+        "error[invalid]: perturb-check on 1-forms is refused: its bump perturbation "
+        "(checks.bump) is a potential, and potentials on k-forms are outside the "
+        "numerically modelled class\n"))
+
+
+def test_weyl_on_forms_is_refused_before_counting(cfg_path, capsys):
+    # a harmonic-only table judged against the full-form law exited 2 here
+    text = (TORUS_CFG.replace("geometry.p = 1", "geometry.p = 2")
+            .replace("degree = 0", "degree = 1").replace("magnetic.flux = 0.5,0.25\n", "")
+            .replace("100,200", "2000,4000").replace("4,8\n", "8,16\n")
+            .replace("0.5,6,4", "10,20000,16") + "numerics.lambda_scale = log\n")
+    assert main(["weyl", "--config", cfg_path(text)]) == 1
+    assert capsys.readouterr() == ("", (
+        "error[invalid]: weyl on 1-forms is refused: form counts cover the harmonic "
+        "sectors only, so the counting law cannot be judged until the coexact tower "
+        "is counted\n"))
 
 
 def test_essspec_consistent_threshold(cfg_path, capsys):
@@ -1002,6 +1022,10 @@ C1 = 1.0
 note: p = 1: thresholds are the squared harmonic-sector constants of the active degrees
 note: counting constants describe the full-manifold asymptotics and apply only if the \
 spectrum were discrete
+note: prediction has essential spectrum: counts are truncation-dependent and grow with \
+the domain
+note: form counts cover the harmonic sectors only; the coexact tower is discrete and \
+enters constants analytically
 stable across domains: False
 # lambda  N
 1.0 440

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cusplab import zeta
 from cusplab.cli import _prediction_dict
 from cusplab.criteria import (CriteriaError, classify, form_constants,
                               full_ellipticity_forms, magnetic_pure_point,
@@ -246,6 +247,24 @@ def test_c3_pure_forms_excludes_zero_modes():
     # degree 0 and degree -1: only the function zeta, zero mode excluded
     brute = 2.0 * sum(float(m * m) ** -1.5 for m in range(1, 200000))
     assert consts.constant == pytest.approx(0.25 * brute, rel=1e-8)
+
+
+def test_c3_on_torus_forms_sums_the_lattice_zeta_once(monkeypatch):
+    # degree 1 on the square 2-torus: degrees 0 and 1 share the function
+    # zeta with weights binom(2, 0) + binom(2, 1) = 3
+    calls = []
+    lattice = zeta.lattice_zeta
+    monkeypatch.setattr(zeta, "lattice_zeta", lambda *a: calls.append(a) or lattice(*a))
+    cfg = ProblemConfig(
+        geometry=EndGeometry(3, Fraction(1, 10), 1.0),
+        cross_section=builtin_cross_section("square_torus", side=TWO_PI, dim=2),
+        degree=1)
+    consts = weyl_constants(cfg)
+    assert len(calls) == 1
+    base = lattice(*calls[0])
+    pref = math.gamma(4.5) / (2.0 * math.sqrt(math.pi) * math.gamma(5.0))
+    assert consts.constant == pytest.approx(3.0 * pref * base.value, rel=1e-14)
+    assert consts.c3_tail == pytest.approx(3.0 * pref * base.tail, rel=1e-14)
 
 
 def test_c3_magnetic_is_fit_only():
