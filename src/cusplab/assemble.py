@@ -111,13 +111,15 @@ def _count_group(runs, lambdas, group):
     stacks = [run.stack for run in runs if run.rows]
     counts, settled = (np.zeros((len(group), 0, len(lambdas)), dtype=t) for t in (np.int64, bool))
     if stacks:
-        diags = np.concatenate([s[0] for s in stacks]) if stacks[1:] else stacks[0][0]
-        off, mass = stacks[0][1:]
+        diags, floors = (np.concatenate([s[k] for s in stacks]) if stacks[1:] else stacks[0][k]
+                         for k in (0, 3))
+        off, mass = stacks[0][1:3]
         if any(not np.array_equal(s[k], stacks[0][k]) for s in stacks[1:] for k in (1, 2)):
             off, mass = (np.concatenate([np.broadcast_to(s[k], (len(s[0]), len(s[k])))
                                          for s in stacks]) for k in (1, 2))
         counts, settled = sturm.count_below_stack(diags, off, mass, lambdas,
-                                                  sizes=[cells - 1 for _, cells in group])
+                                                  sizes=[cells - 1 for _, cells in group],
+                                                  floors=floors)
     at = np.cumsum([0] + [len(run.rows) for run in runs])
     for run, i, j in zip(runs, at, at[1:]):
         run.counts, run.settled = counts[:, i:j], settled[-1, i:j]
@@ -147,7 +149,7 @@ def _spectrum_reports(configs, with_eigenvalues: bool = False) -> List[SpectrumR
             for run in runs:
                 run.stack = None    # free its previous group's stack before assembling this one
                 run.stack = (sturm.discretize_stack([op for _, op in run.rows], *group[-1])
-                             if run.rows else ([], None, None))
+                             if run.rows else ([], None, None, None))
             _count_group(runs, lambdas, group)
             for run in runs:
                 # the threshold probe and the Weyl fit read these counts as monotone
@@ -183,9 +185,12 @@ def _report(run, lambdas, with_eigenvalues):
             raise AssembleError(
                 f"{total_top} eigenvalues below {top:g} exceed the listing cap "
                 f"({EIGEN_CAP}); lower the top of numerics.lambda_grid")
-        diags, off, mass = run.stack
+        diags, off, mass, _ = run.stack
+        # a row that counts nothing below the top lists nothing: its first
+        # listing pass would count the same pencil at the same lambda
         listed = [sturm.eigenvalues_below(sturm.TridiagonalPencil(diag, off, mass), top,
-                                          config.numerics.tol) for diag in diags]
+                                          config.numerics.tol) if below else []
+                  for diag, below in zip(diags, run.counts[-1][:, -1])]
         for res, i in zip(mode_results, run.row_of):
             res.eigenvalues = list(listed[i])
 

@@ -259,7 +259,8 @@ def potential_values(y, terms, bump, out=None, shared=None):
     rounding of every assembled pencil.  The sum is written into `out`
     when given.  `shared` is a dict that a caller keeps across potentials
     at the same nodes y: it holds y^b under b and the bump's values under
-    the bump, so each is computed once.
+    the bump, so each is computed once, and a product a y^b that a caller
+    put there under (a, b) is added as it is.
     """
     y = np.asarray(y, dtype=float)
     values = {} if shared is None else shared
@@ -267,15 +268,52 @@ def potential_values(y, terms, bump, out=None, shared=None):
         out = np.zeros_like(y)
     else:
         out[...] = 0.0
+    scratch = None
     for a, b in terms:
-        if b not in values:
-            values[b] = y**b
-        out += a * values[b]
+        product = values.get((a, b))
+        if product is None:
+            if b not in values:
+                values[b] = y**b
+            if scratch is None:
+                scratch = np.empty_like(y)
+            product = np.multiply(a, values[b], out=scratch)
+        out += product
     if bump is not None:
         if bump not in values:
             values[bump] = bump_values(y, bump)
         out += values[bump]
     return out
+
+
+def potential_bounds(lo, hi, terms, bump):
+    """Bounds of `potential_values` over y in [lo, hi], for arrays of
+    interval ends 0 < lo <= hi.
+
+    Returns (floor, size).  A power term a y^b is monotone in y > 0, so on
+    [lo, hi] it lies between its values at the two ends; the bump lies
+    between 0 and h, and is 0 where its support misses the interval.  floor
+    sums each term's lesser end value and min(h, 0) where the support meets
+    [lo, hi]; size sums each term's larger |end value| and |h| there.  Both
+    are floating-point sums of the values `potential_values` would compute
+    at the ends, so they bound the potential and the sum of its |terms| at
+    every y in [lo, hi] up to a few ulps of size per term; a caller covers
+    those with a margin.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    floor, size = np.zeros_like(lo), np.zeros_like(lo)
+    for a, b in terms:
+        at_lo, at_hi = a * lo**b, a * hi**b
+        floor += np.minimum(at_lo, at_hi)
+        size += np.maximum(np.abs(at_lo), np.abs(at_hi))
+    if bump is not None:
+        c, w, h = bump
+        # t = (y - c)/w is monotone in y as computed, so the nodes of [lo, hi]
+        # have t between its values at the ends
+        t_lo, t_hi = (lo - c) / w, (hi - c) / w
+        meets = (np.minimum(t_lo, t_hi) < 1.0) & (np.maximum(t_lo, t_hi) > -1.0)
+        floor += np.where(meets, min(h, 0.0), 0.0)
+        size += np.where(meets, abs(h), 0.0)
+    return floor, size
 
 
 def bump_values(y, bump):

@@ -27,8 +27,17 @@ rad the Gershgorin radius, and its last pivot is at least the next
 off-diagonal: then no later pivot is negative or zero, so its count and
 breakdown bit are already final and stay bit-identical.  Past a mode's
 potential wall no eigenvalue can appear, and that is where most of the
-node x lane work lay.  Blocks double, so a pass stops O(log N) times to
-retire lanes, each by twice its certificate node.  A wider pass costs
+node x lane work lay.  Each lane's start node comes from one dominance key
+per row node (`_dominance_starts`).  A row's key is its potential up to a
+few ulps of its scale, so `discretize_stack` also returns a lambda-free
+floor of each row's keys on every tail [J, n), J a multiple of
+_TAIL_SPACING: the least value of its power terms over the tail's y range,
+each at an end since a y^b is monotone (`model.potential_bounds`), plus a
+negative bump where it reaches the tail, less a rounding margin.  A
+stacked pass keys a row only up to the first J whose floor beats every
+lane's target, so keying costs about the rows' deepest lane starts, not
+rows x N nodes.  Blocks double, so a pass stops O(log N) times to retire
+lanes, each by twice its certificate node.  A wider pass costs
 little more than a narrow one, so bisection runs as a multisection: each
 pass counts at several levels of every bracket's bisection tree at once,
 and the listing stays bit-identical to one-level-per-pass bisection.
@@ -50,15 +59,15 @@ mesh spans [0, zmax] with zmax depending on e^T, so no two domains nest.
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from . import reduce as red
-from .model import potential_values
+from .model import potential_bounds, potential_values
 
 #: relative pivot-breakdown shift applied to lambda, as documented
 BREAKDOWN_SHIFT = 1e-14
@@ -103,28 +112,61 @@ def _check_finite(name, arr):
 def discretize_stack(ops, length: float, cells: int):
     """P1 assembly of operators that differ only in their potential terms.
 
-    Returns (diags (M, n), offdiag, mass): row m is the diagonal of ops[m]'s
-    pencil; the mesh (`reduce.mesh_for`), stiffness and lumped mass are
-    built once and shared.  Dirichlet both ends; stiffness weights are
-    evaluated at cell midpoints, the potential and the mass at the nodes.
-    At p <= 1 the operators are assembled in z with unit weights and the
-    terms of their normal forms (`reduce.liouville_transform`, which
-    refuses weights that disagree with p), at p > 1 in y with their power
-    weights.  Operators that differ in anything but `potential_terms` are
-    refused.
+    Returns (diags (M, n), offdiag, mass, floors (M, K)): row m is the
+    diagonal of ops[m]'s pencil; the mesh (`reduce.mesh_for`), stiffness
+    and lumped mass are built once and shared.  Dirichlet both ends;
+    stiffness weights are evaluated at cell midpoints, the potential and
+    the mass at the nodes.  At p <= 1 the operators are assembled in z with
+    unit weights and the terms of their normal forms
+    (`reduce.liouville_transform`, which refuses weights that disagree with
+    p), at p > 1 in y with their power weights.  Operators that differ in
+    anything but `potential_terms` are refused.
 
     Each distinct power y^b and the shared bump are evaluated once per
-    stack, at the interior nodes, and `model.potential_values` sums them
-    in its term order straight into each row, so a row is bit for bit the
-    one its potential alone would give.  The potential at the two end
-    nodes enters no row but is evaluated too: a potential that is not
-    finite at any node is refused by `reduce.domain_end` when the domain
-    ends past the largest float radius, else as an overflow naming the
-    first bad node.
+    stack, at the interior nodes, and so is each product a y^b that more
+    than one row holds; `model.potential_values` sums them in its term
+    order straight into each row, and the row is assembled in place, so a
+    row is bit for bit the one its potential alone would give.  The
+    potential at the two end nodes enters no row but is evaluated too: a
+    potential that is not finite at any node is refused by
+    `reduce.domain_end` when the domain ends past the largest float
+    radius, else as an overflow naming the first bad node.
+
+    floors[m, k] bounds row m's dominance key (`_dominance_starts`) from
+    below on the rows [k _TAIL_SPACING, n), for every lambda; see
+    `_tail_floors`.
     """
     op = ops[0]
     if cells < 4:
         raise SturmError("need at least 4 mesh cells (3 interior points)")
+    normal = op.p <= 1.0
+    y, mass, lump, density, stiffness, off = _mesh(ops, length, cells)
+    inner, ends = y[1:-1], y[[0, -1]]
+    row_terms = [red.liouville_transform(o) if normal else o.potential_terms for o in ops]
+    # each power of y, each product two rows share and the bump, once per stack
+    at_inner, at_ends = _shared_products(inner, row_terms), {}
+    diags = np.empty((len(ops), len(inner)))
+    for row, o, terms in zip(diags, ops, row_terms):
+        # row = stiffness + q w0 lump, the potential summed into the row itself
+        with np.errstate(over="ignore", invalid="ignore"):
+            potential_values(inner, terms, o.bump, row, at_inner)
+            at_end = potential_values(ends, terms, o.bump, shared=at_ends)
+            if density is not None:
+                row *= density
+            row *= lump
+            row += stiffness
+        if not (np.all(np.isfinite(row)) and np.all(np.isfinite(at_end))):
+            _refuse(o, length, y, terms, row)
+    return diags, off, mass, _tail_floors(inner, stiffness, mass, off, row_terms, op.bump)
+
+
+def _mesh(ops, length: float, cells: int):
+    """The mesh and weights that the pencils of `ops` share:
+    (y, mass, lump, density, stiffness, off).  density is the weight w0 at
+    the interior nodes, None for the unit weights of p <= 1, where the
+    mass is the lump itself; the temporaries die here, before any row is
+    assembled."""
+    op = ops[0]
     t, y = red.mesh_for(op.p, op.y0, length, cells)
     if any(replace(o, potential_terms=op.potential_terms) != op for o in ops[1:]):
         raise SturmError("stacked operators may differ only in their potential terms")
@@ -132,46 +174,107 @@ def discretize_stack(ops, length: float, cells: int):
     x = t if normal else y
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         h = np.diff(x)
-        if normal:
-            w1_mid, w0 = np.ones(len(x) - 1), np.ones(len(x))
+        if normal:      # unit weights: k = 1/h and mass = lump, with no weight arrays
+            k, density = 1.0 / h, None
         else:
             w1_mid = (0.5 * (x[:-1] + x[1:])) ** op.stiffness_exponent
             w0 = x ** op.density_exponent
             _check_finite("the stiffness weight", w1_mid)
             _check_finite("the density weight", w0)
-        # nodes that round together leave h = 0 and k = inf, both refused below
-        k = w1_mid / h
+            # nodes that round together leave h = 0 and k = inf, both refused below
+            k, density = w1_mid / h, w0[1:-1]
     lump = 0.5 * (h[:-1] + h[1:])
-    mass = w0[1:-1] * lump
+    mass = lump if normal else density * lump
     if np.any(mass <= 0):
         raise SturmError("mass matrix must be strictly positive")
-    stiffness, density = k[:-1] + k[1:], w0[1:-1]
-    inner, ends = y[1:-1], y[[0, -1]]
-    at_inner, at_ends = {}, {}     # each power of y and the bump, once per stack
-    diags = np.empty((len(ops), len(x) - 2))
-    for row, o in zip(diags, ops):
-        terms = red.liouville_transform(o) if normal else o.potential_terms
-        # row = stiffness + q w0 lump, the potential summed into the row itself
-        with np.errstate(over="ignore", invalid="ignore"):
-            potential_values(inner, terms, o.bump, row, at_inner)
-            finite = np.all(np.isfinite(row)) and np.all(np.isfinite(
-                potential_values(ends, terms, o.bump, shared=at_ends)))
-        if not finite:
-            # a domain that ends past the largest float gets domain_end's line
-            red.domain_end(op.p, op.y0, length)
-            with np.errstate(over="ignore", invalid="ignore"):
-                q = potential_values(y, terms, o.bump)
-            _check_finite("the normal-form potential" if normal else "the potential", q)
-        row *= density
-        row *= lump
-        row += stiffness
-        _check_finite("the assembled stiffness", row)
-    return diags, -k[1:-1], mass
+    return y, mass, lump, density, k[:-1] + k[1:], -k[1:-1]
+
+
+def _shared_products(inner, row_terms) -> dict:
+    """A `model.potential_values` cache for the rows' terms at the nodes
+    `inner`: each product a y^b that the rows hold more than once, and a
+    power y^b only where a product held once needs it too."""
+    uses = Counter(term for terms in row_terms for term in terms)
+    single = {b for (a, b), n in uses.items() if n == 1}
+    shared = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (a, b), n in uses.items():
+            if n > 1:
+                if b in single and b not in shared:
+                    shared[b] = inner**b
+                shared[a, b] = a * (shared[b] if b in shared else inner**b)
+    return shared
+
+
+def _refuse(op, length, y, terms, row):
+    """Raise the error of op's row that is not finite: `reduce.domain_end`'s
+    when the potential (`terms`, at the nodes y) is not finite at some node
+    and the domain ends past the largest float radius, else an overflow
+    naming the potential's first bad node or, where the potential is
+    finite, the assembled row's."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = potential_values(y, terms, op.bump)
+    if not np.all(np.isfinite(q)):
+        red.domain_end(op.p, op.y0, length)
+        _check_finite("the normal-form potential" if op.p <= 1.0 else "the potential", q)
+    _check_finite("the assembled stiffness", row)
+
+
+#: nodes between the boundaries J at which `discretize_stack` bounds each
+#: row's dominance keys on the rows [J, n).  A row is keyed up to the first
+#: boundary whose floor beats every lane's target, so up to about this many
+#: nodes past its deepest lane start (keying costs about 13 ns a node), and
+#: its floors cost a few ufunc calls per power term on n / _TAIL_SPACING
+#: entries.  On the 10-row `weyl-zeta` stack of 168k nodes (657 boundaries)
+#: that is at most 2,560 extra keyed nodes, about 0.03 ms, against floors of
+#: about 0.05 ms a row after 0.6 ms of mesh-wide reductions, both far below
+#: the 14 ms that keying its rows in full took.
+_TAIL_SPACING = 256
+
+#: relative rounding margin of a tail floor, per potential term.  In exact
+#: arithmetic the key of a row j is its potential q_j less 8 ulps of
+#: (|diag_j| + rad_j) / mass_j <= 2 stiffness_j / mass_j + |q_j|.  In
+#: floating point the assembly's products and sums and the key's subtraction
+#: and division add a few ulps of that scale, each power y^b at a node and
+#: at a tail end may be off by up to 4 ulps, and the products and the sums
+#: of the row's terms and of the floor's add a few ulps of sum |a y^b| + |h|.
+#: All of it stays below (20 len(terms) + 50) 2^-53 (2 max(stiffness / mass)
+#: + sum |a y^b| + |h|), which 2^-40 (len(terms) + 1) of the same scale
+#: exceeds more than a hundredfold.
+_FLOOR_MARGIN = 2.0**-40
+
+
+def _tail_floors(inner, stiffness, mass, off, row_terms, bump) -> np.ndarray:
+    """Per row of the stack (its potential terms in `row_terms`, the bump
+    shared), a lower bound of its dominance key on the rows [J, n) at every
+    boundary J = k _TAIL_SPACING, for every lambda: the potential's floor
+    over the least and largest y of those rows (`model.potential_bounds`)
+    less the rounding margin, and -inf where a key may leave the range
+    `_keys` certifies."""
+    bounds = np.arange(0, len(inner), _TAIL_SPACING)
+    lo = np.minimum.accumulate(np.minimum.reduceat(inner, bounds)[::-1])[::-1]
+    hi = np.maximum.accumulate(np.maximum.reduceat(inner, bounds)[::-1])[::-1]
+    mass_top = float(np.max(mass))
+    # every key is in range where the mass is, rad >= min |off| (each row has
+    # a neighbour) is at least 2^-400, and 2 stiffness + |q| mass, which bounds
+    # |diag| + rad up to a few ulps, is at most 2^399
+    mesh_ok = (_in_range(np.array([np.min(mass), mass_top])).all()
+               and np.min(np.abs(off)) >= 2.0**-400)
+    room = 2.0**399 - 2.0 * float(np.max(stiffness)) if mesh_ok else -math.inf
+    floors = np.empty((len(row_terms), len(bounds)))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        reach = 2.0 * float(np.max(stiffness / mass))     # bounds 2 stiffness_j / mass_j
+        for floor, terms in zip(floors, row_terms):
+            low, size = potential_bounds(lo, hi, terms, bump)
+            floor[:] = np.where(size * mass_top <= room,
+                                low - _FLOOR_MARGIN * (len(terms) + 1) * (reach + size),
+                                -math.inf)
+    return floors
 
 
 def discretize(op, length: float, cells: int) -> TridiagonalPencil:
     """The pencil of one operator: a one-row `discretize_stack`."""
-    (diag,), off, mass = discretize_stack([op], length, cells)
+    (diag,), off, mass, _ = discretize_stack([op], length, cells)
     return TridiagonalPencil(diag=diag, offdiag=off, mass=mass)
 
 
@@ -187,10 +290,12 @@ _SCALAR_LANES = 8
 
 
 def _row_radius(off, n: int) -> np.ndarray:
-    """Gershgorin radius |e_j| + |e_(j+1)| of each of the n rows; off: (n-1,)."""
+    """Gershgorin radius |e_(j-1)| + |e_j| of each of the first n rows of a
+    pencil with off-diagonal `off`, which holds at least n - 1 entries."""
+    e = np.abs(off[:n])
     radius = np.zeros(n)
-    radius[:-1] += np.abs(off)
-    radius[1:] += np.abs(off)
+    radius[:len(e)] += e
+    radius[1:] += e[:n - 1]
     return radius
 
 
@@ -200,13 +305,27 @@ def _rows(x) -> np.ndarray:
     return x.reshape(math.prod(x.shape[:-1]), x.shape[-1])
 
 
-def _each_row(x, rows: int, f):
-    """f of each row of x (rows, ...) as an iterator; a single shared row
-    is mapped once and repeated `rows` times."""
-    return itertools.repeat(f(x[0]), rows) if len(x) == 1 else map(f, x)
+#: relative dominance margin of `_keys`: 8 ulps of 1
+_KEY_EPS = 8 * np.finfo(float).eps
 
 
-def _dominance_starts(diag, off, mass, lams) -> np.ndarray:
+def _in_range(x) -> np.ndarray:
+    """Where x lies in [2^-400, 2^400], the range a dominance key certifies in."""
+    return (x >= 2.0**-400) & (x <= 2.0**400)
+
+
+def _keys(diag, rad, mass, mass_ok) -> np.ndarray:
+    """Dominance key (diag - rad - eps (|diag| + rad)) / mass of each row,
+    -inf where the row's scale |diag| + rad or its mass (mass_ok false)
+    leaves [2^-400, 2^400]; see `_dominance_starts`."""
+    scale = np.abs(diag) + rad
+    with np.errstate(over="ignore", invalid="ignore"):
+        key = (diag - rad - _KEY_EPS * scale) / mass
+    key[~(_in_range(scale) & mass_ok)] = -np.inf
+    return key
+
+
+def _dominance_starts(diag, off, mass, lams, floors=None) -> np.ndarray:
     """First node of permanent dominance of every (row, lambda) lane.
 
     diag, off, mass as in `_sturm_pass`; returns (rows, L) node indices.
@@ -218,28 +337,37 @@ def _dominance_starts(diag, off, mass, lams) -> np.ndarray:
     with rad_j = |e_j| + |e_(j+1)| and eps = 8 ulps of 1; it is N where no
     such i exists.  The test is rearranged per row into key_j > lambda +
     eps |lambda| with key_j = (diag_j - rad_j - eps (|diag_j| + rad_j)) /
-    mass_j, so one reverse cumulative minimum of key and one searchsorted
-    give every lane's start, row by row with O(N) scratch.  Rows whose scale
-    |diag_j| + rad_j or mass leaves [2^-400, 2^400] never certify, so no
-    underflow or overflow can exceed the margin's rounding bound.
+    mass_j (`_keys`), so a lane starts at 1 + the last node whose key is at
+    or below its target, or 0: one reverse cumulative minimum of the keys
+    and one searchsorted give every lane's start, row by row.  Rows whose
+    scale |diag_j| + rad_j or mass leaves [2^-400, 2^400] never certify, so
+    no underflow or overflow can exceed the margin's rounding bound.
+
+    floors, from `discretize_stack`, bounds each row's keys from below on
+    the rows [k _TAIL_SPACING, N) at every k.  A row is then keyed only up
+    to the first such boundary whose floor exceeds the top target: every
+    key past it is above every target, so no lane can start later, and the
+    starts are those of the full keys bit for bit.
     """
     diag, off, mass = _rows(diag), _rows(off), _rows(mass)
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     rows, n = diag.shape
-    eps = 8 * np.finfo(float).eps
     with np.errstate(over="ignore", invalid="ignore"):
-        target = lams + eps * np.abs(lams)
-    starts = np.empty((rows, lams.size), dtype=np.int64)
+        target = lams + _KEY_EPS * np.abs(lams)
+    cuts = np.full(rows, n)
+    if floors is not None and target.size:
+        above = np.asarray(floors) > np.max(target)     # a nan target cuts no row
+        cuts = np.minimum(np.where(above.any(axis=1), np.argmax(above, axis=1) * _TAIL_SPACING,
+                                   n), n)
     # a shared off or mass row (one pencil mesh) has its radius and range test done once
-    rads = _each_row(off, rows, lambda e: _row_radius(e, n))
-    mass_ok = _each_row(mass, rows, lambda m: (m >= 2.0**-400) & (m <= 2.0**400))
-    for r, (d, m, rad, m_ok) in enumerate(zip(diag, np.broadcast_to(mass, (rows, n)),
-                                              rads, mass_ok)):
-        scale = np.abs(d) + rad
-        with np.errstate(over="ignore", invalid="ignore"):
-            key = (d - rad - eps * scale) / m
-        safe = (scale >= 2.0**-400) & (scale <= 2.0**400) & m_ok
-        key[~safe] = -np.inf
+    one_off, one_mass, width = len(off) == 1, len(mass) == 1, int(cuts.max(initial=0))
+    rad = _row_radius(off[0], width) if one_off else None
+    mass_ok = _in_range(mass[0, :width]) if one_mass else None
+    starts = np.empty((rows, lams.size), dtype=np.int64)
+    for r, cut in enumerate(cuts.tolist()):
+        m = mass[0 if one_mass else r, :cut]
+        key = _keys(diag[r, :cut], rad[:cut] if one_off else _row_radius(off[r], cut), m,
+                    mass_ok[:cut] if one_mass else _in_range(m))
         suffix_min = np.minimum.accumulate(key[::-1])[::-1]
         starts[r] = np.searchsorted(suffix_min, target, side="right")
     return starts
@@ -261,13 +389,17 @@ def _vector_block(a, e2, prev):
 
 
 def _scalar_block(a, e2, prev):
-    """`_vector_block` lane by lane on Python floats, leaving `a` as it is.
+    """`_vector_block` lane by lane on Python floats, leaving `a` as it is;
+    e2 may be one column that every lane shares.
 
     Raises ZeroDivisionError when it would divide by a zero pivot, the
     carried one included, so only a last pivot can be zero when it returns.
     """
     negative, last = [], []
-    for d, a_col, e2_col in zip(prev.tolist(), a.T.tolist(), e2.T.tolist()):
+    e2_cols = e2.T.tolist()
+    if len(e2_cols) == 1:   # one off row: its floats are made once, not once per lane
+        e2_cols = e2_cols * a.shape[1]
+    for d, a_col, e2_col in zip(prev.tolist(), a.T.tolist(), e2_cols):
         neg = 0
         for a_j, e2_j in zip(a_col, e2_col):
             d = a_j - e2_j / d
@@ -279,7 +411,7 @@ def _scalar_block(a, e2, prev):
     return negative, last == 0, last
 
 
-def _sturm_pass(diag, off, mass, lams, sizes=None):
+def _sturm_pass(diag, off, mass, lams, sizes=None, floors=None):
     """Blocked LDL^T sign count of A - lambda B for a batch of lambdas.
 
     diag/mass: (..., N); off: (..., N-1) per row or shared; lams: (L,).
@@ -289,6 +421,10 @@ def _sturm_pass(diag, off, mass, lams, sizes=None):
     The last row has one neighbour only, so it is dominant at nearly every
     lambda, and a lane that retires there alone is open.  The settled bit
     depends on the lane alone (see Retirement).
+
+    `floors`, the tail floors of the pencils' `discretize_stack`, lets
+    `_dominance_starts` key each row only where a lane can start; the
+    starts, and so every result, are the same without them.
 
     With `sizes`, increasing checkpoints in 1..N, all three come back with
     a leading (S,) axis: entry s holds them for the leading sizes[s] x
@@ -357,7 +493,7 @@ def _sturm_pass(diag, off, mass, lams, sizes=None):
         raise SturmError(f"checkpoints must increase within 1..{n}, got {stops}")
     last = stops[-1]
     start = _dominance_starts(diag[..., :last], off[..., :last - 1], mass[..., :last],
-                              lams).ravel()
+                              lams, floors).ravel()
     # node-major views: node i of `off` holds off[i-1], and off[-1] = 0
     diag, mass = _rows(diag).T, _rows(mass).T
     off = _rows(np.insert(off, 0, 0.0, axis=-1)).T
@@ -390,12 +526,15 @@ def _sturm_pass(diag, off, mass, lams, sizes=None):
                           *(k - 2 for k in stops if k - 2 > s))
                 a = gather(diag, slice(s, end)) - lam * gather(mass, slice(s, end))
                 e = gather(off, slice(s, end))
-                # a ufunc on a broadcast (1,) row runs slower than on a full one
-                e2 = np.multiply(e, e, out=np.empty_like(a))
-                step = _scalar_block if live.size <= _SCALAR_LANES else _vector_block
-                try:
-                    negative, zero, prev = step(a, e2, prev)
-                except ZeroDivisionError:   # a zero pivot on Python floats
+                if live.size <= _SCALAR_LANES:
+                    e2 = e * e      # one column when the lanes share an off row
+                    try:
+                        negative, zero, prev = _scalar_block(a, e2, prev)
+                    except ZeroDivisionError:   # a zero pivot on Python floats
+                        negative, zero, prev = _vector_block(a, e2, prev)
+                else:
+                    # a ufunc on a broadcast (1,) row runs slower than on a full one
+                    e2 = np.multiply(e, e, out=np.empty_like(a))
                     negative, zero, prev = _vector_block(a, e2, prev)
                 counts[live] += negative
                 broke[live] |= zero
@@ -440,7 +579,7 @@ def count_below_many(pencil: TridiagonalPencil, lams) -> np.ndarray:
     return counts
 
 
-def count_below_stack(diags, offs, masses, lams, sizes=None):
+def count_below_stack(diags, offs, masses, lams, sizes=None, floors=None):
     """Counts for a stack of M pencils of one size: (M, L) integers.
 
     offs and masses are one row that every pencil shares (the modes of one
@@ -451,8 +590,10 @@ def count_below_stack(diags, offs, masses, lams, sizes=None):
     (counts, settled) with `_sturm_pass`'s settled mask of the same shape.
     A lane with an exact pivot hit is re-counted on the leading block of
     the checkpoint it broke at, in one more pass (`_recount`), and is open.
+    `floors`, the fourth value of `discretize_stack` (one row per pencil),
+    only saves work (see `_sturm_pass`).
     """
-    counts, broke, settled = _sturm_pass(diags, offs, masses, lams, sizes)
+    counts, broke, settled = _sturm_pass(diags, offs, masses, lams, sizes, floors)
     settled &= ~broke
     offs = np.broadcast_to(offs, diags.shape[:-1] + np.shape(offs)[-1:])
     masses = np.broadcast_to(masses, diags.shape)

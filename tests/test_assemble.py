@@ -89,6 +89,30 @@ def test_eigenvalue_listing_reuses_the_finest_pencils(work):
         assert r.eigenvalues == sturm.eigenvalues_below(pen, 8.0, cfg.numerics.tol)
 
 
+def test_only_rows_that_count_below_the_top_are_listed(monkeypatch):
+    """The `spectrum-locate` study: of its two rows (m and -m - 1 share one
+    at flux 1/2), only m-1/m0 counts an eigenvalue below the top, 6.  The
+    other row lists [] with no `eigenvalues_below` call: that call's first
+    pass would count the same pencil at the same lambda and find none."""
+    cfg = circle_cfg(flux="0.5", grids=(1000, 2000), lam=(0.5, 6.0, 12))
+    listing = sturm.eigenvalues_below
+    calls = []
+
+    def counted(pencil, lam, tol):
+        calls.append(lam)
+        return listing(pencil, lam, tol)
+
+    monkeypatch.setattr(sturm, "eigenvalues_below", counted)
+    rep = global_counting(cfg, with_eigenvalues=True)
+    assert [r.mode.name for r in rep.modes] == ["m-1", "m0", "m-2", "m1"]
+    assert [int(r.counts[-1]) for r in rep.modes] == [1, 1, 0, 0]
+    assert calls == [6.0]
+    assert [r.eigenvalues for r in rep.modes] == [[4.665218848500144]] * 2 + [[]] * 2
+    cells = red.cells_for(2000, 32.0, 8.0)
+    for r, (_, op) in zip(rep.modes, assemble._mode_operators(cfg, 6.0)):
+        assert r.eigenvalues == listing(sturm.discretize(op, 32.0, cells), 6.0, cfg.numerics.tol)
+
+
 def test_probe_finds_quarter_threshold():
     est = threshold_probe(circle_cfg(flux="0"))
     assert est.predicted == 0.25
@@ -391,7 +415,7 @@ def test_shorter_domains_are_leading_blocks_and_one_pass_equals_per_combo_passes
     for g in cfg.numerics.grids:
         cells = {T: red.cells_for(g, T, 8.0) for T in cfg.numerics.domains}
         assert len({T / c for T, c in cells.items()}) == 1     # one mesh width
-        diags, off, mass = sturm.discretize_stack([op for _, op in ops], 16.0, cells[16.0])
+        diags, off, mass, _ = sturm.discretize_stack([op for _, op in ops], 16.0, cells[16.0])
         for T in (8.0, 12.0, 16.0):
             pens = [sturm.discretize(op, T, cells[T]) for _, op in ops]
             for pen, full in zip(pens, diags):
@@ -434,7 +458,7 @@ def _reference_pencil(op, length, cells):
 def _assert_stack_rows_are_the_single_pencils(cfg, domain, cells):
     ops = [op for _, op in assemble._mode_operators(cfg, float(cfg.numerics.lambdas()[-1]))]
     assert len(ops) > 1
-    diags, off, mass = sturm.discretize_stack(ops, domain, cells)
+    diags, off, mass, _ = sturm.discretize_stack(ops, domain, cells)
     assert diags.shape == (len(ops), cells - 1)
     for op, diag in zip(ops, diags):
         pen = sturm.discretize(op, domain, cells)
@@ -485,7 +509,7 @@ WEIGHTED_TERMS = ((), ((3.0, 4.0),), ((3.0, 4.0), (0.5, 4.0)), ((0.5, 1.0),))
 def test_stacked_potential_rows_are_the_per_row_assembly(op, bump):
     terms = WEIGHTED_TERMS if op.p > 1.0 else NORMAL_TERMS
     ops = [dataclasses.replace(op, potential_terms=t, bump=bump) for t in terms]
-    diags, off, mass = sturm.discretize_stack(ops, 3.0, 300)
+    diags, off, mass, _ = sturm.discretize_stack(ops, 3.0, 300)
     for o, diag in zip(ops, diags):
         ref_diag, ref_off, ref_mass = _reference_pencil(o, 3.0, 300)
         assert diag.tobytes() == ref_diag.tobytes()
@@ -567,9 +591,9 @@ def work(monkeypatch):
     calls = {"passes": [], "stacks": []}
     count, assembly = sturm.count_below_stack, sturm.discretize_stack
 
-    def counted_count(diags, offs, masses, lams, sizes=None):
+    def counted_count(diags, offs, masses, lams, sizes=None, floors=None):
         calls["passes"].append((diags.shape[-1], sizes))
-        return count(diags, offs, masses, lams, sizes)
+        return count(diags, offs, masses, lams, sizes, floors)
 
     def counted_assembly(ops, *args, **kwargs):
         calls["stacks"].append(len(ops))

@@ -474,7 +474,8 @@ def test_every_mode_a_finest_pencil_puts_below_the_top_is_enumerated(config):
     cells = cells_for(config.numerics.grids[-1], 2.0, 1.0)
     reached = set()
     if ops:     # an empty stack has no mesh to assemble
-        counts, _ = count_below_stack(*discretize_stack(ops, 2.0, cells), np.array([top]))
+        diags, off, mass, floors = discretize_stack(ops, 2.0, cells)
+        counts, _ = count_below_stack(diags, off, mass, np.array([top]), None, floors)
         reached = {m.label for m, c in zip(modes, counts[:, 0]) if c > 0}
     assert reached <= {m.label for m in enumerate_modes(config, top)}
 

@@ -1,15 +1,17 @@
 """Pencil assembly, inertia counts, bisection, and extrapolation."""
 
 import math
+import time
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cusplab import assemble, sturm
-from cusplab.model import EndGeometry, MagneticData, Numerics, ProblemConfig, builtin_cross_section
+from cusplab.model import (EndGeometry, MagneticData, Numerics, ProblemConfig, RadialPotential,
+                           builtin_cross_section)
 from cusplab.reduce import RadialOperator, ReduceError, cells_for
 from cusplab.sturm import (SturmError, TridiagonalPencil, count_below,
                            count_below_many, count_below_stack, discretize,
@@ -900,7 +902,7 @@ def _locate_stack(flux):
     one row per mode below lambda = 6."""
     ops = assemble._mode_operators(_locate_config(flux), 6.0)
     return [m.name for m, _ in ops], discretize_stack([op for _, op in ops], 32.0,
-                                                      cells_for(2000, 32.0, 8.0))
+                                                      cells_for(2000, 32.0, 8.0))[:3]
 
 
 def test_the_certificate_is_not_vacuous_on_the_spectrum_locate_stack():
@@ -932,8 +934,9 @@ def test_one_live_lane_never_takes_the_vector_path(monkeypatch):
 
 
 def test_the_spectrum_locate_passes_stop_for_retirement_a_few_times_each(monkeypatch):
-    # two stacked counting passes (one per grid) and six multisection tree
-    # passes; a block from node s runs to 2s at least, so each pass stops
+    # two stacked counting passes (one per grid) and five multisection tree
+    # passes, none for the row that counts nothing below the window top; a
+    # block from node s runs to 2s at least, so each pass stops
     # O(log N) times for retirement (a block ending at every lane's start
     # node would make 342 blocks here, in 5,113 node steps)
     passes, stacked, trees = (mock.Mock(wraps=f) for f in (
@@ -944,7 +947,112 @@ def test_the_spectrum_locate_passes_stop_for_retirement_a_few_times_each(monkeyp
         monkeypatch.setattr(sturm, name, m)
     report = assemble.global_counting(_locate_config("0.5"), with_eigenvalues=True)
     assert report.modes[0].eigenvalues == report.modes[1].eigenvalues == [4.665218848500144]
-    assert (passes.call_count, stacked.call_count, trees.call_count) == (8, 2, 6)
+    assert (passes.call_count, stacked.call_count, trees.call_count) == (7, 2, 5)
     calls = [c.args[0] for m in blocks for c in m.call_args_list]
     assert len(calls) <= 60
     assert sum(len(a) for a in calls) <= 6400
+
+
+# ---------------------------------------------------------------------------
+# tail floors: a row is keyed only where a lane can start
+# ---------------------------------------------------------------------------
+
+# exponents of both signs; y^100 can put |diag| past 2^400 at p >= 1
+EXPONENTS = [-3.0, -1.5, -0.5, 0.0, 0.5, 1.0, 2.0, 4.0, 100.0]
+
+
+@st.composite
+def floored_stacks(draw):
+    """Stacks at p < 1, p = 1 and p > 1, cut at Y0 >= 1, whose rows carry
+    power terms with coefficients and exponents of both signs and share a
+    bump of either sign.  At p > 1 the density y^-150 takes the mass below
+    2^-400 from about y = 6.4 on (a domain of length T reaches y = e^T Y0)."""
+    p = draw(st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0]))
+    y0 = draw(st.sampled_from([1.0, 1.5, 3.0]))
+    density = draw(st.sampled_from([-2.0 * p, -1.0] + ([-150.0] if p > 1.0 else [0.0])))
+    coefficient = st.floats(0.05, 5.0) | st.floats(-5.0, -0.05)
+    terms = st.lists(st.tuples(coefficient, st.sampled_from(EXPONENTS)), max_size=3)
+    bump = draw(st.none() | st.tuples(st.floats(y0, y0 + 10.0), st.floats(0.1, 3.0),
+                                      st.sampled_from([-50.0, -0.05, 2.0, 50.0])))
+    base = RadialOperator(density_exponent=density, stiffness_exponent=density + 2.0 * p,
+                          p=p, y0=y0, bump=bump)
+    rows = draw(st.lists(terms, min_size=1, max_size=3))
+    return ([replace(base, potential_terms=tuple(t)) for t in rows],
+            draw(st.floats(0.5, 3.0)), draw(st.integers(8, 200)))
+
+
+def _full_keys(diags, off, mass):
+    n = diags.shape[1]
+    return np.stack([sturm._keys(d, sturm._row_radius(off, n), mass, sturm._in_range(mass))
+                     for d in diags])
+
+
+@given(floored_stacks(), st.sampled_from([1, 3, 16, sturm._TAIL_SPACING]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_tail_floors_bound_the_keys_and_cut_no_lane_start(stack, spacing, data):
+    ops, length, cells = stack
+    with mock.patch.object(sturm, "_TAIL_SPACING", spacing):
+        try:
+            diags, off, mass, floors = discretize_stack(ops, length, cells)
+        except (SturmError, ReduceError):   # a potential or weight past the float range
+            assume(False)
+        keys = _full_keys(diags, off, mass)
+        # each floor is at most every key of its row from its boundary on; rows
+        # with a key outside [2^-400, 2^400] there (key -inf) have a floor of -inf
+        tail_min = np.minimum.accumulate(keys[:, ::-1], axis=1)[:, ::-1]
+        assert (floors <= tail_min[:, ::spacing]).all()
+        # lambdas on keys and an ulp either side, so targets straddle them
+        finite = np.unique(keys[np.isfinite(keys)])
+        picks = data.draw(st.lists(st.sampled_from(finite.tolist()), min_size=1, max_size=6)
+                          if finite.size else st.just([]))
+        lams = np.array(sorted({float(f(x)) for x in picks
+                                for f in (lambda v: v, lambda v: np.nextafter(v, -np.inf),
+                                          lambda v: np.nextafter(v, np.inf))} | {-1e300, 0.0}))
+        want = sturm._dominance_starts(diags, off, mass, lams)
+        assert np.array_equal(sturm._dominance_starts(diags, off, mass, lams, floors), want)
+        # each lambda alone sets the top target, so every cut is tried
+        for j, lam in enumerate(lams):
+            got = sturm._dominance_starts(diags, off, mass, [lam], floors)
+            assert np.array_equal(got[:, 0], want[:, j])
+
+
+def test_a_weyl_zeta_pass_keys_rows_only_where_their_lanes_can_start(monkeypatch):
+    # criterion 7 scaled down: p = 1/4 on the circle with V = y^(1/2), the
+    # `weyl-zeta` mesh widths (0.02 and 0.01) on domains and a window ten
+    # times shorter.  A pass keys each row up to the first tail boundary
+    # past its deepest lane start: at least that start, at most one boundary
+    # spacing more, and far from rows x N
+    config = ProblemConfig(
+        geometry=EndGeometry(2, "1/4", 1.0),
+        cross_section=builtin_cross_section("circle", length=2 * math.pi),
+        potential=RadialPotential(poly=((1.0, 0.5),)),
+        numerics=Numerics(grids=(7000, 14000), domains=(140.0, 168.0),
+                          lambda_grid=(2.0, 20.0, 16), lambda_scale="log"))
+    passes, keyed = [], []
+    # a kernel that keys its rows some other way counts no keyed node here
+    keys, sturm_pass = getattr(sturm, "_keys", None), sturm._sturm_pass
+
+    def counted_keys(diag, *args):
+        keyed[-1] += len(diag)
+        return keys(diag, *args)
+
+    def counted_pass(*args):
+        passes.append(args)
+        keyed.append(0)
+        return sturm_pass(*args)
+
+    monkeypatch.setattr(sturm, "_keys", counted_keys, raising=False)
+    monkeypatch.setattr(sturm, "_sturm_pass", counted_pass)
+    start = time.perf_counter()
+    report = assemble.global_counting(config.with_finest_grid())    # what `weyl` counts
+    seconds = time.perf_counter() - start
+    monkeypatch.undo()
+    assert len(passes) == 1 and report.n_total[-1] > 0
+    for (diag, off, mass, lams, sizes, *_), count in zip(passes, keyed):
+        last = sizes[-1]
+        deepest = sturm._dominance_starts(diag[:, :last], off[:last - 1], mass[:last],
+                                          lams).max(axis=1)
+        assert count >= deepest.sum()
+        assert count <= deepest.sum() + len(diag) * sturm._TAIL_SPACING
+        assert count < 0.5 * len(diag) * last
+    assert seconds < 1.0
