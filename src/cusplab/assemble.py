@@ -53,6 +53,7 @@ class AssembleError(ValueError):
 @dataclass
 class ModeResult:
     mode: ModeSpec
+    op: red.RadialOperator  # the operator its counts come from
     counts: np.ndarray
     settled: np.ndarray     # per lambda: the lane walls inside the longest domain
     eigenvalues: Optional[list] = None
@@ -149,7 +150,7 @@ def _spectrum_reports(configs, with_eigenvalues: bool = False) -> List[SpectrumR
             for run in runs:
                 run.stack = None    # free its previous group's stack before assembling this one
                 run.stack = (sturm.discretize_stack([op for _, op in run.rows], *group[-1])
-                             if run.rows else ([], None, None, None))
+                             if run.rows else ([], None, None, []))
             _count_group(runs, lambdas, group)
             for run in runs:
                 # the threshold probe and the Weyl fit read these counts as monotone
@@ -176,8 +177,8 @@ def _report(run, lambdas, with_eigenvalues):
     totals = {(g, T): run.totals[(g, T)] for g in grids for T in domains}   # combo order
     stable = len(domains) >= 2 and bool(
         np.array_equal(totals[(gf, domains[-1])], totals[(gf, domains[-2])]))
-    mode_results = [ModeResult(mode=m, counts=run.counts[-1][i], settled=run.settled[i])
-                    for (m, _), i in zip(run.ops, run.row_of)]
+    mode_results = [ModeResult(mode=m, op=op, counts=run.counts[-1][i], settled=run.settled[i])
+                    for (m, op), i in zip(run.ops, run.row_of)]
     if with_eigenvalues:
         top = float(lambdas[-1])
         total_top = int(totals[(gf, domains[-1])][-1])
@@ -185,12 +186,17 @@ def _report(run, lambdas, with_eigenvalues):
             raise AssembleError(
                 f"{total_top} eigenvalues below {top:g} exceed the listing cap "
                 f"({EIGEN_CAP}); lower the top of numerics.lambda_grid")
-        diags, off, mass, _ = run.stack
+        diags, off, mass, floors = run.stack
         # a row that counts nothing below the top lists nothing: its first
         # listing pass would count the same pencil at the same lambda
-        listed = [sturm.eigenvalues_below(sturm.TridiagonalPencil(diag, off, mass), top,
-                                          config.numerics.tol) if below else []
-                  for diag, below in zip(diags, run.counts[-1][:, -1])]
+        below = run.counts[-1][:, -1]
+        listed = [sturm.eigenvalues_below(sturm.TridiagonalPencil(diag, off, mass, floors=floor),
+                                          top, config.numerics.tol) if k else []
+                  for diag, floor, k in zip(diags, floors, below)]
+        for (m, _), found, k in zip(run.rows, listed, below):
+            if len(found) != k:
+                raise AssembleError(f"internal error: mode {m.name} lists {len(found)} "
+                                    f"eigenvalues below {top:g} but counts {k}")
         for res, i in zip(mode_results, run.row_of):
             res.eigenvalues = list(listed[i])
 
@@ -345,7 +351,7 @@ def _estimate(config: ProblemConfig, report: SpectrumReport) -> ThresholdEstimat
     for r in report.modes:
         at = first + np.flatnonzero(~r.settled[first:])
         if at.size:
-            c = red.mode_threshold(red.mode_operator(config, r.mode))
+            c = red.mode_threshold(r.op)
             open_lanes += [(float(lambdas[j]), r.mode.name, c) for j in at]
     if not open_lanes:
         return estimate(None, False, (

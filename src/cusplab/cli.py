@@ -196,8 +196,7 @@ REDUCE_COLUMNS = ("mode", "nu", "multiplicity", "density_exp", "stiffness_exp",
 def cmd_reduce(args):
     config = _load_config(args)
     records = []
-    for m in (r.mode for r in assemble.global_counting(config).modes):
-        op = red.mode_operator(config, m)
+    for m, op in ((r.mode, r.op) for r in assemble.global_counting(config).modes):
         terms = "+".join(f"{a!r}*y^{b!r}" for a, b in op.potential_terms) or "0"
         if op.bump is not None:
             terms += f"+bump{op.bump!r}".replace(" ", "")

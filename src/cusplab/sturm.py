@@ -34,16 +34,17 @@ floor of each row's keys on every tail [J, n), J a multiple of
 _TAIL_SPACING: the least value of its power terms over the tail's y range,
 each at an end since a y^b is monotone (`model.potential_bounds`), plus a
 negative bump where it reaches the tail, less a rounding margin.  A
-stacked pass keys a row only up to the first J whose floor beats every
-lane's target, so keying costs about the rows' deepest lane starts, not
-rows x N nodes.  Blocks double, so a pass stops O(log N) times to retire
+pass keys a row only up to the first J whose floor beats every lane's
+target, so keying costs about the rows' deepest lane starts, not rows x N
+nodes; a `TridiagonalPencil` carries its row's floors, so listings key by
+the same rule.  Blocks double, so a pass stops O(log N) times to retire
 lanes, each by twice its certificate node.  A wider pass costs
 little more than a narrow one, so bisection runs as a multisection: each
 pass counts at several levels of every bracket's bisection tree at once,
 and the listing stays bit-identical to one-level-per-pass bisection.
-A lane that hits an exact zero pivot is re-counted by one rule
-(`_recount`): one more pass at lambda shifted down by BREAKDOWN_SHIFT
-times the scale of the block it broke in.
+Every count is one call of `_counts`: a pass, then for each lane that hits
+an exact zero pivot one more (`_recount`) at lambda shifted down by
+BREAKDOWN_SHIFT times the scale of the leading block it broke in.
 
 Grid numbers mean mesh *cells*; a grid g on the base domain T0 fixes the
 mesh width h = T0/g, and larger domains keep h fixed by scaling the cell
@@ -86,12 +87,14 @@ class TridiagonalPencil:
 
     diag/offdiag hold A (stiffness plus lumped potential), mass holds the
     diagonal of B, which is diagonal.  n is the interior point count.
+    floors, the row's tail floors from `discretize_stack`, only saves work.
     """
 
     diag: np.ndarray
     offdiag: np.ndarray
     mass: np.ndarray
     breakdowns: int = 0
+    floors: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if np.any(self.mass <= 0):
@@ -99,7 +102,7 @@ class TridiagonalPencil:
 
     @property
     def n(self) -> int:
-        return len(self.diag)
+        return self.diag.shape[-1]
 
 
 def _check_finite(name, arr):
@@ -273,9 +276,9 @@ def _tail_floors(inner, stiffness, mass, off, row_terms, bump) -> np.ndarray:
 
 
 def discretize(op, length: float, cells: int) -> TridiagonalPencil:
-    """The pencil of one operator: a one-row `discretize_stack`."""
-    (diag,), off, mass, _ = discretize_stack([op], length, cells)
-    return TridiagonalPencil(diag=diag, offdiag=off, mass=mass)
+    """The pencil of one operator, with its tail floors: a one-row `discretize_stack`."""
+    (diag,), off, mass, (floors,) = discretize_stack([op], length, cells)
+    return TridiagonalPencil(diag=diag, offdiag=off, mass=mass, floors=floors)
 
 
 # ---------------------------------------------------------------------------
@@ -356,18 +359,13 @@ def _dominance_starts(diag, off, mass, lams, floors=None) -> np.ndarray:
         target = lams + _KEY_EPS * np.abs(lams)
     cuts = np.full(rows, n)
     if floors is not None and target.size:
-        above = np.asarray(floors) > np.max(target)     # a nan target cuts no row
+        above = _rows(floors) > np.max(target)     # a nan target cuts no row
         cuts = np.minimum(np.where(above.any(axis=1), np.argmax(above, axis=1) * _TAIL_SPACING,
                                    n), n)
-    # a shared off or mass row (one pencil mesh) has its radius and range test done once
-    one_off, one_mass, width = len(off) == 1, len(mass) == 1, int(cuts.max(initial=0))
-    rad = _row_radius(off[0], width) if one_off else None
-    mass_ok = _in_range(mass[0, :width]) if one_mass else None
     starts = np.empty((rows, lams.size), dtype=np.int64)
     for r, cut in enumerate(cuts.tolist()):
-        m = mass[0 if one_mass else r, :cut]
-        key = _keys(diag[r, :cut], rad[:cut] if one_off else _row_radius(off[r], cut), m,
-                    mass_ok[:cut] if one_mass else _in_range(m))
+        m = mass[r % len(mass), :cut]     # a shared off or mass row is one row
+        key = _keys(diag[r, :cut], _row_radius(off[r % len(off)], cut), m, _in_range(m))
         suffix_min = np.minimum.accumulate(key[::-1])[::-1]
         starts[r] = np.searchsorted(suffix_min, target, side="right")
     return starts
@@ -566,17 +564,15 @@ def count_below(pencil: TridiagonalPencil, lam: float) -> int:
     (lambda on a Ritz value of a leading minor) is re-counted at a shifted
     lambda (`_recount`) and recorded on the pencil's breakdown counter.
     """
-    counts = count_below_many(pencil, np.array([lam]))
-    return int(counts[0])
+    return int(count_below_many(pencil, np.array([lam]))[0])
 
 
 def count_below_many(pencil: TridiagonalPencil, lams) -> np.ndarray:
-    lams = np.asarray(lams, dtype=float)
-    counts, broke, _ = _sturm_pass(pencil.diag, pencil.offdiag, pencil.mass, lams)
-    for j in np.nonzero(broke)[0]:
-        pencil.breakdowns += 1
-        counts[j] = _recount(pencil.diag, pencil.offdiag, pencil.mass, float(lams[j]))
-    return counts
+    """`count_below` at each of lams: the one-row case of `_counts`."""
+    counts, _, recounted = _counts(pencil.diag[None], pencil.offdiag, pencil.mass, lams,
+                                   floors=pencil.floors)
+    pencil.breakdowns += recounted
+    return counts[0]
 
 
 def count_below_stack(diags, offs, masses, lams, sizes=None, floors=None):
@@ -587,23 +583,27 @@ def count_below_stack(diags, offs, masses, lams, sizes=None, floors=None):
     Sturm recurrence runs once over the (M, L) block.  With `sizes`
     (increasing leading-block sizes, see `_sturm_pass`) the result is
     (S, M, L): the counts of every nested domain from one pass.  Returns
-    (counts, settled) with `_sturm_pass`'s settled mask of the same shape.
-    A lane with an exact pivot hit is re-counted on the leading block of
-    the checkpoint it broke at, in one more pass (`_recount`), and is open.
-    `floors`, the fourth value of `discretize_stack` (one row per pencil),
-    only saves work (see `_sturm_pass`).
+    (counts, settled) of `_counts`.  `floors`, the tail floors of
+    `discretize_stack` (one row per pencil), only saves work.
     """
+    return _counts(diags, offs, masses, lams, sizes, floors)[:2]
+
+
+def _counts(diags, offs, masses, lams, sizes=None, floors=None):
+    """The one Sturm count: `_sturm_pass` over the stack diags (M, N), then
+    `_recount` for each lane with an exact pivot hit, on the leading block
+    of the checkpoint it broke at; such a lane is open.  Returns (counts,
+    settled) as `_sturm_pass` shapes them and the number of re-counts."""
     counts, broke, settled = _sturm_pass(diags, offs, masses, lams, sizes, floors)
     settled &= ~broke
-    offs = np.broadcast_to(offs, diags.shape[:-1] + np.shape(offs)[-1:])
-    masses = np.broadcast_to(masses, diags.shape)
+    offs, masses = _rows(offs), _rows(masses)     # a shared row is one row
     stops = (diags.shape[-1],) if sizes is None else tuple(sizes)
     by_stop = counts.reshape((len(stops),) + broke.shape[-2:])
     for k, i, j in zip(*np.nonzero(broke.reshape(by_stop.shape))):
         n = stops[k]
-        by_stop[k, i, j] = _recount(diags[i, :n], offs[i, :n - 1], masses[i, :n],
-                                    float(lams[j]))
-    return by_stop.reshape(counts.shape), settled
+        by_stop[k, i, j] = _recount(diags[i, :n], offs[i % len(offs), :n - 1],
+                                    masses[i % len(masses), :n], float(lams[j]))
+    return by_stop.reshape(counts.shape), settled, int(broke.sum())
 
 
 def gershgorin_lower(pencil: TridiagonalPencil) -> float:

@@ -15,7 +15,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cusplab import assemble, selftest
+from cusplab import assemble, selftest, sturm
 from cusplab.assemble import ThresholdEstimate, WeylFit
 from cusplab.cli import _SUBCOMMANDS, UsageError, _build_parser, _emit, main
 from cusplab.model import _FIELDS, _KNOWN_KEYS
@@ -655,6 +655,27 @@ def test_counts_decreasing_in_lambda_exit_one(cfg_path, capsys, command,
     cfg = cfg_path(AB_CFG.replace("0.05,0.5,46", "0.5,6,12"))
     assert main([command, "--config", cfg]) == 1
     assert "decreased in lambda" in capsys.readouterr().err
+
+
+def test_a_listing_that_disagrees_with_its_count_is_an_internal_error(cfg_path, capsys,
+                                                                      monkeypatch):
+    # each listed row lists as many eigenvalues as its finest count at the top
+    cfg = cfg_path(AB_CFG.replace("0.05,0.5,46", "0.5,6,12"))
+    assert main(["spectrum", "--config", cfg]) == 0
+    capsys.readouterr()
+    real = sturm.eigenvalues_below
+    monkeypatch.setattr(sturm, "eigenvalues_below",
+                        lambda pencil, lam, tol: real(pencil, lam, tol)[:-1])
+    assert main(["spectrum", "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error[invalid]: internal error: mode ")
+
+
+def test_spectrum_with_no_mode_in_the_window_lists_nothing(cfg_path, capsys):
+    # no mode's threshold is below 0.1, so the report has no row to list
+    cfg = cfg_path(AB_CFG.replace("0.05,0.5,46", "0.01,0.1,4"))
+    assert main(["spectrum", "--config", cfg]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("command, line", [

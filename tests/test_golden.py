@@ -8,6 +8,7 @@ The recorded files live in tests/golden/, one per case, named
 and review the diff.
 """
 
+import json
 import os
 import sys
 
@@ -135,6 +136,24 @@ def test_report_matches_its_golden_file(tmp_path, case, fmt):
     assert code == CASES[case][3]
     with open(os.path.join(GOLDEN, f"{case}.{fmt}"), "rb") as fh:
         assert got == fh.read()
+
+
+def test_reduce_builds_each_mode_operator_once(tmp_path, monkeypatch):
+    # the report's modes carry the operators their counts came from
+    from cusplab import reduce as red
+
+    calls = []
+    real = red.mode_operator
+
+    def counted(config, mode):
+        calls.append(mode.name)
+        return real(config, mode)
+
+    monkeypatch.setattr(red, "mode_operator", counted)
+    code, got = _report(str(tmp_path), "reduce-lattice-torus", "json")
+    modes = [row["mode"] for row in json.loads(got)]
+    assert code == 0 and modes
+    assert sorted(calls) == sorted(modes)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,8 @@
 """Pencil assembly, inertia counts, bisection, and extrapolation."""
 
+import ast
 import math
+import pathlib
 import time
 from dataclasses import replace
 from unittest import mock
@@ -818,7 +820,8 @@ def test_listing_on_walled_pencils_equals_bisection_on_the_reference_recurrence(
     pen = TridiagonalPencil(diag=diags[0], offdiag=off, mass=mass)
     got = eigenvalues_below(pen, float(lams[-1]), 1e-9)
 
-    def reference_kernel(diag, off, mass, lams):
+    def reference_kernel(diag, off, mass, lams, sizes=None, floors=None):
+        assert sizes is None     # listings and their re-counts count whole pencils
         with np.errstate(over="ignore"):
             counts, broke = _reference_pass(diag, off, mass, lams)
         return counts, broke, np.zeros_like(broke)
@@ -1056,3 +1059,134 @@ def test_a_weyl_zeta_pass_keys_rows_only_where_their_lanes_can_start(monkeypatch
         assert count <= deepest.sum() + len(diag) * sturm._TAIL_SPACING
         assert count < 0.5 * len(diag) * last
     assert seconds < 1.0
+
+
+# ---------------------------------------------------------------------------
+# one count function: listings and single counts key and re-count as stacks do
+# ---------------------------------------------------------------------------
+
+def _outcome(fn, *args):
+    """fn(*args), or the message of the SturmError it raises."""
+    try:
+        return fn(*args)
+    except SturmError as exc:
+        return str(exc)
+
+
+@given(floored_stacks(), st.sampled_from([1, 3, 16, sturm._TAIL_SPACING]), st.data())
+@settings(max_examples=80, deadline=None)
+def test_a_pencil_with_its_floors_counts_and_lists_as_without_them(stack, spacing, data):
+    ops, length, cells = stack
+    with mock.patch.object(sturm, "_TAIL_SPACING", spacing):
+        try:
+            diags, off, mass, floors = discretize_stack(ops, length, cells)
+        except (SturmError, ReduceError):   # a potential or weight past the float range
+            assume(False)
+        keys = _full_keys(diags, off, mass)
+        finite = np.unique(keys[np.isfinite(keys)])
+        picks = data.draw(st.lists(st.sampled_from(finite.tolist()), min_size=1, max_size=4)
+                          if finite.size else st.just([]))
+        lams = np.array(sorted({float(f(x)) for x in picks
+                                for f in (lambda v: v, lambda v: np.nextafter(v, -np.inf),
+                                          lambda v: np.nextafter(v, np.inf))} | {0.0}))
+        for diag, floor in zip(diags, floors):
+            got, want = (TridiagonalPencil(diag, off, mass, floors=f) for f in (floor, None))
+            assert np.array_equal(count_below_many(got, lams), count_below_many(want, lams))
+            # each lambda alone sets the top target, so every cut is tried
+            assert ([count_below(got, lam) for lam in lams]
+                    == [count_below(want, lam) for lam in lams])
+            # a tolerance relative to the window keeps wide windows off the level cap
+            lam = data.draw(st.sampled_from(lams.tolist()))
+            tol = 1e-6 * max(1.0, abs(lam), abs(gershgorin_lower(want)))
+            assert (_outcome(eigenvalues_below, got, lam, tol)
+                    == _outcome(eigenvalues_below, want, lam, tol))
+            assert got.breakdowns == want.breakdowns
+
+
+def test_a_zero_pivot_in_a_listing_pass_adds_one_breakdown_per_whole_pencil_recount(
+        monkeypatch):
+    # the tree of (0, 4) lands on the pivots 2, 1 and 3 of a diagonal pencil
+    pen = TridiagonalPencil(diag=np.array([0.0, 1.0, 2.0, 3.0]), offdiag=np.zeros(3),
+                            mass=np.ones(4), floors=np.full(1, -np.inf))
+    recounts, passes = [], []
+    recount, many = sturm._recount, sturm.count_below_many
+
+    def counted_recount(diag, off, mass, lam):
+        recounts.append((diag, off, mass))
+        return recount(diag, off, mass, lam)
+
+    def counted_many(pencil, lams):
+        before, made = pencil.breakdowns, len(recounts)
+        result = many(pencil, lams)
+        passes.append((pencil.breakdowns - before, len(recounts) - made))
+        return result
+
+    monkeypatch.setattr(sturm, "_recount", counted_recount)
+    monkeypatch.setattr(sturm, "count_below_many", counted_many)
+    assert eigenvalues_below(pen, 4.0, 1e-8) == pytest.approx([0.0, 1.0, 2.0, 3.0], abs=1e-8)
+    assert pen.breakdowns == len(recounts) == 3
+    assert all(added == made for added, made in passes) and passes[0] == (3, 3)
+    for diag, off, mass in recounts:
+        assert (np.array_equal(diag, pen.diag) and np.array_equal(off, pen.offdiag)
+                and np.array_equal(mass, pen.mass))
+
+
+def test_listing_passes_key_rows_only_where_their_lanes_can_start(monkeypatch):
+    # p = 1/4 on the circle with V = y^(1/2): listing N = 60 eigenvalues below
+    # 12 takes 45 passes over three rows of 8,399 nodes, none of whose lanes
+    # starts past node 5,409.  A pass keys its row up to the first tail
+    # boundary past its deepest lane start (166,656 row-nodes in all), not
+    # over all N nodes (377,955)
+    config = ProblemConfig(
+        geometry=EndGeometry(2, "1/4", 1.0),
+        cross_section=builtin_cross_section("circle", length=2 * math.pi),
+        potential=RadialPotential(poly=((1.0, 0.5),)),
+        numerics=Numerics(grids=(3500, 7000), domains=(70.0, 84.0),
+                          lambda_grid=(2.0, 12.0, 8)))
+    listing, keyed, depth = [], [], [0]
+    keys, many = sturm._keys, sturm.count_below_many
+
+    def counted_keys(diag, *args):
+        if depth[0]:
+            keyed[-1] += len(diag)
+        return keys(diag, *args)
+
+    def counted_many(pencil, lams):
+        listing.append((pencil, np.array(lams)))
+        keyed.append(0)
+        depth[0] += 1
+        try:
+            return many(pencil, lams)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(sturm, "_keys", counted_keys)
+    monkeypatch.setattr(sturm, "count_below_many", counted_many)
+    report = assemble.global_counting(config, with_eigenvalues=True)
+    monkeypatch.undo()
+    assert sum(len(r.eigenvalues) * r.mode.multiplicity for r in report.modes) == 60
+    assert len(listing) == len(keyed) > 10
+    for (pencil, lams), count in zip(listing, keyed):
+        assert pencil.floors is not None
+        deepest = int(sturm._dominance_starts(pencil.diag, pencil.offdiag, pencil.mass,
+                                              lams).max())
+        assert deepest <= count <= deepest + sturm._TAIL_SPACING
+    assert sum(keyed) < 0.5 * sum(pencil.n for pencil, _ in listing)
+
+
+def _references(name):
+    """`module.function` of each top-level definition of src/cusplab whose
+    body refers to `name`, by name or as an attribute."""
+    package = pathlib.Path(sturm.__file__).resolve().parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if any(getattr(sub, "id", None) == name or getattr(sub, "attr", None) == name
+                   for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute))):
+                found.add(f"{path.stem}.{getattr(node, 'name', '<module>')}")
+    return found
+
+
+def test_one_count_function_makes_every_pass_and_every_recount():
+    assert _references("_sturm_pass") == {"sturm._counts", "sturm._recount"}
+    assert _references("_recount") == {"sturm._counts"}
